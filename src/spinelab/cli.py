@@ -209,15 +209,17 @@ def nielsen(path):
 @click.option("--budget", default=None, type=int, help="edge budget; defaults to 3*rank-3")
 def expand(path, budget):
     """Minimal admissible blow-ups of a stored graph-with-symmetry."""
-    from spinelab.equivariant import equivariant_expansions
+    from spinelab.equivariant import BudgetExceeded, equivariant_expansions
     from spinelab.graphs import rank as graph_rank
 
+    if budget is not None and budget < 0:
+        _fail_config(f"--budget must be non-negative, got {budget}")
     zg = _load_zp(path)
     if budget is None:
         budget = 3 * graph_rank(zg.graph) - 3
     try:
         pairs = equivariant_expansions(zg, budget)
-    except Exception as exc:
+    except (BudgetExceeded, ValueError) as exc:
         _fail_config(str(exc))
     click.echo(report.dumps([
         {"graph": cand.to_json(), "forest": sorted(forest)} for cand, forest in pairs

@@ -11,6 +11,8 @@ what keeps the search small for p = 5 and 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator
 
 from spinelab.graphs import (
@@ -88,6 +90,13 @@ class ZpGraph:
             orbits.append(tuple(sorted(orbit)))
         return sorted(orbits)
 
+    @cached_property
+    def key(self) -> tuple:
+        """Cheap invariant of the equivalence class, used for bucketing;
+        computed once per object."""
+        orbit_sizes = tuple(sorted(len(o) for o in self.edge_orbits()))
+        return (canonical_form(self.graph).data, self.fixed_vertex_count(), orbit_sizes)
+
     def free_vertex_orbit_count(self) -> int:
         return sum(1 for v in range(self.graph.vertex_count) if self.action.vperm[v] != v) // self.p
 
@@ -130,28 +139,18 @@ def equivariant_isomorphisms(zg1: ZpGraph, zg2: ZpGraph) -> Iterator:
 
 
 def equivariant_isomorphic(zg1: ZpGraph, zg2: ZpGraph) -> bool:
-    if _equivariant_key(zg1) != _equivariant_key(zg2):
+    if zg1.key != zg2.key:
         return False
     for _ in equivariant_isomorphisms(zg1, zg2):
         return True
     return False
 
 
-def _equivariant_key(zg: ZpGraph) -> tuple:
-    """Cheap invariant of the equivalence class, used for bucketing."""
-    orbit_sizes = tuple(sorted(len(o) for o in zg.edge_orbits()))
-    return (
-        canonical_form(zg.graph).data,
-        zg.fixed_vertex_count(),
-        orbit_sizes,
-    )
-
-
 def dedup_equivariant(items: Iterable) -> list:
     """Representatives of equivariant-isomorphism classes, census order."""
     kept: dict = {}
     for zg in items:
-        bucket = kept.setdefault(_equivariant_key(zg), [])
+        bucket = kept.setdefault(zg.key, [])
         if not any(equivariant_isomorphic(zg, other) for other in bucket):
             bucket.append(zg)
     out = []
@@ -576,62 +575,145 @@ def nielsen_closure(zg: ZpGraph, step_cap: int = 10_000) -> list:
 # equivariant expansions (blow-ups)
 
 
-def minimal_invariant_forests(zg: ZpGraph) -> list:
-    """Invariant forests that are a single edge orbit (fixed or free)."""
-    return [
-        frozenset(o) for o in zg.edge_orbits() if is_forest(zg.graph, o)
-    ]
-
-
 def equivariant_expansions(zg: ZpGraph, edge_budget: int) -> list:
     """Admissible blow-ups of zg along one fixed edge or one edge orbit.
 
-    Returns (ZpGraph, forest) pairs up to equivalence; collapsing the
-    forest of each pair is equivariantly isomorphic to zg.  Contracting a
-    single fixed edge keeps the number of free vertex orbits, while
-    contracting a star or matching orbit lowers it by one, so only two
-    strata can contain candidates.
-    """
-    p = zg.p
-    v, e = zg.graph.vertex_count, zg.graph.edge_count
-    m = zg.free_vertex_orbit_count()
-    strata = []
-    if e + 1 <= edge_budget:
-        strata.append((v + 1, e + 1, v + 1 - m * p, m))
-    if e + p <= edge_budget:
-        strata.append((v + p, e + p, v + p - (m + 1) * p, m + 1))
+    Returns (ZpGraph, forest) pairs up to equivalence; the forest is the
+    new edge orbit and collapsing it gives zg back exactly.  A blow-up
+    inverts an equivariant collapse, so each one is built at a vertex:
 
+    * fixed edge (e + 1 <= budget): split the dart orbits at a fixed
+      vertex v into two blocks of at least 2 darts and move one block to
+      a new fixed vertex joined to v by a new fixed edge;
+    * star orbit (e + p <= budget): at a fixed vertex v, send each free
+      dart orbit either nowhere or one dart to leaf 0 and its a^i-translate
+      to leaf i, where p new free vertices hang off v by one new edge
+      orbit; leaf 0 needs at least 2 darts and the first orbit sent has
+      offset 0, which removes the rotation of the leaves;
+    * matching orbit (e + p <= budget): at the least vertex w of a free
+      vertex orbit, split its darts into two blocks of at least 2 and move
+      one block, with its translates, to p new free vertices matched to
+      the orbit by one new edge orbit.
+
+    These are the only single-orbit forests an odd-order action admits,
+    so every blow-up arises; the candidates are filtered for
+    admissibility and deduplicated.  A trivial action has none.
+    """
+    if zg.trivial:
+        return []
+    p, g, a = zg.p, zg.graph, zg.action
+    e = g.edge_count
+    darts_at = [[] for _ in range(g.vertex_count)]
+    for h, v in enumerate(g.target):
+        darts_at[v].append(h)
+    fixed = [v for v in range(g.vertex_count) if a.vperm[v] == v]
     pairs = []
-    for (vv, ee, ff, mm) in strata:
-        if ff < 0:
-            continue
-        for candidate in _stratum_raw(p, vv, ee, ff, mm, reduced_only=False):
-            if rank(candidate.graph) != rank(zg.graph):
+    if e + 1 <= edge_budget:
+        for v in fixed:
+            orbits = _dart_orbits(a, darts_at[v])
+            for block in _two_block_splits(orbits, len(darts_at[v])):
+                pairs.append(_grow(zg, [v], {h: 0 for o in block for h in o}))
+    if e + p <= edge_budget:
+        for v in fixed:
+            free = [o for o in _dart_orbits(a, darts_at[v]) if len(o) == p]
+            for moved in _star_assignments(free, p):
+                pairs.append(_grow(zg, [v] * p, moved))
+        for w in range(g.vertex_count):
+            anchors = _orbit(a.vperm, w)
+            if len(anchors) == 1 or min(anchors) != w:
                 continue
-            for forest in minimal_invariant_forests(candidate):
-                if len(forest) not in (1, p):
-                    continue
-                collapsed = equivariant_collapse(candidate, forest)
-                if equivariant_isomorphic(collapsed, zg):
-                    pairs.append((candidate, forest))
-    return _dedup_expansion_pairs(pairs)
+            for block in _two_block_splits([[h] for h in darts_at[w]], len(darts_at[w])):
+                moved = {x: i for (h,) in block for i, x in enumerate(_orbit(a.hperm, h))}
+                pairs.append(_grow(zg, anchors, moved))
+    return _dedup_expansion_pairs([pair for pair in pairs if is_admissible(pair[0].graph)])
+
+
+def _orbit(perm, x) -> list:
+    """x, perm(x), perm^2(x), ... up to the return to x."""
+    out = [x]
+    y = perm[x]
+    while y != x:
+        out.append(y)
+        y = perm[y]
+    return out
+
+
+def _dart_orbits(a: GraphAutomorphism, darts: list) -> list:
+    """Orbits of the action meeting the darts, each listed from its least dart."""
+    seen = set()
+    out = []
+    for h in darts:
+        if h not in seen:
+            orbit = _orbit(a.hperm, h)
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
+def _two_block_splits(orbits: list, total: int) -> Iterator[list]:
+    """Blocks of orbits leaving out orbits[0], with at least 2 darts on both
+    sides; each unordered split of the orbits is yielded once."""
+    rest = orbits[1:]
+    for mask in range(1, 1 << len(rest)):
+        block = [o for i, o in enumerate(rest) if mask >> i & 1]
+        size = sum(len(o) for o in block)
+        if 2 <= size <= total - 2:
+            yield block
+
+
+def _star_assignments(free: list, p: int) -> Iterator[dict]:
+    """Dart-to-leaf maps of the star construction, one per rotation class:
+    each orbit stays (None) or has an offset, the first offset being 0."""
+    for choice in product([None, *range(p)], repeat=len(free)):
+        sent = [c for c in choice if c is not None]
+        if len(sent) >= 2 and sent[0] == 0:
+            yield {
+                h: (j + c) % p
+                for orbit, c in zip(free, choice) if c is not None
+                for j, h in enumerate(orbit)
+            }
+
+
+def _grow(zg: ZpGraph, anchors: list, moved: dict) -> tuple:
+    """zg plus new vertices n_0..n_{k-1} and new edges anchors[i] -- n_i,
+    k = len(anchors), with dart h re-attached at n_{moved[h]}.
+
+    The action cycles the new vertices and edges; anchors[i + 1] must be
+    the image of anchors[i].  Old darts and vertices keep their indices,
+    so collapsing the returned forest gives zg back exactly.
+    """
+    g, a = zg.graph, zg.action
+    n, m, k = g.vertex_count, g.half_edge_count, len(anchors)
+    sigma, target, hperm = list(g.sigma), list(g.target), list(a.hperm)
+    for h, i in moved.items():
+        target[h] = n + i
+    for i, u in enumerate(anchors):
+        j = m + 2 * ((i + 1) % k)
+        sigma += [m + 2 * i + 1, m + 2 * i]
+        target += [u, n + i]
+        hperm += [j, j + 1]
+    vperm = list(a.vperm) + [n + (i + 1) % k for i in range(k)]
+    graph = HalfEdgeGraph(n + k, tuple(sigma), tuple(target))
+    action = GraphAutomorphism(tuple(vperm), tuple(hperm))
+    return ZpGraph(graph, action, zg.p), frozenset(range(g.edge_count, g.edge_count + k))
 
 
 def _dedup_expansion_pairs(pairs: list) -> list:
+    """One pair per class, in order of first appearance; only pairs in the
+    same key bucket are compared."""
+    buckets: dict = {}
     kept = []
     for zg, forest in pairs:
-        duplicate = False
-        for other, oforest in kept:
-            if _pairs_equivalent(zg, forest, other, oforest):
-                duplicate = True
-                break
-        if not duplicate:
+        bucket = buckets.setdefault((zg.key, len(forest)), [])
+        if not any(_pairs_equivalent(zg, forest, other, oforest) for other, oforest in bucket):
+            bucket.append((zg, forest))
             kept.append((zg, forest))
     return kept
 
 
 def _pairs_equivalent(zg1: ZpGraph, f1, zg2: ZpGraph, f2) -> bool:
-    if _equivariant_key(zg1) != _equivariant_key(zg2) or len(f1) != len(f2):
+    """Some equivariant isomorphism zg1 -> zg2 carries forest f1 onto f2."""
+    if zg1.key != zg2.key or len(f1) != len(f2):
         return False
     for iso, _ in equivariant_isomorphisms(zg1, zg2):
         ep = tuple(zg2.graph.dart_edge[iso.hperm[h1]] for h1, _ in zg1.graph.edges)

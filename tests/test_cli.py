@@ -83,6 +83,27 @@ def test_equiv_expand_round_trip(runner, tmp_path):
     assert len(pairs[0]["forest"]) == 3
 
 
+def test_equiv_expand_p5_wedge(runner, tmp_path):
+    g, action = catalog.wedge_diagonal(5)
+    path = tmp_path / "wedge5.json"
+    path.write_text(json.dumps(ZpGraph(g, action, 5).to_json()))
+    result = runner.invoke(main, ["equiv", "expand", "--input", str(path)])
+    assert result.exit_code == 0, result.output
+    pairs = json.loads(result.output)
+    assert len(pairs) == 1
+    assert len(pairs[0]["forest"]) == 5
+
+
+def test_equiv_expand_negative_budget_is_config_error(runner, tmp_path):
+    g, action = catalog.wedge_diagonal(3)
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(ZpGraph(g, action, 3).to_json()))
+    result = runner.invoke(main, ["equiv", "expand", "--input", str(path), "--budget", "-1"])
+    assert result.exit_code == 2
+    assert "budget" in result.output
+    assert len(result.output.strip().splitlines()) == 1
+
+
 def test_equiv_nielsen_reports_moves(runner, tmp_path):
     g, action = catalog.rose_rotation(3, 4)
     path = tmp_path / "rose.json"
