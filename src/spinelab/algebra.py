@@ -43,8 +43,7 @@ class GradedAlgebra:
     """Finitely generated polynomial (x) exterior algebra over F_p."""
 
     def __init__(self, p: int, generators: Iterable):
-        if p < 3 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
-            raise ValueError("p must be an odd prime")
+        linalg.check_odd_prime(p)
         gens = []
         for g in generators:
             gens.append(g if isinstance(g, Generator) else Generator(*g))
@@ -351,7 +350,37 @@ def tensor(p: int, *algebras: GradedAlgebra, suffixes: Optional[list] = None) ->
 # morphisms
 
 
-class AlgebraMorphism:
+class _Morphism:
+    """Linear algebra shared by the morphism classes.
+
+    Subclasses set ``source`` and ``target`` and define ``apply_monomial``.
+    """
+
+    def apply(self, elt: Element) -> Element:
+        if elt.parent != self.source:
+            raise ValueError("element does not live in the source")
+        if not elt.is_homogeneous():
+            raise ValueError("apply expects a homogeneous element")
+        out = Element.zero(self.target)
+        for m, c in elt.coeffs.items():
+            out = out + c * self.apply_monomial(m)
+        return out
+
+    def _matrix(self, d: int) -> list:
+        src = self.source.basis(d)
+        tgt = self.target.basis(d)
+        index = {m: i for i, m in enumerate(tgt)}
+        mat = [[0] * len(src) for _ in tgt]
+        for j, mono in enumerate(src):
+            img = self.apply_monomial(mono)
+            for m, c in img.coeffs.items():
+                if self.target.monomial_degree(m) != d:
+                    raise ValueError("morphism does not preserve degree")
+                mat[index[m]][j] = c
+        return mat
+
+
+class AlgebraMorphism(_Morphism):
     """Degree-preserving multiplicative map given on generators."""
 
     def __init__(self, source: GradedAlgebra, target, images: dict):
@@ -374,29 +403,9 @@ class AlgebraMorphism:
                 out = out * self.images[g.name]
         return out
 
-    def apply(self, elt: Element) -> Element:
-        if elt.parent != self.source:
-            raise ValueError("element does not live in the source")
-        if not elt.is_homogeneous():
-            raise ValueError("apply expects a homogeneous element")
-        out = Element.zero(self.target)
-        for m, c in elt.coeffs.items():
-            out = out + c * self.apply_monomial(m)
-        return out
-
     def matrix_in_degree(self, d: int) -> list:
         """Rows indexed by target basis, columns by source basis."""
-        src = self.source.basis(d)
-        tgt = self.target.basis(d)
-        index = {m: i for i, m in enumerate(tgt)}
-        mat = [[0] * len(src) for _ in tgt]
-        for j, mono in enumerate(src):
-            img = self.apply_monomial(mono)
-            for m, c in img.coeffs.items():
-                if self.target.monomial_degree(m) != d:
-                    raise ValueError("morphism does not preserve degree")
-                mat[index[m]][j] = c
-        return mat
+        return self._matrix(d)
 
     def is_surjective_in_degree(self, d: int) -> bool:
         return linalg.rank(self.matrix_in_degree(d), self.source.p) == len(
@@ -404,7 +413,7 @@ class AlgebraMorphism:
         )
 
 
-class ProductMorphism:
+class ProductMorphism(_Morphism):
     """A map out of a product that factors through one projection."""
 
     def __init__(self, source: ProductAlgebra, component: int, inner: AlgebraMorphism):
@@ -421,22 +430,9 @@ class ProductMorphism:
             return Element.zero(self.target)
         return self.inner.apply_monomial(inner_mono)
 
-    def apply(self, elt: Element) -> Element:
-        out = Element.zero(self.target)
-        for m, c in elt.coeffs.items():
-            out = out + c * self.apply_monomial(m)
-        return out
-
     def matrix_in_degree(self, d: int) -> list:
-        src = self.source.basis(d)
-        tgt = self.target.basis(d)
-        index = {m: i for i, m in enumerate(tgt)}
-        mat = [[0] * len(src) for _ in tgt]
-        for j, mono in enumerate(src):
-            img = self.apply_monomial(mono)
-            for m, c in img.coeffs.items():
-                mat[index[m]][j] = c
-        return mat
+        """Rows indexed by target basis, columns by source basis."""
+        return self._matrix(d)
 
 
 def identity_morphism(alg: GradedAlgebra) -> AlgebraMorphism:
@@ -639,7 +635,7 @@ def cohomology_of_metacyclic(p: int, m: int, probe: Optional[int] = None) -> Gra
 
 
 # ---------------------------------------------------------------------------
-# free-module verification and relation checking
+# free-module verification
 
 
 def verify_free_module(
@@ -679,14 +675,9 @@ def verify_free_module(
         want = eq.dims[d]
         if len(vectors) != want:
             return False
-        if vectors and linalg.rank([list(col) for col in zip(*vectors)], p) != want:
+        if linalg.rank([list(col) for col in zip(*vectors)], p) != want:
             return False
     return True
-
-
-def check_relations(pairs: list) -> list:
-    """Evaluate (lhs, rhs) element pairs; True where they agree."""
-    return [lhs == rhs for lhs, rhs in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from spinelab import linalg
+from spinelab import catalog, linalg
 from spinelab.algebra import (
     AlgebraMorphism,
     Element,
@@ -32,7 +32,8 @@ from spinelab.algebra import (
 )
 from spinelab.fixtures import load_algebras, load_coefficient_rule, load_morphism
 from spinelab.series import GradedDims
-from spinelab.spine import QuotientComplex
+from spinelab.spine import QuotientComplex, reduced_homology
+from spinelab.symmetry import sylow_p_order
 
 
 class CoefficientRuleError(RuntimeError):
@@ -77,16 +78,9 @@ def sylow_rule(cx: QuotientComplex, bound: int, with_special_edge: bool = True) 
     base_dims = dimensions(base, bound).dims
     big_dims = dimensions(big, bound).dims
 
-    def sylow(order: int) -> int:
-        out = 1
-        while order % cx.p == 0:
-            order //= cx.p
-            out *= cx.p
-        return out
-
     cell_dims = {}
     for cell in cx.cells:
-        s = sylow(cell.isotropy_order)
+        s = sylow_p_order(cell.isotropy_order, cx.p)
         if s == cx.p:
             cell_dims[cell.index] = base_dims
         elif s == cx.p**2:
@@ -248,9 +242,7 @@ def page_cohomology(page: E1Page) -> dict:
         for s in range(max_s + 1):
             incoming = page.differentials.get((s - 1, q))
             outgoing = page.differentials.get((s, q))
-            rank_in = linalg.rank(incoming, page.p) if incoming and incoming[0] else 0
-            rank_out = linalg.rank(outgoing, page.p) if outgoing and outgoing[0] else 0
-            out[(s, q)] = sizes[s] - rank_out - rank_in
+            out[(s, q)] = sizes[s] - linalg.rank(outgoing, page.p) - linalg.rank(incoming, page.p)
     return out
 
 
@@ -279,24 +271,9 @@ def amalgam_cohomology(h1, h2, h12, f1, f2, bound: int, p: int) -> GradedDims:
     dim ker [f1, -f2] on h1(d) + h2(d).
     """
     for d in range(bound + 1):
-        m1, m2 = f1[d], f2[d]
-        target = h12[d]
-        r1 = linalg.rank(m1, p) if m1 and m1[0] else 0
-        r2 = linalg.rank(m2, p) if m2 and m2[0] else 0
-        if r1 != target and r2 != target:
+        if h12[d] not in (linalg.rank(f1[d], p), linalg.rank(f2[d], p)):
             raise ValueError(f"neither map is surjective in degree {d}")
-    dims = []
-    for d in range(bound + 1):
-        cols1, cols2 = h1[d], h2[d]
-        rows = h12[d]
-        mat = [[0] * (cols1 + cols2) for _ in range(rows)]
-        for r in range(rows):
-            for c in range(cols1):
-                mat[r][c] = f1[d][r][c] % p
-            for c in range(cols2):
-                mat[r][cols1 + c] = (-f2[d][r][c]) % p
-        rank = linalg.rank(mat, p) if mat and mat[0] else 0
-        dims.append(cols1 + cols2 - rank)
+    dims = [linalg.pair_kernel_dim(f1[d], f2[d], h1[d], h2[d], p) for d in range(bound + 1)]
     return GradedDims(bound, tuple(dims))
 
 
@@ -375,12 +352,8 @@ def _check_retraction(cx: QuotientComplex, component: int):
             raise ConcentrationError("a higher cell touches both special endpoints")
     rest = [c for c in cells if c.index != edge.index]
     for c in rest:
-        if c.dim >= 1:
-            s = c.isotropy_order
-            while s % cx.p == 0:
-                s //= cx.p
-            if c.isotropy_order // s != cx.p:
-                raise ConcentrationError("identity region contains a big stabilizer")
+        if c.dim >= 1 and sylow_p_order(c.isotropy_order, cx.p) != cx.p:
+            raise ConcentrationError("identity region contains a big stabilizer")
     index_set = {c.index for c in rest}
     order = sorted(index_set)
     pos = {ci: k for k, ci in enumerate(order)}
@@ -396,45 +369,17 @@ def _check_retraction(cx: QuotientComplex, component: int):
             f"removing the special edge left {len(pieces)} pieces, expected 2"
         )
     for piece in pieces.values():
-        if _piece_has_homology(cx, piece):
+        if any(reduced_homology(cx, piece)):
             raise ConcentrationError("a piece outside the special edge is not acyclic")
-
-
-def _piece_has_homology(cx: QuotientComplex, ids: list) -> bool:
-    by_dim: dict = {}
-    for i in ids:
-        by_dim.setdefault(cx.cells[i].dim, []).append(i)
-    max_dim = max(by_dim)
-    pos = {i: k for d in by_dim for k, i in enumerate(sorted(by_dim[d]))}
-    p = cx.p
-    boundaries = {0: [[1 for _ in sorted(by_dim[0])]]}
-    for d in range(1, max_dim + 1):
-        rows = len(by_dim.get(d - 1, []))
-        mat = [[0] * len(by_dim[d]) for _ in range(rows)]
-        for col, i in enumerate(sorted(by_dim[d])):
-            for omit, f in enumerate(cx.cells[i].faces):
-                mat[pos[f]][col] = (mat[pos[f]][col] + (-1) ** omit) % p
-        boundaries[d] = mat
-    for d in range(0, max_dim + 1):
-        cols = len(by_dim.get(d, []))
-        mat = boundaries[d]
-        rank_d = linalg.rank(mat, p) if mat and mat[0] else 0
-        nxt = boundaries.get(d + 1)
-        rank_next = linalg.rank(nxt, p) if nxt and nxt[0] else 0
-        if cols - rank_d - rank_next:
-            return True
-    return False
 
 
 def corollary_dims(cx: QuotientComplex, bound: int) -> dict:
     """Per-component and total equivariant cohomology dims."""
-    out = {}
-    for key in ("rose", "theta11", "k33"):
-        anchor = {"rose": "R4", "theta11": "Theta2^{1,1}", "k33": "K33"}[key]
-        comp = cx.component_containing(anchor)
-        out[key] = component_cohomology(cx, comp, bound)
-    total = out["rose"].add(out["theta11"]).add(out["k33"])
-    out["total"] = total
+    out = {
+        key: component_cohomology(cx, cx.component_containing(anchor), bound)
+        for key, anchor in catalog.COMPONENT_ANCHORS.items()
+    }
+    out["total"] = out["rose"].add(out["theta11"]).add(out["k33"])
     return out
 
 
@@ -498,17 +443,13 @@ def theorem_pipeline(
     # kernel of [f1 | -inclusion] on (M x input)(d) + invariants(d)
     eq_dims = []
     for d in range(bound + 1):
-        mat = [row[:] for row in f1.matrix_in_degree(d)]
         inv_vectors = [elt.vector(d) for elt in inv.bases[d]]
-        cols = len(big.basis(d))
-        rows = len(MM.basis(d))
-        full = [
-            [mat[r][c] % p for c in range(cols)]
-            + [(-v[r]) % p for v in inv_vectors]
-            for r in range(rows)
-        ]
-        rank = linalg.rank(full, p) if full and full[0] else 0
-        eq_dims.append(cols + len(inv_vectors) - rank)
+        inclusion = [[v[r] for v in inv_vectors] for r in range(len(MM.basis(d)))]
+        eq_dims.append(
+            linalg.pair_kernel_dim(
+                f1.matrix_in_degree(d), inclusion, len(big.basis(d)), len(inv_vectors), p
+            )
+        )
     eq_dims = GradedDims(bound, tuple(eq_dims))
 
     M_dims = dimensions(M, bound)

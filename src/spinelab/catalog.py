@@ -196,3 +196,6 @@ RANK4_SINGULAR = {
     "S0": alternating_hexagon,
     "P1": prism,
 }
+
+# one class inside each component of the p = 3 rank-4 quotient, by component key
+COMPONENT_ANCHORS = {"rose": "R4", "theta11": "Theta2^{1,1}", "k33": "K33"}

@@ -2,35 +2,49 @@
 
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on
 configuration or resource errors (missing fixture, bad input file,
-enumeration caps).  SPINELAB_MAX_DEGREE overrides the degree bound.
+enumeration caps, a --p that is not an odd prime).  SPINELAB_MAX_DEGREE
+sets the default degree bound; an explicit --max-degree wins over it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
 
-from spinelab import report
+from spinelab import catalog, report
 from spinelab.fixtures import FixtureError
+from spinelab.linalg import check_odd_prime
 
 
 CONFIG_ERROR = 2
 MISMATCH = 1
 
 
-def _bound(value):
-    import os
-
-    if value is not None:
-        return value
-    return int(os.environ.get("SPINELAB_MAX_DEGREE", 40))
-
-
 def _fail_config(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(CONFIG_ERROR)
+
+
+def _bound(value):
+    """The degree bound: the flag, else SPINELAB_MAX_DEGREE, else 40."""
+    if value is not None:
+        return value
+    raw = os.environ.get("SPINELAB_MAX_DEGREE", "40")
+    try:
+        return int(raw)
+    except ValueError:
+        _fail_config(f"SPINELAB_MAX_DEGREE must be an integer, got {raw!r}")
+
+
+def _prime(ctx, param, value):
+    """Callback of every --p option."""
+    try:
+        return check_odd_prime(value)
+    except ValueError as exc:
+        _fail_config(str(exc))
 
 
 @click.group()
@@ -48,7 +62,7 @@ def spine():
 
 
 @spine.command()
-@click.option("--p", "prime", default=3, show_default=True)
+@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
 @click.option("--rank", "rank_", default=4, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def census(prime, rank_, out):
@@ -69,7 +83,7 @@ def census(prime, rank_, out):
 
 
 @spine.command()
-@click.option("--p", "prime", default=3, show_default=True)
+@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
 @click.option("--rank", "rank_", default=4, show_default=True)
 @click.option("--dim", "dim_", default=1, show_default=True)
 def cells(prime, rank_, dim_):
@@ -85,51 +99,17 @@ def cells(prime, rank_, dim_):
 @click.argument("corpus", type=click.Path(exists=False, dir_okay=False))
 def verify_tables(corpus):
     """Check a corpus file against the expected census tables."""
-    from spinelab.graphs import HalfEdgeGraph, collapse
     from spinelab.fixtures import load_expected_tables
-    from spinelab.symmetry import canonical_form
+    from spinelab.spine import CorpusError, corpus_tables, expected_tables, table_problems
 
     try:
         with open(corpus) as fh:
-            data = json.load(fh)
-        expected = load_expected_tables()
-    except (OSError, json.JSONDecodeError, FixtureError) as exc:
+            got = corpus_tables(json.load(fh))
+        want = expected_tables(load_expected_tables())
+    except (OSError, json.JSONDecodeError, FixtureError, CorpusError) as exc:
         _fail_config(str(exc))
 
-    problems = []
-    graphs = {}
-    forms = {}
-    for row in data["graphs"]:
-        g = HalfEdgeGraph.from_json(row["graph"])
-        graphs[row["name"]] = g
-        forms[canonical_form(g).data] = row["name"]
-    want_graphs = sorted(
-        (r["name"], r["vertices"], r["edges"], r["aut_order"]) for r in expected["graphs"]
-    )
-    got_graphs = sorted(
-        (r["name"], r["graph"]["vertices"], len(r["graph"]["sigma"]) // 2, r["aut_order"])
-        for r in data["graphs"]
-    )
-    if got_graphs != want_graphs:
-        problems.append("graph table mismatch")
-
-    rows = {1: [], 2: [], 3: []}
-    for cell in data["cells"]:
-        if cell["dim"] == 0:
-            continue
-        top = graphs[cell["top_name"]]
-        names = [cell["top_name"]]
-        # forests are stored largest first; rows read top, then the
-        # vertices in decreasing forest size
-        for forest in reversed(cell["forests"]):
-            quotient = collapse(top, forest)
-            names.append(forms[canonical_form(quotient).data])
-        rows[cell["dim"]].append((tuple(names), cell["isotropy_order"]))
-    for key, dim_ in (("one_cells", 1), ("two_cells", 2), ("three_cells", 3)):
-        want = sorted((tuple(r["cell"]), r["isotropy_order"]) for r in expected[key])
-        if sorted(rows[dim_]) != want:
-            problems.append(f"{key} mismatch")
-
+    problems = table_problems(got, want)
     if problems:
         for problem in problems:
             click.echo(f"mismatch: {problem}", err=True)
@@ -138,13 +118,17 @@ def verify_tables(corpus):
 
 
 @spine.command(name="report")
-@click.option("--p", "prime", default=3, show_default=True)
+@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
 @click.option("--rank", "rank_", default=4, show_default=True)
 @click.option("--markdown/--json", "as_markdown", default=True)
 def spine_report(prime, rank_, as_markdown):
     """Render the census as markdown (or the corpus JSON)."""
     from spinelab.spine import quotient_complex
 
+    if as_markdown and rank_ != 4:
+        _fail_config(
+            "the markdown report needs class names, which exist only at rank 4; use --json"
+        )
     cx = quotient_complex(prime, rank_)
     click.echo(report.census_markdown(cx) if as_markdown else report.corpus_document(cx), nl=False)
 
@@ -159,7 +143,7 @@ def equiv():
 
 
 @equiv.command()
-@click.option("--p", "prime", required=True, type=int)
+@click.option("--p", "prime", required=True, type=int, callback=_prime)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def classify(prime, out):
     """All reduced classes of rank 2(p-1)."""
@@ -236,7 +220,7 @@ def coh():
 
 
 @coh.command()
-@click.option("--which", type=click.Choice(["rose", "theta11", "k33"]), required=True)
+@click.option("--which", type=click.Choice(list(catalog.COMPONENT_ANCHORS)), required=True)
 @click.option("--max-degree", type=int, default=None)
 def component(which, max_degree):
     """Equivariant cohomology dims of one component of the quotient."""
@@ -245,7 +229,7 @@ def component(which, max_degree):
 
     bound = _bound(max_degree)
     cx = quotient_complex(3, 4)
-    anchor = {"rose": "R4", "theta11": "Theta2^{1,1}", "k33": "K33"}[which]
+    anchor = catalog.COMPONENT_ANCHORS[which]
     dims = component_cohomology(cx, cx.component_containing(anchor), bound)
     click.echo(report.dims_markdown(f"{which} component", {which: dims}, 0, bound), nl=False)
 
@@ -275,7 +259,7 @@ def corollary12(max_degree):
 
 
 @coh.command()
-@click.option("--p", "prime", default=3, show_default=True)
+@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
 @click.option("--aut-input", "path", type=click.Path(dir_okay=False), default=None,
               help="JSON file with an algebra presentation and restriction images")
 @click.option("--max-degree", type=int, default=None)
@@ -322,31 +306,14 @@ def thm14(prime, path, max_degree):
 @coh.command()
 @click.option("--which", type=click.Choice(["sigma3", "equalizer", "metacyclic"]),
               default="equalizer", show_default=True)
-@click.option("--p", "prime", default=3, show_default=True)
+@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
 @click.option("--max-degree", type=int, default=None)
 def series(which, prime, max_degree):
     """Expand one of the built-in closed-form series."""
-    from spinelab.series import PowerSeriesRat
+    from spinelab.series import CLOSED_FORMS
 
     bound = _bound(max_degree)
-    if which == "sigma3":
-        s = PowerSeriesRat.make([1, 0, 0, 1], [1, 0, 0, 0, -1])
-        label = "(1+t^3)/(1-t^4)"
-    elif which == "equalizer":
-        num = PowerSeriesRat.make([1, 0, 0, 1]) * PowerSeriesRat.make(
-            [1, 0, 0, 0, 0, 0, 0, 2, 1]
-        )
-        s = num * PowerSeriesRat.make([1], [1, 0, 0, 0, -1]) * PowerSeriesRat.make(
-            [1], [1, 0, 0, 0, 0, 0, 0, 0, -1]
-        )
-        label = "(1+t^3)(1+2t^7+t^8)/((1-t^4)(1-t^8))"
-    else:
-        d = 2 * prime - 3
-        num = PowerSeriesRat.monomial_pair(1, d, 1)
-        den = [0] * (2 * prime - 1)
-        den[0], den[2 * prime - 2] = 1, -1
-        s = PowerSeriesRat.make(num.numerator, den)
-        label = f"(1+t^{d})/(1-t^{d+1})"
+    label, s = CLOSED_FORMS[which](prime)
     click.echo(label)
     click.echo(" ".join(str(c) for c in s.coefficients(bound)))
 
@@ -361,7 +328,7 @@ def verify():
 
 
 @verify.command(name="all")
-@click.option("--p", "prime", default=3, show_default=True)
+@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
 @click.option("--rank", "rank_", default=4, show_default=True)
 @click.option("--max-degree", type=int, default=None)
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)

@@ -39,6 +39,23 @@ def rank(matrix, p) -> int:
     return len(rref(matrix, p)[1])
 
 
+def pair_kernel_dim(a, b, cols_a: int, cols_b: int, p) -> int:
+    """dim ker [a | -b]: the pairs (u, v) with a u = b v.
+
+    ``a`` and ``b`` share their rows; the widths are passed because a
+    matrix with no rows does not record them.
+    """
+    joined = [list(ra) + [-x for x in rb] for ra, rb in zip(a, b)]
+    return cols_a + cols_b - rank(joined, p)
+
+
+def check_odd_prime(p: int) -> int:
+    """Return p, or raise ValueError unless it is an odd prime."""
+    if p < 3 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+        raise ValueError("p must be an odd prime")
+    return p
+
+
 def nullspace(matrix, p):
     """Canonical kernel basis (one vector per free column, rref-derived)."""
     if not matrix:

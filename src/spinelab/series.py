@@ -127,10 +127,6 @@ class PowerSeriesRat:
         return GradedDims(bound, self.coefficients(bound))
 
 
-def expand(series: PowerSeriesRat, bound: int) -> GradedDims:
-    return series.expand(bound)
-
-
 def series_equal(a: PowerSeriesRat, b: PowerSeriesRat, bound: int) -> bool:
     """Coefficient-wise equality of the truncated expansions."""
     return a.coefficients(bound) == b.coefficients(bound)
@@ -146,3 +142,34 @@ def geometric(exp: int) -> PowerSeriesRat:
 def one_plus(exp: int) -> PowerSeriesRat:
     """1 + t^exp, the series of an exterior generator."""
     return PowerSeriesRat.monomial_pair(1, exp, 1)
+
+
+# name -> p -> (label, series): the closed forms the paper states, with
+# the labels `spinelab coh series` prints
+CLOSED_FORMS = {
+    # H* of a stabilizer whose Sylow-3 subgroup has order 3
+    "sigma3": lambda p: ("(1+t^3)/(1-t^4)", one_plus(3) * geometric(4)),
+    # the equalizer of the two restrictions at the K33 edge
+    "equalizer": lambda p: (
+        "(1+t^3)(1+2t^7+t^8)/((1-t^4)(1-t^8))",
+        one_plus(3)
+        * PowerSeriesRat.make([1, 0, 0, 0, 0, 0, 0, 2, 1])
+        * geometric(4)
+        * geometric(8),
+    ),
+    # sigma3 + equalizer, summed in closed form
+    "sigma3+equalizer": lambda p: (
+        "2(1+t^3)(1+t^7)/((1-t^4)(1-t^8))",
+        2 * one_plus(3) * one_plus(7) * geometric(4) * geometric(8),
+    ),
+    # H* of the metacyclic group Z/p x| Z/(p-1)
+    "metacyclic": lambda p: (
+        f"(1+t^{2 * p - 3})/(1-t^{2 * p - 2})",
+        one_plus(2 * p - 3) * geometric(2 * p - 2),
+    ),
+}
+
+
+def closed_form(name: str, p: int = 3) -> PowerSeriesRat:
+    """The series of one ``CLOSED_FORMS`` entry."""
+    return CLOSED_FORMS[name](p)[1]

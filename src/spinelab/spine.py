@@ -15,7 +15,9 @@ from typing import Optional
 
 from spinelab import catalog, linalg
 from spinelab.graphs import (
+    DisjointSet,
     HalfEdgeGraph,
+    collapse,
     collapse_with_maps,
     enumerate_forests,
     is_admissible,
@@ -317,12 +319,6 @@ def _proper_nonempty_subsets(forest):
         yield frozenset(items[i] for i in range(n) if mask >> i & 1)
 
 
-def enumerate_cells(p: int, n: int, dim: int, classes: Optional[list] = None) -> list:
-    """The dim-cells of the quotient complex, without face data."""
-    complex_ = quotient_complex(p, n, classes)
-    return complex_.cells_of_dim(dim)
-
-
 def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> QuotientComplex:
     """Assemble cells of every dimension, their faces and components."""
     if classes is None:
@@ -409,8 +405,6 @@ def _rerooted_face(classes, form_index, eperms_cache, lookup, cell: QuotientCell
 
 
 def _components(cells: list):
-    from spinelab.graphs import DisjointSet
-
     ds = DisjointSet(len(cells))
     for cell in cells:
         for f in cell.faces:
@@ -421,44 +415,32 @@ def _components(cells: list):
 
 
 # ---------------------------------------------------------------------------
-# homology of a quotient component over F_p
+# homology of a set of quotient cells over F_p
 
 
-def component_homology(complex_: QuotientComplex, component: int, p: int) -> list:
-    """Reduced homology dimensions of one component of the quotient.
+def reduced_homology(complex_: QuotientComplex, cell_ids) -> list:
+    """Reduced homology dimensions of a face-closed set of cells.
 
-    The component is a CW complex whose boundary maps are the alternating
-    sums of face cells, so the reduced homology is plain linear algebra
-    over F_p.  Index d of the result is the dimension of reduced H_d.
+    The cells form a CW complex whose boundary maps are the alternating
+    sums of face cells, augmented by sending every vertex to 1, so the
+    reduced homology is plain linear algebra over F_p.  Index d of the
+    result is the dimension of reduced H_d.
     """
-    ids = [c.index for c in complex_.cells if complex_.component_of[c.index] == component]
+    p = complex_.p
     by_dim: dict = {}
-    for i in ids:
+    for i in sorted(cell_ids):
         by_dim.setdefault(complex_.cells[i].dim, []).append(i)
-    max_dim = max(by_dim)
-    pos = {i: k for d in by_dim for k, i in enumerate(sorted(by_dim[d]))}
-
-    boundaries = {}
-    # augmentation in dimension 0
-    boundaries[0] = [[1 for _ in sorted(by_dim[0])]]
-    for d in range(1, max_dim + 1):
-        rows = len(by_dim.get(d - 1, []))
-        mat = [[0] * len(by_dim[d]) for _ in range(rows)]
-        for col, i in enumerate(sorted(by_dim[d])):
+    top = max(by_dim)
+    pos = {i: k for ids in by_dim.values() for k, i in enumerate(ids)}
+    boundaries = [[[1] * len(by_dim[0])]]
+    for d in range(1, top + 1):
+        mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
+        for col, i in enumerate(by_dim[d]):
             for omit, f in enumerate(complex_.cells[i].faces):
                 mat[pos[f]][col] = (mat[pos[f]][col] + (-1) ** omit) % p
-        boundaries[d] = mat
-
-    dims = []
-    for d in range(0, max_dim + 1):
-        mat = boundaries[d]
-        cols = len(by_dim.get(d, []))
-        rank_d = linalg.rank(mat, p) if mat and mat[0] else 0
-        kernel = cols - rank_d
-        nxt = boundaries.get(d + 1)
-        rank_next = linalg.rank(nxt, p) if nxt and nxt[0] else 0
-        dims.append(kernel - rank_next)
-    return dims
+        boundaries.append(mat)
+    ranks = [linalg.rank(mat, p) for mat in boundaries] + [0]
+    return [len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,42 +482,111 @@ def cell_rows(complex_: QuotientComplex, dim: int) -> list:
     return sorted(rows)
 
 
+class CorpusError(RuntimeError):
+    """A corpus document is malformed: a configuration error, not a mismatch."""
+
+
+CELL_TABLES = (("one_cells", 1), ("two_cells", 2), ("three_cells", 3))
+
+
+def graph_rows(complex_: QuotientComplex) -> list:
+    """(name, vertices, edges, |Aut|) per class, sorted."""
+    return sorted(
+        (cls.name, cls.graph.vertex_count, cls.graph.edge_count, cls.aut_order)
+        for cls in complex_.classes
+    )
+
+
+def _component_rows(members) -> list:
+    """Sorted vertex names per component, from (component, name) pairs."""
+    groups: dict = {}
+    for component, name in members:
+        groups.setdefault(component, []).append(name)
+    return sorted(tuple(sorted(names)) for names in groups.values())
+
+
+def census_tables(complex_: QuotientComplex) -> dict:
+    """The expected-census tables as reproduced by a computed complex."""
+    tables = {"graphs": graph_rows(complex_)}
+    for key, dim in CELL_TABLES:
+        tables[key] = cell_rows(complex_, dim)
+    tables["components"] = _component_rows(
+        (complex_.component_of[c.index], complex_.classes[c.graph_index].name)
+        for c in complex_.cells_of_dim(0)
+    )
+    return tables
+
+
+def corpus_tables(data: dict) -> dict:
+    """The rows of ``census_tables``, read back from a corpus document.
+
+    Each cell row names the top graph, then the collapses along the
+    stored forests from the smallest up, matched to the corpus graphs by
+    canonical form; components follow the stored faces.
+    """
+    try:
+        parsed = [
+            (row["name"], HalfEdgeGraph.from_json(row["graph"]), row["aut_order"])
+            for row in data["graphs"]
+        ]
+        graphs = {name: g for name, g, _ in parsed}
+        if not all(isinstance(name, str) for name in graphs):
+            raise CorpusError("corpus graphs carry no class names; names exist only at rank 4")
+        names = {canonical_form(g): name for name, g, _ in parsed}
+        tables = {
+            "graphs": sorted((name, g.vertex_count, g.edge_count, aut) for name, g, aut in parsed)
+        }
+        rows: dict = {dim: [] for _, dim in CELL_TABLES}
+        cells = data["cells"]
+        ds = DisjointSet(len(cells))
+        for index, cell in enumerate(cells):
+            for f in cell["faces"]:
+                ds.union(index, f)
+            if cell["dim"] in rows:
+                top = graphs[cell["top_name"]]
+                quotients = [
+                    names[canonical_form(collapse(top, forest))]
+                    for forest in reversed(cell["forests"])
+                ]
+                rows[cell["dim"]].append(
+                    ((cell["top_name"], *quotients), cell["isotropy_order"])
+                )
+        for key, dim in CELL_TABLES:
+            tables[key] = sorted(rows[dim])
+        tables["components"] = _component_rows(
+            (ds.find(i), cell["top_name"]) for i, cell in enumerate(cells) if cell["dim"] == 0
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CorpusError(f"malformed corpus: {type(exc).__name__}: {exc}") from exc
+    return tables
+
+
+def expected_tables(expected: dict) -> dict:
+    """The expected-census fixture in the row form of ``census_tables``."""
+    tables = {
+        "graphs": sorted(
+            (r["name"], r["vertices"], r["edges"], r["aut_order"]) for r in expected["graphs"]
+        )
+    }
+    for key, _ in CELL_TABLES:
+        tables[key] = sorted((tuple(r["cell"]), r["isotropy_order"]) for r in expected[key])
+    tables["components"] = sorted(tuple(sorted(c["vertices"])) for c in expected["components"])
+    return tables
+
+
+def table_problems(got: dict, want: dict) -> list:
+    """One line for each table of ``got`` whose rows differ from ``want``."""
+    return [
+        f"{key} mismatch: got {got[key]}, want {want[key]}"
+        for key in got
+        if got[key] != want[key]
+    ]
+
+
 def verify_expected_tables(complex_: QuotientComplex, expected: dict) -> list:
     """Compare a computed complex against the expected-census fixture.
 
     Returns a list of discrepancy strings; empty means every table row is
     reproduced exactly.
     """
-    problems = []
-    got_graphs = sorted(
-        (cls.name, cls.graph.vertex_count, cls.graph.edge_count, cls.aut_order)
-        for cls in complex_.classes
-    )
-    want_graphs = sorted(
-        (r["name"], r["vertices"], r["edges"], r["aut_order"])
-        for r in expected["graphs"]
-    )
-    if got_graphs != want_graphs:
-        problems.append(f"graph census mismatch: {got_graphs} != {want_graphs}")
-
-    for dim_key, dim in (("one_cells", 1), ("two_cells", 2), ("three_cells", 3)):
-        got = sorted(cell_rows(complex_, dim))
-        want = sorted(
-            (tuple(r["cell"]), r["isotropy_order"]) for r in expected[dim_key]
-        )
-        if got != want:
-            problems.append(f"{dim_key} mismatch:\n got {got}\n want {want}")
-
-    want_components = sorted(
-        tuple(sorted(c["vertices"])) for c in expected["components"]
-    )
-    got_components: dict = {}
-    for cell in complex_.cells:
-        if cell.dim == 0:
-            got_components.setdefault(complex_.component_of[cell.index], []).append(
-                complex_.classes[cell.graph_index].name
-            )
-    got_list = sorted(tuple(sorted(v)) for v in got_components.values())
-    if got_list != want_components:
-        problems.append(f"components mismatch: {got_list} != {want_components}")
-    return problems
+    return table_problems(census_tables(complex_), expected_tables(expected))

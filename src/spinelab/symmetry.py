@@ -262,10 +262,6 @@ class AutGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def generators(self) -> tuple:
-        return self.elements
-
     def edge_perms(self) -> list:
         return [edge_permutation(self.graph, a) for a in self.elements]
 

@@ -7,7 +7,6 @@ both run these, so a criterion is implemented exactly once.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
@@ -50,10 +49,13 @@ from spinelab.fixtures import (
     load_thm_input,
 )
 from spinelab.graphs import collapse, enumerate_forests, rank
-from spinelab.series import PowerSeriesRat, series_equal
+from spinelab.series import closed_form, series_equal
 from spinelab.spine import (
-    component_homology,
+    expected_tables,
+    graph_rows,
     quotient_complex,
+    reduced_homology,
+    table_problems,
     verify_expected_tables,
 )
 from spinelab.symmetry import (
@@ -81,11 +83,7 @@ class RunConfig:
     seed: int = 20240901
 
     def __post_init__(self):
-        env = os.environ.get("SPINELAB_MAX_DEGREE")
-        if env:
-            self.max_degree = int(env)
-        if self.p < 3 or any(self.p % k == 0 for k in range(2, int(self.p**0.5) + 1)):
-            raise ValueError("p must be an odd prime")
+        linalg.check_odd_prime(self.p)
         if self.rank < 2:
             raise ValueError("rank must be >= 2")
         if self.max_degree < 10:
@@ -102,38 +100,18 @@ def _alpha_beta(bound):
     return alpha, beta, source, f, g
 
 
-def _equalizer_series() -> PowerSeriesRat:
-    num = PowerSeriesRat.make([1, 0, 0, 1]) * PowerSeriesRat.make([1, 0, 0, 0, 0, 0, 0, 2, 1])
-    den = PowerSeriesRat.make([1], [1, 0, 0, 0, -1]) * PowerSeriesRat.make(
-        [1], [1, 0, 0, 0, 0, 0, 0, 0, -1]
-    )
-    return num * den
-
-
-def _sigma3_series() -> PowerSeriesRat:
-    return PowerSeriesRat.make([1, 0, 0, 1], [1, 0, 0, 0, -1])
-
-
 # ---------------------------------------------------------------------------
 # the criteria
 
 
 def criterion_census(cx) -> CriterionResult:
-    expected = load_expected_tables()
-    want = sorted(
-        (r["name"], r["vertices"], r["edges"], r["aut_order"]) for r in expected["graphs"]
-    )
-    got = sorted(
-        (c.name, c.graph.vertex_count, c.graph.edge_count, c.aut_order)
-        for c in cx.classes
-    )
-    ok = len(cx.classes) == 17 and got == want
+    want = expected_tables(load_expected_tables())
+    ok = len(cx.classes) == 17 and not table_problems({"graphs": graph_rows(cx)}, want)
     return CriterionResult("census-17-classes", ok, f"{len(cx.classes)} classes")
 
 
 def criterion_cells(cx) -> CriterionResult:
-    expected = load_expected_tables()
-    problems = verify_expected_tables(cx, expected)
+    problems = verify_expected_tables(cx, load_expected_tables())
     counts = [len(cx.cells_of_dim(d)) for d in (1, 2, 3)]
     dup = [
         c
@@ -151,7 +129,8 @@ def criterion_cells(cx) -> CriterionResult:
 def criterion_components(cx) -> CriterionResult:
     counts = sorted(cx.component_vertex_counts())
     rose = cx.component_containing("R4")
-    homology = component_homology(cx, rose, 3)
+    cells = [c.index for c in cx.cells if cx.component_of[c.index] == rose]
+    homology = reduced_homology(cx, cells)
     ok = cx.component_count == 3 and counts == [1, 7, 9] and not any(homology)
     return CriterionResult(
         "components", ok, f"counts {counts}, rose reduced homology {homology}"
@@ -161,16 +140,10 @@ def criterion_components(cx) -> CriterionResult:
 def criterion_series(bound) -> CriterionResult:
     _, _, _, f, g = _alpha_beta(bound)
     eq = equalizer(f, g, bound)
-    chi = _equalizer_series()
+    chi = closed_form("equalizer")
     series_ok = eq.dims.dims == chi.coefficients(bound)
-    lhs = chi + _sigma3_series()
-    rhs = (
-        2
-        * PowerSeriesRat.make([1, 0, 0, 1])
-        * PowerSeriesRat.make([1, 0, 0, 0, 0, 0, 0, 1])
-        * PowerSeriesRat.make([1], [1, 0, 0, 0, -1])
-        * PowerSeriesRat.make([1], [1, 0, 0, 0, 0, 0, 0, 0, -1])
-    )
+    lhs = chi + closed_form("sigma3")
+    rhs = closed_form("sigma3+equalizer")
     euler_ok = lhs.same_function(rhs) and series_equal(lhs, rhs, bound)
     return CriterionResult(
         "equalizer-series", series_ok and euler_ok, f"dims<=8 {eq.dims.dims[:9]}"
@@ -212,8 +185,8 @@ def criterion_algebra_structure(bound) -> CriterionResult:
 
 def criterion_corollary(cx, bound) -> CriterionResult:
     out = corollary_dims(cx, bound)
-    sigma = _sigma3_series().coefficients(bound)
-    chi = _equalizer_series().coefficients(bound)
+    sigma = closed_form("sigma3").coefficients(bound)
+    chi = closed_form("equalizer").coefficients(bound)
     ok = all(
         out["total"][d] == 2 * sigma[d] + chi[d] for d in range(6, bound + 1)
     )
@@ -322,11 +295,7 @@ def criterion_metacyclic(bound) -> CriterionResult:
         alg = cohomology_of_metacyclic(p, p - 1)
         degrees = sorted(g.degree for g in alg.generators)
         want = [2 * p - 3, 2 * p - 2]
-        num = PowerSeriesRat.monomial_pair(1, 2 * p - 3, 1)
-        den_coeffs = [0] * (2 * p - 1)
-        den_coeffs[0] = 1
-        den_coeffs[2 * p - 2] = -1
-        series = PowerSeriesRat.make(num.numerator, den_coeffs)
+        series = closed_form("metacyclic", p)
         series_ok = dimensions(alg, bound).dims == series.coefficients(bound)
         ok = ok and degrees == want and series_ok
         details.append(f"p={p}: degrees={degrees}")

@@ -45,9 +45,29 @@ def test_verify_tables_detects_corruption(runner, corpus_path, tmp_path):
     assert result.exit_code == 1
 
 
+def test_verify_tables_detects_component_mismatch(runner, corpus_path, tmp_path):
+    data = json.loads(corpus_path.read_text())
+    for cell in data["cells"]:
+        cell["faces"] = []
+    bad = tmp_path / "no_faces.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["spine", "verify-tables", str(bad)])
+    assert result.exit_code == 1
+    assert "components mismatch" in result.output
+
+
 def test_verify_tables_missing_file_is_config_error(runner, tmp_path):
     result = runner.invoke(main, ["spine", "verify-tables", str(tmp_path / "no.json")])
     assert result.exit_code == 2
+
+
+def test_verify_tables_malformed_corpus_is_config_error(runner, tmp_path):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps({"graphs": []}))
+    result = runner.invoke(main, ["spine", "verify-tables", str(bad)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: malformed corpus")
+    assert len(result.output.strip().splitlines()) == 1
 
 
 def test_report_deterministic(runner):
@@ -56,6 +76,16 @@ def test_report_deterministic(runner):
     assert first.exit_code == 0
     assert first.output == second.output
     assert "| R4 | 1 | 4 | 384 |" in first.output
+
+
+def test_markdown_report_off_rank_4_is_config_error(runner):
+    result = runner.invoke(main, ["spine", "report", "--rank", "3"])
+    assert result.exit_code == 2
+    assert "rank 4" in result.output
+    assert len(result.output.strip().splitlines()) == 1
+    result = runner.invoke(main, ["spine", "report", "--rank", "3", "--json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["rank"] == 3
 
 
 def test_cells_lists_three_cells(runner):
@@ -146,3 +176,39 @@ def test_max_degree_env_override(runner, monkeypatch):
     result = runner.invoke(main, ["coh", "series", "--which", "sigma3"])
     assert result.exit_code == 0
     assert len(result.output.splitlines()[1].split()) == 12
+
+
+def test_max_degree_flag_wins_over_env(runner, monkeypatch):
+    from spinelab import verification
+
+    seen = []
+    monkeypatch.setattr(verification, "run_all", lambda config: seen.append(config) or [])
+    monkeypatch.setenv("SPINELAB_MAX_DEGREE", "12")
+    result = runner.invoke(main, ["verify", "all", "--max-degree", "20"])
+    assert result.exit_code == 0, result.output
+    assert seen[0].max_degree == 20
+
+
+def test_max_degree_env_not_an_integer_is_config_error(runner, monkeypatch):
+    monkeypatch.setenv("SPINELAB_MAX_DEGREE", "abc")
+    result = runner.invoke(main, ["coh", "series"])
+    assert result.exit_code == 2
+    assert result.output == "error: SPINELAB_MAX_DEGREE must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["equiv", "classify", "--p", "4"],
+        ["coh", "series", "--which", "metacyclic", "--p", "4"],
+        ["coh", "thm14", "--p", "9"],
+        ["spine", "cells", "--p", "2"],
+        ["spine", "census", "--p", "1"],
+        ["spine", "report", "--p", "15"],
+        ["verify", "all", "--p", "4"],
+    ],
+)
+def test_non_prime_p_is_config_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output == "error: p must be an odd prime\n"

@@ -1,18 +1,22 @@
 """Census and quotient-complex structure against independent oracles."""
 
 import itertools
+import json
 
 import pytest
 
 from spinelab import catalog
 from spinelab.fixtures import load_expected_tables
+from spinelab.report import corpus_document
 from spinelab.graphs import HalfEdgeGraph, is_admissible, rank
 from spinelab.spine import (
     NameAmbiguityError,
     cell_rows,
-    component_homology,
+    census_tables,
+    corpus_tables,
     enumerate_admissible,
     match_names,
+    reduced_homology,
     singular_graphs,
     verify_expected_tables,
 )
@@ -105,6 +109,11 @@ def test_all_tables(rank4_complex):
     assert verify_expected_tables(rank4_complex, load_expected_tables()) == []
 
 
+def test_corpus_reads_back_to_the_complex_tables(rank4_complex):
+    data = json.loads(corpus_document(rank4_complex))
+    assert corpus_tables(data) == census_tables(rank4_complex)
+
+
 def test_three_cell_isotropies(rank4_complex):
     assert [c.isotropy_order for c in rank4_complex.cells_of_dim(3)] == [6, 6, 6]
 
@@ -141,7 +150,8 @@ def test_components(rank4_complex):
 
 def test_rose_component_is_acyclic(rank4_complex):
     comp = rank4_complex.component_containing("R4")
-    assert component_homology(rank4_complex, comp, 3) == [0, 0, 0, 0]
+    cells = [c.index for c in rank4_complex.cells if rank4_complex.component_of[c.index] == comp]
+    assert reduced_homology(rank4_complex, cells) == [0, 0, 0, 0]
 
 
 def test_isotropy_subgroup_membership(rank4_complex):
