@@ -1,53 +1,107 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on a verification mismatch, 2 on
-configuration or resource errors (missing fixture, bad input file,
-enumeration caps, a --p that is not an odd prime).  SPINELAB_MAX_DEGREE
-sets the default degree bound; an explicit --max-degree wins over it.
+Exit codes: 0 on success, 1 on a verification mismatch, 2 on a bad input
+or an exhausted resource, with one `error:` line on stderr.  Exit 2
+covers a --p that is not an odd prime, a rank below 2, a negative or
+non-integer degree bound, a bad graph, algebra or corpus file, a missing
+fixture, and the enumeration caps and budgets.  SPINELAB_MAX_DEGREE sets
+the default degree bound; an explicit --max-degree wins over it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 
 import click
 
 from spinelab import catalog, report
-from spinelab.fixtures import FixtureError
+from spinelab.algebra import GradedAlgebra
+from spinelab.equivariant import (
+    BudgetExceeded,
+    ZpGraph,
+    classify_reduced,
+    equivariant_expansions,
+    nielsen_moves,
+)
+from spinelab.fixtures import FixtureError, load_expected_tables, load_thm_input
+from spinelab.graphs import rank as graph_rank
 from spinelab.linalg import check_odd_prime
+from spinelab.series import CLOSED_FORMS
+from spinelab.spine import (
+    CorpusError,
+    ResourceCapExceeded,
+    cell_rows,
+    corpus_tables,
+    expected_tables,
+    quotient_complex,
+    table_problems,
+)
+from spinelab.symmetry import AutGroupTooLarge
 
 
 CONFIG_ERROR = 2
 MISMATCH = 1
 
+# What a bad input or an exhausted resource raises; each one exits 2.
+INPUT_ERRORS = (
+    OSError,
+    ValueError,
+    KeyError,
+    FixtureError,
+    CorpusError,
+    BudgetExceeded,
+    ResourceCapExceeded,
+    AutGroupTooLarge,
+)
 
-def _fail_config(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(CONFIG_ERROR)
 
+class InputBoundary(click.Group):
+    """The one place input errors become exit codes.
 
-def _bound(value):
-    """The degree bound: the flag, else SPINELAB_MAX_DEGREE, else 40."""
-    if value is not None:
-        return value
-    raw = os.environ.get("SPINELAB_MAX_DEGREE", "40")
-    try:
-        return int(raw)
-    except ValueError:
-        _fail_config(f"SPINELAB_MAX_DEGREE must be an integer, got {raw!r}")
+    Every subcommand, its option callbacks included, runs inside
+    `invoke`; an INPUT_ERRORS exception is printed as one `error:` line
+    and exits 2.  A mismatch's `sys.exit(1)` passes through untouched.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except INPUT_ERRORS as exc:
+            message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            click.echo(f"error: {' '.join(message.splitlines())}", err=True)
+            sys.exit(CONFIG_ERROR)
 
 
 def _prime(ctx, param, value):
     """Callback of every --p option."""
-    try:
-        return check_odd_prime(value)
-    except ValueError as exc:
-        _fail_config(str(exc))
+    return check_odd_prime(value)
 
 
-@click.group()
+def _bound(ctx, param, value):
+    """The degree bound: the flag, else SPINELAB_MAX_DEGREE, else 40."""
+    if value is None:
+        raw = os.environ.get("SPINELAB_MAX_DEGREE", "40")
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", raw):
+            raise ValueError(f"SPINELAB_MAX_DEGREE must be an integer, got {raw!r}")
+        value = int(raw)
+    if value < 0:
+        raise ValueError(f"the degree bound must be >= 0, got {value}")
+    return value
+
+
+def _prime_option(required=False):
+    default = {"required": True} if required else {"default": 3, "show_default": True}
+    return click.option("--p", "prime", type=int, callback=_prime, **default)
+
+
+_rank_option = click.option("--rank", "rank_", default=4, show_default=True)
+_bound_option = click.option("--max-degree", "bound", type=int, default=None, callback=_bound)
+
+
+@click.group(cls=InputBoundary)
 def main():
     """Census and equivariant-cohomology toolkit for small graph complexes."""
 
@@ -62,18 +116,12 @@ def spine():
 
 
 @spine.command()
-@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
-@click.option("--rank", "rank_", default=4, show_default=True)
+@_prime_option()
+@_rank_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def census(prime, rank_, out):
     """Enumerate the singular classes and all quotient cells."""
-    from spinelab.spine import quotient_complex
-
-    try:
-        cx = quotient_complex(prime, rank_)
-    except Exception as exc:  # enumeration caps, bad parameters
-        _fail_config(str(exc))
-    doc = report.corpus_document(cx)
+    doc = report.corpus_document(quotient_complex(prime, rank_))
     if out:
         with open(out, "w") as fh:
             fh.write(doc)
@@ -83,33 +131,25 @@ def census(prime, rank_, out):
 
 
 @spine.command()
-@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
-@click.option("--rank", "rank_", default=4, show_default=True)
+@_prime_option()
+@_rank_option
 @click.option("--dim", "dim_", default=1, show_default=True)
 def cells(prime, rank_, dim_):
     """List the cells of one dimension with their isotropy orders."""
-    from spinelab.spine import cell_rows, quotient_complex
-
-    cx = quotient_complex(prime, rank_)
-    for names, iso in cell_rows(cx, dim_):
+    rows = cell_rows(quotient_complex(prime, rank_), dim_)
+    for names, iso in rows:
         click.echo(f"{', '.join(names)}  |  isotropy {iso}")
+    if not rows:
+        click.echo(f"no {dim_}-cells in the p = {prime}, rank-{rank_} complex", err=True)
 
 
 @spine.command(name="verify-tables")
 @click.argument("corpus", type=click.Path(exists=False, dir_okay=False))
 def verify_tables(corpus):
     """Check a corpus file against the expected census tables."""
-    from spinelab.fixtures import load_expected_tables
-    from spinelab.spine import CorpusError, corpus_tables, expected_tables, table_problems
-
-    try:
-        with open(corpus) as fh:
-            got = corpus_tables(json.load(fh))
-        want = expected_tables(load_expected_tables())
-    except (OSError, json.JSONDecodeError, FixtureError, CorpusError) as exc:
-        _fail_config(str(exc))
-
-    problems = table_problems(got, want)
+    with open(corpus) as fh:
+        got = corpus_tables(json.load(fh))
+    problems = table_problems(got, expected_tables(load_expected_tables()))
     if problems:
         for problem in problems:
             click.echo(f"mismatch: {problem}", err=True)
@@ -118,15 +158,13 @@ def verify_tables(corpus):
 
 
 @spine.command(name="report")
-@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
-@click.option("--rank", "rank_", default=4, show_default=True)
+@_prime_option()
+@_rank_option
 @click.option("--markdown/--json", "as_markdown", default=True)
 def spine_report(prime, rank_, as_markdown):
     """Render the census as markdown (or the corpus JSON)."""
-    from spinelab.spine import quotient_complex
-
     if as_markdown and rank_ != 4:
-        _fail_config(
+        raise ValueError(
             "the markdown report needs class names, which exist only at rank 4; use --json"
         )
     cx = quotient_complex(prime, rank_)
@@ -143,16 +181,11 @@ def equiv():
 
 
 @equiv.command()
-@click.option("--p", "prime", required=True, type=int, callback=_prime)
+@_prime_option(required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def classify(prime, out):
     """All reduced classes of rank 2(p-1)."""
-    from spinelab.equivariant import classify_reduced
-
-    try:
-        classes = classify_reduced(prime)
-    except Exception as exc:
-        _fail_config(str(exc))
+    classes = classify_reduced(prime)
     doc = report.dumps([z.to_json() for z in classes])
     if out:
         with open(out, "w") as fh:
@@ -163,26 +196,15 @@ def classify(prime, out):
 
 
 def _load_zp(path):
-    from spinelab.equivariant import ZpGraph
-
-    try:
-        with open(path) as fh:
-            return ZpGraph.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _fail_config(f"bad input file {path}: {exc}")
+    with open(path) as fh:
+        return ZpGraph.from_json(json.load(fh))
 
 
 @equiv.command()
 @click.option("--input", "path", required=True, type=click.Path(dir_okay=False))
 def nielsen(path):
     """List the moves available on a stored graph-with-symmetry."""
-    from spinelab.equivariant import nielsen_moves
-
-    zg = _load_zp(path)
-    try:
-        moves = nielsen_moves(zg)
-    except ValueError as exc:
-        _fail_config(str(exc))
+    moves = nielsen_moves(_load_zp(path))
     click.echo(report.dumps([
         {"dart": m.dart, "along": m.along, "result": m.result.to_json()} for m in moves
     ]), nl=False)
@@ -193,18 +215,12 @@ def nielsen(path):
 @click.option("--budget", default=None, type=int, help="edge budget; defaults to 3*rank-3")
 def expand(path, budget):
     """Minimal admissible blow-ups of a stored graph-with-symmetry."""
-    from spinelab.equivariant import BudgetExceeded, equivariant_expansions
-    from spinelab.graphs import rank as graph_rank
-
     if budget is not None and budget < 0:
-        _fail_config(f"--budget must be non-negative, got {budget}")
+        raise ValueError(f"--budget must be non-negative, got {budget}")
     zg = _load_zp(path)
     if budget is None:
         budget = 3 * graph_rank(zg.graph) - 3
-    try:
-        pairs = equivariant_expansions(zg, budget)
-    except (BudgetExceeded, ValueError) as exc:
-        _fail_config(str(exc))
+    pairs = equivariant_expansions(zg, budget)
     click.echo(report.dumps([
         {"graph": cand.to_json(), "forest": sorted(forest)} for cand, forest in pairs
     ]), nl=False)
@@ -221,13 +237,11 @@ def coh():
 
 @coh.command()
 @click.option("--which", type=click.Choice(list(catalog.COMPONENT_ANCHORS)), required=True)
-@click.option("--max-degree", type=int, default=None)
-def component(which, max_degree):
+@_bound_option
+def component(which, bound):
     """Equivariant cohomology dims of one component of the quotient."""
     from spinelab.assembly import component_cohomology
-    from spinelab.spine import quotient_complex
 
-    bound = _bound(max_degree)
     cx = quotient_complex(3, 4)
     anchor = catalog.COMPONENT_ANCHORS[which]
     dims = component_cohomology(cx, cx.component_containing(anchor), bound)
@@ -235,13 +249,11 @@ def component(which, max_degree):
 
 
 @coh.command()
-@click.option("--max-degree", type=int, default=None)
-def corollary12(max_degree):
+@_bound_option
+def corollary12(bound):
     """Total assembled dims per degree, with the closed-form series."""
     from spinelab.assembly import corollary_dims
-    from spinelab.spine import quotient_complex
 
-    bound = _bound(max_degree)
     cx = quotient_complex(3, 4)
     out = corollary_dims(cx, bound)
     click.echo(
@@ -259,31 +271,21 @@ def corollary12(max_degree):
 
 
 @coh.command()
-@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
+@_prime_option()
 @click.option("--aut-input", "path", type=click.Path(dir_okay=False), default=None,
               help="JSON file with an algebra presentation and restriction images")
-@click.option("--max-degree", type=int, default=None)
-def thm14(prime, path, max_degree):
+@_bound_option
+def thm14(prime, path, bound):
     """Equalizer bookkeeping for the rank-two normalizer component."""
-    from spinelab.algebra import GradedAlgebra
     from spinelab.assembly import theorem_pipeline
-    from spinelab.fixtures import load_thm_input
 
-    bound = _bound(max_degree)
-    try:
-        if path is None:
-            algebra, images = load_thm_input(prime)
-        else:
-            with open(path) as fh:
-                data = json.load(fh)
-            algebra = GradedAlgebra.from_json(data["algebra"])
-            images = data["restriction_images"]
-    except (OSError, json.JSONDecodeError, KeyError, FixtureError) as exc:
-        _fail_config(str(exc))
-    try:
-        rep = theorem_pipeline(prime, algebra, images, bound)
-    except ValueError as exc:
-        _fail_config(str(exc))
+    if path is None:
+        algebra, images = load_thm_input(prime)
+    else:
+        with open(path) as fh:
+            data = json.load(fh)
+        algebra, images = GradedAlgebra.from_json(data["algebra"]), data["restriction_images"]
+    rep = theorem_pipeline(prime, algebra, images, bound)
     click.echo(
         report.dims_markdown(
             f"Recursion pipeline, p = {prime}",
@@ -306,13 +308,10 @@ def thm14(prime, path, max_degree):
 @coh.command()
 @click.option("--which", type=click.Choice(["sigma3", "equalizer", "metacyclic"]),
               default="equalizer", show_default=True)
-@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
-@click.option("--max-degree", type=int, default=None)
-def series(which, prime, max_degree):
+@_prime_option()
+@_bound_option
+def series(which, prime, bound):
     """Expand one of the built-in closed-form series."""
-    from spinelab.series import CLOSED_FORMS
-
-    bound = _bound(max_degree)
     label, s = CLOSED_FORMS[which](prime)
     click.echo(label)
     click.echo(" ".join(str(c) for c in s.coefficients(bound)))
@@ -328,23 +327,16 @@ def verify():
 
 
 @verify.command(name="all")
-@click.option("--p", "prime", default=3, show_default=True, callback=_prime)
-@click.option("--rank", "rank_", default=4, show_default=True)
-@click.option("--max-degree", type=int, default=None)
+@_prime_option()
+@_rank_option
+@_bound_option
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
 @click.option("--out-markdown", type=click.Path(dir_okay=False), default=None)
-def verify_all(prime, rank_, max_degree, out_json, out_markdown):
+def verify_all(prime, rank_, bound, out_json, out_markdown):
     """Run the full suite; nonzero exit on any mismatch."""
     from spinelab.verification import RunConfig, run_all
 
-    try:
-        config = RunConfig(p=prime, rank=rank_, max_degree=_bound(max_degree))
-    except ValueError as exc:
-        _fail_config(str(exc))
-    try:
-        results = run_all(config)
-    except FixtureError as exc:
-        _fail_config(str(exc))
+    results = run_all(RunConfig(p=prime, rank=rank_, max_degree=bound))
     md = report.verification_markdown(results)
     payload = report.dumps(
         [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

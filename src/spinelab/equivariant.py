@@ -23,6 +23,7 @@ from spinelab.graphs import (
     is_forest,
     rank,
 )
+from spinelab.linalg import check_odd_prime
 from spinelab.symmetry import (
     GraphAutomorphism,
     canonical_form,
@@ -55,6 +56,7 @@ class ZpGraph:
     trivial: bool = False
 
     def __post_init__(self):
+        check_odd_prime(self.p)
         if not is_automorphism(self.graph, self.action):
             raise ValueError("action is not an automorphism of the graph")
         order = perm_order(self.action)

@@ -108,9 +108,6 @@ class HalfEdgeGraph:
     def valence(self, v: int) -> int:
         return sum(1 for t in self.target if t == v)
 
-    def loop_count(self, v: int) -> int:
-        return sum(1 for e in range(self.edge_count) if self.edge_endpoints(e) == (v, v))
-
     @cached_property
     def multiplicity(self) -> tuple:
         """Symmetric vertex-by-vertex edge multiplicity; diagonal counts loops."""
@@ -301,13 +298,3 @@ def collapse(g: HalfEdgeGraph, forest: Iterable) -> HalfEdgeGraph:
     """Quotient of g by a forest; rank is preserved."""
     return collapse_with_maps(g, forest).graph
 
-
-def connected_components(g: HalfEdgeGraph) -> list:
-    ds = DisjointSet(g.vertex_count)
-    for e in range(g.edge_count):
-        u, v = g.edge_endpoints(e)
-        ds.union(u, v)
-    comps: dict = {}
-    for v in range(g.vertex_count):
-        comps.setdefault(ds.find(v), []).append(v)
-    return sorted(comps.values())

@@ -390,11 +390,6 @@ def elements_of_order(group: AutGroup, k: int) -> list:
     return [a for a in group.elements if perm_order(a) == k]
 
 
-def has_element_of_order(group_order: int, p: int) -> bool:
-    """By Cauchy's theorem an element of prime order p exists iff p | |G|."""
-    return group_order % p == 0
-
-
 def sylow_p_order(group, p: int) -> int:
     """Largest power of p dividing the group order."""
     order = group.order if isinstance(group, AutGroup) else int(group)
@@ -589,11 +584,5 @@ def _cycle_length(perm, x):
     return n
 
 
-def find_isomorphism(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> Optional[GraphAutomorphism]:
-    for iso in dart_isomorphisms(g1, g2):
-        return iso
-    return None
-
-
 def are_isomorphic(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> bool:
-    return find_isomorphism(g1, g2) is not None
+    return next(dart_isomorphisms(g1, g2), None) is not None

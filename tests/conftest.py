@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from spinelab.spine import match_names, quotient_complex, singular_graphs
+
+# One profile for every property test: no per-example deadline (timings on
+# a shared machine vary), and examples derived from each test's source, so
+# every run draws the same ones.
+settings.register_profile("spinelab", deadline=None, derandomize=True)
+settings.load_profile("spinelab")
 
 
 @pytest.fixture(scope="session")

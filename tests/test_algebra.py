@@ -59,7 +59,7 @@ def test_dimensions_match_poincare_series():
         assert dimensions(alg, 30).dims == alg.poincare_series().coefficients(30)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     exps_a=st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)),
     exps_b=st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)),

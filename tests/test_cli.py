@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism and exit codes."""
 
 import json
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -212,3 +213,79 @@ def test_non_prime_p_is_config_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.output == "error: p must be an odd prime\n"
+
+
+def assert_input_error(result, text):
+    """Exit 2, nothing on stdout, one `error:` line on stderr naming text."""
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert text in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["spine", "cells", "--rank", "1"], "rank must be >= 2"),
+        (["spine", "report", "--rank", "1", "--json"], "rank must be >= 2"),
+        (["coh", "series", "--max-degree", "-3"], "degree bound must be >= 0, got -3"),
+        (["coh", "component", "--which", "rose", "--max-degree", "-1"], "got -1"),
+    ],
+)
+def test_bad_rank_or_bound_is_config_error(runner, args, text):
+    assert_input_error(runner.invoke(main, args), text)
+
+
+def test_negative_env_bound_is_config_error(runner, monkeypatch):
+    monkeypatch.setenv("SPINELAB_MAX_DEGREE", "-2")
+    assert_input_error(runner.invoke(main, ["coh", "series"]), "got -2")
+
+
+def _thm_input():
+    return json.loads(resources.files("spinelab.fixtures").joinpath("thm_input_p3.json").read_text())
+
+
+def _missing_image(data):
+    del data["restriction_images"]["u3"]
+    return "u3"
+
+
+def _odd_polynomial(data):
+    data["algebra"]["generators"].append({"name": "w5", "degree": 5, "kind": "poly"})
+    data["restriction_images"]["w5"] = "0"
+    return "even degree"
+
+
+@pytest.mark.parametrize("spoil", [_missing_image, _odd_polynomial])
+def test_thm14_bad_aut_input_is_config_error(runner, tmp_path, spoil):
+    data = _thm_input()
+    text = spoil(data)
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(data))
+    assert_input_error(runner.invoke(main, ["coh", "thm14", "--aut-input", str(path)]), text)
+
+
+@pytest.mark.parametrize("command", ["expand", "nielsen"])
+def test_equiv_input_with_non_prime_p_is_config_error(runner, tmp_path, command):
+    g, action = catalog.rose_rotation(4, 4)
+    data = {**g.to_json(), "action_vperm": list(action.vperm), "action_hperm": list(action.hperm), "p": 4}
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(data))
+    assert_input_error(
+        runner.invoke(main, ["equiv", command, "--input", str(path)]), "p must be an odd prime"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--p", "5"], "no 1-cells in the p = 5, rank-4 complex\n"),
+        (["--dim", "7"], "no 7-cells in the p = 3, rank-4 complex\n"),
+    ],
+)
+def test_cells_with_no_cells_says_so(runner, args, message):
+    result = runner.invoke(main, ["spine", "cells", *args])
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    assert result.stderr == message

@@ -44,6 +44,10 @@ def test_action_order_is_validated():
     assert perm_order(a) == 3
     with pytest.raises(ValueError):
         ZpGraph(g, a, 5)
+    g, a = catalog.rose_rotation(4, 4)
+    assert perm_order(a) == 4
+    with pytest.raises(ValueError, match="odd prime"):
+        ZpGraph(g, a, 4)
 
 
 def test_is_reduced_examples():
@@ -244,7 +248,7 @@ def _relabel(zg, vperm, hperm):
     return ZpGraph(apply_to_graph(zg.graph, f), action, zg.p)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.data())
 def test_expansions_invert_collapse_and_ignore_labels(property_sources, data):
     zg, budget = data.draw(st.sampled_from(property_sources))
@@ -259,6 +263,26 @@ def test_expansions_invert_collapse_and_ignore_labels(property_sources, data):
         assert forest in {frozenset(o) for o in cand.edge_orbits()}
         assert is_forest(cand.graph, forest)
         assert equivariant_isomorphic(equivariant_collapse(cand, forest), relabeled)
+
+
+@pytest.fixture(scope="module")
+def collapse_sources():
+    """(graph-with-symmetry, nonempty invariant forest) pairs for p = 3 and 5."""
+    pairs = [(zg, f) for zg in enumerate_zp_graphs(3, 4, 7) for f in invariant_forests(zg) if f]
+    return pairs + [pair for zg in classify_reduced(5) for pair in equivariant_expansions(zg, 21)]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_equivariant_collapse_commutes_with_relabeling(collapse_sources, data):
+    zg, forest = data.draw(st.sampled_from(collapse_sources))
+    vperm = data.draw(st.permutations(range(zg.graph.vertex_count)))
+    hperm = data.draw(st.permutations(range(zg.graph.half_edge_count)))
+    relabeled = _relabel(zg, vperm, hperm)
+    moved = {relabeled.graph.dart_edge[hperm[zg.graph.edges[e][0]]] for e in forest}
+    assert equivariant_isomorphic(
+        equivariant_collapse(relabeled, moved), equivariant_collapse(zg, forest)
+    )
 
 
 def test_expansion_trivial_action():

@@ -38,7 +38,7 @@ def test_graded_dims_validation():
         GradedDims(1, (1, -1))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     num=st.lists(st.integers(-3, 3), min_size=1, max_size=5),
     den_tail=st.lists(st.integers(-2, 2), min_size=0, max_size=4),
@@ -53,7 +53,7 @@ def test_mul_then_expand_matches_convolution(num, den_tail):
     assert left == conv
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     num=st.lists(st.integers(-3, 3), min_size=1, max_size=5),
     den_tail=st.lists(st.integers(-2, 2), min_size=0, max_size=4),

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinelab import catalog
-from spinelab.graphs import enumerate_forests
+from spinelab.graphs import build_graph, collapse, enumerate_forests
 from spinelab.symmetry import (
     AutGroupTooLarge,
     GraphAutomorphism,
@@ -176,3 +178,51 @@ def test_dart_isomorphism_respects_structure():
 
 def test_non_isomorphic_yield_nothing():
     assert not are_isomorphic(catalog.triangle_with_loops(), catalog.doubled_triangle())
+
+
+def _multigraph(n, edge_count=None):
+    vertex = st.integers(0, n - 1)
+    size = {"max_size": 6} if edge_count is None else {"min_size": edge_count, "max_size": edge_count}
+    return st.lists(st.tuples(vertex, vertex), **size).map(lambda edges: build_graph(n, edges))
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs with at most 4 vertices and 6 edges; loops, parallel
+    edges, isolated vertices and several components allowed."""
+    return draw(_multigraph(draw(st.integers(1, 4))))
+
+
+@st.composite
+def multigraph_pairs(draw):
+    """Two such multigraphs with equal vertex and edge counts, so that
+    isomorphic and near-miss pairs both come up often."""
+    first = draw(multigraphs())
+    return first, draw(_multigraph(first.vertex_count, first.edge_count))
+
+
+def _relabeling(data, g):
+    return GraphAutomorphism(
+        tuple(data.draw(st.permutations(range(g.vertex_count)))),
+        tuple(data.draw(st.permutations(range(g.half_edge_count)))),
+    )
+
+
+@settings(max_examples=200)
+@given(multigraph_pairs(), st.data())
+def test_canonical_form_equality_is_isomorphism(pair, data):
+    g1, g2 = pair
+    assert (canonical_form(g1) == canonical_form(g2)) == are_isomorphic(g1, g2)
+    relabeled = apply_to_graph(g1, _relabeling(data, g1))
+    assert canonical_form(relabeled) == canonical_form(g1)
+    assert are_isomorphic(g1, relabeled)
+
+
+@settings(max_examples=100)
+@given(multigraphs(), st.data())
+def test_collapse_commutes_with_relabeling(g, data):
+    forest = data.draw(st.sampled_from(enumerate_forests(g)))
+    f = _relabeling(data, g)
+    relabeled = apply_to_graph(g, f)
+    moved = {relabeled.dart_edge[f.hperm[g.edges[e][0]]] for e in forest}
+    assert canonical_form(collapse(relabeled, moved)) == canonical_form(collapse(g, forest))
