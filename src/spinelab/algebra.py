@@ -152,10 +152,20 @@ class GradedAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedAlgebra":
-        return cls(
-            data["p"],
-            [(g["name"], g["degree"], g["kind"]) for g in data["generators"]],
-        )
+        """Read ``{"p", "generators": [{"name", "degree", "kind"}, ...]}``;
+        a document of another shape raises ValueError."""
+        if not isinstance(data, dict) or type(data["p"]) is not int:
+            raise ValueError("an algebra must be a JSON object with an integer 'p'")
+        gens = data["generators"]
+        shape = {"name": str, "degree": int, "kind": str}
+        if not isinstance(gens, list) or not all(
+            isinstance(g, dict) and all(type(g[k]) is t for k, t in shape.items()) for g in gens
+        ):
+            raise ValueError(
+                "'generators' must be a list of objects with a string name, "
+                "an integer degree and a string kind"
+            )
+        return cls(data["p"], [(g["name"], g["degree"], g["kind"]) for g in gens])
 
 
 class ProductAlgebra(GradedAlgebra):

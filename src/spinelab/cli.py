@@ -18,7 +18,6 @@ import sys
 import click
 
 from spinelab import catalog, report
-from spinelab.algebra import GradedAlgebra
 from spinelab.equivariant import (
     BudgetExceeded,
     ZpGraph,
@@ -26,7 +25,7 @@ from spinelab.equivariant import (
     equivariant_expansions,
     nielsen_moves,
 )
-from spinelab.fixtures import FixtureError, load_expected_tables, load_thm_input
+from spinelab.fixtures import FixtureError, load_expected_tables, load_thm_input, thm_input
 from spinelab.graphs import rank as graph_rank
 from spinelab.linalg import check_odd_prime
 from spinelab.series import CLOSED_FORMS
@@ -283,8 +282,7 @@ def thm14(prime, path, bound):
         algebra, images = load_thm_input(prime)
     else:
         with open(path) as fh:
-            data = json.load(fh)
-        algebra, images = GradedAlgebra.from_json(data["algebra"]), data["restriction_images"]
+            algebra, images = thm_input(json.load(fh))
     rep = theorem_pipeline(prime, algebra, images, bound)
     click.echo(
         report.dims_markdown(

@@ -21,6 +21,8 @@ from spinelab.graphs import (
     collapse_with_maps,
     is_admissible,
     is_forest,
+    json_int,
+    json_ints,
     rank,
 )
 from spinelab.linalg import check_odd_prime
@@ -115,9 +117,9 @@ class ZpGraph:
     @classmethod
     def from_json(cls, data: dict) -> "ZpGraph":
         graph = HalfEdgeGraph.from_json(data)
-        action = GraphAutomorphism(tuple(data["action_vperm"]), tuple(data["action_hperm"]))
+        action = GraphAutomorphism(json_ints(data, "action_vperm"), json_ints(data, "action_hperm"))
         trivial = perm_order(action) == 1
-        return cls(graph, action, data["p"], trivial=trivial)
+        return cls(graph, action, json_int(data, "p"), trivial=trivial)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,19 @@ def load_expected_tables() -> dict:
 
 
 def load_thm_input(p: int):
-    """Pluggable recursion input: (algebra, restriction images as strings)."""
-    data = _load(f"thm_input_p{p}.json")
+    """The shipped recursion input for p, read by ``thm_input``."""
+    return thm_input(_load(f"thm_input_p{p}.json"))
+
+
+def thm_input(data: dict):
+    """Pluggable recursion input: (algebra, restriction images as strings).
+
+    A document of another shape raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     algebra = GradedAlgebra.from_json(data["algebra"])
-    return algebra, data["restriction_images"]
+    images = data["restriction_images"]
+    if not isinstance(images, dict) or not all(isinstance(v, str) for v in images.values()):
+        raise ValueError("'restriction_images' must be an object of strings")
+    return algebra, images

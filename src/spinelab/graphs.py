@@ -128,17 +128,6 @@ class HalfEdgeGraph:
     def total_loops(self) -> int:
         return sum(1 for e in range(self.edge_count) if self.is_loop(e))
 
-    def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        ds = DisjointSet(self.vertex_count)
-        classes = self.vertex_count
-        for e in range(self.edge_count):
-            u, v = self.edge_endpoints(e)
-            if ds.union(u, v):
-                classes -= 1
-        return classes == 1
-
     def to_json(self) -> dict:
         return {
             "vertices": self.vertex_count,
@@ -149,13 +138,39 @@ class HalfEdgeGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "HalfEdgeGraph":
-        g = cls(data["vertices"], tuple(data["sigma"]), tuple(data["target"]))
-        if g.half_edge_count != data["half_edges"]:
+        g = cls(json_int(data, "vertices"), json_ints(data, "sigma"), json_ints(data, "target"))
+        if g.half_edge_count != json_int(data, "half_edges"):
             raise ValueError("half_edges field inconsistent with sigma length")
         return g
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def json_int(data: dict, key: str) -> int:
+    """``data[key]``, checked to be an integer.
+
+    A document that is not a JSON object, or a value of the wrong shape,
+    raises ValueError; a missing key raises KeyError.
+    """
+    value = _json_object(data)[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def json_ints(data: dict, key: str) -> tuple:
+    """``data[key]`` as a tuple, checked to be a list of integers."""
+    value = _json_object(data)[key]
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{key!r} must be a list of integers")
+    return tuple(value)
+
+
+def _json_object(data) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def build_graph(vertex_count: int, edge_list: Iterable) -> HalfEdgeGraph:
@@ -185,24 +200,57 @@ def rank(g: HalfEdgeGraph) -> int:
 
 def is_admissible(g: HalfEdgeGraph) -> bool:
     """Connected, every vertex of valency >= 3, and no separating edge."""
-    if not g.is_connected():
-        return False
     if any(g.valence(v) < 3 for v in range(g.vertex_count)):
         return False
-    return not any(_is_bridge(g, e) for e in range(g.edge_count))
+    return two_edge_connected(g.multiplicity)
 
 
-def _is_bridge(g: HalfEdgeGraph, e: int) -> bool:
-    u, v = g.edge_endpoints(e)
-    if u == v:
+def two_edge_connected(lower) -> bool:
+    """Whether a multigraph is connected and has no bridge.
+
+    ``lower[v][u]`` for u < v is the number of edges joining u and v; no
+    other entry is read, since loops never connect or separate (a full
+    symmetric multiplicity matrix will do).  One iterative depth-first
+    pass computes low-links over the neighbour bundles (Tarjan, "A note on
+    finding the bridges of a graph", 1974): the tree bundle from u to w is
+    a bridge iff low[w] > disc[u] and it holds a single edge.
+    """
+    n = len(lower)
+    if n == 0:
         return False
-    ds = DisjointSet(g.vertex_count)
-    for f in range(g.edge_count):
-        if f == e:
-            continue
-        a, b = g.edge_endpoints(f)
-        ds.union(a, b)
-    return ds.find(u) != ds.find(v)
+    bundles = [[] for _ in range(n)]
+    for v in range(1, n):
+        row = lower[v]
+        for u in range(v):
+            if row[u]:
+                bundles[u].append((v, row[u]))
+                bundles[v].append((u, row[u]))
+    disc = [0] * n  # discovery times from 1; 0 marks an unvisited vertex
+    low = [0] * n
+    disc[0] = low[0] = visited = 1
+    # (vertex, parent, multiplicity of the parent bundle, unread bundles)
+    stack = [(0, -1, 0, iter(bundles[0]))]
+    while stack:
+        u, parent, m, unread = stack[-1]
+        for w, k in unread:
+            if w == parent:
+                continue
+            if disc[w]:
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                visited += 1
+                disc[w] = low[w] = visited
+                stack.append((w, u, k, iter(bundles[w])))
+                break
+        else:
+            stack.pop()
+            if parent >= 0:
+                if low[u] > disc[parent] and m == 1:
+                    return False
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+    return visited == n
 
 
 def is_forest(g: HalfEdgeGraph, edges: Iterable) -> bool:

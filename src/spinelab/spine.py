@@ -20,15 +20,13 @@ from spinelab.graphs import (
     collapse,
     collapse_with_maps,
     enumerate_forests,
-    is_admissible,
-    rank,
+    two_edge_connected,
 )
 from spinelab.symmetry import (
     AutGroup,
     automorphism_group,
     automorphism_order,
     canonical_form,
-    canonical_graph,
     dart_isomorphisms,
     graph_signature,
     realize_multiplicity,
@@ -95,17 +93,13 @@ def _compositions(total, caps):
             yield (first,) + rest
 
 
-def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
-    """All isomorphism classes of admissible graphs of rank n.
+def _candidates(n: int):
+    """Every labelled rank-n multiplicity matrix with valencies >= 3.
 
-    Generation runs over the feasible vertex/edge strata (an admissible
-    rank-n graph has between n and 3n-3 edges), deduplicating by canonical
-    form; the returned representatives are canonical graphs sorted by
-    (edges, vertices, form).
+    Yields (edges, loops, lower) over the feasible strata: an admissible
+    rank-n graph has between n and 3n-3 edges.  ``lower[v][u]`` for u < v
+    is the number of edges joining u and v.
     """
-    if n < 2:
-        raise ValueError("rank must be >= 2")
-    seen = {}
     for e in range(n, 3 * n - 2):
         v = e - n + 1
         for degrees in _degree_sequences(v, 2 * e):
@@ -115,17 +109,33 @@ def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
                 for i, (_, split) in enumerate(rows):
                     for k, m in enumerate(split):
                         lower[i + 1 + k][i] = m
-                g = realize_multiplicity(loops, lower)
-                if not is_admissible(g):
-                    continue
-                form = canonical_form(g)
-                if form not in seen:
-                    seen[form] = canonical_graph(g)
-                    if len(seen) > class_cap:
-                        raise ResourceCapExceeded(
-                            f"more than {class_cap} classes at rank {n}; "
-                            f"stopped inside the {e}-edge stratum"
-                        )
+                yield e, loops, lower
+
+
+def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
+    """All isomorphism classes of admissible graphs of rank n.
+
+    Candidates are screened on the multiplicity matrix: valency >= 3 holds
+    by construction, and one low-link pass decides connectivity and
+    bridges.  Only admissible candidates are realized as graphs, each
+    gets one canonical search, and classes are deduplicated by canonical
+    form; the returned representatives are canonical graphs sorted by
+    (edges, vertices, form).
+    """
+    if n < 2:
+        raise ValueError("rank must be >= 2")
+    seen = {}
+    for e, loops, lower in _candidates(n):
+        if not two_edge_connected(lower):
+            continue
+        form = canonical_form(realize_multiplicity(loops, lower))
+        if form not in seen:
+            seen[form] = form.graph()
+            if len(seen) > class_cap:
+                raise ResourceCapExceeded(
+                    f"more than {class_cap} classes at rank {n}; "
+                    f"stopped inside the {e}-edge stratum"
+                )
     out = sorted(
         seen.items(), key=lambda kv: (kv[1].edge_count, kv[1].vertex_count, kv[0].data)
     )
@@ -212,6 +222,7 @@ class QuotientComplex:
     cells: list  # QuotientCell, sorted by (dim, graph_index, chain)
     component_of: list  # cell index -> component id
     component_count: int
+    class_of_form: dict  # CanonicalForm -> class index
 
     def cells_of_dim(self, d: int) -> list:
         return [c for c in self.cells if c.dim == d]
@@ -226,11 +237,10 @@ class QuotientComplex:
         return names
 
     def _class_name_of(self, g: HalfEdgeGraph) -> str:
-        form = canonical_form(g)
-        for cls in self.classes:
-            if canonical_form(cls.graph) == form:
-                return cls.name
-        raise KeyError("graph is not a census class")
+        index = self.class_of_form.get(canonical_form(g))
+        if index is None:
+            raise KeyError("graph is not a census class")
+        return self.classes[index].name
 
     def component_vertex_counts(self) -> list:
         counts = [0] * self.component_count
@@ -342,8 +352,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
                     QuotientCell(index, dim, gi, chain, len(stab), tuple(stab), ())
                 )
 
-    forms = [canonical_form(cls.graph) for cls in classes]
-    form_index = {f.data: i for i, f in enumerate(forms)}
+    form_index = {canonical_form(cls.graph): i for i, cls in enumerate(classes)}
     eperms_cache = [cls.aut.edge_perms() for cls in classes]
 
     def locate(gi: int, chain) -> int:
@@ -376,7 +385,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
         )
 
     component_of, count = _components(finished)
-    return QuotientComplex(p, n, list(classes), finished, component_of, count)
+    return QuotientComplex(p, n, list(classes), finished, component_of, count, form_index)
 
 
 def _rerooted_face(classes, form_index, eperms_cache, lookup, cell: QuotientCell) -> int:
@@ -393,7 +402,7 @@ def _rerooted_face(classes, form_index, eperms_cache, lookup, cell: QuotientCell
         frozenset(res.edge_map[e] for e in f if res.edge_map[e] is not None)
         for f in cell.chain[:-1]
     ]
-    gi = form_index[canonical_form(res.graph).data]
+    gi = form_index[canonical_form(res.graph)]
     rep_graph = classes[gi].graph
     iso = next(dart_isomorphisms(res.graph, rep_graph))
     eperm = tuple(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -135,12 +135,25 @@ def edge_permutation(g: HalfEdgeGraph, a: GraphAutomorphism) -> tuple:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Complete isomorphism invariant; equal bytes iff isomorphic graphs."""
+    """Complete isomorphism invariant; equal bytes iff isomorphic graphs.
+
+    ``rows`` is the minimal (loops, lower-triangle) matrix that ``data``
+    encodes, kept so that ``graph`` needs no second search; it takes no
+    part in comparison or hashing.
+    """
 
     data: bytes
+    rows: tuple = field(compare=False, repr=False)
 
     def __lt__(self, other):
         return self.data < other.data
+
+    def graph(self) -> HalfEdgeGraph:
+        """The deterministic representative of the isomorphism class."""
+        return realize_multiplicity(
+            [row[0] for row in self.rows],
+            [row[1:] for row in self.rows],
+        )
 
 
 def _refined_colors(g: HalfEdgeGraph) -> list:
@@ -215,16 +228,7 @@ def _min_matrix_data(g: HalfEdgeGraph):
 def canonical_form(g: HalfEdgeGraph) -> CanonicalForm:
     data = _min_matrix_data(g)
     payload = json.dumps([g.vertex_count, [list(r) for r in data]]).encode()
-    return CanonicalForm(payload)
-
-
-def canonical_graph(g: HalfEdgeGraph) -> HalfEdgeGraph:
-    """Deterministic representative of the isomorphism class of g."""
-    data = _min_matrix_data(g)
-    return realize_multiplicity(
-        [row[0] for row in data],
-        [[row[1 + j] for j in range(i)] for i, row in enumerate(data)],
-    )
+    return CanonicalForm(payload, data)
 
 
 def realize_multiplicity(loops: list, lower: list) -> HalfEdgeGraph:

@@ -257,13 +257,52 @@ def _odd_polynomial(data):
     return "even degree"
 
 
-@pytest.mark.parametrize("spoil", [_missing_image, _odd_polynomial])
+def _string_degree(data):
+    data["algebra"]["generators"][0]["degree"] = "4"
+    return "an integer degree"
+
+
+def _image_list(data):
+    data["restriction_images"] = list(data["restriction_images"].values())
+    return "'restriction_images' must be an object of strings"
+
+
+@pytest.mark.parametrize("spoil", [_missing_image, _odd_polynomial, _string_degree, _image_list])
 def test_thm14_bad_aut_input_is_config_error(runner, tmp_path, spoil):
     data = _thm_input()
     text = spoil(data)
     path = tmp_path / "aut.json"
     path.write_text(json.dumps(data))
     assert_input_error(runner.invoke(main, ["coh", "thm14", "--aut-input", str(path)]), text)
+
+
+def _write_json(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_thm14_aut_input_array_is_config_error(runner, tmp_path):
+    path = _write_json(tmp_path, [1, 2])
+    assert_input_error(
+        runner.invoke(main, ["coh", "thm14", "--aut-input", path]), "expected a JSON object, got list"
+    )
+
+
+def test_nielsen_input_array_is_config_error(runner, tmp_path):
+    path = _write_json(tmp_path, [1, 2])
+    assert_input_error(
+        runner.invoke(main, ["equiv", "nielsen", "--input", path]), "expected a JSON object, got list"
+    )
+
+
+def test_expand_input_with_string_vertices_is_config_error(runner, tmp_path):
+    g, action = catalog.rose_rotation(3, 3)
+    path = _write_json(tmp_path, {**ZpGraph(g, action, 3).to_json(), "vertices": "x"})
+    assert_input_error(
+        runner.invoke(main, ["equiv", "expand", "--input", path]),
+        "'vertices' must be an integer, got str",
+    )
 
 
 @pytest.mark.parametrize("command", ["expand", "nielsen"])

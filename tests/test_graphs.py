@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinelab import catalog
 from spinelab.graphs import (
@@ -15,6 +17,7 @@ from spinelab.graphs import (
     is_admissible,
     is_forest,
     rank,
+    two_edge_connected,
 )
 from spinelab.symmetry import canonical_form
 
@@ -72,6 +75,65 @@ def test_admissibility():
     subdivided = build_graph(3, [(0, 1), (0, 1), (0, 2), (2, 1)])
     assert not is_admissible(subdivided)
     assert not is_admissible(build_graph(2, [(0, 0), (0, 0), (1, 1), (1, 1)]))
+
+
+def _connected(n, edges):
+    """Oracle: a search from vertex 0 over the (u, v) pairs reaches all n."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for y in adj[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    return n > 0 and len(seen) == n
+
+
+def oracle_two_edge_connected(g):
+    """Oracle: connected, and removing any one edge leaves it connected."""
+    edges = [g.edge_endpoints(e) for e in range(g.edge_count)]
+    return _connected(g.vertex_count, edges) and all(
+        _connected(g.vertex_count, edges[:e] + edges[e + 1 :]) for e in range(len(edges))
+    )
+
+
+def oracle_admissible(g):
+    return oracle_two_edge_connected(g) and all(
+        g.valence(v) >= 3 for v in range(g.vertex_count)
+    )
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs with at most 5 vertices and 8 edges; loops, parallel
+    edges, isolated vertices and several components allowed."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    return build_graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=8)))
+
+
+@settings(max_examples=400)
+@given(multigraphs())
+def test_bridge_finder_matches_edge_removal(g):
+    assert two_edge_connected(g.multiplicity) == oracle_two_edge_connected(g)
+    assert is_admissible(g) == oracle_admissible(g)
+
+
+@pytest.mark.parametrize(
+    "vertices, ends, core",
+    [
+        # two 2-loop roses joined at the root of the search
+        (2, (0, 1), [(0, 0), (0, 0), (1, 1), (1, 1)]),
+        # a triple edge, then the bundle, then a 2-loop rose: the bundle
+        # leaves a vertex below the root
+        (3, (1, 2), [(0, 1), (0, 1), (0, 1), (2, 2), (2, 2)]),
+    ],
+)
+def test_two_fold_bundle_is_not_a_bridge(vertices, ends, core):
+    assert is_admissible(build_graph(vertices, core + [ends, ends]))
+    assert not is_admissible(build_graph(vertices, core + [ends]))
 
 
 def test_forests_rose():

@@ -1,5 +1,6 @@
 """Census and quotient-complex structure against independent oracles."""
 
+import hashlib
 import itertools
 import json
 
@@ -8,19 +9,21 @@ import pytest
 from spinelab import catalog
 from spinelab.fixtures import load_expected_tables
 from spinelab.report import corpus_document
-from spinelab.graphs import HalfEdgeGraph, is_admissible, rank
+from spinelab.graphs import HalfEdgeGraph, is_admissible, rank, two_edge_connected
 from spinelab.spine import (
     NameAmbiguityError,
+    _candidates,
     cell_rows,
     census_tables,
     corpus_tables,
     enumerate_admissible,
     match_names,
+    quotient_complex,
     reduced_homology,
     singular_graphs,
     verify_expected_tables,
 )
-from spinelab.symmetry import canonical_form
+from spinelab.symmetry import canonical_form, realize_multiplicity
 
 
 def oracle_admissible_classes(target_rank, max_vertices, max_edges):
@@ -54,6 +57,57 @@ def test_rank4_census_size_regression():
     # regression value recorded from the enumerator; the 17 singular
     # classes inside it are checked row by row elsewhere
     assert len(enumerate_admissible(4)) == 43
+
+
+def test_rank3_census_size_regression():
+    assert len(enumerate_admissible(3)) == 8
+
+
+def realize_everything_census(n):
+    """Oracle: the census before matrix screening.  Every candidate is
+    realized and tested with ``is_admissible``; each new class is realized
+    from the bytes of its canonical form, not from the rows the form
+    carries."""
+    seen = {}
+    for _, loops, lower in _candidates(n):
+        g = realize_multiplicity(loops, lower)
+        if is_admissible(g):
+            form = canonical_form(g)
+            if form not in seen:
+                _, rows = json.loads(form.data)
+                seen[form] = realize_multiplicity([r[0] for r in rows], [r[1:] for r in rows])
+    order = sorted(seen, key=lambda f: (seen[f].edge_count, seen[f].vertex_count, f.data))
+    return [seen[f] for f in order]
+
+
+def test_matrix_screen_matches_realized_admissibility():
+    verdicts = [
+        two_edge_connected(lower) == is_admissible(realize_multiplicity(loops, lower))
+        for n in (2, 3, 4)
+        for _, loops, lower in _candidates(n)
+    ]
+    assert len(verdicts) == 5510
+    assert all(verdicts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_census_matches_realize_everything_oracle(n):
+    assert enumerate_admissible(n) == realize_everything_census(n)
+
+
+# sha256 of the corpus document of each (p, rank), as recorded when the
+# benchmark was defined; the corpus must stay byte-identical
+CORPUS_SHA256 = {
+    (3, 4): "690a44d13a2eded7fb2b2491c94fd79607a61900bbe08a09d1b117fe10f29376",
+    (5, 4): "e5f9de762ccb9dd7e296d0f19c8eb1306ef0e0ffeab6fc96234343a3ad78fc02",
+    (3, 3): "7dce6aa951fb17a5471688fa1ee4c901ad0d961f26cd5e231e2b7a6e57502c88",
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(CORPUS_SHA256))
+def test_corpus_bytes_are_pinned(p, n):
+    doc = corpus_document(quotient_complex(p, n))
+    assert hashlib.sha256(doc.encode()).hexdigest() == CORPUS_SHA256[(p, n)]
 
 
 def test_census_17_singular_classes(rank4_classes):

@@ -16,7 +16,6 @@ from spinelab.symmetry import (
     automorphism_group,
     automorphism_order,
     canonical_form,
-    canonical_graph,
     compose,
     dart_isomorphisms,
     edge_permutation,
@@ -64,7 +63,7 @@ def test_canonical_form_distinguishes():
 
 def test_canonical_graph_is_isomorphic_representative():
     g = catalog.prism()
-    rep = canonical_graph(g)
+    rep = canonical_form(g).graph()
     assert canonical_form(rep) == canonical_form(g)
     assert are_isomorphic(rep, g)
 
