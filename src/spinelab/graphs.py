@@ -60,6 +60,8 @@ class HalfEdgeGraph:
     target: tuple
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise ValueError("vertex count must be >= 0")
         m = len(self.sigma)
         if len(self.target) != m:
             raise ValueError("sigma and target must have equal length")
@@ -105,8 +107,13 @@ class HalfEdgeGraph:
         u, v = self.edge_endpoints(e)
         return u == v
 
+    @cached_property
+    def valences(self) -> tuple:
+        """Valence of each vertex: the number of darts pointing at it."""
+        return tuple(self.target.count(v) for v in range(self.vertex_count))
+
     def valence(self, v: int) -> int:
-        return sum(1 for t in self.target if t == v)
+        return self.valences[v]
 
     @cached_property
     def multiplicity(self) -> tuple:
@@ -123,7 +130,7 @@ class HalfEdgeGraph:
         return tuple(tuple(row) for row in mat)
 
     def degree_multiset(self) -> tuple:
-        return tuple(sorted(self.valence(v) for v in range(self.vertex_count)))
+        return tuple(sorted(self.valences))
 
     def total_loops(self) -> int:
         return sum(1 for e in range(self.edge_count) if self.is_loop(e))
@@ -200,7 +207,7 @@ def rank(g: HalfEdgeGraph) -> int:
 
 def is_admissible(g: HalfEdgeGraph) -> bool:
     """Connected, every vertex of valency >= 3, and no separating edge."""
-    if any(g.valence(v) < 3 for v in range(g.vertex_count)):
+    if any(d < 3 for d in g.valences):
         return False
     return two_edge_connected(g.multiplicity)
 

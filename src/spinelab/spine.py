@@ -271,52 +271,45 @@ def _chain_orbit_rep(chain, edge_perms) -> tuple:
     return best[1]
 
 
-def _chain_stabilizer(chain, aut: AutGroup, edge_perms) -> list:
-    stab = []
-    sets = [set(f) for f in chain]
-    for a, ep in zip(aut.elements, edge_perms):
-        if all({ep[e] for e in f} == s for f, s in zip(chain, sets)):
-            stab.append(a)
-    return stab
-
-
 def _cells_for_class(p: int, cls: GraphClass):
     """Orbit representatives of singular forest chains on one top graph.
 
     Chains are grown by appending strictly smaller nonempty forests; the
     stabilizer of an extension sits inside the stabilizer of its prefix,
-    so only singular representatives need extending.
+    so only singular representatives need extending.  A representative is
+    key-minimal in its orbit and keys compare forest by forest, so the
+    minimal translate of ``chain + (sub,)`` fixes ``chain``: it comes from
+    the chain's stabilizer (the whole group for the empty chain) acting
+    on ``sub`` alone.  Candidates are visited in key order, so the first
+    of each orbit is its representative, and one scan of the stabilizer
+    gives both the orbit, marked as seen, and the extension's stabilizer.
     """
-    out: dict = {0: {}}
     if cls.aut_order % p != 0:
-        return out
-    eperms = cls.aut.edge_perms()
-    out[0][()] = ((), tuple(cls.aut.elements))
-
-    frontier = {}
-    for f in enumerate_forests(cls.graph):
-        if not f:
-            continue
-        rep = _chain_orbit_rep((f,), eperms)
-        rkey = _chain_key(rep)
-        if rkey in frontier:
-            continue
-        stab = _chain_stabilizer(rep, cls.aut, eperms)
-        if len(stab) % p == 0:
-            frontier[rkey] = (rep, tuple(stab))
-    level = 1
+        return {0: {}}
+    out: dict = {}
+    frontier = {(): ((), tuple(zip(cls.aut.elements, cls.aut.edge_perms())))}
+    level = 0
     while frontier:
-        out[level] = dict(sorted(frontier.items()))
+        out[level] = {
+            key: (chain, tuple(a for a, _ in stab))
+            for key, (chain, stab) in sorted(frontier.items())
+        }
         nxt = {}
-        for _, (chain, _) in sorted(frontier.items()):
-            for sub in _proper_nonempty_subsets(chain[-1]):
-                rep = _chain_orbit_rep(chain + (sub,), eperms)
-                rkey = _chain_key(rep)
-                if rkey in nxt:
+        for chain, stab in frontier.values():
+            subs = _proper_nonempty_subsets(chain[-1]) if chain else enumerate_forests(cls.graph)
+            seen = set()
+            for sub in sorted((f for f in subs if f), key=sorted):
+                if sub in seen:
                     continue
-                stab = _chain_stabilizer(rep, cls.aut, eperms)
-                if len(stab) % p == 0:
-                    nxt[rkey] = (rep, tuple(stab))
+                fixing = []
+                for a, ep in stab:
+                    moved = frozenset(ep[e] for e in sub)
+                    seen.add(moved)
+                    if moved == sub:
+                        fixing.append((a, ep))
+                if len(fixing) % p == 0:
+                    rep = chain + (sub,)
+                    nxt[_chain_key(rep)] = (rep, tuple(fixing))
         frontier = nxt
         level += 1
     return out

@@ -9,7 +9,8 @@ the rose with n loops have 2^n * n! of them.
 Two graphs are isomorphic exactly when their multiplicity data (loop
 counts plus off-diagonal edge multiplicities) agree up to a vertex
 relabeling, so canonical forms are computed on that data by refinement
-plus ordered backtracking.
+plus ordered backtracking, pruned by the automorphisms that equal leaves
+reveal; the minimum, and so every form's bytes, is the full search's.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class CanonicalForm:
 def _refined_colors(g: HalfEdgeGraph) -> list:
     n = g.vertex_count
     mult = g.multiplicity
-    colors = _rank_keys([(g.valence(v), mult[v][v]) for v in range(n)])
+    colors = _rank_keys(list(zip(g.valences, (mult[v][v] for v in range(n)))))
     while True:
         keys = [
             (
@@ -187,7 +188,16 @@ def _min_matrix_data(g: HalfEdgeGraph):
     """Lexicographically minimal (loops, lower-triangle multiplicities).
 
     The minimum ranges over vertex orderings grouped by refined color, so
-    it is a relabeling invariant; the full matrix makes it complete.
+    it is a relabeling invariant; the full matrix makes it complete.  The
+    search reads only the matrix and prunes by symmetry (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014).  A leaf reached without
+    changing ``best`` has the best leaf's rows, so mapping one order onto
+    the other is an automorphism fixing their common prefix: the rest of
+    the tie leaf's branch is an image of the best leaf's, searched before,
+    and the search jumps back to the prefix.  A candidate in the orbit of
+    a searched sibling, under the found automorphisms that fix the node's
+    prefix, roots an image of that sibling's subtree.  Images have the
+    same rows, so the minimum is unchanged.
     """
     n = g.vertex_count
     mult = g.multiplicity
@@ -198,18 +208,32 @@ def _min_matrix_data(g: HalfEdgeGraph):
     cell_sequence = [cells[c] for c in sorted(cells)]
 
     best: list = []
-
-    def rows_for(order, w):
-        return (mult[w][w],) + tuple(mult[w][u] for u in order)
+    best_order: list = []
+    autos: list = []  # vertex automorphisms found at tie leaves, as dicts
+    changed = True  # best changed since the last leaf
 
     def search(order, remaining):
+        """Search below ``order``; return the depth to jump back to."""
+        nonlocal best_order, changed
         depth = len(order)
         if depth == n:
-            return
+            if changed:
+                best_order, changed = order, False
+                return depth
+            autos.append(dict(zip(best_order, order)))
+            return next(i for i, (v, w) in enumerate(zip(best_order, order)) if v != w)
         pos = next(i for i, pool in enumerate(remaining) if pool)
         active = remaining[pos]
+        searched, fixing, read = set(), [], 0
         for i, w in enumerate(active):
-            row = rows_for(order, w)
+            if autos and searched:
+                fixing += [a for a in autos[read:] if all(a[v] == v for v in order)]
+                read, orbit = len(autos), [w]
+                for x in orbit:
+                    orbit += [a[x] for a in fixing if a[x] not in orbit]
+                if searched.intersection(orbit):
+                    continue
+            row = (mult[w][w],) + tuple(mult[w][u] for u in order)
             if len(best) > depth:
                 if row > best[depth]:
                     continue
@@ -217,9 +241,14 @@ def _min_matrix_data(g: HalfEdgeGraph):
                     del best[depth:]
             if len(best) == depth:
                 best.append(row)
+                changed = True
+            searched.add(w)
             nxt = list(remaining)
             nxt[pos] = active[:i] + active[i + 1 :]
-            search(order + [w], nxt)
+            jump = search(order + [w], nxt)
+            if jump < depth:
+                return jump
+        return depth
 
     search([], list(cell_sequence))
     return tuple(best)
@@ -569,8 +598,8 @@ def _dart_invariants(g: HalfEdgeGraph, action: Optional[GraphAutomorphism]) -> l
         u = g.target[h]
         w = g.target[g.sigma[h]]
         entry = (
-            g.valence(u),
-            g.valence(w),
+            g.valences[u],
+            g.valences[w],
             u == w,
             mult[u][w] if u != w else mult[u][u],
         )

@@ -316,6 +316,18 @@ def test_equiv_input_with_non_prime_p_is_config_error(runner, tmp_path, command)
     )
 
 
+@pytest.mark.parametrize("command", ["expand", "nielsen"])
+def test_equiv_input_with_negative_vertex_count_is_config_error(runner, tmp_path, command):
+    data = {
+        "vertices": -1, "half_edges": 0, "sigma": [], "target": [],
+        "action_vperm": [], "action_hperm": [], "p": 3,
+    }
+    assert_input_error(
+        runner.invoke(main, ["equiv", command, "--input", _write_json(tmp_path, data)]),
+        "vertex count must be >= 0",
+    )
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -178,6 +178,20 @@ def test_no_expansion_of_bipartite_p3():
     assert equivariant_expansions(bip, 12) == []
 
 
+@pytest.mark.parametrize("q", [7, 11])
+def test_wedge_blow_up_is_the_bipartite_rotation(q):
+    budget = 3 * 2 * (q - 1) - 3
+    pairs = equivariant_expansions(ZpGraph(*catalog.wedge_diagonal(q), q), budget)
+    assert len(pairs) == 1
+    candidate, forest = pairs[0]
+    bip = ZpGraph(*catalog.bipartite_block_rotation(q), q)
+    assert equivariant_isomorphic(candidate, bip)
+    ends = [set(candidate.graph.edge_endpoints(e)) for e in forest]
+    assert len(forest) == q and is_forest(candidate.graph, forest)
+    assert set.intersection(*ends)
+    assert equivariant_expansions(bip, budget) == []
+
+
 def search_expansions(zg, edge_budget):
     """Blow-ups by generate and test, an oracle for the direct construction.
 

@@ -121,6 +121,20 @@ def test_bridge_finder_matches_edge_removal(g):
     assert is_admissible(g) == oracle_admissible(g)
 
 
+@settings(max_examples=100)
+@given(multigraphs())
+def test_valences_count_darts(g):
+    mult = g.multiplicity
+    assert g.valences == tuple(g.target.count(v) for v in range(g.vertex_count))
+    assert g.valences == tuple(mult[v][v] + sum(mult[v]) for v in range(g.vertex_count))
+    assert g.degree_multiset() == tuple(sorted(g.valences))
+
+
+def test_negative_vertex_count_is_rejected():
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        HalfEdgeGraph(-1, (), ())
+
+
 @pytest.mark.parametrize(
     "vertices, ends, core",
     [

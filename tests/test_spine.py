@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from spinelab import catalog
+from spinelab import catalog, spine
 from spinelab.fixtures import load_expected_tables
 from spinelab.report import corpus_document
-from spinelab.graphs import HalfEdgeGraph, is_admissible, rank, two_edge_connected
+from spinelab.graphs import HalfEdgeGraph, enumerate_forests, is_admissible, rank, two_edge_connected
 from spinelab.spine import (
     NameAmbiguityError,
     _candidates,
@@ -23,7 +23,7 @@ from spinelab.spine import (
     singular_graphs,
     verify_expected_tables,
 )
-from spinelab.symmetry import canonical_form, realize_multiplicity
+from spinelab.symmetry import automorphism_group, canonical_form, realize_multiplicity
 
 
 def oracle_admissible_classes(target_rank, max_vertices, max_edges):
@@ -231,3 +231,79 @@ def test_face_of_face_identity(rank4_complex):
                 second = cells[cell.faces[i]]
                 via_i = second.faces[j - 1]
                 assert via_j == via_i
+
+
+def whole_group_rep(cls, eperms, chain):
+    """Key-minimal translate of a chain and its stabilizer, each found by
+    scanning the whole automorphism group."""
+
+    def key(chain):
+        return tuple(tuple(sorted(f)) for f in chain)
+
+    translates = [tuple(frozenset(ep[e] for e in f) for f in chain) for ep in eperms]
+    rep = min(translates, key=key)
+    stab = tuple(
+        a for a, ep in zip(cls.aut.elements, eperms)
+        if all(frozenset(ep[e] for e in f) == f for f in rep)
+    )
+    return rep, stab
+
+
+def oracle_cells_for_class(p, cls):
+    """Cells of one top graph by whole-group scans: every forest, and every
+    extension of a singular chain, is translated by every automorphism."""
+    eperms = cls.aut.edge_perms()
+
+    def classify(chain, level):
+        rep, stab = whole_group_rep(cls, eperms, chain)
+        key = tuple(tuple(sorted(f)) for f in rep)
+        if key not in level and len(stab) % p == 0:
+            level[key] = (rep, stab)
+
+    out = {0: {}}
+    if cls.aut_order % p != 0:
+        return out
+    out[0][()] = ((), tuple(cls.aut.elements))
+    frontier = {}
+    for f in enumerate_forests(cls.graph):
+        if f:
+            classify((f,), frontier)
+    level = 1
+    while frontier:
+        out[level] = dict(sorted(frontier.items()))
+        nxt = {}
+        for _, (chain, _) in sorted(frontier.items()):
+            items = sorted(chain[-1])
+            for mask in range(1, (1 << len(items)) - 1):
+                sub = frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+                classify(chain + (sub,), nxt)
+        frontier = nxt
+        level += 1
+    return out
+
+
+@pytest.mark.parametrize("p, n", sorted(CORPUS_SHA256))
+def test_cells_match_whole_group_oracle(p, n, monkeypatch):
+    got = quotient_complex(p, n)
+    for cls in got.classes:
+        mine, theirs = spine._cells_for_class(p, cls), oracle_cells_for_class(p, cls)
+        assert [list(level.items()) for level in mine.values()] == [
+            list(level.items()) for level in theirs.values()
+        ]
+    monkeypatch.setattr(spine, "_cells_for_class", oracle_cells_for_class)
+    want = quotient_complex(p, n, got.classes)
+    assert len(got.cells) > 0
+    assert got.cells == want.cells
+
+
+def test_two_forest_cells_are_whole_group_minimal():
+    """K_{5,3} at p = 3: a proper subset of a forest can come before a
+    smaller-keyed translate in subset-mask order, so each orbit's
+    representative must be found in key order."""
+    g, _ = catalog.bipartite_block_rotation(5)
+    cls = spine.GraphClass(g, automorphism_group(g))
+    eperms = cls.aut.edge_perms()
+    cells = spine._cells_for_class(3, cls)
+    assert [len(level) for level in cells.values()] == [1, 30, 243, 730, 876, 360]
+    for chain, stab in cells[2].values():
+        assert whole_group_rep(cls, eperms, chain) == (chain, stab)

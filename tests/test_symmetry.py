@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinelab import catalog
 from spinelab.graphs import build_graph, collapse, enumerate_forests
+from spinelab.spine import _candidates, enumerate_admissible
 from spinelab.symmetry import (
     AutGroupTooLarge,
     GraphAutomorphism,
@@ -25,8 +26,10 @@ from spinelab.symmetry import (
     is_automorphism,
     orbits,
     perm_order,
+    realize_multiplicity,
     sylow_p_order,
 )
+from spinelab.symmetry import _min_matrix_data
 
 
 def random_relabeling(g, rng):
@@ -225,3 +228,122 @@ def test_collapse_commutes_with_relabeling(g, data):
     relabeled = apply_to_graph(g, f)
     moved = {relabeled.dart_edge[f.hperm[g.edges[e][0]]] for e in forest}
     assert canonical_form(collapse(relabeled, moved)) == canonical_form(collapse(g, forest))
+
+
+def oracle_min_matrix_data(g):
+    """The canonical search without pruning: every vertex ordering that
+    respects the refined colour cells is searched, with the same row
+    bound.  Colours are refined from the matrix alone, valences included."""
+    n = g.vertex_count
+    mult = g.multiplicity
+
+    def rank_keys(keys):
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        return [order[k] for k in keys]
+
+    colors = rank_keys(
+        [(mult[v][v] + sum(mult[v]), mult[v][v]) for v in range(n)]
+    )
+    while True:
+        keys = [
+            (colors[v], tuple(sorted((colors[u], mult[v][u]) for u in range(n) if u != v and mult[v][u])))
+            for v in range(n)
+        ]
+        new = rank_keys(keys)
+        if new == colors:
+            break
+        colors = new
+    cells = {}
+    for v in range(n):
+        cells.setdefault(colors[v], []).append(v)
+    best = []
+
+    def search(order, remaining):
+        depth = len(order)
+        if depth == n:
+            return
+        pos = next(i for i, pool in enumerate(remaining) if pool)
+        active = remaining[pos]
+        for i, w in enumerate(active):
+            row = (mult[w][w],) + tuple(mult[w][u] for u in order)
+            if len(best) > depth:
+                if row > best[depth]:
+                    continue
+                if row < best[depth]:
+                    del best[depth:]
+            if len(best) == depth:
+                best.append(row)
+            nxt = list(remaining)
+            nxt[pos] = active[:i] + active[i + 1 :]
+            search(order + [w], nxt)
+
+    search([], [cells[c] for c in sorted(cells)])
+    return tuple(best)
+
+
+def test_pruned_search_matches_oracle_on_census_candidates():
+    agree = [
+        _min_matrix_data(g) == oracle_min_matrix_data(g)
+        for n in (2, 3, 4)
+        for _, loops, lower in _candidates(n)
+        for g in [realize_multiplicity(loops, lower)]
+    ]
+    assert len(agree) == 5510
+    assert all(agree)
+
+
+def test_pruned_search_matches_oracle_on_relabelings():
+    rng = random.Random(11)
+    classes = enumerate_admissible(4)
+    assert len(classes) == 43
+    for g in classes:
+        form = canonical_form(g)
+        for _ in range(20):
+            moved = random_relabeling(g, rng)
+            assert _min_matrix_data(moved) == oracle_min_matrix_data(moved) == form.rows
+
+
+@pytest.mark.parametrize("make", [catalog.bipartite_block_rotation, catalog.wedge_diagonal])
+@pytest.mark.parametrize("q", [5, 7])
+def test_pruned_search_matches_oracle_on_blow_up_graphs(make, q):
+    g, _ = make(q)
+    assert _min_matrix_data(g) == oracle_min_matrix_data(g)
+
+
+def test_canonical_form_of_p11_bipartite_rotation():
+    g, _ = catalog.bipartite_block_rotation(11)
+    assert canonical_form(random_relabeling(g, random.Random(11))) == canonical_form(g)
+
+
+@st.composite
+def twin_heavy_multigraphs(draw):
+    """K_{m,k} (m + k <= 7) with one bundle multiplicity and the same
+    number of loops at each vertex of the m side: many twins, few colours."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    bundle, loops = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    edges = [(i, m + j) for i in range(m) for j in range(k)] * bundle
+    return build_graph(m + k, edges + [(i, i) for i in range(m)] * loops)
+
+
+@st.composite
+def circulants(draw):
+    """Vertex-transitive multigraphs on 3..7 vertices: one colour cell."""
+    n = draw(st.integers(3, 7))
+    steps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=2))
+    return build_graph(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Multigraphs with at most 7 vertices and 10 edges."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    return build_graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=10)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(small_multigraphs(), twin_heavy_multigraphs(), circulants()), st.data())
+def test_pruned_search_matches_oracle(g, data):
+    moved = apply_to_graph(g, _relabeling(data, g))
+    assert _min_matrix_data(g) == oracle_min_matrix_data(g)
+    assert _min_matrix_data(moved) == oracle_min_matrix_data(moved) == _min_matrix_data(g)
