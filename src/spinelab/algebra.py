@@ -10,12 +10,25 @@ is the sum of the component units.
 Degree-wise everything is finite linear algebra over F_p: morphisms have
 matrices per degree, equalizers are kernels, invariants of a finite group
 of order prime to p come from the averaging projector.
+
+Matrices are built from the previous degrees.  The image of a monomial is
+the cached image of the monomial without its last generator factor, times
+that generator's image: one product per basis monomial, with the factors
+in the same left-to-right order as the full product.  Callers ask for
+degrees in ascending order, so a morphism keeps only the images of the
+degrees at most one maximal generator degree below the highest degree
+asked for, the ones the next degree can reach; a degree asked for out of
+order rebuilds the images it misses.  Basis tables depend only on the
+generators' (degree, kind) signature and are shared by every algebra
+with that signature.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Optional
 
 from spinelab import linalg
@@ -53,7 +66,9 @@ class GradedAlgebra:
         self.p = p
         self.generators = tuple(gens)
         self._index = {g.name: i for i, g in enumerate(gens)}
-        self._basis_cache: dict = {}
+        self._signature = tuple((g.degree, g.kind) for g in gens)
+        self._odd = tuple(i for i, g in enumerate(gens) if g.kind == "ext")
+        self._positions: dict = {}
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}[{g.degree}]" for g in self.generators)
@@ -89,36 +104,23 @@ class GradedAlgebra:
         """
         swaps = 0
         odd_b_seen = 0
-        for i, g in enumerate(self.generators):
-            if g.degree % 2:
-                swaps += a[i] * odd_b_seen
-                odd_b_seen += b[i]
-        out = []
-        for i, g in enumerate(self.generators):
-            e = a[i] + b[i]
-            if g.kind == "ext" and e > 1:
+        for i in self._odd:
+            if a[i] + b[i] > 1:
                 return None
-            out.append(e)
-        return ((-1) ** swaps % self.p, tuple(out))
+            swaps += a[i] * odd_b_seen
+            odd_b_seen += b[i]
+        return (self.p - 1 if swaps % 2 else 1, tuple(map(add, a, b)))
 
     def basis(self, d: int):
         """Monomials of degree d in lexicographic exponent order."""
-        if d not in self._basis_cache:
-            out = []
+        return _monomials(self._signature, d)
 
-            def rec(i, remaining, prefix):
-                if i == len(self.generators):
-                    if remaining == 0:
-                        out.append(tuple(prefix))
-                    return
-                g = self.generators[i]
-                top = 1 if g.kind == "ext" else remaining // g.degree
-                for e in range(min(top, remaining // g.degree) + 1):
-                    rec(i + 1, remaining - e * g.degree, prefix + [e])
-
-            rec(0, d, [])
-            self._basis_cache[d] = tuple(sorted(out))
-        return self._basis_cache[d]
+    def _basis_index(self, d: int) -> dict:
+        """Position of each degree-d monomial in ``basis(d)``."""
+        index = self._positions.get(d)
+        if index is None:
+            index = self._positions[d] = {m: i for i, m in enumerate(self.basis(d))}
+        return index
 
     def monomial_str(self, mono) -> str:
         parts = [
@@ -168,6 +170,34 @@ class GradedAlgebra:
         return cls(data["p"], [(g["name"], g["degree"], g["kind"]) for g in gens])
 
 
+@lru_cache(maxsize=4096)
+def _monomials(signature: tuple, d: int) -> tuple:
+    """Exponent tuples of degree d over generators with the given
+    ``(degree, kind)`` signature, in lexicographic order.
+
+    The last exponent is closed by one divmod.  The cache is bounded so a
+    long-lived process does not keep every table it ever built.
+    """
+    if not signature:
+        return ((),) if d == 0 else ()
+    *head, (last, last_kind) = signature
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == len(head):
+            e, r = divmod(remaining, last)
+            if not r and (e <= 1 or last_kind == "poly"):
+                out.append(prefix + (e,))
+            return
+        degree, kind = head[i]
+        top = remaining // degree if kind == "poly" else min(remaining // degree, 1)
+        for e in range(top + 1):
+            rec(i + 1, remaining - e * degree, prefix + (e,))
+
+    rec(0, d, ())
+    return tuple(out)
+
+
 class ProductAlgebra(GradedAlgebra):
     """Finite product of graded algebras with component-tagged monomials."""
 
@@ -181,6 +211,7 @@ class ProductAlgebra(GradedAlgebra):
         self.p = p
         self.components = components
         self._basis_cache = {}
+        self._positions = {}
 
     def __repr__(self):
         return f"ProductAlgebra({' x '.join(map(repr, self.components))})"
@@ -317,13 +348,13 @@ class Element:
         return degrees.pop()
 
     def vector(self, d: int) -> list:
-        basis = self.parent.basis(d)
-        index = {m: i for i, m in enumerate(basis)}
-        vec = [0] * len(basis)
+        index = self.parent._basis_index(d)
+        vec = [0] * len(index)
         for m, c in self.coeffs.items():
-            if self.parent.monomial_degree(m) != d:
+            i = index.get(m)
+            if i is None:
                 raise ValueError("element has terms outside the requested degree")
-            vec[index[m]] = c
+            vec[i] = c
         return vec
 
     @classmethod
@@ -378,15 +409,14 @@ class _Morphism:
 
     def _matrix(self, d: int) -> list:
         src = self.source.basis(d)
-        tgt = self.target.basis(d)
-        index = {m: i for i, m in enumerate(tgt)}
-        mat = [[0] * len(src) for _ in tgt]
+        index = self.target._basis_index(d)
+        mat = [[0] * len(src) for _ in range(len(index))]
         for j, mono in enumerate(src):
-            img = self.apply_monomial(mono)
-            for m, c in img.coeffs.items():
-                if self.target.monomial_degree(m) != d:
+            for m, c in self.apply_monomial(mono).coeffs.items():
+                i = index.get(m)
+                if i is None:
                     raise ValueError("morphism does not preserve degree")
-                mat[index[m]][j] = c
+                mat[i][j] = c
         return mat
 
 
@@ -405,13 +435,42 @@ class AlgebraMorphism(_Morphism):
         self.source = source
         self.target = target
         self.images = dict(images)
+        self._generator_images = tuple(self.images[g.name] for g in source.generators)
+        self._degrees = tuple(g.degree for g in source.generators)
+        # degree -> {monomial: image} for the degrees from _top - _span on,
+        # the ones that building degree _top can reach
+        self._window: dict = {}
+        self._span = max(self._degrees, default=0)
+        self._top = 0
 
     def apply_monomial(self, mono) -> Element:
-        out = Element.one(self.target)
-        for e, g in zip(mono, self.source.generators):
-            for _ in range(e):
-                out = out * self.images[g.name]
-        return out
+        """Image of a source monomial; images missing from the window are
+        built upwards from the nearest cached one."""
+        mono = tuple(mono)
+        d = self.source.monomial_degree(mono)
+        if d > self._top:
+            self._top = d
+            for k in [k for k in self._window if k < d - self._span]:
+                del self._window[k]
+        missing = []
+        img = self._cached_image(mono, d)
+        while img is None:
+            i = len(mono) - 1
+            while not mono[i]:
+                i -= 1
+            missing.append((mono, d, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+            d -= self._degrees[i]
+            img = self._cached_image(mono, d)
+        for mono, d, i in reversed(missing):
+            img = img * self._generator_images[i]
+            self._window.setdefault(d, {})[mono] = img
+        return img
+
+    def _cached_image(self, mono, d: int) -> Optional[Element]:
+        if d == 0:
+            return Element.one(self.target)
+        return self._window.get(d, {}).get(mono)
 
     def matrix_in_degree(self, d: int) -> list:
         """Rows indexed by target basis, columns by source basis."""
@@ -667,19 +726,21 @@ def verify_free_module(
             for i, elt in enumerate(subring_gens)
         ],
     )
+    subring = AlgebraMorphism(
+        ring, eq.source, {g.name: elt for g, elt in zip(ring.generators, subring_gens)}
+    )
     p = eq.source.p
+    module_degrees = [0 if mg.is_zero() else mg.degree() for mg in module_gens]
+    reach = max(module_degrees, default=0)
+    # ring degree -> images of its basis, kept while a module generator needs them
+    ring_images: dict = {}
     for d in range(bound + 1):
+        ring_images[d] = [subring.apply_monomial(mono) for mono in ring.basis(d)]
+        ring_images.pop(d - reach - 1, None)
         vectors = []
-        for mg in module_gens:
-            mg_deg = 0 if mg.is_zero() else mg.degree()
-            rest = d - mg_deg
-            if rest < 0:
-                continue
-            for mono in ring.basis(rest):
-                prod = mg
-                for e, elt in zip(mono, subring_gens):
-                    for _ in range(e):
-                        prod = prod * elt
+        for mg, k in zip(module_gens, module_degrees):
+            for img in ring_images.get(d - k, ()):
+                prod = mg * img
                 if not prod.is_zero():
                     vectors.append(prod.vector(d))
         want = eq.dims[d]

@@ -410,34 +410,14 @@ def theorem_pipeline(
 
         dim Eq(d) = dim invariants(d) + dim (M (x) ker restriction)(d).
     """
-    M = cohomology_of_metacyclic(p, p - 1)
-    restriction = AlgebraMorphism(
-        aut_input,
-        M,
-        {g.name: parse_element(M, restriction_images[g.name]) for g in aut_input.generators},
-    )
+    M, restriction, f1 = _recursion_maps(p, aut_input, restriction_images)
     for d in range(bound + 1):
         if not restriction.is_surjective_in_degree(d):
             raise ValueError(f"restriction is not surjective in degree {d}")
 
-    MM = tensor(p, M, M, suffixes=["_1", "_2"])
+    big, MM = f1.source, f1.target
     pairs = [(g.name + "_1", g.name + "_2") for g in M.generators]
     inv = invariants(MM, [swap_action(MM, pairs)], bound)
-
-    big = tensor(p, M, aut_input, suffixes=["_1", ""])
-    f1_images = {}
-    for g in M.generators:
-        f1_images[g.name + "_1"] = MM.generator_element(g.name + "_1")
-    for g in aut_input.generators:
-        img = restriction.images[g.name]
-        f1_images[g.name] = Element(
-            MM,
-            {
-                _shift_monomial(MM, M, m): c
-                for m, c in img.coeffs.items()
-            },
-        )
-    f1 = AlgebraMorphism(big, MM, f1_images)
 
     # pairs (u, w) with w in the invariant subspace and f1(u) = w: the
     # kernel of [f1 | -inclusion] on (M x input)(d) + invariants(d)
@@ -464,6 +444,32 @@ def theorem_pipeline(
         eq_dims[d] == inv.dims[d] + kernel_dims[d] for d in range(bound + 1)
     )
     return RecursionReport(p, bound, eq_dims, inv.dims, kernel_dims, holds)
+
+
+def _recursion_maps(p: int, aut_input: GradedAlgebra, restriction_images: dict) -> tuple:
+    """(M, the restriction from the input onto M, and f1 = id x restriction
+    from M (x) input to M (x) M) for the recursion pipeline."""
+    M = cohomology_of_metacyclic(p, p - 1)
+    restriction = AlgebraMorphism(
+        aut_input,
+        M,
+        {g.name: parse_element(M, restriction_images[g.name]) for g in aut_input.generators},
+    )
+    MM = tensor(p, M, M, suffixes=["_1", "_2"])
+    big = tensor(p, M, aut_input, suffixes=["_1", ""])
+    f1_images = {}
+    for g in M.generators:
+        f1_images[g.name + "_1"] = MM.generator_element(g.name + "_1")
+    for g in aut_input.generators:
+        img = restriction.images[g.name]
+        f1_images[g.name] = Element(
+            MM,
+            {
+                _shift_monomial(MM, M, m): c
+                for m, c in img.coeffs.items()
+            },
+        )
+    return M, restriction, AlgebraMorphism(big, MM, f1_images)
 
 
 def _shift_monomial(MM: GradedAlgebra, M: GradedAlgebra, mono):

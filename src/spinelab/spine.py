@@ -24,7 +24,7 @@ from spinelab.graphs import (
 )
 from spinelab.symmetry import (
     AutGroup,
-    automorphism_group,
+    _group_with_order_divisible_by,
     automorphism_order,
     canonical_form,
     dart_isomorphisms,
@@ -162,8 +162,9 @@ def singular_graphs(p: int, n: int) -> list:
     """
     out = []
     for g in enumerate_admissible(n):
-        if automorphism_order(g) % p == 0:
-            out.append(GraphClass(g, automorphism_group(g)))
+        group = _group_with_order_divisible_by(g, p)
+        if group is not None:
+            out.append(GraphClass(g, group))
     return out
 
 

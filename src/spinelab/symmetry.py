@@ -350,7 +350,21 @@ def _dart_freedom(g: HalfEdgeGraph) -> int:
 
 def automorphism_group(g: HalfEdgeGraph, element_cap: int = 10**6) -> AutGroup:
     """All dart-level automorphisms; fails loudly past the element cap."""
+    return _group_from_vertex_perms(g, _vertex_perms(g), element_cap)
+
+
+def _group_with_order_divisible_by(g: HalfEdgeGraph, p: int) -> Optional[AutGroup]:
+    """The automorphism group of g if p divides its order, else None, from
+    one enumeration of the vertex automorphisms."""
     vperms = _vertex_perms(g)
+    if len(vperms) * _dart_freedom(g) % p:
+        return None
+    return _group_from_vertex_perms(g, vperms)
+
+
+def _group_from_vertex_perms(
+    g: HalfEdgeGraph, vperms: list, element_cap: int = 10**6
+) -> AutGroup:
     total = len(vperms) * _dart_freedom(g)
     if total > element_cap:
         raise AutGroupTooLarge(

@@ -82,3 +82,36 @@ def test_12_recursion_pipeline():
 
 def test_13_property_suites(rank4_complex):
     _report(13, criterion_properties(rank4_complex, BOUND, RunConfig().seed))
+
+
+# the detail strings of the six cohomology criteria at degree bound 120, as
+# the benchmark's cohomology workload records them
+BOUND_120_DETAILS = (
+    (criterion_series, False, "equalizer-series", "dims<=8 (1, 0, 0, 1, 1, 0, 0, 3, 3)"),
+    (
+        criterion_algebra_structure,
+        False,
+        "free-module-and-relations",
+        "free=True, relations=[True, True, True, True, True, True]",
+    ),
+    (criterion_wreath, False, "wreath-invariants", "dims_ok=True fixed=True independent=True"),
+    (
+        criterion_metacyclic,
+        False,
+        "metacyclic-cohomology",
+        "p=3: degrees=[3, 4]; p=5: degrees=[7, 8]; p=7: degrees=[11, 12]",
+    ),
+    (criterion_recursion, False, "recursion-pipeline", "p3 degenerate=True, p5 synthetic=True"),
+    (criterion_corollary, True, "corollary-sum", "total<=10 (3, 0, 0, 3, 3, 0, 0, 5, 5, 0, 2)"),
+)
+
+
+@pytest.mark.parametrize(
+    "criterion,takes_complex,name,detail",
+    BOUND_120_DETAILS,
+    ids=[row[2] for row in BOUND_120_DETAILS],
+)
+def test_cohomology_criteria_at_bound_120(rank4_complex, criterion, takes_complex, name, detail):
+    args = (rank4_complex, 120) if takes_complex else (120,)
+    result = criterion(*args)
+    assert (result.name, result.passed, result.detail) == (name, True, detail)

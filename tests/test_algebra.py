@@ -20,7 +20,44 @@ from spinelab.algebra import (
     tensor,
     verify_free_module,
 )
-from spinelab.fixtures import load_algebra, load_algebras, load_morphism
+from spinelab.assembly import _recursion_maps
+from spinelab.fixtures import load_algebra, load_algebras, load_morphism, load_thm_input
+from spinelab.verification import _structure_elements
+
+
+def oracle_apply_monomial(morphism, mono):
+    """The image of a monomial as the full left-to-right product of its
+    generators' images, built from scratch."""
+    out = Element.one(morphism.target)
+    for e, g in zip(mono, morphism.source.generators):
+        for _ in range(e):
+            out = out * morphism.images[g.name]
+    return out
+
+
+def oracle_matrix(morphism, d):
+    tgt = morphism.target.basis(d)
+    src = morphism.source.basis(d)
+    cols = [oracle_apply_monomial(morphism, mono).vector(d) for mono in src]
+    return [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
+
+
+def oracle_basis(alg, d):
+    """Degree-d monomials by recursion over every exponent, sorted."""
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == len(alg.generators):
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        g = alg.generators[i]
+        top = 1 if g.kind == "ext" else remaining // g.degree
+        for e in range(min(top, remaining // g.degree) + 1):
+            rec(i + 1, remaining - e * g.degree, prefix + [e])
+
+    rec(0, d, [])
+    return tuple(sorted(out))
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +311,104 @@ def test_tensor_names():
     names = [g.name for g in square.generators]
     assert names == ["a4_1", "b3_1", "a4_2", "b3_2"]
     assert dimensions(square, 8)[8] == 3  # a4_1^2, a4_1 a4_2, a4_2^2
+
+
+def _oracle_morphisms():
+    algebras = load_algebras()
+    big = algebras["double_sigma3"]
+    c4 = parse_element(big, "c41 + c42")
+    c8 = parse_element(big, "(c41 - c42)^2")
+    d3 = parse_element(big, "d31 + d32")
+    d7 = parse_element(big, "(c41 - c42)*(d31 - d32)")
+    synth = GradedAlgebra(5, [("u7", 7, "ext"), ("c8", 8, "poly"), ("e15", 15, "ext")])
+    return {
+        "alpha": load_morphism("alpha", algebras),
+        "beta": load_morphism("beta", algebras),
+        "swap": swap_action(big, [("c41", "c42"), ("d31", "d32")]),
+        "witness": AlgebraMorphism(
+            algebras["wreath"], big, {"c4": c4, "c8": c8, "d3": d3, "d7": d7}
+        ),
+        "f1 p=3": _recursion_maps(3, *load_thm_input(3))[2],
+        "f1 p=5": _recursion_maps(5, synth, {"u7": "u7", "c8": "c8", "e15": "0"})[2],
+    }
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "swap", "witness", "f1 p=3", "f1 p=5"])
+def test_matrix_in_degree_matches_full_products(name):
+    morphism = _oracle_morphisms()[name]
+    for d in range(121):
+        assert morphism.matrix_in_degree(d) == oracle_matrix(morphism, d), d
+    # out of order, after the window has moved past the low degrees
+    for d in (120, 3, 60):
+        assert morphism.matrix_in_degree(d) == oracle_matrix(morphism, d), d
+    fresh = _oracle_morphisms()[name]
+    for d in (120, 3, 60):
+        assert fresh.matrix_in_degree(d) == oracle_matrix(fresh, d), d
+
+
+_gen_shapes = st.one_of(
+    st.tuples(st.sampled_from([2, 4, 6]), st.just("poly")),
+    st.tuples(st.sampled_from([1, 3, 5]), st.just("ext")),
+)
+
+
+def _algebra(p, shapes, prefix):
+    return GradedAlgebra(p, [(f"{prefix}{i}", deg, kind) for i, (deg, kind) in enumerate(shapes)])
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from([3, 5]),
+    source_shapes=st.lists(_gen_shapes, max_size=4),
+    target_shapes=st.lists(_gen_shapes, max_size=4),
+    data=st.data(),
+)
+def test_matrix_in_degree_matches_full_products_property(p, source_shapes, target_shapes, data):
+    source = _algebra(p, source_shapes, "s")
+    target = _algebra(p, target_shapes, "t")
+    images = {}
+    for g in source.generators:
+        basis = target.basis(g.degree)
+        coeffs = data.draw(
+            st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis))
+        )
+        images[g.name] = Element(target, dict(zip(basis, coeffs)))
+    morphism = AlgebraMorphism(source, target, images)
+    for d in list(range(17)) + [16, 3, 12, 0]:
+        assert morphism.matrix_in_degree(d) == oracle_matrix(morphism, d), d
+
+
+def test_basis_matches_recursive_enumeration():
+    for alg in load_algebras().values():
+        for d in range(121):
+            assert alg.basis(d) == oracle_basis(alg, d), (alg, d)
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from([3, 5]),
+    shapes=st.one_of(
+        st.lists(_gen_shapes, max_size=4),
+        st.lists(st.tuples(st.sampled_from([1, 3, 5, 7]), st.just("ext")), max_size=4),
+    ),
+)
+def test_basis_matches_recursive_enumeration_property(p, shapes):
+    alg = _algebra(p, shapes, "a")
+    twin = _algebra(p, shapes, "b")
+    for d in range(61):
+        assert alg.basis(d) == oracle_basis(alg, d), d
+        assert twin.basis(d) is alg.basis(d)
+        assert alg._basis_index(d) == {m: i for i, m in enumerate(alg.basis(d))}
+
+
+def test_free_module_negative_cases(setup):
+    _, _, _, source, f, g = setup
+    eq = equalizer(f, g, 40)
+    r4, r8, s3, one, t7, t7t, t8 = _structure_elements(source)
+    ring = [r4, r8, s3]
+    assert verify_free_module(eq, f, g, ring, [one, t7, t7t, t8], 40)
+    assert not verify_free_module(eq, f, g, ring, [one, t7, t7t], 40)
+    assert not verify_free_module(eq, f, g, ring, [one, t7, t7, t7t, t8], 40)
+    x4 = source.embed(0, parse_element(source.components[0], "x4"))
+    with pytest.raises(ValueError, match="not equalized"):
+        verify_free_module(eq, f, g, ring, [one, t7, t7t, t8, x4], 40)

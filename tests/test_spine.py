@@ -128,6 +128,25 @@ def test_no_eight_edge_singular_graph(rank4_classes):
     assert all(c.graph.edge_count != 8 for c in rank4_classes)
 
 
+def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypatch):
+    from spinelab import symmetry
+
+    calls = []
+    inner = symmetry._vertex_perms
+
+    def counted(g):
+        calls.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(symmetry, "_vertex_perms", counted)
+    classes = singular_graphs(3, 4)
+    assert len(calls) == len(enumerate_admissible(4)) == 43
+    monkeypatch.undo()
+    assert len(classes) == 17
+    for cls in classes:
+        assert cls.aut == automorphism_group(cls.graph)
+
+
 def test_rank5_prime5_is_empty_for_rank2():
     assert not singular_graphs(5, 2)
 
