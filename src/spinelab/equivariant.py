@@ -3,9 +3,11 @@
 A ZpGraph is a half-edge graph together with a distinguished symmetry of
 order exactly p.  Equivalence is subgroup conjugacy: two pairs are
 identified when some graph isomorphism carries one generator to a power
-of the other.  The census enumerates quotient data (fixed vertices and
-edges plus free p-orbits of each shape) rather than raw graphs, which is
-what keeps the search small for p = 5 and 7.
+of the other.  ``ZpGraph.key`` is a complete invariant of that relation,
+so classes, closures and blow-ups are deduplicated by lookup.  The census
+enumerates quotient data (fixed vertices and edges plus free p-orbits of
+each shape) rather than raw graphs, which is what keeps the search small
+for p = 5 and 7.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from spinelab.graphs import (
 from spinelab.linalg import check_odd_prime
 from spinelab.symmetry import (
     GraphAutomorphism,
+    _min_matrix_data,
     canonical_form,
     compose,
-    dart_isomorphisms,
     edge_permutation,
     identity_automorphism,
     is_automorphism,
     perm_order,
-    power,
 )
 
 
@@ -96,10 +97,10 @@ class ZpGraph:
 
     @cached_property
     def key(self) -> tuple:
-        """Cheap invariant of the equivalence class, used for bucketing;
-        computed once per object."""
-        orbit_sizes = tuple(sorted(len(o) for o in self.edge_orbits()))
-        return (canonical_form(self.graph).data, self.fixed_vertex_count(), orbit_sizes)
+        """Complete invariant of the class: two ZpGraphs have equal keys
+        exactly when some dart-level isomorphism carries the action of one
+        to a generator of the other's group; computed once per object."""
+        return _equivariant_key(self, frozenset())
 
     def free_vertex_orbit_count(self) -> int:
         return sum(1 for v in range(self.graph.vertex_count) if self.action.vperm[v] != v) // self.p
@@ -123,44 +124,60 @@ class ZpGraph:
 
 
 # ---------------------------------------------------------------------------
-# equivariant isomorphism
+# the equivariant key
 
 
-def equivariant_isomorphisms(zg1: ZpGraph, zg2: ZpGraph) -> Iterator:
-    """Yield (iso, k) with iso . a1 = a2^k . iso; k runs over units mod p."""
-    if zg1.p != zg2.p:
-        return
-    if zg1.trivial != zg2.trivial:
-        return
-    if zg1.trivial:
-        for iso in dart_isomorphisms(zg1.graph, zg2.graph):
-            yield iso, 0
-        return
-    for k in range(1, zg1.p):
-        b = power(zg2.action, k)
-        for iso in dart_isomorphisms(zg1.graph, zg2.graph, intertwine=(zg1.action, b)):
-            yield iso, k
+def _equivariant_key(zg: ZpGraph, forest: frozenset) -> tuple:
+    """Complete invariant of (zg, forest) up to equivariant isomorphism.
 
-
-def equivariant_isomorphic(zg1: ZpGraph, zg2: ZpGraph) -> bool:
-    if zg1.key != zg2.key:
-        return False
-    for _ in equivariant_isomorphisms(zg1, zg2):
-        return True
-    return False
+    An action of odd order swaps no two vertices and flips no loop, and a
+    bundle with a moved end lies in an orbit of p bundles that a^p fixes.
+    So up to conjugation by the automorphisms fixing every vertex, the
+    action is fixed by its vertex permutation pi and by how many edges it
+    moves between each pair of fixed vertices.  A forest edge between fixed
+    vertices is the forest's only edge there, so it is fixed too.  Entry
+    (v, u) for a^k is 4b - 2[pi^k(v) = u] - [pi^k(u) = v], where b packs
+    the multiplicity, moved and forest counts in radix edges + 1: zero
+    exactly when all parts are, and a function of entry (u, v).  Flags are
+    subtracted so that a pi-neighbour of a placed vertex has the least row:
+    the canonical search's first choice in a free orbit fixes the rest of
+    it.  The key is the least canonical matrix over the generators a^k,
+    all of which give one matrix when no vertex moves.
+    """
+    g, a = zg.graph, zg.action
+    n, radix = g.vertex_count, g.edge_count + 1
+    ep = edge_permutation(g, a)
+    base = [[0] * n for _ in range(n)]
+    for e in range(g.edge_count):
+        u, v = g.edge_endpoints(e)
+        step = radix * radix + radix * (ep[e] != e) + (e in forest)
+        base[u][v] += step
+        if u != v:
+            base[v][u] += step
+    pi, forms = list(range(n)), []
+    for _ in range(zg.p - 1 if zg.free_vertex_orbit_count() else 1):
+        pi = [a.vperm[x] for x in pi]
+        matrix = [
+            [4 * base[v][u] - 2 * (pi[v] == u) - (pi[u] == v) for u in range(n)]
+            for v in range(n)
+        ]
+        forms.append(_min_matrix_data(matrix, [(g.valences[v], matrix[v][v]) for v in range(n)]))
+    return zg.p, zg.trivial, g.edge_count, min(forms)
 
 
 def dedup_equivariant(items: Iterable) -> list:
-    """Representatives of equivariant-isomorphism classes, census order."""
+    """Representatives of equivariant-isomorphism classes, census order:
+    the first item of each class, sorted stably by graph form, fixed
+    vertices and edge orbit sizes."""
     kept: dict = {}
     for zg in items:
-        bucket = kept.setdefault(zg.key, [])
-        if not any(equivariant_isomorphic(zg, other) for other in bucket):
-            bucket.append(zg)
-    out = []
-    for k in sorted(kept):
-        out.extend(kept[k])
-    return out
+        kept.setdefault(zg.key, zg)
+    return sorted(kept.values(), key=_census_order)
+
+
+def _census_order(zg: ZpGraph) -> tuple:
+    orbit_sizes = tuple(sorted(len(o) for o in zg.edge_orbits()))
+    return canonical_form(zg.graph).data, zg.fixed_vertex_count(), orbit_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +483,11 @@ def classify_reduced(p: int) -> list:
 
 def _classify_reduced_rank4() -> list:
     from spinelab.spine import match_names, singular_graphs
-    from spinelab.symmetry import elements_of_order, inverse
+    from spinelab.symmetry import elements_of_order
 
     out = []
     for cls in match_names(singular_graphs(3, 4)):
-        order3 = elements_of_order(cls.aut, 3)
-        subgroup_reps = []
-        seen = set()
-        for a in order3:
-            key = tuple(sorted((a.hperm, power(a, 2).hperm)))
-            if key in seen:
-                continue
-            # mark the whole conjugacy class of the subgroup <a>
-            for g in cls.aut.elements:
-                conj = compose(compose(g, a), inverse(g))
-                seen.add(tuple(sorted((conj.hperm, power(conj, 2).hperm))))
-            subgroup_reps.append(a)
-        for a in subgroup_reps:
+        for a in elements_of_order(cls.aut, 3):
             zg = ZpGraph(cls.graph, a, 3)
             if is_reduced(zg):
                 out.append(zg)
@@ -559,20 +564,23 @@ def nielsen_moves(zg: ZpGraph) -> list:
 def nielsen_closure(zg: ZpGraph, step_cap: int = 10_000) -> list:
     """Classes reachable by moves followed by reduction, the start included."""
     start = reduce_zp(zg)
-    classes = [start]
+    classes = {start.key: start}
     queue = [start]
     steps = 0
     while queue:
         current = queue.pop(0)
         for move in nielsen_moves(current):
+            if steps == step_cap:
+                raise BudgetExceeded(
+                    f"nielsen closure hit its step cap of {step_cap} moves; "
+                    f"moves taken: {steps}, classes found so far: {len(classes)}"
+                )
             steps += 1
-            if steps > step_cap:
-                raise BudgetExceeded("nielsen closure exceeded the step cap")
             candidate = reduce_zp(move.result)
-            if not any(equivariant_isomorphic(candidate, c) for c in classes):
-                classes.append(candidate)
+            if candidate.key not in classes:
+                classes[candidate.key] = candidate
                 queue.append(candidate)
-    return classes
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -703,24 +711,8 @@ def _grow(zg: ZpGraph, anchors: list, moved: dict) -> tuple:
 
 
 def _dedup_expansion_pairs(pairs: list) -> list:
-    """One pair per class, in order of first appearance; only pairs in the
-    same key bucket are compared."""
-    buckets: dict = {}
-    kept = []
+    """One pair per class, in order of first appearance."""
+    kept: dict = {}
     for zg, forest in pairs:
-        bucket = buckets.setdefault((zg.key, len(forest)), [])
-        if not any(_pairs_equivalent(zg, forest, other, oforest) for other, oforest in bucket):
-            bucket.append((zg, forest))
-            kept.append((zg, forest))
-    return kept
-
-
-def _pairs_equivalent(zg1: ZpGraph, f1, zg2: ZpGraph, f2) -> bool:
-    """Some equivariant isomorphism zg1 -> zg2 carries forest f1 onto f2."""
-    if zg1.key != zg2.key or len(f1) != len(f2):
-        return False
-    for iso, _ in equivariant_isomorphisms(zg1, zg2):
-        ep = tuple(zg2.graph.dart_edge[iso.hperm[h1]] for h1, _ in zg1.graph.edges)
-        if frozenset(ep[e] for e in f1) == frozenset(f2):
-            return True
-    return False
+        kept.setdefault(_equivariant_key(zg, forest), (zg, forest))
+    return list(kept.values())

@@ -157,17 +157,18 @@ class CanonicalForm:
         )
 
 
-def _refined_colors(g: HalfEdgeGraph) -> list:
-    n = g.vertex_count
-    mult = g.multiplicity
-    colors = _rank_keys(list(zip(g.valences, (mult[v][v] for v in range(n)))))
+def _refined_colors(matrix: list, keys: list) -> list:
+    """Colour refinement of a square matrix, starting from the ranks of
+    ``keys``; a nonzero entry (v, u) makes u a neighbour of v."""
+    n = len(matrix)
+    colors = _rank_keys(keys)
     while True:
         keys = [
             (
                 colors[v],
                 tuple(
                     sorted(
-                        (colors[u], mult[v][u]) for u in range(n) if u != v and mult[v][u]
+                        (colors[u], matrix[v][u]) for u in range(n) if u != v and matrix[v][u]
                     )
                 ),
             )
@@ -184,24 +185,29 @@ def _rank_keys(keys: list) -> list:
     return [order[k] for k in keys]
 
 
-def _min_matrix_data(g: HalfEdgeGraph):
-    """Lexicographically minimal (loops, lower-triangle multiplicities).
+def _min_matrix_data(matrix: list, keys: list):
+    """Lexicographically minimal (diagonal, lower triangle) of a square
+    matrix of ints under simultaneous row and column permutation.
 
-    The minimum ranges over vertex orderings grouped by refined color, so
-    it is a relabeling invariant; the full matrix makes it complete.  The
-    search reads only the matrix and prunes by symmetry (McKay and Piperno,
-    "Practical graph isomorphism, II", 2014).  A leaf reached without
-    changing ``best`` has the best leaf's rows, so mapping one order onto
-    the other is an automorphism fixing their common prefix: the rest of
-    the tie leaf's branch is an image of the best leaf's, searched before,
-    and the search jumps back to the prefix.  A candidate in the orbit of
-    a searched sibling, under the found automorphisms that fix the node's
-    prefix, roots an image of that sibling's subtree.  Images have the
-    same rows, so the minimum is unchanged.
+    The minimum ranges over vertex orderings grouped by the colours refined
+    from ``keys``, so it is a relabeling invariant as long as the keys are;
+    the full matrix makes it complete when entry (u, v) is a function of
+    entry (v, u), as for the symmetric multiplicity matrix.
+
+    A node searches only the candidates whose row is least among its
+    siblings', since any other candidate ends in a larger sequence.  The
+    search also prunes by symmetry (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014).  A leaf reached without changing ``best`` has
+    the best leaf's rows, so mapping one order onto the other is an
+    automorphism fixing their common prefix: the rest of the tie leaf's
+    branch is an image of the best leaf's, searched before, and the search
+    jumps back to the prefix.  A candidate in the orbit of a searched
+    sibling, under the found automorphisms that fix the node's prefix,
+    roots an image of that sibling's subtree.  Images have the same rows,
+    so the minimum is unchanged.
     """
-    n = g.vertex_count
-    mult = g.multiplicity
-    colors = _refined_colors(g)
+    n = len(matrix)
+    colors = _refined_colors(matrix, keys)
     cells = {}
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)
@@ -224,8 +230,20 @@ def _min_matrix_data(g: HalfEdgeGraph):
             return next(i for i, (v, w) in enumerate(zip(best_order, order)) if v != w)
         pos = next(i for i, pool in enumerate(remaining) if pool)
         active = remaining[pos]
+        rows = [(matrix[w][w],) + tuple(matrix[w][u] for u in order) for w in active]
+        row = min(rows)
+        if len(best) > depth:
+            if row > best[depth]:
+                return depth
+            if row < best[depth]:
+                del best[depth:]
+        if len(best) == depth:
+            best.append(row)
+            changed = True
         searched, fixing, read = set(), [], 0
         for i, w in enumerate(active):
+            if rows[i] != row:
+                continue
             if autos and searched:
                 fixing += [a for a in autos[read:] if all(a[v] == v for v in order)]
                 read, orbit = len(autos), [w]
@@ -233,15 +251,6 @@ def _min_matrix_data(g: HalfEdgeGraph):
                     orbit += [a[x] for a in fixing if a[x] not in orbit]
                 if searched.intersection(orbit):
                     continue
-            row = (mult[w][w],) + tuple(mult[w][u] for u in order)
-            if len(best) > depth:
-                if row > best[depth]:
-                    continue
-                if row < best[depth]:
-                    del best[depth:]
-            if len(best) == depth:
-                best.append(row)
-                changed = True
             searched.add(w)
             nxt = list(remaining)
             nxt[pos] = active[:i] + active[i + 1 :]
@@ -255,7 +264,8 @@ def _min_matrix_data(g: HalfEdgeGraph):
 
 
 def canonical_form(g: HalfEdgeGraph) -> CanonicalForm:
-    data = _min_matrix_data(g)
+    mult = g.multiplicity
+    data = _min_matrix_data(mult, [(g.valences[v], mult[v][v]) for v in range(g.vertex_count)])
     payload = json.dumps([g.vertex_count, [list(r) for r in data]]).encode()
     return CanonicalForm(payload, data)
 
@@ -311,7 +321,7 @@ def _vertex_perms(g: HalfEdgeGraph) -> list:
     """All vertex permutations preserving loop counts and multiplicities."""
     n = g.vertex_count
     mult = g.multiplicity
-    colors = _refined_colors(g)
+    colors = _refined_colors(mult, [(g.valences[v], mult[v][v]) for v in range(n)])
     out = []
 
     def extend(mapping: list):

@@ -36,7 +36,6 @@ from spinelab.equivariant import (
     ZpGraph,
     classify_reduced,
     equivariant_expansions,
-    equivariant_isomorphic,
     nielsen_closure,
     nielsen_moves,
     nielsen_moves_for_group,
@@ -223,9 +222,7 @@ def criterion_classification() -> CriterionResult:
     for s in (0, 1, 2):
         expected5.append(ZpGraph(*catalog.theta_rotation(5, s, 4 - s), 5))
     expected5.append(ZpGraph(*catalog.wedge_diagonal(5), 5))
-    matched = all(
-        sum(1 for c in five if equivariant_isomorphic(w, c)) == 1 for w in expected5
-    )
+    matched = all(sum(1 for c in five if c.key == w.key) == 1 for w in expected5)
     no_vertex_free = all(
         z.fixed_vertex_count() > 0 for z in five
     ) and all(z.fixed_vertex_count() > 0 for z in seven)
@@ -239,12 +236,8 @@ def criterion_nielsen() -> CriterionResult:
     classes = classify_reduced(5)
     closures = [nielsen_closure(z) for z in classes]
     singletons = all(len(c) == 1 for c in closures)
-    disjoint = True
-    for i in range(len(closures)):
-        for j in range(i + 1, len(closures)):
-            for a in closures[i]:
-                if any(equivariant_isomorphic(a, b) for b in closures[j]):
-                    disjoint = False
+    keys = [{z.key for z in c} for c in closures]
+    disjoint = not any(keys[i] & keys[j] for i in range(len(keys)) for j in range(i))
     g, left, right = catalog.wedge_rotations(5)
     group = {identity_automorphism(g)}
     frontier = list(group)
@@ -273,7 +266,7 @@ def criterion_expansions() -> CriterionResult:
         expansions = equivariant_expansions(wedge, budget)
         bip = ZpGraph(*catalog.bipartite_block_rotation(p), p)
         unique = len(expansions) == 1
-        matches = unique and equivariant_isomorphic(expansions[0][0], bip)
+        matches = unique and expansions[0][0].key == bip.key
         star = False
         if unique:
             forest = expansions[0][1]

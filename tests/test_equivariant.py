@@ -1,36 +1,76 @@
 """Symmetry census, Nielsen moves and blow-ups for small primes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinelab import catalog
+from spinelab import catalog, equivariant
 from spinelab.equivariant import (
+    BudgetExceeded,
     ZpGraph,
+    _census_order,
     _dedup_expansion_pairs,
-    _pairs_equivalent,
+    _equivariant_key,
     _stratum_raw,
     classify_reduced,
     dedup_equivariant,
     enumerate_zp_graphs,
     equivariant_collapse,
     equivariant_expansions,
-    equivariant_isomorphic,
     invariant_forests,
     is_reduced,
     nielsen_closure,
     nielsen_moves,
+    realize_quotient_data,
     reduce_zp,
 )
 from spinelab.graphs import enumerate_forests, is_forest, rank
 from spinelab.symmetry import (
     GraphAutomorphism,
     apply_to_graph,
+    canonical_form,
     compose,
+    dart_isomorphisms,
     edge_permutation,
     inverse,
     perm_order,
+    power,
 )
+
+
+# ---------------------------------------------------------------------------
+# pairwise oracles for the equivariant key
+
+
+def equivariant_isomorphisms(zg1, zg2):
+    """Yield (iso, k) with iso . a1 = a2^k . iso; k runs over units mod p."""
+    if zg1.p != zg2.p or zg1.trivial != zg2.trivial:
+        return
+    if zg1.trivial:
+        for iso in dart_isomorphisms(zg1.graph, zg2.graph):
+            yield iso, 0
+        return
+    for k in range(1, zg1.p):
+        b = power(zg2.action, k)
+        for iso in dart_isomorphisms(zg1.graph, zg2.graph, intertwine=(zg1.action, b)):
+            yield iso, k
+
+
+def equivariant_isomorphic(zg1, zg2):
+    return next(equivariant_isomorphisms(zg1, zg2), None) is not None
+
+
+def pairs_equivalent(zg1, f1, zg2, f2):
+    """Some equivariant isomorphism zg1 -> zg2 carries forest f1 onto f2."""
+    if len(f1) != len(f2):
+        return False
+    for iso, _ in equivariant_isomorphisms(zg1, zg2):
+        ep = tuple(zg2.graph.dart_edge[iso.hperm[h1]] for h1, _ in zg1.graph.edges)
+        if frozenset(ep[e] for e in f1) == frozenset(f2):
+            return True
+    return False
 
 
 def wedge(p, which="diag"):
@@ -118,8 +158,6 @@ def test_enumerate_zp_graphs_examples():
 
 def test_dedup_collapses_conjugate_powers():
     g, a = catalog.theta_rotation(3, 0, 2)
-    from spinelab.symmetry import power
-
     squared = ZpGraph(g, power(a, 2), 3)
     assert equivariant_isomorphic(ZpGraph(g, a, 3), squared)
     assert len(dedup_equivariant([ZpGraph(g, a, 3), squared])) == 1
@@ -224,30 +262,35 @@ def search_expansions(zg, edge_budget):
     return _dedup_expansion_pairs(pairs)
 
 
-def test_expansions_match_search_oracle():
-    """The construction and the stratum search find the same blow-ups.
-
-    The inputs are the p = 3 rank-3 census, the p = 3 rank-4 classes with
-    at most 7 edges (some of their blow-ups leave exactly two darts on the
-    side of the first dart orbit), the p = 3 wedge and the p = 5 reduced
-    classes with at most two vertices.  The p = 5 wedge is left out only
-    because the search takes about 14 s on it; acceptance criterion 10 and
-    the CLI test test_equiv_expand_p5_wedge pin its answer, one blow-up to
-    K_{p,3} along a star forest, as test_expansion_round_trip_p3 does for
-    p = 3.
-    """
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """The p = 3 rank-3 census, the p = 3 rank-4 classes with at most 7
+    edges (some of their blow-ups leave exactly two darts on the side of
+    the first dart orbit), the p = 3 wedge and the p = 5 reduced classes
+    with at most two vertices, each with its edge budget."""
     cases = [(zg, 6) for zg in enumerate_zp_graphs(3, 3, 6)]
     cases.extend((zg, 9) for zg in enumerate_zp_graphs(3, 4, 7))
     cases.append((wedge(3, "diag"), 9))
     cases.extend((zg, 21) for zg in classify_reduced(5) if zg.graph.vertex_count <= 2)
     assert len(cases) == 24
-    for zg, budget in cases:
+    return cases
+
+
+def test_expansions_match_search_oracle(oracle_cases):
+    """The construction and the stratum search find the same blow-ups.
+
+    The p = 5 wedge is left out of the inputs only because the search
+    takes about 14 s on it; acceptance criterion 10 and the CLI test
+    test_equiv_expand_p5_wedge pin its answer, one blow-up to K_{p,3}
+    along a star forest, as test_expansion_round_trip_p3 does for p = 3.
+    """
+    for zg, budget in oracle_cases:
         built = equivariant_expansions(zg, budget)
         searched = search_expansions(zg, budget)
         assert len(built) == len(searched)
         for pairs, others in ((built, searched), (searched, built)):
             for cand, forest in pairs:
-                matches = [o for o in others if _pairs_equivalent(cand, forest, *o)]
+                matches = [o for o in others if pairs_equivalent(cand, forest, *o)]
                 assert len(matches) == 1
 
 
@@ -309,3 +352,124 @@ def test_json_round_trip():
     zg = wedge(3, "diag")
     back = ZpGraph.from_json(zg.to_json())
     assert back.graph == zg.graph and back.action == zg.action and back.p == 3
+
+
+# ---------------------------------------------------------------------------
+# the equivariant key against the pairwise oracles
+
+
+@pytest.fixture(scope="module")
+def p3_rank4_candidates():
+    """Every admissible rank-4 quotient-data candidate with an order-3
+    action, before deduplication."""
+    out = []
+    for e in range(4, 10):
+        v = e - 3
+        for m in range(v // 3 + 1):
+            out += [zg for zg in _stratum_raw(3, v, e, v - 3 * m, m, False) if rank(zg.graph) == 4]
+    assert len(out) == 69
+    return out
+
+
+def test_key_matches_oracle_on_p3_rank4_candidates(p3_rank4_candidates):
+    candidates = p3_rank4_candidates
+    buckets = {}
+    for zg in candidates:
+        buckets.setdefault(_census_order(zg), []).append(zg)
+    pairs = [(x, y) for b in buckets.values() for i, x in enumerate(b) for y in b[:i]]
+    assert len(pairs) == 203
+    assert all((x.key == y.key) == equivariant_isomorphic(x, y) for x, y in pairs)
+    # keys in different buckets differ
+    keys = {zg.key for zg in candidates}
+    assert len(keys) == sum(len({zg.key for zg in b}) for b in buckets.values()) == 19
+
+
+def wheel(p):
+    """The wheel with p spokes, rotated: the rotation is conjugate to its
+    inverse and to no other generator of its group, so only the minimum
+    over the generators makes the key ignore the choice of generator."""
+    return realize_quotient_data(p, 1, 1, [("star", 0, 0), ("chord", 0, 1)])
+
+
+def test_key_matches_oracle_on_p5_classes_and_wheel():
+    """Each reduced class and the wheel, its action squared and a
+    relabeling of it: the keys of the 18 agree exactly where the oracle
+    finds an isomorphism."""
+    rng = random.Random(5)
+    items = []
+    for zg in classify_reduced(5) + [wheel(5)]:
+        vperm = list(range(zg.graph.vertex_count))
+        hperm = list(range(zg.graph.half_edge_count))
+        rng.shuffle(vperm)
+        rng.shuffle(hperm)
+        items += [zg, ZpGraph(zg.graph, power(zg.action, 2), 5), _relabel(zg, vperm, hperm)]
+    pairs = [(x, y) for i, x in enumerate(items) for y in items[:i]]
+    assert all((x.key == y.key) == equivariant_isomorphic(x, y) for x, y in pairs)
+    assert len({zg.key for zg in items}) == 6
+
+
+def test_pair_key_matches_oracle_on_raw_blow_ups(oracle_cases, monkeypatch):
+    """Every pair of raw blow-up candidates of one source: pairs on
+    non-isomorphic graphs or forests of different sizes have different
+    keys, and the others have equal keys exactly when the oracle finds an
+    equivariant isomorphism carrying one forest onto the other."""
+    raw = []
+    monkeypatch.setattr(equivariant, "_dedup_expansion_pairs", lambda pairs: raw.append(pairs) or [])
+    for zg, budget in oracle_cases:
+        equivariant_expansions(zg, budget)
+    monkeypatch.undo()
+    compared = 0
+    for pairs in raw:
+        keyed = [
+            ((canonical_form(zg.graph), len(forest)), _equivariant_key(zg, forest), zg, forest)
+            for zg, forest in pairs
+        ]
+        for i, (bucket, key, zg, forest) in enumerate(keyed):
+            for obucket, okey, ozg, oforest in keyed[:i]:
+                if bucket != obucket:
+                    assert key != okey
+                else:
+                    compared += 1
+                    assert (key == okey) == pairs_equivalent(zg, forest, ozg, oforest)
+    assert compared > 0
+
+
+def test_pair_key_matches_oracle_on_invariant_forests(collapse_sources):
+    """Pairs of invariant forests of one graph-with-symmetry."""
+    by_class = {}
+    for zg, forest in collapse_sources:
+        by_class.setdefault(zg.key, []).append((zg, forest))
+    pairs = [(x, y) for group in by_class.values() for i, x in enumerate(group) for y in group[:i]]
+    agree = [(_equivariant_key(*x) == _equivariant_key(*y)) == pairs_equivalent(*x, *y) for x, y in pairs]
+    assert all(agree) and len(agree) > 100
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_key_ignores_labels_and_generator(
+    property_sources, p3_rank4_candidates, collapse_sources, data
+):
+    others = [zg for zg, _ in property_sources] + p3_rank4_candidates
+    zg = data.draw(st.one_of(st.sampled_from([wheel(5), wheel(7)]), st.sampled_from(others)))
+    vperm = data.draw(st.permutations(range(zg.graph.vertex_count)))
+    hperm = data.draw(st.permutations(range(zg.graph.half_edge_count)))
+    relabeled = _relabel(zg, vperm, hperm)
+    for k in range(1, zg.p):
+        assert ZpGraph(relabeled.graph, power(relabeled.action, k), zg.p).key == zg.key
+
+    zg, forest = data.draw(st.sampled_from(collapse_sources))
+    vperm = data.draw(st.permutations(range(zg.graph.vertex_count)))
+    hperm = data.draw(st.permutations(range(zg.graph.half_edge_count)))
+    relabeled = _relabel(zg, vperm, hperm)
+    moved = frozenset(relabeled.graph.dart_edge[hperm[zg.graph.edges[e][0]]] for e in forest)
+    assert _equivariant_key(relabeled, moved) == _equivariant_key(zg, forest)
+
+
+def test_nielsen_closure_cap_reports_progress():
+    zg = ZpGraph(*catalog.rose_rotation(5, 8), 5)
+    assert len(nielsen_moves(zg)) == 84
+    with pytest.raises(BudgetExceeded) as err:
+        nielsen_closure(zg, step_cap=3)
+    assert str(err.value) == (
+        "nielsen closure hit its step cap of 3 moves; moves taken: 3, classes found so far: 1"
+    )

@@ -29,7 +29,6 @@ from spinelab.symmetry import (
     realize_multiplicity,
     sylow_p_order,
 )
-from spinelab.symmetry import _min_matrix_data
 
 
 def random_relabeling(g, rng):
@@ -283,7 +282,7 @@ def oracle_min_matrix_data(g):
 
 def test_pruned_search_matches_oracle_on_census_candidates():
     agree = [
-        _min_matrix_data(g) == oracle_min_matrix_data(g)
+        canonical_form(g).rows == oracle_min_matrix_data(g)
         for n in (2, 3, 4)
         for _, loops, lower in _candidates(n)
         for g in [realize_multiplicity(loops, lower)]
@@ -300,14 +299,14 @@ def test_pruned_search_matches_oracle_on_relabelings():
         form = canonical_form(g)
         for _ in range(20):
             moved = random_relabeling(g, rng)
-            assert _min_matrix_data(moved) == oracle_min_matrix_data(moved) == form.rows
+            assert canonical_form(moved).rows == oracle_min_matrix_data(moved) == form.rows
 
 
 @pytest.mark.parametrize("make", [catalog.bipartite_block_rotation, catalog.wedge_diagonal])
 @pytest.mark.parametrize("q", [5, 7])
 def test_pruned_search_matches_oracle_on_blow_up_graphs(make, q):
     g, _ = make(q)
-    assert _min_matrix_data(g) == oracle_min_matrix_data(g)
+    assert canonical_form(g).rows == oracle_min_matrix_data(g)
 
 
 def test_canonical_form_of_p11_bipartite_rotation():
@@ -345,5 +344,5 @@ def small_multigraphs(draw):
 @given(st.one_of(small_multigraphs(), twin_heavy_multigraphs(), circulants()), st.data())
 def test_pruned_search_matches_oracle(g, data):
     moved = apply_to_graph(g, _relabeling(data, g))
-    assert _min_matrix_data(g) == oracle_min_matrix_data(g)
-    assert _min_matrix_data(moved) == oracle_min_matrix_data(moved) == _min_matrix_data(g)
+    assert canonical_form(g).rows == oracle_min_matrix_data(g)
+    assert canonical_form(moved).rows == oracle_min_matrix_data(moved) == canonical_form(g).rows
