@@ -93,7 +93,6 @@ def sylow_rule(cx: QuotientComplex, bound: int, with_special_edge: bool = True) 
     special = {}
     if with_special_edge:
         edge_cfg = cfg["critical_edge"]
-        endpoints = set(edge_cfg["endpoints"])
         vertex_algebra = {
             name: algebras[key] for name, key in edge_cfg["vertex_algebras"].items()
         }
@@ -102,12 +101,8 @@ def sylow_rule(cx: QuotientComplex, bound: int, with_special_edge: bool = True) 
             for name, key in edge_cfg["face_morphisms"].items()
         }
         edge_algebra = algebras[edge_cfg["edge_algebra"]]
-        for cell in cx.cells:
-            if cell.dim != 1:
-                continue
+        for cell in _special_edges(cx, edge_cfg):
             names = cx.cell_vertex_names(cell)  # [collapsed, top]
-            if set(names) != endpoints:
-                continue
             cell_dims[cell.index] = dimensions(edge_algebra, bound).dims
             for position, name in ((0, names[1]), (1, names[0])):
                 # omitting vertex 0 leaves the top endpoint, omitting 1
@@ -290,8 +285,8 @@ def component_cohomology(cx: QuotientComplex, component: int, bound: int) -> Gra
     acyclic identity-coefficient pieces, one per endpoint; the answer is
     then the equalizer of the two restriction morphisms.
     """
-    cfg = load_coefficient_rule()
-    endpoints = set(cfg["critical_edge"]["endpoints"])
+    edge_cfg = load_coefficient_rule()["critical_edge"]
+    endpoints = set(edge_cfg["endpoints"])
     names_in_component = {
         cx.classes[c.graph_index].name
         for c in cx.cells
@@ -301,10 +296,10 @@ def component_cohomology(cx: QuotientComplex, component: int, bound: int) -> Gra
         rule = sylow_rule(cx, bound, with_special_edge=False)
         page = build_e1(cx, rule, component)
         return equivariant_cohomology_from_page(page)
-    _check_retraction(cx, component)
+    _check_retraction(cx, component, edge_cfg)
     algebras = load_algebras()
-    alpha = load_morphism(cfg["critical_edge"]["face_morphisms"]["K33"], algebras)
-    beta = load_morphism(cfg["critical_edge"]["face_morphisms"]["Theta2vTheta2"], algebras)
+    alpha = load_morphism(edge_cfg["face_morphisms"]["K33"], algebras)
+    beta = load_morphism(edge_cfg["face_morphisms"]["Theta2vTheta2"], algebras)
     h1 = dimensions(alpha.source, bound).dims
     h2 = dimensions(beta.source, bound).dims
     h12 = dimensions(alpha.target, bound).dims
@@ -313,17 +308,22 @@ def component_cohomology(cx: QuotientComplex, component: int, bound: int) -> Gra
     return amalgam_cohomology(h1, h2, h12, f1, f2, bound, cx.p)
 
 
+def _special_edges(cx: QuotientComplex, edge_cfg: dict) -> list:
+    """The 1-cells whose two vertices carry the endpoint names of the
+    coefficient rule's critical edge."""
+    endpoints = set(edge_cfg["endpoints"])
+    return [c for c in cx.cells_of_dim(1) if set(cx.cell_vertex_names(c)) == endpoints]
+
+
 def special_edge_cells(cx: QuotientComplex) -> list:
     """The special 1-cell and its two endpoint vertices, as cell indices."""
-    cfg = load_coefficient_rule()
-    endpoints = set(cfg["critical_edge"]["endpoints"])
-    for cell in cx.cells:
-        if cell.dim == 1 and set(cx.cell_vertex_names(cell)) == endpoints:
-            return sorted([cell.index, *cell.faces])
-    raise CoefficientRuleError("no special edge in the complex")
+    edges = _special_edges(cx, load_coefficient_rule()["critical_edge"])
+    if not edges:
+        raise CoefficientRuleError("no special edge in the complex")
+    return sorted([edges[0].index, *edges[0].faces])
 
 
-def _check_retraction(cx: QuotientComplex, component: int):
+def _check_retraction(cx: QuotientComplex, component: int, edge_cfg: dict):
     """The special edge must carry the component up to acyclic padding.
 
     Removing the open edge has to disconnect the component into pieces
@@ -334,14 +334,9 @@ def _check_retraction(cx: QuotientComplex, component: int):
     """
     from spinelab.graphs import DisjointSet
 
-    cfg = load_coefficient_rule()
-    endpoints = set(cfg["critical_edge"]["endpoints"])
+    endpoints = set(edge_cfg["endpoints"])
     cells = [c for c in cx.cells if cx.component_of[c.index] == component]
-    special = [
-        c
-        for c in cells
-        if c.dim == 1 and set(cx.cell_vertex_names(c)) == endpoints
-    ]
+    special = [c for c in _special_edges(cx, edge_cfg) if cx.component_of[c.index] == component]
     if len(special) != 1:
         raise ConcentrationError("expected exactly one special edge in the component")
     edge = special[0]

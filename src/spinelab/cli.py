@@ -326,15 +326,14 @@ def verify():
 
 @verify.command(name="all")
 @_prime_option()
-@_rank_option
 @_bound_option
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
 @click.option("--out-markdown", type=click.Path(dir_okay=False), default=None)
-def verify_all(prime, rank_, bound, out_json, out_markdown):
+def verify_all(prime, bound, out_json, out_markdown):
     """Run the full suite; nonzero exit on any mismatch."""
     from spinelab.verification import RunConfig, run_all
 
-    results = run_all(RunConfig(p=prime, rank=rank_, max_degree=bound))
+    results = run_all(RunConfig(p=prime, max_degree=bound))
     md = report.verification_markdown(results)
     payload = report.dumps(
         [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

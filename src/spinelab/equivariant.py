@@ -161,7 +161,7 @@ def _equivariant_key(zg: ZpGraph, forest: frozenset) -> tuple:
             [4 * base[v][u] - 2 * (pi[v] == u) - (pi[u] == v) for u in range(n)]
             for v in range(n)
         ]
-        forms.append(_min_matrix_data(matrix, [(g.valences[v], matrix[v][v]) for v in range(n)]))
+        forms.append(_min_matrix_data(matrix, [(g.valences[v], matrix[v][v]) for v in range(n)])[0])
     return zg.p, zg.trivial, g.edge_count, min(forms)
 
 
@@ -454,42 +454,27 @@ def enumerate_zp_graphs(p: int, n: int, max_edges: int, candidate_cap: int = 200
 
 
 def classify_reduced(p: int) -> list:
-    """All reduced classes of rank 2(p-1), up to equivariant isomorphism.
+    """All reduced classes of rank n = 2(p-1), up to equivariant isomorphism.
 
-    For p = 3 the rank-4 census is small enough to filter directly.  For
-    p > 3 a reduced graph admits no fixed non-loop edge, star orbit or
-    matching orbit (each is an invariant forest on its own), so free
-    vertex orbits would be disconnected from the fixed part and a
-    vertex-free action would force 1 - 2(p-1) = 0 mod p, i.e. p = 3;
-    the census therefore runs on all-vertices-fixed quotient data only.
+    A reduced graph admits no fixed non-loop edge, star orbit or matching
+    orbit (each is an invariant forest on its own), so free vertex orbits
+    would be disconnected from the fixed part: either every vertex is
+    fixed or every vertex is free.  A vertex-free action is free on edges
+    too, so p divides the Euler characteristic 1 - n, i.e. p divides
+    2p - 3, which holds only at p = 3; the census runs on all-vertices-fixed
+    quotient data, and on all-vertices-free data when p divides n - 1.
     """
     n = 2 * (p - 1)
-    if p == 3:
-        return _classify_reduced_rank4()
+    # strata (v vertices, f fixed, m free orbits) with n + v - 1 <= 3n - 3
+    # edges; with all vertices fixed the only connecting units are p-edge
+    # bundles, so a connected graph needs at least p(v-1) edges
+    strata = [(v, v, 0) for v in range(1, 2 * n - 1) if p * (v - 1) <= n + v - 1]
+    if (n - 1) % p == 0:
+        strata += [(v, 0, v // p) for v in range(p, 2 * n - 1, p)]
     out = []
-    v = 1
-    while True:
-        e = n + v - 1
-        # with all vertices fixed the only connecting units are p-edge
-        # bundles, so a connected graph needs at least p(v-1) edges
-        if e > 3 * n - 3 or p * (v - 1) > e:
-            break
-        for zg in _stratum_raw(p, v, e, v, 0, reduced_only=True):
+    for v, f, m in strata:
+        for zg in _stratum_raw(p, v, n + v - 1, f, m, reduced_only=True):
             if rank(zg.graph) == n and is_reduced(zg):
-                out.append(zg)
-        v += 1
-    return dedup_equivariant(out)
-
-
-def _classify_reduced_rank4() -> list:
-    from spinelab.spine import match_names, singular_graphs
-    from spinelab.symmetry import elements_of_order
-
-    out = []
-    for cls in match_names(singular_graphs(3, 4)):
-        for a in elements_of_order(cls.aut, 3):
-            zg = ZpGraph(cls.graph, a, 3)
-            if is_reduced(zg):
                 out.append(zg)
     return dedup_equivariant(out)
 

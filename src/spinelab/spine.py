@@ -25,10 +25,8 @@ from spinelab.graphs import (
 from spinelab.symmetry import (
     AutGroup,
     _group_with_order_divisible_by,
-    automorphism_order,
     canonical_form,
-    dart_isomorphisms,
-    graph_signature,
+    form_isomorphism,
     realize_multiplicity,
     sylow_p_order,
 )
@@ -171,30 +169,24 @@ def singular_graphs(p: int, n: int) -> list:
 def match_names(classes: list) -> list:
     """Attach the rank-4 report label to each singular class.
 
-    Matching goes through the signature (vertices, edges, loops, degree
-    multiset, group order) and is then confirmed against the catalog
-    construction by canonical form; any tie or failed confirmation is a
-    hard error rather than a guess.
+    Each class is looked up by canonical form among the catalog
+    constructions; a class with no catalog form, two constructions with
+    one form or one name given to two classes is a hard error rather than
+    a guess.
     """
     table = {}
     for name, make in catalog.RANK4_SINGULAR.items():
-        g = make()
-        sig = graph_signature(g) + (automorphism_order(g),)
-        if sig in table:
-            raise NameAmbiguityError(f"catalog signature collision on {name}")
-        table[sig] = (name, canonical_form(g))
+        form = canonical_form(make())
+        if form in table:
+            raise NameAmbiguityError(f"catalog constructions {table[form]} and {name} share a form")
+        table[form] = name
 
     named = []
     for cls in classes:
-        sig = graph_signature(cls.graph) + (cls.aut_order,)
-        if sig not in table:
-            raise NameAmbiguityError(f"no catalog name with signature {sig}")
-        name, form = table[sig]
-        if canonical_form(cls.graph) != form:
-            raise NameAmbiguityError(
-                f"signature of {name} matched but the graphs are not isomorphic"
-            )
-        named.append(GraphClass(cls.graph, cls.aut, name))
+        form = canonical_form(cls.graph)
+        if form not in table:
+            raise NameAmbiguityError(f"no catalog name for the form {form.data.decode()}")
+        named.append(GraphClass(cls.graph, cls.aut, table[form]))
     if len({c.name for c in named}) != len(named):
         raise NameAmbiguityError("two census classes received the same name")
     return named
@@ -346,7 +338,8 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
                     QuotientCell(index, dim, gi, chain, len(stab), tuple(stab), ())
                 )
 
-    form_index = {canonical_form(cls.graph): i for i, cls in enumerate(classes)}
+    forms = [canonical_form(cls.graph) for cls in classes]
+    form_index = {form: i for i, form in enumerate(forms)}
     eperms_cache = [cls.aut.edge_perms() for cls in classes]
 
     def locate(gi: int, chain) -> int:
@@ -365,7 +358,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
                 sub = cell.chain[:omit] + cell.chain[omit + 1 :]
                 faces.append(locate(cell.graph_index, sub))
             else:
-                faces.append(_rerooted_face(classes, form_index, eperms_cache, lookup, cell))
+                faces.append(_rerooted_face(classes, forms, form_index, eperms_cache, lookup, cell))
         finished.append(
             QuotientCell(
                 cell.index,
@@ -382,12 +375,13 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     return QuotientComplex(p, n, list(classes), finished, component_of, count, form_index)
 
 
-def _rerooted_face(classes, form_index, eperms_cache, lookup, cell: QuotientCell) -> int:
+def _rerooted_face(classes, forms, form_index, eperms_cache, lookup, cell: QuotientCell) -> int:
     """Face omitting the top vertex: collapse by the smallest forest.
 
     The remaining forests are pushed through the collapse, the collapsed
-    graph is identified with its census representative, and the chain is
-    transported along one isomorphism before orbit normalization.
+    graph is identified with its census representative by canonical form,
+    and the chain is transported along the isomorphism that the two
+    canonical labellings give before orbit normalization.
     """
     top = classes[cell.graph_index].graph
     smallest = cell.chain[-1]
@@ -396,9 +390,10 @@ def _rerooted_face(classes, form_index, eperms_cache, lookup, cell: QuotientCell
         frozenset(res.edge_map[e] for e in f if res.edge_map[e] is not None)
         for f in cell.chain[:-1]
     ]
-    gi = form_index[canonical_form(res.graph)]
+    form = canonical_form(res.graph)
+    gi = form_index[form]
     rep_graph = classes[gi].graph
-    iso = next(dart_isomorphisms(res.graph, rep_graph))
+    iso = form_isomorphism(res.graph, form, rep_graph, forms[gi])
     eperm = tuple(
         rep_graph.dart_edge[iso.hperm[h1]] for h1, _ in res.graph.edges
     )

@@ -11,6 +11,10 @@ counts plus off-diagonal edge multiplicities) agree up to a vertex
 relabeling, so canonical forms are computed on that data by refinement
 plus ordered backtracking, pruned by the automorphisms that equal leaves
 reveal; the minimum, and so every form's bytes, is the full search's.
+
+Isomorphisms come from the canonical labelling, the vertex order that
+carries a graph onto its form; a vertex map is lifted to darts by
+matching loops and parallel edges in edge order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from spinelab.graphs import HalfEdgeGraph, build_graph
 
@@ -139,12 +143,14 @@ class CanonicalForm:
     """Complete isomorphism invariant; equal bytes iff isomorphic graphs.
 
     ``rows`` is the minimal (loops, lower-triangle) matrix that ``data``
-    encodes, kept so that ``graph`` needs no second search; it takes no
-    part in comparison or hashing.
+    encodes, kept so that ``graph`` needs no second search, and
+    ``labelling[i]`` is the vertex of the graph at canonical position i;
+    neither takes part in comparison or hashing.
     """
 
     data: bytes
     rows: tuple = field(compare=False, repr=False)
+    labelling: tuple = field(compare=False, repr=False)
 
     def __lt__(self, other):
         return self.data < other.data
@@ -205,6 +211,8 @@ def _min_matrix_data(matrix: list, keys: list):
     sibling, under the found automorphisms that fix the node's prefix,
     roots an image of that sibling's subtree.  Images have the same rows,
     so the minimum is unchanged.
+
+    Returns the rows and a vertex order that attains them.
     """
     n = len(matrix)
     colors = _refined_colors(matrix, keys)
@@ -260,14 +268,56 @@ def _min_matrix_data(matrix: list, keys: list):
         return depth
 
     search([], list(cell_sequence))
-    return tuple(best)
+    return tuple(best), tuple(best_order)
 
 
 def canonical_form(g: HalfEdgeGraph) -> CanonicalForm:
     mult = g.multiplicity
-    data = _min_matrix_data(mult, [(g.valences[v], mult[v][v]) for v in range(g.vertex_count)])
-    payload = json.dumps([g.vertex_count, [list(r) for r in data]]).encode()
-    return CanonicalForm(payload, data)
+    rows, labelling = _min_matrix_data(
+        mult, [(g.valences[v], mult[v][v]) for v in range(g.vertex_count)]
+    )
+    payload = json.dumps([g.vertex_count, [list(r) for r in rows]]).encode()
+    return CanonicalForm(payload, rows, labelling)
+
+
+def isomorphism(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> Optional[GraphAutomorphism]:
+    """A dart-level isomorphism g1 -> g2, or None when there is none."""
+    return form_isomorphism(g1, canonical_form(g1), g2, canonical_form(g2))
+
+
+def form_isomorphism(
+    g1: HalfEdgeGraph, form1: CanonicalForm, g2: HalfEdgeGraph, form2: CanonicalForm
+) -> Optional[GraphAutomorphism]:
+    """The isomorphism g1 -> g2 sending each vertex of g1 to the vertex of
+    g2 at its canonical position, given the graphs' canonical forms; None
+    when the forms differ."""
+    if form1 != form2:
+        return None
+    vmap = dict(zip(form1.labelling, form2.labelling))
+    return _lift(g1, g2, [vmap[v] for v in range(g1.vertex_count)])
+
+
+def _bundles(g: HalfEdgeGraph) -> dict:
+    """The edges joining each set of ends, in edge order, as dart pairs
+    whose first dart points at the smaller end."""
+    out: dict = {}
+    for h1, h2 in g.edges:
+        pair = (h1, h2) if g.target[h1] <= g.target[h2] else (h2, h1)
+        out.setdefault(frozenset(g.target[h] for h in pair), []).append(pair)
+    return out
+
+
+def _lift(g1: HalfEdgeGraph, g2: HalfEdgeGraph, vmap) -> GraphAutomorphism:
+    """The dart map over a multiplicity-preserving vertex map g1 -> g2: the
+    edges joining two vertices go in edge order onto those joining their
+    images, each dart to the dart at the image of its own end."""
+    images = {ends: iter(pairs) for ends, pairs in _bundles(g2).items()}
+    hperm = [0] * g1.half_edge_count
+    for h1, h2 in g1.edges:
+        u = vmap[g1.target[h1]]
+        k1, k2 = next(images[frozenset((u, vmap[g1.target[h2]]))])
+        hperm[h1], hperm[h2] = (k1, k2) if g2.target[k1] == u else (k2, k1)
+    return GraphAutomorphism(tuple(vmap), tuple(hperm))
 
 
 def realize_multiplicity(loops: list, lower: list) -> HalfEdgeGraph:
@@ -283,11 +333,6 @@ def realize_multiplicity(loops: list, lower: list) -> HalfEdgeGraph:
         for v in range(u + 1, n):
             edge_list += [(u, v)] * lower[v][u]
     return build_graph(n, edge_list)
-
-
-def graph_signature(g: HalfEdgeGraph) -> tuple:
-    """(vertices, edges, loops, degree multiset): a cheap invariant."""
-    return (g.vertex_count, g.edge_count, g.total_loops(), g.degree_multiset())
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +393,10 @@ def automorphism_order(g: HalfEdgeGraph) -> int:
 
 
 def _dart_freedom(g: HalfEdgeGraph) -> int:
+    """The number of automorphisms fixing every vertex."""
     free = 1
-    mult = g.multiplicity
-    for v in range(g.vertex_count):
-        loops = mult[v][v]
-        free *= factorial(loops) * 2**loops
-        for u in range(v):
-            free *= factorial(mult[v][u])
+    for ends, pairs in _bundles(g).items():
+        free *= factorial(len(pairs)) * (2 ** len(pairs) if len(ends) == 1 else 1)
     return free
 
 
@@ -381,64 +423,35 @@ def _group_from_vertex_perms(
             f"automorphism group has {total} elements, cap is {element_cap}"
         )
 
-    # edge classes: loops per vertex and parallel bundles per vertex pair
-    loops_at: dict = {}
-    bundles: dict = {}
-    for e in range(g.edge_count):
-        u, v = g.edge_endpoints(e)
-        if u == v:
-            loops_at.setdefault(u, []).append(e)
-        else:
-            bundles.setdefault((min(u, v), max(u, v)), []).append(e)
-
-    def dart_towards(e: int, v: int) -> int:
-        h1, h2 = g.edges[e]
-        return h1 if g.target[h1] == v else h2
-
+    fixing, darts = _vertex_fixing_maps(g), range(g.half_edge_count)
     elements = []
     for vp in vperms:
-        # per-class assignment choices, expanded via cartesian product
-        class_choices = []
-        for v in sorted(loops_at):
-            src = loops_at[v]
-            dst = loops_at[vp[v]]
-            options = []
-            for perm in itertools.permutations(dst, len(src)):
-                for flips in itertools.product((False, True), repeat=len(src)):
-                    options.append(("loop", src, perm, flips))
-            class_choices.append(options)
-        for (u, v) in sorted(bundles):
-            src = bundles[(u, v)]
-            key = (min(vp[u], vp[v]), max(vp[u], vp[v]))
-            dst = bundles[key]
-            options = []
-            for perm in itertools.permutations(dst, len(src)):
-                options.append(("bundle", src, perm, (u, v)))
-            class_choices.append(options)
-
-        for combo in itertools.product(*class_choices):
-            hperm = [None] * g.half_edge_count
-            for choice in combo:
-                if choice[0] == "loop":
-                    _, src, perm, flips = choice
-                    for e, f, flip in zip(src, perm, flips):
-                        h1, h2 = g.edges[e]
-                        k1, k2 = g.edges[f]
-                        if flip:
-                            k1, k2 = k2, k1
-                        hperm[h1], hperm[h2] = k1, k2
-                else:
-                    _, src, perm, (u, v) = choice
-                    for e, f in zip(src, perm):
-                        hu, hv = dart_towards(e, u), dart_towards(e, v)
-                        hperm[hu] = dart_towards(f, vp[u])
-                        hperm[hv] = dart_towards(f, vp[v])
-            elements.append(GraphAutomorphism(vp, tuple(hperm)))
-
+        lifted = _lift(g, g, vp).hperm
+        elements += [GraphAutomorphism(vp, tuple(lifted[k[h]] for h in darts)) for k in fixing]
     elements.sort()
     group = AutGroup(g, tuple(elements))
     assert group.order == total
     return group
+
+
+def _vertex_fixing_maps(g: HalfEdgeGraph) -> list:
+    """Dart maps of the automorphisms fixing every vertex: the edges joining
+    two vertices permuted, each dart to the dart at its own end, and each
+    loop also turned or not."""
+    factors = []
+    for ends, pairs in _bundles(g).items():
+        images = list(itertools.permutations(pairs))
+        if len(ends) == 1:
+            images = [
+                [pair[::-1] if turn else pair for pair, turn in zip(image, turns)]
+                for image in images
+                for turns in itertools.product((False, True), repeat=len(pairs))
+            ]
+        factors.append([list(zip(pairs, image)) for image in images])
+    return [
+        {h: k for matched in combo for pair, image in matched for h, k in zip(pair, image)}
+        for combo in itertools.product(*factors)
+    ]
 
 
 def elements_of_order(group: AutGroup, k: int) -> list:
@@ -518,128 +531,3 @@ def _default_key(x):
     if isinstance(x, tuple):
         return tuple(_default_key(y) for y in x)
     return x
-
-
-# ---------------------------------------------------------------------------
-# dart-level isomorphism search
-
-
-def dart_isomorphisms(
-    g1: HalfEdgeGraph,
-    g2: HalfEdgeGraph,
-    intertwine: Optional[tuple] = None,
-) -> Iterator[GraphAutomorphism]:
-    """Yield dart-level isomorphisms g1 -> g2.
-
-    With ``intertwine=(a, b)`` only isomorphisms f satisfying
-    f . a = b . f are produced, i.e. conjugations carrying the symmetry a
-    of g1 to the symmetry b of g2.  The search assigns whole orbits of the
-    group generated by the involution (and a, if given), so highly
-    symmetric inputs stay cheap.
-    """
-    if (
-        g1.vertex_count != g2.vertex_count
-        or g1.half_edge_count != g2.half_edge_count
-        or graph_signature(g1) != graph_signature(g2)
-    ):
-        return
-
-    m = g1.half_edge_count
-    a1, b2 = (intertwine if intertwine else (None, None))
-
-    inv1 = _dart_invariants(g1, a1)
-    inv2 = _dart_invariants(g2, b2)
-    if sorted(inv1) != sorted(inv2):
-        return
-    candidates = [
-        [y for y in range(m) if inv2[y] == inv1[x]] for x in range(m)
-    ]
-
-    hmap = [None] * m
-    used = [False] * m
-    vmap = [None] * g1.vertex_count
-    vused = [False] * g2.vertex_count
-
-    def assign(x, y, trail):
-        """Propagate x -> y through sigma (and the intertwined action)."""
-        queue = [(x, y)]
-        while queue:
-            x, y = queue.pop()
-            if hmap[x] is not None:
-                if hmap[x] != y:
-                    return False
-                continue
-            if used[y] or inv1[x] != inv2[y]:
-                return False
-            u, w = g1.target[x], g2.target[y]
-            if vmap[u] is None:
-                if vused[w]:
-                    return False
-                vmap[u] = w
-                vused[w] = True
-                trail.append(("v", u, w))
-            elif vmap[u] != w:
-                return False
-            hmap[x] = y
-            used[y] = True
-            trail.append(("h", x, y))
-            queue.append((g1.sigma[x], g2.sigma[y]))
-            if a1 is not None:
-                queue.append((a1.hperm[x], b2.hperm[y]))
-        return True
-
-    def undo(trail):
-        for kind, i, j in reversed(trail):
-            if kind == "h":
-                hmap[i] = None
-                used[j] = False
-            else:
-                vmap[i] = None
-                vused[j] = False
-
-    def solve(start: int) -> Iterator[GraphAutomorphism]:
-        x = start
-        while x < m and hmap[x] is not None:
-            x += 1
-        if x == m:
-            yield GraphAutomorphism(tuple(vmap), tuple(hmap))
-            return
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            trail: list = []
-            if assign(x, y, trail):
-                yield from solve(x + 1)
-            undo(trail)
-
-    yield from solve(0)
-
-
-def _dart_invariants(g: HalfEdgeGraph, action: Optional[GraphAutomorphism]) -> list:
-    mult = g.multiplicity
-    inv = []
-    for h in range(g.half_edge_count):
-        u = g.target[h]
-        w = g.target[g.sigma[h]]
-        entry = (
-            g.valences[u],
-            g.valences[w],
-            u == w,
-            mult[u][w] if u != w else mult[u][u],
-        )
-        if action is not None:
-            entry += (_cycle_length(action.hperm, h), action.vperm[u] == u)
-        inv.append(entry)
-    return inv
-
-
-def _cycle_length(perm, x):
-    n, y = 1, perm[x]
-    while y != x:
-        y = perm[y]
-        n += 1
-    return n
-
-
-def are_isomorphic(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> bool:
-    return next(dart_isomorphisms(g1, g2), None) is not None

@@ -77,14 +77,11 @@ class CriterionResult:
 @dataclass
 class RunConfig:
     p: int = 3
-    rank: int = 4
     max_degree: int = 40
     seed: int = 20240901
 
     def __post_init__(self):
         linalg.check_odd_prime(self.p)
-        if self.rank < 2:
-            raise ValueError("rank must be >= 2")
         if self.max_degree < 10:
             raise ValueError("max_degree must be >= 10")
 
@@ -362,7 +359,7 @@ def criterion_properties(cx, bound, seed) -> CriterionResult:
 def run_all(config: RunConfig) -> list:
     """The verification suite selected by the configuration."""
     results = []
-    if config.p == 3 and config.rank == 4:
+    if config.p == 3:
         cx = quotient_complex(3, 4)
         results.append(criterion_census(cx))
         results.append(criterion_cells(cx))

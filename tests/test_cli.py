@@ -190,6 +190,12 @@ def test_max_degree_flag_wins_over_env(runner, monkeypatch):
     assert seen[0].max_degree == 20
 
 
+def test_verify_all_has_no_rank_option(runner):
+    result = runner.invoke(main, ["verify", "all", "--rank", "3"])
+    assert result.exit_code == 2
+    assert "No such option '--rank'" in result.output
+
+
 def test_max_degree_env_not_an_integer_is_config_error(runner, monkeypatch):
     monkeypatch.setenv("SPINELAB_MAX_DEGREE", "abc")
     result = runner.invoke(main, ["coh", "series"])

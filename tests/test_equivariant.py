@@ -32,12 +32,14 @@ from spinelab.symmetry import (
     apply_to_graph,
     canonical_form,
     compose,
-    dart_isomorphisms,
     edge_permutation,
+    elements_of_order,
     inverse,
     perm_order,
     power,
 )
+
+from dart_oracle import dart_isomorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,25 @@ def test_classify_reduced_5_matches_catalog():
     expected.append(wedge(5, "diag"))
     for want in expected:
         assert sum(1 for c in classes if equivariant_isomorphic(want, c)) == 1
+
+
+def census_classify_reduced_3(classes):
+    """Every reduced order-3 element of the classes' automorphism groups,
+    deduplicated by key: on the rank-4 census classes, an oracle for the
+    quotient-data census at p = 3."""
+    out = []
+    for cls in classes:
+        for a in elements_of_order(cls.aut, 3):
+            zg = ZpGraph(cls.graph, a, 3)
+            if is_reduced(zg):
+                out.append(zg)
+    return dedup_equivariant(out)
+
+
+def test_classify_reduced_3_matches_census_oracle(rank4_classes):
+    keys = [zg.key for zg in classify_reduced(3)]
+    assert keys == [zg.key for zg in census_classify_reduced_3(rank4_classes)]
+    assert len(keys) == 6
 
 
 def test_classify_reduced_3_contains_expected():

@@ -13,22 +13,23 @@ from spinelab.symmetry import (
     AutGroupTooLarge,
     GraphAutomorphism,
     apply_to_graph,
-    are_isomorphic,
     automorphism_group,
     automorphism_order,
     canonical_form,
     compose,
-    dart_isomorphisms,
     edge_permutation,
     elements_of_order,
     identity_automorphism,
     inverse,
     is_automorphism,
+    isomorphism,
     orbits,
     perm_order,
     realize_multiplicity,
     sylow_p_order,
 )
+
+from dart_oracle import are_isomorphic, dart_isomorphisms
 
 
 def random_relabeling(g, rng):
@@ -112,6 +113,16 @@ def test_elements_of_order():
     assert elements_of_order(k33, 3)
     small = automorphism_group(catalog.theta2_v_theta1_v_r1())
     assert not elements_of_order(small, 9)
+
+
+def test_census_groups_are_the_whole_group(rank4_classes):
+    """Each rank-4 singular class's group lists |Aut| distinct
+    automorphisms, sorted."""
+    for cls in rank4_classes:
+        elements = cls.aut.elements
+        assert len(set(elements)) == automorphism_order(cls.graph)
+        assert list(elements) == sorted(elements)
+        assert all(is_automorphism(cls.graph, a) for a in elements)
 
 
 def test_element_cap():
@@ -217,6 +228,23 @@ def test_canonical_form_equality_is_isomorphism(pair, data):
     relabeled = apply_to_graph(g1, _relabeling(data, g1))
     assert canonical_form(relabeled) == canonical_form(g1)
     assert are_isomorphic(g1, relabeled)
+
+
+@settings(max_examples=200)
+@given(multigraph_pairs(), st.data())
+def test_isomorphism_agrees_with_search_oracle(pair, data):
+    g1, g2 = pair
+    relabeled = apply_to_graph(g1, _relabeling(data, g1))
+    for target in (g2, relabeled):
+        iso = isomorphism(g1, target)
+        assert (iso is None) == (not are_isomorphic(g1, target))
+        if iso is not None:
+            assert sorted(iso.vperm) == list(range(target.vertex_count))
+            assert sorted(iso.hperm) == list(range(target.half_edge_count))
+            assert apply_to_graph(g1, iso) == target
+            for h in range(g1.half_edge_count):
+                assert iso.hperm[g1.sigma[h]] == target.sigma[iso.hperm[h]]
+                assert target.target[iso.hperm[h]] == iso.vperm[g1.target[h]]
 
 
 @settings(max_examples=100)
