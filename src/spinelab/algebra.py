@@ -8,8 +8,9 @@ element of A x B is a formal sum spread over both components and the unit
 is the sum of the component units.
 
 Degree-wise everything is finite linear algebra over F_p: morphisms have
-matrices per degree, equalizers are kernels, invariants of a finite group
-of order prime to p come from the averaging projector.
+matrices per degree, and equalizers and invariants are one computation:
+the common kernel of f - g over a list of pairs (f, g), with the pairs
+(g, id) over a group's generators for its invariants.
 
 Matrices are built from the previous degrees.  The image of a monomial is
 the cached image of the monomial without its last generator factor, times
@@ -516,7 +517,7 @@ def dimensions(alg, bound: int) -> GradedDims:
 
 
 # ---------------------------------------------------------------------------
-# equalizers
+# equalizers and invariants: common kernels of f - g
 
 
 @dataclass
@@ -529,64 +530,42 @@ class EqualizerResult:
         return f.apply(elt) == g.apply(elt)
 
 
+def _common_kernel(source, pairs: list, bound: int) -> EqualizerResult:
+    """Degree-wise common kernel of f - g over the morphism pairs (f, g)
+    out of ``source``: the rows of every f - g stacked, one nullspace."""
+    for f, g in pairs:
+        if f.source != source or g.source != source or f.target != g.target:
+            raise ValueError("equalizer needs morphisms with equal source and target")
+    p = source.p
+    dims = []
+    bases = {}
+    for d in range(bound + 1):
+        delta = [
+            [(a - b) % p for a, b in zip(ra, rb)]
+            for f, g in pairs
+            for ra, rb in zip(f.matrix_in_degree(d), g.matrix_in_degree(d))
+        ]
+        kernel = linalg.nullspace(delta, len(source.basis(d)), p)
+        dims.append(len(kernel))
+        bases[d] = [Element.from_vector(source, d, vec) for vec in kernel]
+    return EqualizerResult(source, GradedDims(bound, tuple(dims)), bases)
+
+
 def equalizer(f, g, bound: int) -> EqualizerResult:
     """Degree-wise kernel of f - g on their common source.
 
     When the source is a product A x B and f, g factor through the two
     projections, the kernel consists of the pairs (u, v) with f(u) = g(v).
     """
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("equalizer needs morphisms with equal source and target")
-    p = f.source.p
-    dims = []
-    bases = {}
-    for d in range(bound + 1):
-        mf = f.matrix_in_degree(d)
-        mg = g.matrix_in_degree(d)
-        if not mf or not mf[0]:
-            n = len(f.source.basis(d))
-            delta = [[0] * n] if n else []
-            kernel = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        else:
-            delta = [
-                [(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(mf, mg)
-            ]
-            kernel = linalg.nullspace(delta, p)
-        dims.append(len(kernel))
-        bases[d] = [Element.from_vector(f.source, d, vec) for vec in kernel]
-    return EqualizerResult(f.source, GradedDims(bound, tuple(dims)), bases)
+    return _common_kernel(f.source, [(f, g)], bound)
 
 
-# ---------------------------------------------------------------------------
-# invariants of a finite group action
-
-
-@dataclass
-class InvariantsResult:
-    algebra: object
-    dims: GradedDims
-    bases: dict  # degree -> list of Element
-
-
-def _close_group(morphisms: list) -> list:
-    """Closure of degree-preserving endomorphisms under composition."""
-    def key(m):
-        return tuple(sorted((g.name, tuple(sorted(m.images[g.name].coeffs.items())))
-                            for g in m.source.generators))
-
-    seen = {key(m): m for m in morphisms}
-    frontier = list(seen.values())
-    while frontier:
-        m = frontier.pop()
-        for g in list(seen.values()):
-            comp = compose_morphisms(m, g)
-            k = key(comp)
-            if k not in seen:
-                seen[k] = comp
-                frontier.append(comp)
-        if len(seen) > 10_000:
-            raise ValueError("group closure did not stabilize")
-    return list(seen.values())
+def invariants(alg: GradedAlgebra, action: list, bound: int) -> EqualizerResult:
+    """Fixed subspace of the group generated by ``action``, endomorphisms of
+    ``alg`` given on generators: the common kernel of g - id over the
+    generators g, in every characteristic."""
+    ident = identity_morphism(alg)
+    return _common_kernel(alg, [(g, ident) for g in action], bound)
 
 
 def compose_morphisms(outer: AlgebraMorphism, inner: AlgebraMorphism) -> AlgebraMorphism:
@@ -596,43 +575,6 @@ def compose_morphisms(outer: AlgebraMorphism, inner: AlgebraMorphism) -> Algebra
         g.name: outer.apply(inner.images[g.name]) for g in inner.source.generators
     }
     return AlgebraMorphism(inner.source, outer.target, images)
-
-
-def invariants(alg: GradedAlgebra, action: list, bound: int) -> InvariantsResult:
-    """Fixed subspace of a finite group acting by algebra automorphisms.
-
-    ``action`` lists generating endomorphisms (images of generators are
-    homogeneous of the same degree); the full group is closed off and must
-    have order prime to p so that averaging projects onto the invariants.
-    """
-    group = _close_group([identity_morphism(alg)] + list(action))
-    n = len(group)
-    p = alg.p
-    if n % p == 0:
-        raise ValueError("group order divisible by p: averaging unavailable")
-    ninv = pow(n, p - 2, p)
-    dims = []
-    bases = {}
-    for d in range(bound + 1):
-        basis = alg.basis(d)
-        size = len(basis)
-        if size == 0:
-            dims.append(0)
-            bases[d] = []
-            continue
-        proj = [[0] * size for _ in range(size)]
-        for g in group:
-            mat = g.matrix_in_degree(d)
-            for i in range(size):
-                for j in range(size):
-                    proj[i][j] = (proj[i][j] + mat[i][j]) % p
-        proj = [[(ninv * x) % p for x in row] for row in proj]
-        # column space of the idempotent = fixed subspace
-        rr, pivots = linalg.rref([list(col) for col in zip(*proj)], p)
-        vectors = [rr[i] for i in range(len(pivots))]
-        dims.append(len(pivots))
-        bases[d] = [Element.from_vector(alg, d, vec) for vec in vectors]
-    return InvariantsResult(alg, GradedDims(bound, tuple(dims)), bases)
 
 
 def swap_action(alg: GradedAlgebra, pairs: list) -> AlgebraMorphism:

@@ -24,7 +24,9 @@ from spinelab.algebra import (
     Element,
     GradedAlgebra,
     cohomology_of_metacyclic,
+    compose_morphisms,
     dimensions,
+    equalizer,
     invariants,
     parse_element,
     swap_action,
@@ -400,8 +402,9 @@ def theorem_pipeline(
     M is the metacyclic cohomology at m = p-1; the pluggable input stands
     for the cohomology of the relevant automorphism group with a stated
     restriction onto M, required to be surjective in every degree.  The
-    pipeline computes the equalizer of (id x restriction) from M (x) input
-    and the inclusion of the swap invariants of M (x) M, and verifies
+    pipeline computes the swap-fixed preimage under f1 = id x restriction,
+    from M (x) input to M (x) M (the u with swap(f1(u)) = f1(u)), and
+    verifies
 
         dim Eq(d) = dim invariants(d) + dim (M (x) ker restriction)(d).
     """
@@ -410,22 +413,11 @@ def theorem_pipeline(
         if not restriction.is_surjective_in_degree(d):
             raise ValueError(f"restriction is not surjective in degree {d}")
 
-    big, MM = f1.source, f1.target
+    MM = f1.target
     pairs = [(g.name + "_1", g.name + "_2") for g in M.generators]
-    inv = invariants(MM, [swap_action(MM, pairs)], bound)
-
-    # pairs (u, w) with w in the invariant subspace and f1(u) = w: the
-    # kernel of [f1 | -inclusion] on (M x input)(d) + invariants(d)
-    eq_dims = []
-    for d in range(bound + 1):
-        inv_vectors = [elt.vector(d) for elt in inv.bases[d]]
-        inclusion = [[v[r] for v in inv_vectors] for r in range(len(MM.basis(d)))]
-        eq_dims.append(
-            linalg.pair_kernel_dim(
-                f1.matrix_in_degree(d), inclusion, len(big.basis(d)), len(inv_vectors), p
-            )
-        )
-    eq_dims = GradedDims(bound, tuple(eq_dims))
+    swap = swap_action(MM, pairs)
+    inv = invariants(MM, [swap], bound)
+    eq_dims = equalizer(compose_morphisms(swap, f1), f1, bound).dims
 
     M_dims = dimensions(M, bound)
     aut_dims = dimensions(aut_input, bound)

@@ -10,7 +10,6 @@ edges.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -129,12 +128,6 @@ class HalfEdgeGraph:
                 mat[v][u] += 1
         return tuple(tuple(row) for row in mat)
 
-    def degree_multiset(self) -> tuple:
-        return tuple(sorted(self.valences))
-
-    def total_loops(self) -> int:
-        return sum(1 for e in range(self.edge_count) if self.is_loop(e))
-
     def to_json(self) -> dict:
         return {
             "vertices": self.vertex_count,
@@ -149,9 +142,6 @@ class HalfEdgeGraph:
         if g.half_edge_count != json_int(data, "half_edges"):
             raise ValueError("half_edges field inconsistent with sigma length")
         return g
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def json_int(data: dict, key: str) -> int:

@@ -56,11 +56,12 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
-def nullspace(matrix, p):
-    """Canonical kernel basis (one vector per free column, rref-derived)."""
-    if not matrix:
-        return []
-    cols = len(matrix[0])
+def nullspace(matrix, cols: int, p):
+    """Canonical kernel basis (one vector per free column, rref-derived).
+
+    The width is passed because a matrix with no rows does not record it;
+    its kernel is then the whole space.
+    """
     mat, pivots = rref(matrix, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = []

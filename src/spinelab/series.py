@@ -44,19 +44,9 @@ class GradedDims:
     def __getitem__(self, d: int) -> int:
         return self.dims[d]
 
-    def truncate(self, bound: int) -> "GradedDims":
-        if bound > self.bound:
-            raise ValueError("cannot extend a dimension sequence")
-        return GradedDims(bound, self.dims[: bound + 1])
-
     def add(self, other: "GradedDims") -> "GradedDims":
         bound = min(self.bound, other.bound)
         return GradedDims(bound, tuple(self[d] + other[d] for d in range(bound + 1)))
-
-    @classmethod
-    def from_list(cls, dims: Iterable) -> "GradedDims":
-        dims = tuple(dims)
-        return cls(len(dims) - 1, dims)
 
 
 @dataclass(frozen=True)

@@ -454,12 +454,6 @@ def _vertex_fixing_maps(g: HalfEdgeGraph) -> list:
     ]
 
 
-def elements_of_order(group: AutGroup, k: int) -> list:
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    return [a for a in group.elements if perm_order(a) == k]
-
-
 def sylow_p_order(group, p: int) -> int:
     """Largest power of p dividing the group order."""
     order = group.order if isinstance(group, AutGroup) else int(group)

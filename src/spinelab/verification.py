@@ -37,7 +37,6 @@ from spinelab.equivariant import (
     classify_reduced,
     equivariant_expansions,
     nielsen_closure,
-    nielsen_moves,
     nielsen_moves_for_group,
 )
 from spinelab.fixtures import (
@@ -86,7 +85,7 @@ class RunConfig:
             raise ValueError("max_degree must be >= 10")
 
 
-def _alpha_beta(bound):
+def _alpha_beta():
     algebras = load_algebras()
     alpha = load_morphism("alpha", algebras)
     beta = load_morphism("beta", algebras)
@@ -134,7 +133,7 @@ def criterion_components(cx) -> CriterionResult:
 
 
 def criterion_series(bound) -> CriterionResult:
-    _, _, _, f, g = _alpha_beta(bound)
+    _, _, _, f, g = _alpha_beta()
     eq = equalizer(f, g, bound)
     chi = closed_form("equalizer")
     series_ok = eq.dims.dims == chi.coefficients(bound)
@@ -160,7 +159,7 @@ def _structure_elements(source):
 
 
 def criterion_algebra_structure(bound) -> CriterionResult:
-    _, _, source, f, g = _alpha_beta(bound)
+    _, _, source, f, g = _alpha_beta()
     eq = equalizer(f, g, bound)
     r4, r8, s3, one, t7, t7t, t8 = _structure_elements(source)
     free = verify_free_module(eq, f, g, [r4, r8, s3], [one, t7, t7t, t8], bound)

@@ -4,7 +4,8 @@ The library answers every isomorphism question from the canonical
 labelling.  This search is independent of it: it assigns darts one orbit
 at a time under the edge involution (and an intertwined action, if
 given), so tests comparing the two keep "canonical form is a complete
-invariant" from being a tautology.
+invariant" from being a tautology.  The graph helpers beside it have
+no caller left in the library.
 """
 
 from __future__ import annotations
@@ -12,12 +13,26 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from spinelab.graphs import HalfEdgeGraph
-from spinelab.symmetry import GraphAutomorphism
+from spinelab.symmetry import AutGroup, GraphAutomorphism, perm_order
+
+
+def degree_multiset(g: HalfEdgeGraph) -> tuple:
+    return tuple(sorted(g.valences))
+
+
+def total_loops(g: HalfEdgeGraph) -> int:
+    return sum(1 for e in range(g.edge_count) if g.is_loop(e))
+
+
+def elements_of_order(group: AutGroup, k: int) -> list:
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    return [a for a in group.elements if perm_order(a) == k]
 
 
 def graph_signature(g: HalfEdgeGraph) -> tuple:
     """(vertices, edges, loops, degree multiset): a cheap invariant."""
-    return (g.vertex_count, g.edge_count, g.total_loops(), g.degree_multiset())
+    return (g.vertex_count, g.edge_count, total_loops(g), degree_multiset(g))
 
 
 def dart_isomorphisms(

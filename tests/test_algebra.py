@@ -246,19 +246,70 @@ def load_fixture_graph():
     return multi_edge(3)
 
 
-def test_invariants_reject_modular_group_order():
-    alg = GradedAlgebra(3, [("c1", 2, "poly"), ("c2", 2, "poly"), ("c3", 2, "poly")])
-    cycle = AlgebraMorphism(
-        alg,
-        alg,
-        {
-            "c1": alg.generator_element("c2"),
-            "c2": alg.generator_element("c3"),
-            "c3": alg.generator_element("c1"),
-        },
+@pytest.mark.parametrize(
+    "perms,dims",
+    [
+        # Z/3: cyclic monomial orbits, counted by Burnside
+        ([(1, 2, 0)], (1, 0, 1, 0, 2, 0, 4, 0, 5)),
+        # S_3: partitions of the half degree into at most three parts
+        ([(1, 2, 0), (1, 0, 2)], (1, 0, 1, 0, 2, 0, 3, 0, 4)),
+    ],
+    ids=["cyclic", "symmetric"],
+)
+def test_invariants_of_modular_permutation_groups_count_orbits(perms, dims):
+    # over F_3, whose p divides both group orders, the invariants of a
+    # permutation action are spanned by the orbit sums of monomials
+    alg = GradedAlgebra(3, [("c0", 2, "poly"), ("c1", 2, "poly"), ("c2", 2, "poly")])
+    action = [
+        AlgebraMorphism(
+            alg, alg, {f"c{i}": alg.generator_element(f"c{j}") for i, j in enumerate(perm)}
+        )
+        for perm in perms
+    ]
+    assert invariants(alg, action, 8).dims.dims == dims
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_invariants_of_diagonal_scaling_count_monomials(p):
+    # lam of order m = p - 1 scales x^a y^b by lam^(a + b)
+    base = GradedAlgebra(p, [("x", 1, "ext"), ("y", 2, "poly")])
+    m = p - 1
+    lam = pow(_primitive_root(p), (p - 1) // m, p)
+    scale = AlgebraMorphism(
+        base,
+        base,
+        {"x": lam * base.generator_element("x"), "y": lam * base.generator_element("y")},
     )
-    with pytest.raises(ValueError):
-        invariants(alg, [cycle], 6)
+    want = tuple(
+        sum(1 for a in (0, 1) for b in range(d + 1) if a + 2 * b == d and (a + b) % m == 0)
+        for d in range(41)
+    )
+    assert invariants(base, [scale], 40).dims.dims == want
+
+
+def _primitive_root(p):
+    return next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+
+
+def test_invariants_reject_a_map_off_the_algebra():
+    alg = GradedAlgebra(3, [("c1", 2, "poly"), ("c2", 2, "poly")])
+    other = GradedAlgebra(3, [("d1", 2, "poly"), ("d2", 2, "poly")])
+    out = AlgebraMorphism(
+        alg, other, {"c1": other.generator_element("d1"), "c2": other.generator_element("d2")}
+    )
+    into = AlgebraMorphism(
+        other, alg, {"d1": alg.generator_element("c1"), "d2": alg.generator_element("c2")}
+    )
+    for morphism in (out, into):
+        with pytest.raises(ValueError):
+            invariants(alg, [morphism], 4)
+
+
+def test_nullspace_of_a_matrix_without_rows_is_everything():
+    from spinelab import linalg
+
+    assert linalg.nullspace([], 3, 5) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.nullspace([[]], 0, 5) == []
 
 
 @pytest.mark.parametrize(

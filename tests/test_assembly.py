@@ -2,8 +2,10 @@
 
 import pytest
 
-from spinelab.algebra import GradedAlgebra, dimensions
+from spinelab import linalg
+from spinelab.algebra import GradedAlgebra, dimensions, swap_action
 from spinelab.assembly import (
+    _recursion_maps,
     CoefficientRuleError,
     amalgam_cohomology,
     build_e1,
@@ -19,6 +21,8 @@ from spinelab.fixtures import load_algebra, load_thm_input
 from spinelab.series import PowerSeriesRat
 
 BOUND = 24
+# a recursion input with a nonzero restriction kernel (e15)
+SYNTHETIC = GradedAlgebra(5, [("u7", 7, "ext"), ("c8", 8, "poly"), ("e15", 15, "ext")])
 
 
 @pytest.fixture(scope="module")
@@ -163,10 +167,49 @@ def test_recursion_pipeline_degenerate():
 
 
 def test_recursion_pipeline_synthetic_kernel():
-    synth = GradedAlgebra(5, [("u7", 7, "ext"), ("c8", 8, "poly"), ("e15", 15, "ext")])
-    rep = theorem_pipeline(5, synth, {"u7": "u7", "c8": "c8", "e15": "0"}, 32)
+    rep = theorem_pipeline(5, SYNTHETIC, {"u7": "u7", "c8": "c8", "e15": "0"}, 32)
     assert rep.identity_holds
     assert any(rep.kernel_tensor_dims.dims)
+
+
+def oracle_recursion_dims(p, aut_input, images, bound):
+    """(equalizer, invariant) dims of the recursion pipeline the long way:
+    the invariants are the column space of the averaging projector
+    (1 + swap) / 2, and the equalizer of f1 with their inclusion is the
+    kernel of [f1 | -inclusion]."""
+    M, _, f1 = _recursion_maps(p, aut_input, images)
+    big, MM = f1.source, f1.target
+    swap = swap_action(MM, [(g.name + "_1", g.name + "_2") for g in M.generators])
+    half = pow(2, p - 2, p)
+    eq_dims, inv_dims = [], []
+    for d in range(bound + 1):
+        n = len(MM.basis(d))
+        s = swap.matrix_in_degree(d)
+        proj = [[half * ((i == j) + s[i][j]) % p for j in range(n)] for i in range(n)]
+        rr, pivots = linalg.rref([list(col) for col in zip(*proj)], p)
+        inclusion = [[rr[k][r] for k in range(len(pivots))] for r in range(n)]
+        eq_dims.append(
+            linalg.pair_kernel_dim(
+                f1.matrix_in_degree(d), inclusion, len(big.basis(d)), len(pivots), p
+            )
+        )
+        inv_dims.append(len(pivots))
+    return tuple(eq_dims), tuple(inv_dims)
+
+
+@pytest.mark.parametrize(
+    "p,aut_input,images",
+    [
+        (3, *load_thm_input(3)),
+        (5, SYNTHETIC, {"u7": "u7", "c8": "c8", "e15": "0"}),
+    ],
+    ids=["p3-fixture", "p5-synthetic"],
+)
+def test_recursion_equalizer_matches_inclusion_oracle(p, aut_input, images):
+    rep = theorem_pipeline(p, aut_input, images, 60)
+    eq_dims, inv_dims = oracle_recursion_dims(p, aut_input, images, 60)
+    assert rep.eq_dims.dims == eq_dims
+    assert rep.invariant_dims.dims == inv_dims
 
 
 def test_recursion_pipeline_rejects_nonsurjective():

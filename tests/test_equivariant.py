@@ -33,13 +33,12 @@ from spinelab.symmetry import (
     canonical_form,
     compose,
     edge_permutation,
-    elements_of_order,
     inverse,
     perm_order,
     power,
 )
 
-from dart_oracle import dart_isomorphisms
+from dart_oracle import dart_isomorphisms, elements_of_order
 
 
 # ---------------------------------------------------------------------------

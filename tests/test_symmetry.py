@@ -18,7 +18,6 @@ from spinelab.symmetry import (
     canonical_form,
     compose,
     edge_permutation,
-    elements_of_order,
     identity_automorphism,
     inverse,
     is_automorphism,
@@ -29,7 +28,7 @@ from spinelab.symmetry import (
     sylow_p_order,
 )
 
-from dart_oracle import are_isomorphic, dart_isomorphisms
+from dart_oracle import are_isomorphic, dart_isomorphisms, elements_of_order
 
 
 def random_relabeling(g, rng):
