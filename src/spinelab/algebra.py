@@ -524,7 +524,11 @@ def dimensions(alg, bound: int) -> GradedDims:
 class EqualizerResult:
     source: object
     dims: GradedDims
-    bases: dict  # degree -> list of Element
+    kernels: list  # degree -> kernel vectors over source.basis(degree)
+
+    def basis(self, d: int) -> list:
+        """The kernel in degree d as Elements of the source."""
+        return [Element.from_vector(self.source, d, vec) for vec in self.kernels[d]]
 
     def contains(self, f, g, elt: Element) -> bool:
         return f.apply(elt) == g.apply(elt)
@@ -537,18 +541,15 @@ def _common_kernel(source, pairs: list, bound: int) -> EqualizerResult:
         if f.source != source or g.source != source or f.target != g.target:
             raise ValueError("equalizer needs morphisms with equal source and target")
     p = source.p
-    dims = []
-    bases = {}
+    kernels = []
     for d in range(bound + 1):
         delta = [
             [(a - b) % p for a, b in zip(ra, rb)]
             for f, g in pairs
             for ra, rb in zip(f.matrix_in_degree(d), g.matrix_in_degree(d))
         ]
-        kernel = linalg.nullspace(delta, len(source.basis(d)), p)
-        dims.append(len(kernel))
-        bases[d] = [Element.from_vector(source, d, vec) for vec in kernel]
-    return EqualizerResult(source, GradedDims(bound, tuple(dims)), bases)
+        kernels.append(linalg.nullspace(delta, len(source.basis(d)), p))
+    return EqualizerResult(source, GradedDims(bound, tuple(map(len, kernels))), kernels)
 
 
 def equalizer(f, g, bound: int) -> EqualizerResult:

@@ -330,7 +330,8 @@ def verify():
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
 @click.option("--out-markdown", type=click.Path(dir_okay=False), default=None)
 def verify_all(prime, bound, out_json, out_markdown):
-    """Run the full suite; nonzero exit on any mismatch."""
+    """Run all 13 criteria at p = 3, or at an odd prime q >= 5 the four that
+    hold at every odd prime, checked at q; nonzero exit on any mismatch."""
     from spinelab.verification import RunConfig, run_all
 
     results = run_all(RunConfig(p=prime, max_degree=bound))

@@ -32,11 +32,10 @@ from spinelab.symmetry import (
     GraphAutomorphism,
     _min_matrix_data,
     canonical_form,
-    compose,
     edge_permutation,
-    identity_automorphism,
     is_automorphism,
     perm_order,
+    power,
 )
 
 
@@ -71,12 +70,7 @@ class ZpGraph:
 
     def group(self) -> list:
         """The cyclic group generated by the action, identity first."""
-        out = [identity_automorphism(self.graph)]
-        current = self.action
-        while current != out[0]:
-            out.append(current)
-            current = compose(self.action, current)
-        return out
+        return [power(self.action, k) for k in range(1 if self.trivial else self.p)]
 
     def edge_orbits(self) -> list:
         """Orbits of geometric edges, each sorted, in sorted order."""
@@ -547,21 +541,27 @@ def nielsen_moves(zg: ZpGraph) -> list:
 
 
 def nielsen_closure(zg: ZpGraph, step_cap: int = 10_000) -> list:
-    """Classes reachable by moves followed by reduction, the start included."""
+    """Classes reachable by moves followed by reduction, the start included.
+    Moves from one graph that give the same graph are reduced once; the
+    step cap counts every move."""
     start = reduce_zp(zg)
     classes = {start.key: start}
     queue = [start]
     steps = 0
     while queue:
         current = queue.pop(0)
-        for move in nielsen_moves(current):
+        seen = set()
+        for _, _, moved in nielsen_moves_for_group(current.graph, current.group()):
             if steps == step_cap:
                 raise BudgetExceeded(
                     f"nielsen closure hit its step cap of {step_cap} moves; "
                     f"moves taken: {steps}, classes found so far: {len(classes)}"
                 )
             steps += 1
-            candidate = reduce_zp(move.result)
+            if moved.target in seen:
+                continue
+            seen.add(moved.target)
+            candidate = reduce_zp(ZpGraph(moved, current.action, current.p, trivial=current.trivial))
             if candidate.key not in classes:
                 classes[candidate.key] = candidate
                 queue.append(candidate)

@@ -61,8 +61,8 @@ from spinelab.symmetry import (
     apply_to_graph,
     canonical_form,
     compose,
-    identity_automorphism,
     orbits,
+    power,
 )
 
 
@@ -211,84 +211,74 @@ def criterion_wreath(bound) -> CriterionResult:
     )
 
 
-def criterion_classification() -> CriterionResult:
-    five = classify_reduced(5)
-    seven = classify_reduced(7)
-    expected5 = [ZpGraph(*catalog.rose_rotation(5, 8), 5)]
-    for s in (0, 1, 2):
-        expected5.append(ZpGraph(*catalog.theta_rotation(5, s, 4 - s), 5))
-    expected5.append(ZpGraph(*catalog.wedge_diagonal(5), 5))
-    matched = all(sum(1 for c in five if c.key == w.key) == 1 for w in expected5)
-    no_vertex_free = all(
-        z.fixed_vertex_count() > 0 for z in five
-    ) and all(z.fixed_vertex_count() > 0 for z in seven)
-    ok = len(five) == 5 and len(seven) == 6 and matched and no_vertex_free
-    return CriterionResult(
-        "reduced-classification", ok, f"p=5: {len(five)}, p=7: {len(seven)}"
-    )
+def _fold(name: str, checks, sep: str = "; ") -> CriterionResult:
+    """One criterion from its per-prime (passed, detail) pairs."""
+    checks = list(checks)
+    return CriterionResult(name, all(ok for ok, _ in checks), sep.join(d for _, d in checks))
 
 
-def criterion_nielsen() -> CriterionResult:
-    classes = classify_reduced(5)
-    closures = [nielsen_closure(z) for z in classes]
+def _classification_at(q: int) -> tuple:
+    """At an odd prime q >= 5 the reduced classes of rank 2(q - 1) are the
+    (q + 5)/2 classes of the rose, the thetas with s + t = q - 1 loops
+    (s <= t) and the diagonal wedge, none of them vertex-free."""
+    family = [catalog.rose_rotation(q, 2 * (q - 1)), catalog.wedge_diagonal(q)]
+    family += [catalog.theta_rotation(q, s, q - 1 - s) for s in range((q + 1) // 2)]
+    classes = classify_reduced(q)
+    matched = sorted(z.key for z in classes) == sorted(ZpGraph(g, a, q).key for g, a in family)
+    ok = matched and all(z.fixed_vertex_count() > 0 for z in classes)
+    return ok, f"p={q}: {len(classes)}"
+
+
+def criterion_classification(primes=(5, 7)) -> CriterionResult:
+    return _fold("reduced-classification", map(_classification_at, primes), sep=", ")
+
+
+def _nielsen_at(q: int) -> tuple:
+    closures = [nielsen_closure(z) for z in classify_reduced(q)]
     singletons = all(len(c) == 1 for c in closures)
-    keys = [{z.key for z in c} for c in closures]
-    disjoint = not any(keys[i] & keys[j] for i in range(len(keys)) for j in range(i))
-    g, left, right = catalog.wedge_rotations(5)
-    group = {identity_automorphism(g)}
-    frontier = list(group)
-    while frontier:
-        x = frontier.pop()
-        for gen in (left, right):
-            y = compose(gen, x)
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
+    keys = [z.key for c in closures for z in c]
+    disjoint = len(set(keys)) == len(keys)
+    g, left, right = catalog.wedge_rotations(q)
+    group = {compose(power(left, i), power(right, j)) for i in range(q) for j in range(q)}
     moves = nielsen_moves_for_group(g, sorted(group))
     ok = singletons and disjoint and not moves
-    return CriterionResult(
-        "nielsen-closures",
-        ok,
-        f"singletons={singletons} disjoint={disjoint} rank2-moves={len(moves)}",
-    )
+    return ok, f"singletons={singletons} disjoint={disjoint} rank2-moves={len(moves)}"
 
 
-def criterion_expansions() -> CriterionResult:
-    details = []
-    ok = True
-    for p in (3, 5):
-        budget = 3 * 2 * (p - 1) - 3
-        wedge = ZpGraph(*catalog.wedge_diagonal(p), p)
-        expansions = equivariant_expansions(wedge, budget)
-        bip = ZpGraph(*catalog.bipartite_block_rotation(p), p)
-        unique = len(expansions) == 1
-        matches = unique and expansions[0][0].key == bip.key
-        star = False
-        if unique:
-            forest = expansions[0][1]
-            ends = [expansions[0][0].graph.edge_endpoints(e) for e in forest]
-            common = set(ends[0])
-            for u, v in ends[1:]:
-                common &= {u, v}
-            star = len(forest) == p and bool(common)
-        none_further = not equivariant_expansions(bip, budget)
-        ok = ok and unique and matches and star and none_further
-        details.append(f"p={p}: unique={unique} star={star} terminal={none_further}")
-    return CriterionResult("expansions", ok, "; ".join(details))
+def criterion_nielsen(primes=(5,)) -> CriterionResult:
+    return _fold("nielsen-closures", map(_nielsen_at, primes))
 
 
-def criterion_metacyclic(bound) -> CriterionResult:
-    details = []
-    ok = True
-    for p in (3, 5, 7):
-        alg = cohomology_of_metacyclic(p, p - 1)
-        degrees = sorted(g.degree for g in alg.generators)
-        want = [2 * p - 3, 2 * p - 2]
-        series = closed_form("metacyclic", p)
-        series_ok = dimensions(alg, bound).dims == series.coefficients(bound)
-        ok = ok and degrees == want and series_ok
-        details.append(f"p={p}: degrees={degrees}")
-    return CriterionResult("metacyclic-cohomology", ok, "; ".join(details))
+def _expansions_at(q: int) -> tuple:
+    budget = 3 * 2 * (q - 1) - 3
+    wedge = ZpGraph(*catalog.wedge_diagonal(q), q)
+    expansions = equivariant_expansions(wedge, budget)
+    bip = ZpGraph(*catalog.bipartite_block_rotation(q), q)
+    unique = len(expansions) == 1
+    matches = star = False
+    if unique:
+        (blown, forest), = expansions
+        matches = blown.key == bip.key
+        ends = [set(blown.graph.edge_endpoints(e)) for e in forest]
+        star = len(forest) == q and bool(set.intersection(*ends))
+    none_further = not equivariant_expansions(bip, budget)
+    ok = unique and matches and star and none_further
+    return ok, f"p={q}: unique={unique} star={star} terminal={none_further}"
+
+
+def criterion_expansions(primes=(3, 5)) -> CriterionResult:
+    return _fold("expansions", map(_expansions_at, primes))
+
+
+def _metacyclic_at(q: int, bound: int) -> tuple:
+    alg = cohomology_of_metacyclic(q, q - 1)
+    degrees = sorted(g.degree for g in alg.generators)
+    series_ok = dimensions(alg, bound).dims == closed_form("metacyclic", q).coefficients(bound)
+    return degrees == [2 * q - 3, 2 * q - 2] and series_ok, f"p={q}: degrees={degrees}"
+
+
+def criterion_metacyclic(bound, primes=(3, 5, 7)) -> CriterionResult:
+    return _fold("metacyclic-cohomology", (_metacyclic_at(q, bound) for q in primes))
 
 
 def criterion_recursion(bound) -> CriterionResult:
@@ -356,27 +346,30 @@ def criterion_properties(cx, bound, seed) -> CriterionResult:
 
 
 def run_all(config: RunConfig) -> list:
-    """The verification suite selected by the configuration."""
-    results = []
-    if config.p == 3:
-        cx = quotient_complex(3, 4)
-        results.append(criterion_census(cx))
-        results.append(criterion_cells(cx))
-        results.append(criterion_components(cx))
-        results.append(criterion_series(config.max_degree))
-        results.append(criterion_algebra_structure(config.max_degree))
-        results.append(criterion_corollary(cx, config.max_degree))
-        results.append(criterion_wreath(config.max_degree))
-        results.append(criterion_classification())
-        results.append(criterion_nielsen())
-        results.append(criterion_expansions())
-        results.append(criterion_metacyclic(config.max_degree))
-        results.append(criterion_recursion(config.max_degree))
-        results.append(criterion_properties(cx, config.max_degree, config.seed))
-    else:
-        results.append(criterion_classification())
-        results.append(criterion_nielsen())
-        results.append(criterion_expansions())
-        results.append(criterion_metacyclic(config.max_degree))
-        results.append(criterion_recursion(config.max_degree))
-    return results
+    """All thirteen criteria at p = 3; at an odd prime q >= 5, the four whose
+    statement holds at every odd prime, checked at q."""
+    bound = config.max_degree
+    if config.p != 3:
+        q = (config.p,)
+        return [
+            criterion_classification(q),
+            criterion_nielsen(q),
+            criterion_expansions(q),
+            criterion_metacyclic(bound, q),
+        ]
+    cx = quotient_complex(3, 4)
+    return [
+        criterion_census(cx),
+        criterion_cells(cx),
+        criterion_components(cx),
+        criterion_series(bound),
+        criterion_algebra_structure(bound),
+        criterion_corollary(cx, bound),
+        criterion_wreath(bound),
+        criterion_classification(),
+        criterion_nielsen(),
+        criterion_expansions(),
+        criterion_metacyclic(bound),
+        criterion_recursion(bound),
+        criterion_properties(cx, bound, config.seed),
+    ]

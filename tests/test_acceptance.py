@@ -6,6 +6,7 @@ same criteria back ``spinelab verify all``.
 
 import pytest
 
+from spinelab import verification
 from spinelab.verification import (
     RunConfig,
     criterion_algebra_structure,
@@ -82,6 +83,18 @@ def test_12_recursion_pipeline():
 
 def test_13_property_suites(rank4_complex):
     _report(13, criterion_properties(rank4_complex, BOUND, RunConfig().seed))
+
+
+def test_classification_fails_without_one_class(monkeypatch):
+    real = verification.classify_reduced
+    monkeypatch.setattr(verification, "classify_reduced", lambda q: real(q)[1:])
+    assert not criterion_classification((7,)).passed
+
+
+def test_metacyclic_fails_on_the_algebra_of_another_prime(monkeypatch):
+    real = verification.cohomology_of_metacyclic
+    monkeypatch.setattr(verification, "cohomology_of_metacyclic", lambda p, m: real(5, 4))
+    assert not criterion_metacyclic(40, (7,)).passed
 
 
 # the detail strings of the six cohomology criteria at degree bound 120, as

@@ -158,7 +158,7 @@ def test_equalizer_dims_and_membership(setup):
     assert eq.contains(f, g, r4)
     assert eq.dims[4] == 1
     # the degree-4 basis vector spans the same line as (x4, 2y4)
-    vec = eq.bases[4][0]
+    vec = eq.basis(4)[0]
     assert vec == r4 or vec == 2 * r4
 
 
@@ -173,8 +173,8 @@ def test_equalizer_closed_under_multiplication(setup):
     eq = equalizer(f, g, 16)
     for d1 in (3, 4, 7):
         for d2 in (3, 4, 8):
-            for a in eq.bases[d1]:
-                for b in eq.bases[d2]:
+            for a in eq.basis(d1):
+                for b in eq.basis(d2):
                     product = a * b
                     if not product.is_zero():
                         assert eq.contains(f, g, product)

@@ -190,6 +190,80 @@ def test_max_degree_flag_wins_over_env(runner, monkeypatch):
     assert seen[0].max_degree == 20
 
 
+VERIFY_ALL_P3 = """\
+PASS  census-17-classes: 17 classes
+PASS  cells-tables: cells [24, 13, 3], duplicated pair x2
+PASS  components: counts [1, 7, 9], rose reduced homology [0, 0, 0, 0]
+PASS  equalizer-series: dims<=8 (1, 0, 0, 1, 1, 0, 0, 3, 3)
+PASS  free-module-and-relations: free=True, relations=[True, True, True, True, True, True]
+PASS  corollary-sum: total<=10 (3, 0, 0, 3, 3, 0, 0, 5, 5, 0, 2)
+PASS  wreath-invariants: dims_ok=True fixed=True independent=True
+PASS  reduced-classification: p=5: 5, p=7: 6
+PASS  nielsen-closures: singletons=True disjoint=True rank2-moves=0
+PASS  expansions: p=3: unique=True star=True terminal=True; p=5: unique=True star=True terminal=True
+PASS  metacyclic-cohomology: p=3: degrees=[3, 4]; p=5: degrees=[7, 8]; p=7: degrees=[11, 12]
+PASS  recursion-pipeline: p3 degenerate=True, p5 synthetic=True
+PASS  property-suites: rank=True canonical=True orbit-stabilizer=True d2=True
+"""
+
+
+VERIFY_ALL_P5 = """\
+PASS  reduced-classification: p=5: 5
+PASS  nielsen-closures: singletons=True disjoint=True rank2-moves=0
+PASS  expansions: p=5: unique=True star=True terminal=True
+PASS  metacyclic-cohomology: p=5: degrees=[7, 8]
+"""
+
+VERIFY_ALL_P7 = """\
+PASS  reduced-classification: p=7: 6
+PASS  nielsen-closures: singletons=True disjoint=True rank2-moves=0
+PASS  expansions: p=7: unique=True star=True terminal=True
+PASS  metacyclic-cohomology: p=7: degrees=[11, 12]
+"""
+
+
+@pytest.mark.parametrize(
+    "args,want",
+    [([], VERIFY_ALL_P3), (["--p", "5"], VERIFY_ALL_P5), (["--p", "7"], VERIFY_ALL_P7)],
+    ids=["p3", "p5", "p7"],
+)
+def test_verify_all_prints_its_suite(runner, args, want):
+    result = runner.invoke(main, ["verify", "all", *args])
+    assert result.exit_code == 0, result.output
+    assert result.output == want
+
+
+def test_verify_all_at_q_checks_only_q(runner, monkeypatch):
+    from spinelab import verification
+
+    seen = {}
+
+    def spy(name, prime_of):
+        real = getattr(verification, name)
+
+        def wrapped(*args):
+            seen.setdefault(name, set()).add(prime_of(*args))
+            return real(*args)
+
+        monkeypatch.setattr(verification, name, wrapped)
+
+    spy("classify_reduced", lambda p: p)
+    spy("nielsen_closure", lambda zg: zg.p)
+    spy("equivariant_expansions", lambda zg, budget: zg.p)
+    spy("cohomology_of_metacyclic", lambda p, m: p)
+    result = runner.invoke(main, ["verify", "all", "--p", "7"])
+    assert result.exit_code == 0, result.output
+    assert seen == {
+        name: {7}
+        for name in (
+            "classify_reduced",
+            "nielsen_closure",
+            "equivariant_expansions",
+            "cohomology_of_metacyclic",
+        )
+    }
+
+
 def test_verify_all_has_no_rank_option(runner):
     result = runner.invoke(main, ["verify", "all", "--rank", "3"])
     assert result.exit_code == 2

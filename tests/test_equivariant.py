@@ -485,6 +485,41 @@ def test_key_ignores_labels_and_generator(
     assert _equivariant_key(relabeled, moved) == _equivariant_key(zg, forest)
 
 
+def _closure_oracle(zg):
+    """The closure loop that reduces and keys every move, duplicates included."""
+    start = reduce_zp(zg)
+    classes = {start.key: start}
+    queue = [start]
+    while queue:
+        current = queue.pop(0)
+        for move in nielsen_moves(current):
+            candidate = reduce_zp(move.result)
+            if candidate.key not in classes:
+                classes[candidate.key] = candidate
+                queue.append(candidate)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_nielsen_closure_matches_every_move_oracle(q):
+    for zg in classify_reduced(q):
+        got = sorted(z.key for z in nielsen_closure(zg))
+        assert got == sorted(z.key for z in _closure_oracle(zg))
+
+
+@pytest.mark.parametrize("q,distinct", [(5, 6), (7, 7), (11, 9)])
+def test_nielsen_closure_reduces_each_distinct_moved_graph_once(monkeypatch, q, distinct):
+    classes = classify_reduced(q)
+    reduced = []
+    real = equivariant.reduce_zp
+    monkeypatch.setattr(equivariant, "reduce_zp", lambda zg: reduced.append(zg) or real(zg))
+    for zg in classes:
+        nielsen_closure(zg)
+    # one call reduces each start; every closure is a singleton, so the
+    # rest reduce moved graphs
+    assert len(reduced) - len(classes) == distinct
+
+
 def test_nielsen_closure_cap_reports_progress():
     zg = ZpGraph(*catalog.rose_rotation(5, 8), 5)
     assert len(nielsen_moves(zg)) == 84
