@@ -493,9 +493,16 @@ def nielsen_moves_for_group(graph: HalfEdgeGraph, group: list) -> list:
     re-attaches the orbit of e1 so that g.e1 points at the source of
     g.e2.
     """
+    return [
+        (e1, e2, HalfEdgeGraph(graph.vertex_count, graph.sigma, moved))
+        for e1, e2, moved in _moved_targets(graph, group)
+    ]
+
+
+def _moved_targets(graph: HalfEdgeGraph, group: list) -> Iterator[tuple]:
+    """(e1, e2, attachment map after the move) for each move <e1, e2>."""
     if not _reduced_for_group(graph, group):
         raise ValueError("moves are defined on reduced graphs only")
-    moves = []
     sigma = graph.sigma
     target = graph.target
     orbits = {}
@@ -512,9 +519,7 @@ def nielsen_moves_for_group(graph: HalfEdgeGraph, group: list) -> list:
             new_target = list(target)
             for g in group:
                 new_target[g.hperm[e1]] = target[sigma[g.hperm[e2]]]
-            moved = HalfEdgeGraph(graph.vertex_count, sigma, tuple(new_target))
-            moves.append((e1, e2, moved))
-    return moves
+            yield e1, e2, tuple(new_target)
 
 
 def _reduced_for_group(graph: HalfEdgeGraph, group: list) -> bool:
@@ -542,25 +547,27 @@ def nielsen_moves(zg: ZpGraph) -> list:
 
 def nielsen_closure(zg: ZpGraph, step_cap: int = 10_000) -> list:
     """Classes reachable by moves followed by reduction, the start included.
-    Moves from one graph that give the same graph are reduced once; the
-    step cap counts every move."""
+    Moves from one graph that give the same attachment map build, reduce
+    and key one graph; the step cap counts every move."""
     start = reduce_zp(zg)
     classes = {start.key: start}
     queue = [start]
     steps = 0
     while queue:
         current = queue.pop(0)
+        graph = current.graph
         seen = set()
-        for _, _, moved in nielsen_moves_for_group(current.graph, current.group()):
+        for _, _, target in _moved_targets(graph, current.group()):
             if steps == step_cap:
                 raise BudgetExceeded(
                     f"nielsen closure hit its step cap of {step_cap} moves; "
                     f"moves taken: {steps}, classes found so far: {len(classes)}"
                 )
             steps += 1
-            if moved.target in seen:
+            if target in seen:
                 continue
-            seen.add(moved.target)
+            seen.add(target)
+            moved = HalfEdgeGraph(graph.vertex_count, graph.sigma, target)
             candidate = reduce_zp(ZpGraph(moved, current.action, current.p, trivial=current.trivial))
             if candidate.key not in classes:
                 classes[candidate.key] = candidate

@@ -10,6 +10,7 @@ forest from the chain, or re-root the chain at the smallest collapse.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,7 @@ from spinelab.symmetry import (
     _group_with_order_divisible_by,
     canonical_form,
     form_isomorphism,
-    realize_multiplicity,
+    matrix_form,
     sylow_p_order,
 )
 
@@ -44,100 +45,77 @@ class NameAmbiguityError(RuntimeError):
 # admissible census
 
 
-def _degree_sequences(v: int, total: int):
-    """Non-increasing sequences of length v, entries >= 3, summing to total."""
+def _blow_ups(rows):
+    """Multiplicity matrices of the one-edge blow-ups of a canonical form.
 
-    def rec(prefix, remaining, cap):
-        slots = v - len(prefix)
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        for d in range(min(cap, remaining - 3 * (slots - 1)), 2, -1):
-            yield from rec(prefix + [d], remaining - d, d)
-
-    yield from rec([], total, total)
-
-
-def _multiplicity_assignments(degrees):
-    """All (loops, upper multiplicities) with the prescribed valencies."""
-    v = len(degrees)
-
-    def rec(i, used, rows):
-        if i == v:
-            yield rows
-            return
-        rem = degrees[i] - used[i]
-        if rem < 0:
-            return
-        for loops in range(rem // 2 + 1):
-            budget = rem - 2 * loops
-            for split in _compositions(budget, [degrees[j] - used[j] for j in range(i + 1, v)]):
-                new_used = list(used)
-                for k, m in enumerate(split):
-                    new_used[i + 1 + k] += m
-                yield from rec(i + 1, new_used, rows + [(loops, split)])
-
-    yield from rec(0, [0] * v, [])
-
-
-def _compositions(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first,) + rest
-
-
-def _candidates(n: int):
-    """Every labelled rank-n multiplicity matrix with valencies >= 3.
-
-    Yields (edges, loops, lower) over the feasible strata: an admissible
-    rank-n graph has between n and 3n-3 edges.  ``lower[v][u]`` for u < v
-    is the number of edges joining u and v.
+    ``rows`` are the form's (loops, lower-triangle) rows.  A blow-up splits
+    the darts at one vertex v into sides A and B of at least two darts
+    each and joins A to B by a new edge; v keeps side A and side B goes to
+    a new last vertex.  Parallel edges and loops are interchangeable, so a
+    split is fixed by how many of the edges to each neighbour stay on A
+    and how many loops stay on A, stay on B or cross from A to B.
     """
-    for e in range(n, 3 * n - 2):
-        v = e - n + 1
-        for degrees in _degree_sequences(v, 2 * e):
-            for rows in _multiplicity_assignments(list(degrees)):
-                loops = [r[0] for r in rows]
-                lower = [[0] * i for i in range(v)]
-                for i, (_, split) in enumerate(rows):
-                    for k, m in enumerate(split):
-                        lower[i + 1 + k][i] = m
-                yield e, loops, lower
+    size = len(rows)
+    mult = [[0] * (size + 1) for _ in range(size + 1)]
+    for v, row in enumerate(rows):
+        mult[v][v] = row[0]
+        for u, m in enumerate(row[1:]):
+            mult[v][u] = mult[u][v] = m
+    for v in range(size):
+        loops = mult[v][v]
+        neighbours = [u for u in range(size) if u != v and mult[v][u]]
+        links = sum(mult[v][u] for u in neighbours)
+        for kept in itertools.product(*(range(mult[v][u] + 1) for u in neighbours)):
+            on_a = sum(kept)
+            for stay_a in range(loops + 1):
+                for stay_b in range(loops - stay_a + 1):
+                    cross = loops - stay_a - stay_b
+                    if on_a + 2 * stay_a + cross < 2 or links - on_a + 2 * stay_b + cross < 2:
+                        continue
+                    child = [row[:] for row in mult]
+                    child[v][v], child[size][size] = stay_a, stay_b
+                    child[v][size] = child[size][v] = cross + 1
+                    for u, k in zip(neighbours, kept):
+                        child[v][u] = child[u][v] = k
+                        child[size][u] = child[u][size] = mult[v][u] - k
+                    yield child
 
 
 def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
     """All isomorphism classes of admissible graphs of rank n.
 
-    Candidates are screened on the multiplicity matrix: valency >= 3 holds
-    by construction, and one low-link pass decides connectivity and
-    bridges.  Only admissible candidates are realized as graphs, each
-    gets one canonical search, and classes are deduplicated by canonical
-    form; the returned representatives are canonical graphs sorted by
-    (edges, vertices, form).
+    Classes are built one edge stratum at a time from the rose, the only
+    one-vertex class, by blowing up every vertex of every class of the
+    stratum below (``_blow_ups``).  This is complete: contracting a
+    non-loop edge of an admissible graph keeps it connected, bridgeless
+    and of the same rank, and the merged vertex has valency at least 4,
+    so every class with e edges and two or more vertices is a blow-up of
+    a class with e - 1 edges.  A blow-up keeps valencies >= 3 and
+    connectivity by construction, so one low-link pass on the
+    multiplicity matrix screens it, and it is deduplicated by canonical
+    form without building a graph.  The returned representatives are
+    canonical graphs sorted by (edges, vertices, form).
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
-    seen = {}
-    for e, loops, lower in _candidates(n):
-        if not two_edge_connected(lower):
-            continue
-        form = canonical_form(realize_multiplicity(loops, lower))
-        if form not in seen:
-            seen[form] = form.graph()
-            if len(seen) > class_cap:
-                raise ResourceCapExceeded(
-                    f"more than {class_cap} classes at rank {n}; "
-                    f"stopped inside the {e}-edge stratum"
-                )
-    out = sorted(
-        seen.items(), key=lambda kv: (kv[1].edge_count, kv[1].vertex_count, kv[0].data)
-    )
-    return [g for _, g in out]
+    found = []
+    edges, candidates = n, [[[n]]]  # the rose: one vertex with n loops
+    while True:
+        seen = set()
+        for mult in candidates:
+            if two_edge_connected(mult):
+                seen.add(matrix_form(mult))
+                if len(found) + len(seen) > class_cap:
+                    raise ResourceCapExceeded(
+                        f"more than {class_cap} classes at rank {n}; "
+                        f"stopped inside the {edges}-edge stratum"
+                    )
+        if not seen:
+            return [form.graph() for form in found]
+        stratum = sorted(seen)
+        found += stratum
+        edges += 1
+        candidates = (child for form in stratum for child in _blow_ups(form.rows))
 
 
 @dataclass(frozen=True)

@@ -272,11 +272,17 @@ def _min_matrix_data(matrix: list, keys: list):
 
 
 def canonical_form(g: HalfEdgeGraph) -> CanonicalForm:
-    mult = g.multiplicity
+    return matrix_form(g.multiplicity)
+
+
+def matrix_form(mult) -> CanonicalForm:
+    """The canonical form of the graph whose symmetric multiplicity matrix
+    is ``mult`` (the diagonal counts loops), without building the graph;
+    a vertex's valence is its row sum plus its diagonal entry."""
     rows, labelling = _min_matrix_data(
-        mult, [(g.valences[v], mult[v][v]) for v in range(g.vertex_count)]
+        mult, [(sum(row) + row[v], row[v]) for v, row in enumerate(mult)]
     )
-    payload = json.dumps([g.vertex_count, [list(r) for r in rows]]).encode()
+    payload = json.dumps([len(mult), [list(r) for r in rows]]).encode()
     return CanonicalForm(payload, rows, labelling)
 
 

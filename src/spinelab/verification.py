@@ -217,24 +217,25 @@ def _fold(name: str, checks, sep: str = "; ") -> CriterionResult:
     return CriterionResult(name, all(ok for ok, _ in checks), sep.join(d for _, d in checks))
 
 
-def _classification_at(q: int) -> tuple:
+def _classification_at(q: int, classes: list) -> tuple:
     """At an odd prime q >= 5 the reduced classes of rank 2(q - 1) are the
     (q + 5)/2 classes of the rose, the thetas with s + t = q - 1 loops
     (s <= t) and the diagonal wedge, none of them vertex-free."""
     family = [catalog.rose_rotation(q, 2 * (q - 1)), catalog.wedge_diagonal(q)]
     family += [catalog.theta_rotation(q, s, q - 1 - s) for s in range((q + 1) // 2)]
-    classes = classify_reduced(q)
     matched = sorted(z.key for z in classes) == sorted(ZpGraph(g, a, q).key for g, a in family)
     ok = matched and all(z.fixed_vertex_count() > 0 for z in classes)
     return ok, f"p={q}: {len(classes)}"
 
 
-def criterion_classification(primes=(5, 7)) -> CriterionResult:
-    return _fold("reduced-classification", map(_classification_at, primes), sep=", ")
+def criterion_classification(primes=(5, 7), reduced=None) -> CriterionResult:
+    reduced = reduced or {q: classify_reduced(q) for q in primes}
+    checks = (_classification_at(q, reduced[q]) for q in primes)
+    return _fold("reduced-classification", checks, sep=", ")
 
 
-def _nielsen_at(q: int) -> tuple:
-    closures = [nielsen_closure(z) for z in classify_reduced(q)]
+def _nielsen_at(q: int, classes: list) -> tuple:
+    closures = [nielsen_closure(z) for z in classes]
     singletons = all(len(c) == 1 for c in closures)
     keys = [z.key for c in closures for z in c]
     disjoint = len(set(keys)) == len(keys)
@@ -245,8 +246,9 @@ def _nielsen_at(q: int) -> tuple:
     return ok, f"singletons={singletons} disjoint={disjoint} rank2-moves={len(moves)}"
 
 
-def criterion_nielsen(primes=(5,)) -> CriterionResult:
-    return _fold("nielsen-closures", map(_nielsen_at, primes))
+def criterion_nielsen(primes=(5,), reduced=None) -> CriterionResult:
+    reduced = reduced or {q: classify_reduced(q) for q in primes}
+    return _fold("nielsen-closures", (_nielsen_at(q, reduced[q]) for q in primes))
 
 
 def _expansions_at(q: int) -> tuple:
@@ -351,13 +353,15 @@ def run_all(config: RunConfig) -> list:
     bound = config.max_degree
     if config.p != 3:
         q = (config.p,)
+        reduced = {config.p: classify_reduced(config.p)}
         return [
-            criterion_classification(q),
-            criterion_nielsen(q),
+            criterion_classification(q, reduced),
+            criterion_nielsen(q, reduced),
             criterion_expansions(q),
             criterion_metacyclic(bound, q),
         ]
     cx = quotient_complex(3, 4)
+    reduced = {q: classify_reduced(q) for q in (5, 7)}
     return [
         criterion_census(cx),
         criterion_cells(cx),
@@ -366,8 +370,8 @@ def run_all(config: RunConfig) -> list:
         criterion_algebra_structure(bound),
         criterion_corollary(cx, bound),
         criterion_wreath(bound),
-        criterion_classification(),
-        criterion_nielsen(),
+        criterion_classification(reduced=reduced),
+        criterion_nielsen(reduced=reduced),
         criterion_expansions(),
         criterion_metacyclic(bound),
         criterion_recursion(bound),

@@ -1,0 +1,76 @@
+"""The labelled-matrix census generator, kept as a test oracle.
+
+The library builds the admissible census by vertex blow-ups from the
+rose.  This generator is independent of it: it sweeps every labelled
+multiplicity matrix with valencies >= 3 in every feasible stratum, so
+tests comparing the two check the census for completeness against a
+search that does not rely on the contraction argument.
+"""
+
+from __future__ import annotations
+
+
+def _degree_sequences(v: int, total: int):
+    """Non-increasing sequences of length v, entries >= 3, summing to total."""
+
+    def rec(prefix, remaining, cap):
+        slots = v - len(prefix)
+        if slots == 0:
+            if remaining == 0:
+                yield tuple(prefix)
+            return
+        for d in range(min(cap, remaining - 3 * (slots - 1)), 2, -1):
+            yield from rec(prefix + [d], remaining - d, d)
+
+    yield from rec([], total, total)
+
+
+def _multiplicity_assignments(degrees):
+    """All (loops, upper multiplicities) with the prescribed valencies."""
+    v = len(degrees)
+
+    def rec(i, used, rows):
+        if i == v:
+            yield rows
+            return
+        rem = degrees[i] - used[i]
+        if rem < 0:
+            return
+        for loops in range(rem // 2 + 1):
+            budget = rem - 2 * loops
+            for split in _compositions(budget, [degrees[j] - used[j] for j in range(i + 1, v)]):
+                new_used = list(used)
+                for k, m in enumerate(split):
+                    new_used[i + 1 + k] += m
+                yield from rec(i + 1, new_used, rows + [(loops, split)])
+
+    yield from rec(0, [0] * v, [])
+
+
+def _compositions(total, caps):
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+def _candidates(n: int):
+    """Every labelled rank-n multiplicity matrix with valencies >= 3.
+
+    Yields (edges, loops, lower) over the feasible strata: an admissible
+    rank-n graph has between n and 3n-3 edges.  ``lower[v][u]`` for u < v
+    is the number of edges joining u and v.
+    """
+    for e in range(n, 3 * n - 2):
+        v = e - n + 1
+        for degrees in _degree_sequences(v, 2 * e):
+            for rows in _multiplicity_assignments(list(degrees)):
+                loops = [r[0] for r in rows]
+                lower = [[0] * i for i in range(v)]
+                for i, (_, split) in enumerate(rows):
+                    for k, m in enumerate(split):
+                        lower[i + 1 + k][i] = m
+                yield e, loops, lower

@@ -22,6 +22,7 @@ from spinelab.verification import (
     criterion_recursion,
     criterion_series,
     criterion_wreath,
+    run_all,
 )
 
 BOUND = 40
@@ -89,6 +90,15 @@ def test_classification_fails_without_one_class(monkeypatch):
     real = verification.classify_reduced
     monkeypatch.setattr(verification, "classify_reduced", lambda q: real(q)[1:])
     assert not criterion_classification((7,)).passed
+
+
+@pytest.mark.parametrize("p, primes", [(3, [5, 7]), (5, [5])])
+def test_each_suite_classifies_once_per_prime(monkeypatch, p, primes):
+    calls = []
+    real = verification.classify_reduced
+    monkeypatch.setattr(verification, "classify_reduced", lambda q: calls.append(q) or real(q))
+    assert all(result.passed for result in run_all(RunConfig(p=p)))
+    assert calls == primes
 
 
 def test_metacyclic_fails_on_the_algebra_of_another_prime(monkeypatch):

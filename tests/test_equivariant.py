@@ -510,14 +510,17 @@ def test_nielsen_closure_matches_every_move_oracle(q):
 @pytest.mark.parametrize("q,distinct", [(5, 6), (7, 7), (11, 9)])
 def test_nielsen_closure_reduces_each_distinct_moved_graph_once(monkeypatch, q, distinct):
     classes = classify_reduced(q)
-    reduced = []
+    reduced, built = [], []
     real = equivariant.reduce_zp
     monkeypatch.setattr(equivariant, "reduce_zp", lambda zg: reduced.append(zg) or real(zg))
+    graph = equivariant.HalfEdgeGraph
+    monkeypatch.setattr(equivariant, "HalfEdgeGraph", lambda *args: built.append(args) or graph(*args))
     for zg in classes:
         nielsen_closure(zg)
     # one call reduces each start; every closure is a singleton, so the
-    # rest reduce moved graphs
+    # rest reduce moved graphs, and only those are built
     assert len(reduced) - len(classes) == distinct
+    assert len(built) == distinct
 
 
 def test_nielsen_closure_cap_reports_progress():

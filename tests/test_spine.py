@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from spinelab.report import corpus_document
 from spinelab.graphs import HalfEdgeGraph, enumerate_forests, is_admissible, rank, two_edge_connected
 from spinelab.spine import (
     NameAmbiguityError,
-    _candidates,
+    ResourceCapExceeded,
     cell_rows,
     census_tables,
     corpus_tables,
@@ -23,8 +24,14 @@ from spinelab.spine import (
     singular_graphs,
     verify_expected_tables,
 )
-from spinelab.symmetry import automorphism_group, canonical_form, realize_multiplicity
+from spinelab.symmetry import (
+    automorphism_group,
+    automorphism_order,
+    canonical_form,
+    realize_multiplicity,
+)
 
+from census_oracle import _candidates
 from dart_oracle import total_loops
 
 
@@ -95,6 +102,44 @@ def test_matrix_screen_matches_realized_admissibility():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_census_matches_realize_everything_oracle(n):
     assert enumerate_admissible(n) == realize_everything_census(n)
+
+
+@pytest.mark.parametrize(
+    "n, total",
+    [
+        (2, Fraction(-1, 24)),
+        (3, Fraction(-1, 48)),
+        (4, Fraction(-161, 5760)),
+        (5, Fraction(-367, 5760)),
+    ],
+)
+def test_census_meets_the_smillie_vogtmann_sum(n, total):
+    # chi(Out F_n) as a sum over the census of (-1)^|F| / |Aut G| over the
+    # forests F of each class G, the empty forest included; no class's
+    # term is 0, so dropping any class changes the sum
+    terms = [
+        Fraction(sum((-1) ** len(f) for f in enumerate_forests(g)), automorphism_order(g))
+        for g in enumerate_admissible(n)
+    ]
+    assert 0 not in terms
+    assert sum(terms) == total
+
+
+def test_census_searches_only_the_rose_and_screened_blow_ups(monkeypatch):
+    from spinelab import symmetry
+
+    searches = []
+    inner = symmetry._min_matrix_data
+    monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+    assert len(enumerate_admissible(4)) == 43
+    # 257 of the 338 blow-ups of the rank-4 strata pass the screen
+    assert len(searches) == 258
+
+
+def test_census_cap_names_the_stratum():
+    with pytest.raises(ResourceCapExceeded) as err:
+        enumerate_admissible(4, class_cap=10)
+    assert str(err.value) == "more than 10 classes at rank 4; stopped inside the 6-edge stratum"
 
 
 # sha256 of the corpus document of each (p, rank), as recorded when the
