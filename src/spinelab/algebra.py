@@ -7,12 +7,13 @@ algebras are modeled as one object with component-tagged monomials, so an
 element of A x B is a formal sum spread over both components and the unit
 is the sum of the component units.
 
-Degree-wise everything is finite linear algebra over F_p: morphisms have
-matrices per degree, and equalizers and invariants are one computation:
-the common kernel of f - g over a list of pairs (f, g), with the pairs
+Degree-wise everything is finite linear algebra over F_p.  A morphism
+writes each degree as sparse rows read off the images of the source
+monomials, and equalizers and invariants are one computation: the
+common kernel of f - g over a list of pairs (f, g), with the pairs
 (g, id) over a group's generators for its invariants.
 
-Matrices are built from the previous degrees.  The image of a monomial is
+Images are built from the previous degrees.  The image of a monomial is
 the cached image of the monomial without its last generator factor, times
 that generator's image: one product per basis monomial, with the factors
 in the same left-to-right order as the full product.  Callers ask for
@@ -408,16 +409,27 @@ class _Morphism:
             out = out + c * self.apply_monomial(m)
         return out
 
-    def _matrix(self, d: int) -> list:
-        src = self.source.basis(d)
+    def add_rows(self, d: int, rows=None, tag=None, sign: int = 1) -> dict:
+        """Add ``sign`` times the degree-d map to the sparse rows
+        ``{(tag, target monomial): {source column: coefficient}}``, a new
+        dict when ``rows`` is None, and return them."""
+        rows = {} if rows is None else rows
         index = self.target._basis_index(d)
-        mat = [[0] * len(src) for _ in range(len(index))]
-        for j, mono in enumerate(src):
+        for j, mono in enumerate(self.source.basis(d)):
             for m, c in self.apply_monomial(mono).coeffs.items():
-                i = index.get(m)
-                if i is None:
+                if m not in index:
                     raise ValueError("morphism does not preserve degree")
-                mat[i][j] = c
+                row = rows.setdefault((tag, m), {})
+                row[j] = row.get(j, 0) + sign * c
+        return rows
+
+    def _matrix(self, d: int) -> list:
+        """The dense view of ``add_rows``."""
+        index = self.target._basis_index(d)
+        mat = [[0] * len(self.source.basis(d)) for _ in range(len(index))]
+        for (_, m), row in self.add_rows(d).items():
+            for j, c in row.items():
+                mat[index[m]][j] = c
         return mat
 
 
@@ -478,9 +490,7 @@ class AlgebraMorphism(_Morphism):
         return self._matrix(d)
 
     def is_surjective_in_degree(self, d: int) -> bool:
-        return linalg.rank(self.matrix_in_degree(d), self.source.p) == len(
-            self.target.basis(d)
-        )
+        return linalg.rank(self.add_rows(d).values(), self.source.p) == len(self.target.basis(d))
 
 
 class ProductMorphism(_Morphism):
@@ -536,19 +546,18 @@ class EqualizerResult:
 
 def _common_kernel(source, pairs: list, bound: int) -> EqualizerResult:
     """Degree-wise common kernel of f - g over the morphism pairs (f, g)
-    out of ``source``: the rows of every f - g stacked, one nullspace."""
+    out of ``source``: the sparse rows of every f - g, keyed by (pair,
+    target monomial), one kernel."""
     for f, g in pairs:
         if f.source != source or g.source != source or f.target != g.target:
             raise ValueError("equalizer needs morphisms with equal source and target")
-    p = source.p
     kernels = []
     for d in range(bound + 1):
-        delta = [
-            [(a - b) % p for a, b in zip(ra, rb)]
-            for f, g in pairs
-            for ra, rb in zip(f.matrix_in_degree(d), g.matrix_in_degree(d))
-        ]
-        kernels.append(linalg.nullspace(delta, len(source.basis(d)), p))
+        rows: dict = {}
+        for k, (f, g) in enumerate(pairs):
+            f.add_rows(d, rows, k)
+            g.add_rows(d, rows, k, -1)
+        kernels.append(linalg.nullspace(rows.values(), len(source.basis(d)), source.p))
     return EqualizerResult(source, GradedDims(bound, tuple(map(len, kernels))), kernels)
 
 
@@ -689,7 +698,7 @@ def verify_free_module(
         want = eq.dims[d]
         if len(vectors) != want:
             return False
-        if linalg.rank([list(col) for col in zip(*vectors)], p) != want:
+        if linalg.rank(vectors, p) != want:
             return False
     return True
 

@@ -1,42 +1,67 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are lists of row lists of ints; all arithmetic is reduced mod p.
-Sizes here are tiny (a few dozen rows), so plain Gaussian elimination is
-the right tool.
+Every rank and kernel comes from one elimination, ``echelon``.  It keeps
+the reduced row echelon form of the rows seen so far: a new row is
+reduced by the pivot rows whose columns it meets, its least column
+becomes its pivot, and that column is cleared from the earlier pivot
+rows.  The matrices here are mostly zeros, so rows are sparse dicts
+``{column: value}``; a dense row list is read as one.  The reduced form
+is unique, so pivots and kernel bases do not depend on the row order.
 """
 
 from __future__ import annotations
 
 
-def rref(matrix, p):
-    """Reduced row echelon form and pivot columns."""
-    mat = [[x % p for x in row] for row in matrix]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot is None:
+def echelon(rows, p) -> dict:
+    """Reduced row echelon form of the rows: ``{pivot column: row}``.
+
+    Each row holds its entries off its pivot, whose own entry is 1, and
+    is zero in every other pivot column.
+    """
+    pivots: dict = {}
+    for row in rows:
+        entries = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: v % p for c, v in entries if v % p}
+        for c in [c for c in row if c in pivots]:
+            _add_multiple(row, -row.pop(c), pivots[c], p)
+        if not row:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+        c = min(row)
+        inv = pow(row.pop(c), p - 2, p)
+        row = {k: v * inv % p for k, v in row.items()}
+        for other in pivots.values():
+            if c in other:
+                _add_multiple(other, -other.pop(c), row, p)
+        pivots[c] = row
+    return pivots
+
+
+def _add_multiple(row: dict, f: int, other: dict, p) -> None:
+    """row += f * other mod p, keeping only nonzero entries."""
+    for k, v in other.items():
+        x = (row.get(k, 0) + f * v) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def rref(matrix, p):
+    """Reduced row echelon form and pivot columns of a dense matrix: the
+    pivot rows in pivot order, then one zero row per dependent row."""
+    cols = len(matrix[0]) if matrix else 0
+    reduced = echelon(matrix, p)
+    pivots = sorted(reduced)
+    mat = [[0] * cols for _ in matrix]
+    for r, c in enumerate(pivots):
+        mat[r][c] = 1
+        for k, v in reduced[c].items():
+            mat[r][k] = v
     return mat, pivots
 
 
-def rank(matrix, p) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref(matrix, p)[1])
+def rank(rows, p) -> int:
+    return len(echelon(rows or (), p))
 
 
 def pair_kernel_dim(a, b, cols_a: int, cols_b: int, p) -> int:
@@ -56,22 +81,24 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
-def nullspace(matrix, cols: int, p):
-    """Canonical kernel basis (one vector per free column, rref-derived).
+def nullspace(rows, cols: int, p):
+    """Canonical kernel basis over columns ``range(cols)``: one vector per
+    free column f, with 1 at f, 0 at the other free columns and the
+    pivot entries that forces.
 
     The width is passed because a matrix with no rows does not record it;
     its kernel is then the whole space.
     """
-    mat, pivots = rref(matrix, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * cols
+    basis = {f: [0] * cols for f in range(cols)}
+    reduced = echelon(rows, p)
+    for c in reduced:
+        del basis[c]
+    for f, vec in basis.items():
         vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-mat[r][f]) % p
-        basis.append(vec)
-    return basis
+    for c, row in reduced.items():
+        for f, v in row.items():
+            basis[f][c] = -v % p
+    return list(basis.values())
 
 
 def mat_mul(a, b, p):

@@ -399,23 +399,24 @@ def reduced_homology(complex_: QuotientComplex, cell_ids) -> list:
 
     The cells form a CW complex whose boundary maps are the alternating
     sums of face cells, augmented by sending every vertex to 1, so the
-    reduced homology is plain linear algebra over F_p.  Index d of the
-    result is the dimension of reduced H_d.
+    reduced homology is plain linear algebra over F_p, one sparse row of
+    signed faces per cell.  Index d of the result is the dimension of
+    reduced H_d.
     """
-    p = complex_.p
     by_dim: dict = {}
     for i in sorted(cell_ids):
         by_dim.setdefault(complex_.cells[i].dim, []).append(i)
     top = max(by_dim)
-    pos = {i: k for ids in by_dim.values() for k, i in enumerate(ids)}
-    boundaries = [[[1] * len(by_dim[0])]]
+    ranks = [1]  # the augmentation
     for d in range(1, top + 1):
-        mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
-        for col, i in enumerate(by_dim[d]):
+        rows = []
+        for i in by_dim[d]:
+            row: dict = {}
             for omit, f in enumerate(complex_.cells[i].faces):
-                mat[pos[f]][col] = (mat[pos[f]][col] + (-1) ** omit) % p
-        boundaries.append(mat)
-    ranks = [linalg.rank(mat, p) for mat in boundaries] + [0]
+                row[f] = row.get(f, 0) + (-1) ** omit
+            rows.append(row)
+        ranks.append(linalg.rank(rows, complex_.p))
+    ranks.append(0)
     return [len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
 
 

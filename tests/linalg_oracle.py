@@ -1,0 +1,53 @@
+"""Dense Gauss-Jordan elimination over F_p, kept as a test oracle.
+
+The library eliminates sparse rows in ``spinelab.linalg.echelon``.  This
+is the dense column-by-column loop it replaced, with the rank and kernel
+read off it the same way; tests compare the two.
+"""
+
+from __future__ import annotations
+
+
+def rref(matrix, p):
+    """Reduced row echelon form and pivot columns."""
+    mat = [[x % p for x in row] for row in matrix]
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(rows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return mat, pivots
+
+
+def rank(matrix, p) -> int:
+    if not matrix or not matrix[0]:
+        return 0
+    return len(rref(matrix, p)[1])
+
+
+def nullspace(matrix, cols: int, p):
+    """Canonical kernel basis (one vector per free column, rref-derived)."""
+    mat, pivots = rref(matrix, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * cols
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = (-mat[r][f]) % p
+        basis.append(vec)
+    return basis

@@ -305,6 +305,22 @@ def test_invariants_reject_a_map_off_the_algebra():
             invariants(alg, [morphism], 4)
 
 
+def test_common_kernel_keeps_its_two_refusals():
+    alg = GradedAlgebra(3, [("c2", 2, "poly"), ("c4", 4, "poly")])
+    other = GradedAlgebra(3, [("d2", 2, "poly"), ("d4", 4, "poly")])
+    ident = identity_morphism(alg)
+    into_other = AlgebraMorphism(
+        alg, other, {"c2": other.generator_element("d2"), "c4": other.generator_element("d4")}
+    )
+    with pytest.raises(ValueError, match="equal source and target"):
+        equalizer(ident, into_other, 4)
+    # images are checked when a morphism is made, so break one afterwards
+    shifted = AlgebraMorphism(alg, alg, dict(ident.images))
+    shifted._generator_images = (alg.generator_element("c4"), alg.generator_element("c4"))
+    with pytest.raises(ValueError, match="does not preserve degree"):
+        equalizer(shifted, ident, 4)
+
+
 def test_nullspace_of_a_matrix_without_rows_is_everything():
     from spinelab import linalg
 

@@ -1,0 +1,91 @@
+"""The sparse elimination against the dense Gauss-Jordan oracle."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import linalg_oracle as oracle
+from spinelab import linalg
+
+
+@st.composite
+def matrices(draw):
+    """(p, width, dense matrix) over F_3, F_5 or F_7: random rows with many
+    zeros, all-zero rows, full row rank, or rows with repeated and negated
+    copies; entries range outside [0, p)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    cols = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    kind = draw(st.sampled_from(["random", "zeros", "full", "repeats"]))
+    if kind == "zeros":
+        return p, cols, [[0] * cols for _ in range(draw(st.integers(0, 5)))]
+    if kind == "full":
+        # distinct leading columns with leading entries nonzero mod p
+        leads = sorted(draw(st.sets(st.integers(0, cols - 1), max_size=cols))) if cols else []
+        mat = [
+            [0] * c
+            + [draw(st.integers(1, p - 1)) + p * draw(st.integers(-1, 1))]
+            + [draw(entry) for _ in range(cols - c - 1)]
+            for c in leads
+        ]
+        return p, cols, draw(st.permutations(mat))
+    mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    if kind == "repeats" and mat:
+        copies = draw(
+            st.lists(
+                st.tuples(st.integers(0, len(mat) - 1), st.sampled_from([1, -1, 2, p + 1])),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        mat = draw(st.permutations(mat + [[s * x for x in mat[i]] for i, s in copies]))
+    return p, cols, mat
+
+
+@settings(max_examples=400)
+@given(matrices())
+@example((3, 4, []))  # no rows
+@example((5, 0, [[], [], []]))  # zero width
+@example((7, 3, [[0, 0, 0], [0, 0, 0]]))  # all zeros
+@example((5, 3, [[0, 2, 1], [3, 0, 4], [1, 1, 1]]))  # full rank
+@example((3, 3, [[1, 2, 0], [-1, -2, 0], [1, 2, 0], [0, 1, 1]]))  # repeated and negated
+@example((7, 2, [[-9, 15], [22, -1]]))  # entries outside [0, p)
+def test_sparse_kernel_matches_dense_gauss_jordan(case):
+    p, cols, mat = case
+    assert linalg.rref(mat, p) == oracle.rref(mat, p)
+    assert linalg.rank(mat, p) == oracle.rank(mat, p)
+    assert linalg.nullspace(mat, cols, p) == oracle.nullspace(mat, cols, p)
+
+
+@settings(max_examples=100)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_echelon_does_not_depend_on_row_order(case, rng):
+    p, _, mat = case
+    want = linalg.echelon(mat, p)
+    rng.shuffle(mat)
+    assert linalg.echelon(mat, p) == want
+    for c, row in want.items():
+        assert c not in row and all(k > c and k not in want for k in row)
+
+
+@settings(max_examples=100)
+@given(matrices(), st.data())
+def test_pair_kernel_dim_matches_the_oracle(case, data):
+    p, cols_a, a = case
+    cols_b = data.draw(st.integers(0, 4))
+    b = [data.draw(st.lists(st.integers(-p, p), min_size=cols_b, max_size=cols_b)) for _ in a]
+    joined = [list(ra) + [-x for x in rb] for ra, rb in zip(a, b)]
+    want = cols_a + cols_b - oracle.rank(joined, p)
+    assert linalg.pair_kernel_dim(a, b, cols_a, cols_b, p) == want
+
+
+@settings(max_examples=100)
+@given(matrices())
+def test_echelon_reads_columns_by_their_order_not_their_positions(case):
+    # the boundary rows of quotient cells are keyed by cell index
+    p, _, mat = case
+    rows = [{3 * c + 7: x for c, x in enumerate(row)} for row in mat]
+    want = {
+        3 * c + 7: {3 * k + 7: v for k, v in row.items()}
+        for c, row in linalg.echelon(mat, p).items()
+    }
+    assert linalg.echelon(rows, p) == want

@@ -125,6 +125,38 @@ def test_census_meets_the_smillie_vogtmann_sum(n, total):
     assert sum(terms) == total
 
 
+CHI_OUT = {2: Fraction(-1, 24), 3: Fraction(-1, 48), 4: Fraction(-161, 5760)}
+
+
+def _p_adic_valuation(k, p):
+    return next(v for v in itertools.count() if k % p ** (v + 1))
+
+
+@pytest.mark.parametrize(
+    "p, n, total, difference",
+    [
+        (3, 2, Fraction(1, 12), Fraction(1, 8)),
+        (3, 3, Fraction(-1, 12), Fraction(-1, 16)),
+        (3, 4, Fraction(-1961, 5760), Fraction(-5, 16)),
+        (5, 4, Fraction(1, 240), Fraction(37, 1152)),
+    ],
+)
+def test_quotient_complex_meets_browns_congruence(p, n, total, difference, rank4_complex):
+    # Brown (Invent. Math. 27, 1974): the sum over the cells of the
+    # quotient complex of (-1)^dim / isotropy order differs from
+    # chi(Out F_n) by a rational whose denominator is prime to p
+    cells = rank4_complex.cells if (p, n) == (3, 4) else quotient_complex(p, n).cells
+    terms = [Fraction((-1) ** c.dim, c.isotropy_order) for c in cells]
+    assert sum(terms) == total
+    assert sum(terms) - CHI_OUT[n] == difference
+    assert difference.denominator % p
+    # the congruence bites: multiplying by p the isotropy order with the
+    # largest p-part leaves a term the other terms cannot cancel mod p
+    worst = max(range(len(cells)), key=lambda i: _p_adic_valuation(cells[i].isotropy_order, p))
+    terms[worst] /= p
+    assert (sum(terms) - CHI_OUT[n]).denominator % p == 0
+
+
 def test_census_searches_only_the_rose_and_screened_blow_ups(monkeypatch):
     from spinelab import symmetry
 
