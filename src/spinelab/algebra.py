@@ -11,14 +11,15 @@ Degree-wise everything is finite linear algebra over F_p.  A morphism
 writes each degree as sparse rows read off the images of the source
 monomials, and equalizers and invariants are one computation: the
 common kernel of f - g over a list of pairs (f, g), with the pairs
-(g, id) over a group's generators for its invariants.
+(g, id) over a group's generators for its invariants; the identity's
+rows are written directly, one entry per source monomial.
 
 Images are built from the previous degrees.  The image of a monomial is
 the cached image of the monomial without its last generator factor, times
 that generator's image: one product per basis monomial, with the factors
 in the same left-to-right order as the full product.  Callers ask for
 degrees in ascending order, so a morphism keeps only the images of the
-degrees at most one maximal generator degree below the highest degree
+degrees at most one maximal generator degree below the last degree
 asked for, the ones the next degree can reach; a degree asked for out of
 order rebuilds the images it misses.  Basis tables depend only on the
 generators' (degree, kind) signature and are shared by every algebra
@@ -450,19 +451,19 @@ class AlgebraMorphism(_Morphism):
         self.images = dict(images)
         self._generator_images = tuple(self.images[g.name] for g in source.generators)
         self._degrees = tuple(g.degree for g in source.generators)
-        # degree -> {monomial: image} for the degrees from _top - _span on,
-        # the ones that building degree _top can reach
+        # degree -> {monomial: image} for the degrees from _last - _span
+        # on, the ones that building degree _last can reach
         self._window: dict = {}
         self._span = max(self._degrees, default=0)
-        self._top = 0
+        self._last = 0
 
     def apply_monomial(self, mono) -> Element:
         """Image of a source monomial; images missing from the window are
         built upwards from the nearest cached one."""
         mono = tuple(mono)
         d = self.source.monomial_degree(mono)
-        if d > self._top:
-            self._top = d
+        if d != self._last:
+            self._last = d
             for k in [k for k in self._window if k < d - self._span]:
                 del self._window[k]
         missing = []
@@ -515,12 +516,6 @@ class ProductMorphism(_Morphism):
         return self._matrix(d)
 
 
-def identity_morphism(alg: GradedAlgebra) -> AlgebraMorphism:
-    return AlgebraMorphism(
-        alg, alg, {g.name: alg.generator_element(g.name) for g in alg.generators}
-    )
-
-
 def dimensions(alg, bound: int) -> GradedDims:
     """Number of admissible monomials per degree."""
     return GradedDims(bound, tuple(len(alg.basis(d)) for d in range(bound + 1)))
@@ -547,16 +542,23 @@ class EqualizerResult:
 def _common_kernel(source, pairs: list, bound: int) -> EqualizerResult:
     """Degree-wise common kernel of f - g over the morphism pairs (f, g)
     out of ``source``: the sparse rows of every f - g, keyed by (pair,
-    target monomial), one kernel."""
+    target monomial), one kernel.  A pair (f, None) stands for (f, id):
+    the identity's rows are one -1 per source monomial."""
     for f, g in pairs:
-        if f.source != source or g.source != source or f.target != g.target:
+        target = source if g is None else g.target
+        if f.source != source or (g is not None and g.source != source) or f.target != target:
             raise ValueError("equalizer needs morphisms with equal source and target")
     kernels = []
     for d in range(bound + 1):
         rows: dict = {}
         for k, (f, g) in enumerate(pairs):
             f.add_rows(d, rows, k)
-            g.add_rows(d, rows, k, -1)
+            if g is not None:
+                g.add_rows(d, rows, k, -1)
+            else:
+                for j, mono in enumerate(source.basis(d)):
+                    row = rows.setdefault((k, mono), {})
+                    row[j] = row.get(j, 0) - 1
         kernels.append(linalg.nullspace(rows.values(), len(source.basis(d)), source.p))
     return EqualizerResult(source, GradedDims(bound, tuple(map(len, kernels))), kernels)
 
@@ -574,8 +576,7 @@ def invariants(alg: GradedAlgebra, action: list, bound: int) -> EqualizerResult:
     """Fixed subspace of the group generated by ``action``, endomorphisms of
     ``alg`` given on generators: the common kernel of g - id over the
     generators g, in every characteristic."""
-    ident = identity_morphism(alg)
-    return _common_kernel(alg, [(g, ident) for g in action], bound)
+    return _common_kernel(alg, [(g, None) for g in action], bound)
 
 
 def compose_morphisms(outer: AlgebraMorphism, inner: AlgebraMorphism) -> AlgebraMorphism:

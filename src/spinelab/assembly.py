@@ -11,6 +11,12 @@ component owning the special edge is resolved by checking that everything
 outside that edge is an acyclic identity region and then computing the
 equalizer of the two restrictions (the amalgam answer for a segment
 fundamental domain).
+
+Both read the restriction morphisms as sparse rows: the page's
+differentials are lists of ``{column: value}`` rows holding the
+morphisms' ``add_rows`` entries at block offsets, and the amalgam is the
+kernel of the two restrictions out of the product of the vertex algebras,
+the same ``equalizer`` the series criteria read.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from spinelab.algebra import (
     AlgebraMorphism,
     Element,
     GradedAlgebra,
+    ProductAlgebra,
+    ProductMorphism,
     cohomology_of_metacyclic,
     compose_morphisms,
     dimensions,
@@ -50,19 +58,19 @@ class ConcentrationError(RuntimeError):
 class CoefficientRule:
     """Assignment of graded dims to cells and maps to faces.
 
-    ``cell_dims[i]`` is the dims vector of cell i; ``face_map(cell, k)``
-    returns None for an identity face or a per-degree matrix list for the
-    special restriction faces.
+    ``cell_dims[i]`` is the dims vector of cell i; ``face_morphism(cell,
+    k)`` returns None for an identity face or the restriction morphism of
+    a special face.
     """
 
     bound: int
     cell_dims: dict
-    special_faces: dict  # (cell index, omission position) -> list of matrices
+    special_faces: dict  # (cell index, omission position) -> AlgebraMorphism
 
     def dims_of(self, cell_index: int):
         return self.cell_dims[cell_index]
 
-    def face_matrices(self, cell_index: int, position: int):
+    def face_morphism(self, cell_index: int, position: int):
         return self.special_faces.get((cell_index, position))
 
 
@@ -109,13 +117,9 @@ def sylow_rule(cx: QuotientComplex, bound: int, with_special_edge: bool = True) 
             for position, name in ((0, names[1]), (1, names[0])):
                 # omitting vertex 0 leaves the top endpoint, omitting 1
                 # leaves the collapsed one
-                cell_dims_v = dimensions(vertex_algebra[name], bound).dims
-                morphism = face_morphism[name]
-                special[(cell.index, position)] = [
-                    morphism.matrix_in_degree(d) for d in range(bound + 1)
-                ]
+                special[(cell.index, position)] = face_morphism[name]
                 vertex_cell = cx.cells[cell.faces[position]]
-                cell_dims[vertex_cell.index] = cell_dims_v
+                cell_dims[vertex_cell.index] = dimensions(vertex_algebra[name], bound).dims
     return CoefficientRule(bound, cell_dims, special)
 
 
@@ -132,7 +136,7 @@ class E1Page:
     bound: int
     cells_by_dim: dict  # s -> ordered cell indices
     dims: dict  # cell index -> dims vector
-    differentials: dict  # (s, q) -> matrix C^s(q) -> C^{s+1}(q)
+    differentials: dict  # (s, q) -> sparse rows of C^s(q) -> C^{s+1}(q)
 
 
 def build_e1(
@@ -145,7 +149,9 @@ def build_e1(
 
     The coboundary into a cell of dimension s+1 is the alternating sum of
     its face maps; identity faces require equal dims on both sides.  A
-    cell subset must be closed under faces.
+    cell subset must be closed under faces.  Each differential is a list
+    of sparse rows ``{column: value}``, one per basis vector of the
+    (s+1)-cochains, with entries reduced mod p and zeros dropped.
     """
     if cell_indices is not None:
         chosen = set(cell_indices)
@@ -179,17 +185,12 @@ def build_e1(
                 offsets[s][(ci, q)] = acc
                 acc += rule.dims_of(ci)[q]
 
-    def block_dim(s, q):
-        return sum(rule.dims_of(ci)[q] for ci in cells_by_dim.get(s, []))
-
     differentials = {}
     for s in sorted(cells_by_dim):
         if s + 1 not in cells_by_dim:
             continue
         for q in range(bound + 1):
-            rows = block_dim(s + 1, q)
-            cols = block_dim(s, q)
-            mat = [[0] * cols for _ in range(rows)]
+            rows = [{} for ci in cells_by_dim[s + 1] for _ in range(rule.dims_of(ci)[q])]
             for ci in cells_by_dim[s + 1]:
                 cell = cx.cells[ci]
                 row0 = offsets[s + 1][(ci, q)]
@@ -198,31 +199,35 @@ def build_e1(
                     sign = (-1) ** position
                     col0 = offsets[s][(face, q)]
                     source_dim = rule.dims_of(face)[q]
-                    block = rule.face_matrices(ci, position)
-                    if block is None:
+                    morphism = rule.face_morphism(ci, position)
+                    if morphism is None:
                         if source_dim != target_dim:
                             raise CoefficientRuleError(
                                 f"identity face of cell {ci} has mismatched dims "
                                 f"({source_dim} vs {target_dim}) in degree {q}"
                             )
-                        for k in range(target_dim):
-                            mat[row0 + k][col0 + k] = (mat[row0 + k][col0 + k] + sign) % p
+                        block = {k: {k: 1} for k in range(target_dim)}
                     else:
-                        bq = block[q]
-                        for r in range(target_dim):
-                            for c in range(source_dim):
-                                mat[row0 + r][col0 + c] = (
-                                    mat[row0 + r][col0 + c] + sign * bq[r][c]
-                                ) % p
-            differentials[(s, q)] = mat
+                        index = morphism.target._basis_index(q)
+                        block = {index[m]: row for (_, m), row in morphism.add_rows(q).items()}
+                    for r, entries in block.items():
+                        row = rows[row0 + r]
+                        for c, v in entries.items():
+                            row[col0 + c] = row.get(col0 + c, 0) + sign * v
+            differentials[(s, q)] = [{c: v % p for c, v in row.items() if v % p} for row in rows]
     return E1Page(p, bound, cells_by_dim, {c.index: rule.dims_of(c.index) for c in selected}, differentials)
 
 
 def check_d_squared(page: E1Page) -> bool:
-    for (s, q), mat in page.differentials.items():
-        nxt = page.differentials.get((s + 1, q))
-        if nxt and mat and nxt[0] and mat[0]:
-            if not linalg.is_zero_matrix(linalg.mat_mul(nxt, mat, page.p), page.p):
+    """Whether each composite of two consecutive differentials vanishes,
+    composed row by row: a row of the second times the rows of the first."""
+    for (s, q), rows in page.differentials.items():
+        for row in page.differentials.get((s + 1, q), ()):
+            composite: dict = {}
+            for k, v in row.items():
+                for c, w in rows[k].items():
+                    composite[c] = (composite.get(c, 0) + v * w) % page.p
+            if any(composite.values()):
                 return False
     return True
 
@@ -260,18 +265,19 @@ def equivariant_cohomology_from_page(page: E1Page) -> GradedDims:
 # amalgam over a segment
 
 
-def amalgam_cohomology(h1, h2, h12, f1, f2, bound: int, p: int) -> GradedDims:
-    """Equalizer dims of two degree-wise maps into a common target.
+def amalgam_cohomology(f1: AlgebraMorphism, f2: AlgebraMorphism, bound: int) -> GradedDims:
+    """Equalizer dims of two algebra morphisms into a common target.
 
     At least one of the maps must be surjective in every degree (else the
     connecting maps of the pair would interfere); the result in degree d is
-    dim ker [f1, -f2] on h1(d) + h2(d).
+    dim ker [f1, -f2], the pairs (u, v) with f1(u) = f2(v), computed as the
+    equalizer of the two projections out of the product of the sources.
     """
     for d in range(bound + 1):
-        if h12[d] not in (linalg.rank(f1[d], p), linalg.rank(f2[d], p)):
+        if not (f1.is_surjective_in_degree(d) or f2.is_surjective_in_degree(d)):
             raise ValueError(f"neither map is surjective in degree {d}")
-    dims = [linalg.pair_kernel_dim(f1[d], f2[d], h1[d], h2[d], p) for d in range(bound + 1)]
-    return GradedDims(bound, tuple(dims))
+    src = ProductAlgebra([f1.source, f2.source])
+    return equalizer(ProductMorphism(src, 0, f1), ProductMorphism(src, 1, f2), bound).dims
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +308,7 @@ def component_cohomology(cx: QuotientComplex, component: int, bound: int) -> Gra
     algebras = load_algebras()
     alpha = load_morphism(edge_cfg["face_morphisms"]["K33"], algebras)
     beta = load_morphism(edge_cfg["face_morphisms"]["Theta2vTheta2"], algebras)
-    h1 = dimensions(alpha.source, bound).dims
-    h2 = dimensions(beta.source, bound).dims
-    h12 = dimensions(alpha.target, bound).dims
-    f1 = [alpha.matrix_in_degree(d) for d in range(bound + 1)]
-    f2 = [beta.matrix_in_degree(d) for d in range(bound + 1)]
-    return amalgam_cohomology(h1, h2, h12, f1, f2, bound, cx.p)
+    return amalgam_cohomology(alpha, beta, bound)
 
 
 def _special_edges(cx: QuotientComplex, edge_cfg: dict) -> list:

@@ -46,32 +46,8 @@ def _add_multiple(row: dict, f: int, other: dict, p) -> None:
             del row[k]
 
 
-def rref(matrix, p):
-    """Reduced row echelon form and pivot columns of a dense matrix: the
-    pivot rows in pivot order, then one zero row per dependent row."""
-    cols = len(matrix[0]) if matrix else 0
-    reduced = echelon(matrix, p)
-    pivots = sorted(reduced)
-    mat = [[0] * cols for _ in matrix]
-    for r, c in enumerate(pivots):
-        mat[r][c] = 1
-        for k, v in reduced[c].items():
-            mat[r][k] = v
-    return mat, pivots
-
-
 def rank(rows, p) -> int:
     return len(echelon(rows or (), p))
-
-
-def pair_kernel_dim(a, b, cols_a: int, cols_b: int, p) -> int:
-    """dim ker [a | -b]: the pairs (u, v) with a u = b v.
-
-    ``a`` and ``b`` share their rows; the widths are passed because a
-    matrix with no rows does not record them.
-    """
-    joined = [list(ra) + [-x for x in rb] for ra, rb in zip(a, b)]
-    return cols_a + cols_b - rank(joined, p)
 
 
 def check_odd_prime(p: int) -> int:
@@ -99,23 +75,3 @@ def nullspace(rows, cols: int, p):
         for f, v in row.items():
             basis[f][c] = -v % p
     return list(basis.values())
-
-
-def mat_mul(a, b, p):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(k):
-            if a[i][j]:
-                f = a[i][j]
-                row = b[j]
-                orow = out[i]
-                for c in range(m):
-                    orow[c] = (orow[c] + f * row[c]) % p
-    return out
-
-
-def is_zero_matrix(a, p) -> bool:
-    return all(x % p == 0 for row in a for x in row)

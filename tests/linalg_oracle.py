@@ -2,7 +2,8 @@
 
 The library eliminates sparse rows in ``spinelab.linalg.echelon``.  This
 is the dense column-by-column loop it replaced, with the rank and kernel
-read off it the same way; tests compare the two.
+read off it the same way, plus the dense products and pair kernels the
+library no longer forms; tests compare the two.
 """
 
 from __future__ import annotations
@@ -51,3 +52,19 @@ def nullspace(matrix, cols: int, p):
             vec[c] = (-mat[r][f]) % p
         basis.append(vec)
     return basis
+
+
+def pair_kernel_dim(a, b, cols_a: int, cols_b: int, p) -> int:
+    """dim ker [a | -b]: the pairs (u, v) with a u = b v.
+
+    ``a`` and ``b`` share their rows; the widths are passed because a
+    matrix with no rows does not record them.
+    """
+    joined = [list(ra) + [-x for x in rb] for ra, rb in zip(a, b)]
+    return cols_a + cols_b - rank(joined, p)
+
+
+def mat_mul(a, b, p):
+    if not a or not b:
+        return []
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]

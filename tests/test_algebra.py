@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle as oracle
 from spinelab.algebra import (
     AlgebraMorphism,
     Element,
@@ -13,7 +14,6 @@ from spinelab.algebra import (
     cohomology_of_metacyclic,
     dimensions,
     equalizer,
-    identity_morphism,
     invariants,
     parse_element,
     swap_action,
@@ -23,6 +23,12 @@ from spinelab.algebra import (
 from spinelab.assembly import _recursion_maps
 from spinelab.fixtures import load_algebra, load_algebras, load_morphism, load_thm_input
 from spinelab.verification import _structure_elements
+
+
+def identity_morphism(alg):
+    return AlgebraMorphism(
+        alg, alg, {g.name: alg.generator_element(g.name) for g in alg.generators}
+    )
 
 
 def oracle_apply_monomial(morphism, mono):
@@ -217,7 +223,7 @@ def test_invariant_projector_is_idempotent():
             [(ninv * (ident_mat[i][j] + swap_mat[i][j])) % p for j in range(size)]
             for i in range(size)
         ]
-        assert linalg.mat_mul(proj, proj, p) == proj
+        assert oracle.mat_mul(proj, proj, p) == proj
         inv = invariants(big, [swap], d)
         assert inv.dims[d] == linalg.rank(proj, p)
         assert inv.dims[d] <= size
@@ -413,6 +419,18 @@ def test_matrix_in_degree_matches_full_products(name):
         assert fresh.matrix_in_degree(d) == oracle_matrix(fresh, d), d
 
 
+def test_a_second_ascending_pass_keeps_only_the_reachable_images():
+    # the amalgam's surjectivity guard reads every degree before the
+    # equalizer reads them again from degree 0; the window holds the
+    # degrees reachable from the last one asked for, plus at most those
+    # left at the top of the first pass
+    alpha = _oracle_morphisms()["alpha"]
+    for _ in range(2):
+        for d in range(121):
+            alpha.add_rows(d)
+            assert len(alpha._window) <= 2 * (alpha._span + 1), d
+
+
 _gen_shapes = st.one_of(
     st.tuples(st.sampled_from([2, 4, 6]), st.just("poly")),
     st.tuples(st.sampled_from([1, 3, 5]), st.just("ext")),
@@ -443,6 +461,36 @@ def test_matrix_in_degree_matches_full_products_property(p, source_shapes, targe
     morphism = AlgebraMorphism(source, target, images)
     for d in list(range(17)) + [16, 3, 12, 0]:
         assert morphism.matrix_in_degree(d) == oracle_matrix(morphism, d), d
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from([3, 5]),
+    shapes=st.lists(st.lists(_gen_shapes, max_size=3), min_size=3, max_size=3),
+    data=st.data(),
+)
+def test_product_equalizer_matches_the_oracle_pair_kernel(p, shapes, data):
+    """The equalizer of a and b out of A x B against the dense
+    cols - rank [a | -b] of their full-product matrices, degree by degree."""
+    a_source, b_source, target = (_algebra(p, s, prefix) for s, prefix in zip(shapes, "abt"))
+
+    def random_morphism(source):
+        images = {}
+        for g in source.generators:
+            basis = target.basis(g.degree)
+            coeffs = data.draw(
+                st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis))
+            )
+            images[g.name] = Element(target, dict(zip(basis, coeffs)))
+        return AlgebraMorphism(source, target, images)
+
+    a, b = random_morphism(a_source), random_morphism(b_source)
+    product = ProductAlgebra([a_source, b_source])
+    eq = equalizer(ProductMorphism(product, 0, a), ProductMorphism(product, 1, b), 12)
+    for d in range(13):
+        cols_a, cols_b = len(a_source.basis(d)), len(b_source.basis(d))
+        want = oracle.pair_kernel_dim(oracle_matrix(a, d), oracle_matrix(b, d), cols_a, cols_b, p)
+        assert eq.dims[d] == want, d
 
 
 def test_basis_matches_recursive_enumeration():

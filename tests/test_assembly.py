@@ -2,8 +2,16 @@
 
 import pytest
 
-from spinelab import linalg
-from spinelab.algebra import GradedAlgebra, dimensions, swap_action
+import linalg_oracle as oracle
+from spinelab.algebra import (
+    AlgebraMorphism,
+    Element,
+    GradedAlgebra,
+    ProductAlgebra,
+    dimensions,
+    equalizer,
+    swap_action,
+)
 from spinelab.assembly import (
     _recursion_maps,
     CoefficientRuleError,
@@ -17,8 +25,9 @@ from spinelab.assembly import (
     sylow_rule,
     theorem_pipeline,
 )
-from spinelab.fixtures import load_algebra, load_thm_input
+from spinelab.fixtures import load_algebra, load_algebras, load_morphism, load_thm_input
 from spinelab.series import PowerSeriesRat
+from spinelab.verification import _alpha_beta
 
 BOUND = 24
 # a recursion input with a nonzero restriction kernel (e15)
@@ -47,6 +56,17 @@ def test_single_point_component(rank4_complex, sigma3_dims):
 def test_d_squared_zero_full_complex(rank4_complex):
     page = build_e1(rank4_complex, constant_rule(rank4_complex, BOUND, load_algebra("sigma3")))
     assert check_d_squared(page)
+
+
+def test_check_d_squared_catches_a_flipped_face_sign(rank4_complex):
+    page = build_e1(rank4_complex, constant_rule(rank4_complex, 0, load_algebra("sigma3")))
+    assert check_d_squared(page)
+    d0, d1 = page.differentials[(0, 0)], page.differentials[(1, 0)]
+    # negating d1[r][c] adds -2 d1[r][c] d0[c] to row r of d1 d0, which is
+    # nonzero when row c of d0 is
+    r, c = next((r, c) for r, row in enumerate(d1) for c in row if d0[c])
+    d1[r][c] = -d1[r][c] % page.p
+    assert not check_d_squared(page)
 
 
 def test_identity_face_dim_mismatch_is_an_error(rank4_complex):
@@ -110,52 +130,72 @@ def test_corollary_sum(rank4_complex, sigma3_dims):
         assert out["total"][d] == 2 * sigma3_dims[d] + chi[d]
 
 
+def zero_morphism(source, target):
+    """Generators to zero: the unit still goes to the unit."""
+    images = {g.name: Element.zero(target) for g in source.generators}
+    return AlgebraMorphism(source, target, images)
+
+
 def test_amalgam_zero_maps_give_direct_sum():
-    h1 = (1, 0, 2)
-    h2 = (1, 1, 0)
-    h12 = (0, 0, 0)
-    f1 = [[[0] * c for _ in range(0)] for c in h1]
-    f2 = [[[0] * c for _ in range(0)] for c in h2]
-    dims = amalgam_cohomology(h1, h2, h12, f1, f2, 2, 3)
-    assert dims.dims == (2, 1, 2)
+    # dims (1, 0, 2) and (1, 1, 0) over a target that is F_3 in degree 0
+    h1 = GradedAlgebra(3, [("a2", 2, "poly"), ("b2", 2, "poly")])
+    h2 = GradedAlgebra(3, [("e1", 1, "ext")])
+    point = GradedAlgebra(3, [])
+    dims = amalgam_cohomology(zero_morphism(h1, point), zero_morphism(h2, point), 2)
+    # the direct sum above degree 0, where the two units are identified
+    assert dims.dims == (1, 1, 2)
 
 
 def test_amalgam_rank_nullity_on_synthetic_data():
     alg = GradedAlgebra(5, [("a8", 8, "poly"), ("b7", 7, "ext")])
-    h = dimensions(alg, 20).dims
-    ident = [
-        [[1 if i == j else 0 for j in range(h[d])] for i in range(h[d])]
-        for d in range(21)
-    ]
-    other = (2,) * 21
-    f2 = [[[0] * 2 for _ in range(h[d])] for d in range(21)]
-    dims = amalgam_cohomology(h, other, h, ident, f2, 20, 5)
-    # f1 surjective: dim Eq(d) = h2(d) + ker f1(d) = 2 + 0
-    assert dims.dims == tuple(2 for _ in range(21))
+    ident = swap_action(alg, [])  # swapping no pairs
+    other = GradedAlgebra(5, [("e1", 1, "ext"), ("c2", 2, "poly")])
+    dims = amalgam_cohomology(ident, zero_morphism(other, alg), 20)
+    # f1 bijective: dim Eq(d) = h2(d) + dim ker f1(d) = 1 + 0
+    assert dims.dims == dimensions(other, 20).dims == (1,) * 21
 
 
 def test_amalgam_rank_nullity_on_restriction_data():
     """With f1 surjective, dim Eq(d) = h1(d) + h2(d) - h12(d)."""
-    from spinelab.fixtures import load_algebras, load_morphism
-
     algebras = load_algebras()
     alpha = load_morphism("alpha", algebras)
     beta = load_morphism("beta", algebras)
     h1 = dimensions(alpha.source, BOUND).dims
     h2 = dimensions(beta.source, BOUND).dims
     h12 = dimensions(alpha.target, BOUND).dims
-    f1 = [alpha.matrix_in_degree(d) for d in range(BOUND + 1)]
-    f2 = [beta.matrix_in_degree(d) for d in range(BOUND + 1)]
-    dims = amalgam_cohomology(h1, h2, h12, f1, f2, BOUND, 3)
+    dims = amalgam_cohomology(alpha, beta, BOUND)
     for d in range(BOUND + 1):
         assert dims[d] == h1[d] + h2[d] - h12[d]
 
 
 def test_amalgam_requires_a_surjection():
-    h = (1,)
-    zero = [[[0]]]
+    # the unit goes to the sum of the two units, a line in the plane of
+    # degree 0 of a product
+    point = GradedAlgebra(3, [])
+    plane = ProductAlgebra([point, point])
+    zero = zero_morphism(point, plane)
     with pytest.raises(ValueError, match="degree 0"):
-        amalgam_cohomology(h, h, h, zero, zero, 0, 3)
+        amalgam_cohomology(zero, zero, 0)
+
+
+def test_k33_amalgam_matches_the_dense_pair_kernel(rank4_complex):
+    """The K33 component against the dense path it replaced, cols -
+    rank [alpha | -beta] from the dense matrices, and against the
+    equalizer the series criterion reads."""
+    alpha, beta, _, f, g = _alpha_beta()
+    comp = rank4_complex.component_containing("K33")
+    dense = tuple(
+        oracle.pair_kernel_dim(
+            alpha.matrix_in_degree(d),
+            beta.matrix_in_degree(d),
+            len(alpha.source.basis(d)),
+            len(beta.source.basis(d)),
+            3,
+        )
+        for d in range(61)
+    )
+    assert component_cohomology(rank4_complex, comp, 60).dims == dense
+    assert equalizer(f, g, 60).dims.dims == dense
 
 
 def test_recursion_pipeline_degenerate():
@@ -186,10 +226,10 @@ def oracle_recursion_dims(p, aut_input, images, bound):
         n = len(MM.basis(d))
         s = swap.matrix_in_degree(d)
         proj = [[half * ((i == j) + s[i][j]) % p for j in range(n)] for i in range(n)]
-        rr, pivots = linalg.rref([list(col) for col in zip(*proj)], p)
+        rr, pivots = oracle.rref([list(col) for col in zip(*proj)], p)
         inclusion = [[rr[k][r] for k in range(len(pivots))] for r in range(n)]
         eq_dims.append(
-            linalg.pair_kernel_dim(
+            oracle.pair_kernel_dim(
                 f1.matrix_in_degree(d), inclusion, len(big.basis(d)), len(pivots), p
             )
         )
