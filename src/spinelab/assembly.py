@@ -42,7 +42,7 @@ from spinelab.algebra import (
 )
 from spinelab.fixtures import load_algebras, load_coefficient_rule, load_morphism
 from spinelab.series import GradedDims
-from spinelab.spine import QuotientComplex, reduced_homology
+from spinelab.spine import QuotientComplex, _components, reduced_homology
 from spinelab.symmetry import sylow_p_order
 
 
@@ -335,8 +335,6 @@ def _check_retraction(cx: QuotientComplex, component: int, edge_cfg: dict):
     region).  These are the mechanical facts behind collapsing the
     component onto the edge.
     """
-    from spinelab.graphs import DisjointSet
-
     endpoints = set(edge_cfg["endpoints"])
     cells = [c for c in cx.cells if cx.component_of[c.index] == component]
     special = [c for c in _special_edges(cx, edge_cfg) if cx.component_of[c.index] == component]
@@ -352,21 +350,12 @@ def _check_retraction(cx: QuotientComplex, component: int, edge_cfg: dict):
     for c in rest:
         if c.dim >= 1 and sylow_p_order(c.isotropy_order, cx.p) != cx.p:
             raise ConcentrationError("identity region contains a big stabilizer")
-    index_set = {c.index for c in rest}
-    order = sorted(index_set)
-    pos = {ci: k for k, ci in enumerate(order)}
-    ds = DisjointSet(len(order))
-    for c in rest:
-        for f in c.faces:
-            ds.union(pos[c.index], pos[f])
-    pieces: dict = {}
-    for c in rest:
-        pieces.setdefault(ds.find(pos[c.index]), []).append(c.index)
+    pieces = _components(rest)
     if len(pieces) != 2:
         raise ConcentrationError(
             f"removing the special edge left {len(pieces)} pieces, expected 2"
         )
-    for piece in pieces.values():
+    for piece in pieces:
         if any(reduced_homology(cx, piece)):
             raise ConcentrationError("a piece outside the special edge is not acyclic")
 

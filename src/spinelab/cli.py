@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on a bad input
 or an exhausted resource, with one `error:` line on stderr.  Exit 2
-covers a --p that is not an odd prime, a rank below 2, a negative or
-non-integer degree bound, a bad graph, algebra or corpus file, a missing
-fixture, and the enumeration caps and budgets.  SPINELAB_MAX_DEGREE sets
-the default degree bound; an explicit --max-degree wins over it.
+covers a --p that is not an odd prime, a rank below 2, `spine cells` off
+rank 4 or at a negative dimension, a negative or non-integer degree
+bound, a bad graph, algebra or corpus file, a missing fixture, and the
+enumeration caps and budgets.  SPINELAB_MAX_DEGREE sets the default
+degree bound; an explicit --max-degree wins over it.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ def _prime(ctx, param, value):
     return check_odd_prime(value)
 
 
+def _rank(ctx, param, value):
+    """Callback of every --rank option."""
+    if value < 2:
+        raise ValueError("rank must be >= 2")
+    return value
+
+
 def _bound(ctx, param, value):
     """The degree bound: the flag, else SPINELAB_MAX_DEGREE, else 40."""
     if value is None:
@@ -96,7 +104,7 @@ def _prime_option(required=False):
     return click.option("--p", "prime", type=int, callback=_prime, **default)
 
 
-_rank_option = click.option("--rank", "rank_", default=4, show_default=True)
+_rank_option = click.option("--rank", "rank_", default=4, show_default=True, callback=_rank)
 _bound_option = click.option("--max-degree", "bound", type=int, default=None, callback=_bound)
 
 
@@ -135,6 +143,10 @@ def census(prime, rank_, out):
 @click.option("--dim", "dim_", default=1, show_default=True)
 def cells(prime, rank_, dim_):
     """List the cells of one dimension with their isotropy orders."""
+    if rank_ != 4:
+        raise ValueError("cell rows name their vertices, and class names exist only at rank 4")
+    if dim_ < 0:
+        raise ValueError(f"the cell dimension must be >= 0, got {dim_}")
     rows = cell_rows(quotient_complex(prime, rank_), dim_)
     for names, iso in rows:
         click.echo(f"{', '.join(names)}  |  isotropy {iso}")

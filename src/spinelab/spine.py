@@ -5,7 +5,9 @@ graphs of a fixed rank whose symmetry group contains an element of prime
 order p.  A k-cell is an orbit of a strictly nested chain of nonempty
 forests on a top graph, kept when the subgroup preserving every forest of
 the chain setwise still contains an element of order p.  Faces drop one
-forest from the chain, or re-root the chain at the smallest collapse.
+forest from the chain, or re-root the chain at the smallest collapse;
+each is one lookup in a table that keys every translate of a cell's
+chain to the cell, and a cell's vertices are read off its re-rooted face.
 """
 
 from __future__ import annotations
@@ -183,6 +185,7 @@ class QuotientCell:
     isotropy_order: int
     isotropy: tuple  # the stabilizing subgroup, as GraphAutomorphism list
     faces: tuple  # cell indices, ordered by omitted-vertex position
+    vertices: tuple  # class indices of the collapses, most-collapsed first, top last
 
 
 @dataclass
@@ -193,25 +196,13 @@ class QuotientComplex:
     cells: list  # QuotientCell, sorted by (dim, graph_index, chain)
     component_of: list  # cell index -> component id
     component_count: int
-    class_of_form: dict  # CanonicalForm -> class index
 
     def cells_of_dim(self, d: int) -> list:
         return [c for c in self.cells if c.dim == d]
 
     def cell_vertex_names(self, cell: QuotientCell) -> list:
         """Names of the cell's vertices, most-collapsed first, top last."""
-        names = []
-        for forest in cell.chain:
-            res = collapse_with_maps(self.classes[cell.graph_index].graph, forest)
-            names.append(self._class_name_of(res.graph))
-        names.append(self.classes[cell.graph_index].name)
-        return names
-
-    def _class_name_of(self, g: HalfEdgeGraph) -> str:
-        index = self.class_of_form.get(canonical_form(g))
-        if index is None:
-            raise KeyError("graph is not a census class")
-        return self.classes[index].name
+        return [self.classes[i].name for i in cell.vertices]
 
     def component_vertex_counts(self) -> list:
         counts = [0] * self.component_count
@@ -229,17 +220,6 @@ class QuotientComplex:
 
 def _chain_key(chain) -> tuple:
     return tuple(tuple(sorted(f)) for f in chain)
-
-
-def _chain_orbit_rep(chain, edge_perms) -> tuple:
-    """Key-minimal translate of the chain under the listed edge actions."""
-    best = None
-    for ep in edge_perms:
-        moved = tuple(frozenset(ep[e] for e in f) for f in chain)
-        key = _chain_key(moved)
-        if best is None or key < best[0]:
-            best = (key, moved)
-    return best[1]
 
 
 def _cells_for_class(p: int, cls: GraphClass):
@@ -294,100 +274,81 @@ def _proper_nonempty_subsets(forest):
 
 
 def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> QuotientComplex:
-    """Assemble cells of every dimension, their faces and components."""
+    """Assemble cells of every dimension, their faces, vertices and components.
+
+    Cells are made in (dim, class, key) order, after all of their faces.
+    Each enters one table under the key of every translate of its chain
+    by its top class's automorphisms, so a face is one lookup.  A cell's
+    vertices are its re-rooted face's, then its top class: the chain
+    F_0 > ... > F_k on G re-roots to F_0/F_k > ... > F_(k-1)/F_k on
+    G/F_k, whose vertices are G/F_0, ..., G/F_k.
+    """
     if classes is None:
         classes = singular_graphs(p, n)
         if n == 4:
             classes = match_names(classes)
     per_class = [_cells_for_class(p, cls) for cls in classes]
-
-    cells = []
-    lookup = {}
-    max_dim = 2 * n - 3
     top_level = max(max(levels) for levels in per_class) if per_class else 0
-    if top_level > max_dim:
+    if top_level > 2 * n - 3:
         raise RuntimeError("cell above the dimension bound of the complex")
-    for dim in range(0, top_level + 1):
-        for gi, levels in enumerate(per_class):
-            for key, (chain, stab) in levels.get(dim, {}).items():
-                index = len(cells)
-                lookup[(gi, key)] = index
-                cells.append(
-                    QuotientCell(index, dim, gi, chain, len(stab), tuple(stab), ())
-                )
 
     forms = [canonical_form(cls.graph) for cls in classes]
     form_index = {form: i for i, form in enumerate(forms)}
-    eperms_cache = [cls.aut.edge_perms() for cls in classes]
+    eperms = [cls.aut.edge_perms() for cls in classes]
+    cells: list = []
+    lookup: dict = {}  # (class index, chain key) -> cell index
+    for dim in range(top_level + 1):
+        for gi, levels in enumerate(per_class):
+            for chain, stab in levels.get(dim, {}).values():
+                faces = [lookup[(gi, _chain_key(chain[:k] + chain[k + 1 :]))] for k in range(dim)]
+                if dim:
+                    faces.append(_rerooted_face(classes, forms, form_index, lookup, gi, chain))
+                vertices = (cells[faces[-1]].vertices if dim else ()) + (gi,)
+                index = len(cells)
+                cells.append(
+                    QuotientCell(index, dim, gi, chain, len(stab), stab, tuple(faces), vertices)
+                )
+                for ep in eperms[gi]:
+                    lookup[(gi, _chain_key([[ep[e] for e in f] for f in chain]))] = index
 
-    def locate(gi: int, chain) -> int:
-        rep = _chain_orbit_rep(chain, eperms_cache[gi])
-        return lookup[(gi, _chain_key(rep))]
-
-    finished = []
-    for cell in cells:
-        if cell.dim == 0:
-            finished.append(cell)
-            continue
-        faces = []
-        k = cell.dim
-        for omit in range(k + 1):
-            if omit < k:
-                sub = cell.chain[:omit] + cell.chain[omit + 1 :]
-                faces.append(locate(cell.graph_index, sub))
-            else:
-                faces.append(_rerooted_face(classes, forms, form_index, eperms_cache, lookup, cell))
-        finished.append(
-            QuotientCell(
-                cell.index,
-                cell.dim,
-                cell.graph_index,
-                cell.chain,
-                cell.isotropy_order,
-                cell.isotropy,
-                tuple(faces),
-            )
-        )
-
-    component_of, count = _components(finished)
-    return QuotientComplex(p, n, list(classes), finished, component_of, count, form_index)
+    pieces = _components(cells)
+    component = {i: c for c, piece in enumerate(pieces) for i in piece}
+    component_of = [component[cell.index] for cell in cells]
+    return QuotientComplex(p, n, list(classes), cells, component_of, len(pieces))
 
 
-def _rerooted_face(classes, forms, form_index, eperms_cache, lookup, cell: QuotientCell) -> int:
+def _rerooted_face(classes, forms, form_index, lookup, gi: int, chain) -> int:
     """Face omitting the top vertex: collapse by the smallest forest.
 
     The remaining forests are pushed through the collapse, the collapsed
     graph is identified with its census representative by canonical form,
     and the chain is transported along the isomorphism that the two
-    canonical labellings give before orbit normalization.
+    canonical labellings give and looked up there.
     """
-    top = classes[cell.graph_index].graph
-    smallest = cell.chain[-1]
-    res = collapse_with_maps(top, smallest)
-    new_chain = [
-        frozenset(res.edge_map[e] for e in f if res.edge_map[e] is not None)
-        for f in cell.chain[:-1]
-    ]
+    res = collapse_with_maps(classes[gi].graph, chain[-1])
     form = canonical_form(res.graph)
-    gi = form_index[form]
-    rep_graph = classes[gi].graph
-    iso = form_isomorphism(res.graph, form, rep_graph, forms[gi])
-    eperm = tuple(
-        rep_graph.dart_edge[iso.hperm[h1]] for h1, _ in res.graph.edges
-    )
-    moved = tuple(frozenset(eperm[e] for e in f) for f in new_chain)
-    rep = _chain_orbit_rep(moved, eperms_cache[gi])
-    return lookup[(gi, _chain_key(rep))]
+    target = form_index[form]
+    rep_graph = classes[target].graph
+    iso = form_isomorphism(res.graph, form, rep_graph, forms[target])
+    eperm = [rep_graph.dart_edge[iso.hperm[h1]] for h1, _ in res.graph.edges]
+    moved = [
+        [eperm[res.edge_map[e]] for e in f if res.edge_map[e] is not None] for f in chain[:-1]
+    ]
+    return lookup[(target, _chain_key(moved))]
 
 
-def _components(cells: list):
+def _components(cells: list) -> list:
+    """Connected components of a face-closed list of cells, as lists of
+    cell indices, in the order of each component's first cell."""
+    pos = {cell.index: k for k, cell in enumerate(cells)}
     ds = DisjointSet(len(cells))
     for cell in cells:
         for f in cell.faces:
-            ds.union(cell.index, f)
-    roots = sorted({ds.find(i) for i in range(len(cells))})
-    root_id = {r: i for i, r in enumerate(roots)}
-    return [root_id[ds.find(i)] for i in range(len(cells))], len(roots)
+            ds.union(pos[cell.index], pos[f])
+    pieces: dict = {}
+    for cell in cells:
+        pieces.setdefault(ds.find(pos[cell.index]), []).append(cell.index)
+    return list(pieces.values())
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +413,10 @@ def corpus_json(complex_: QuotientComplex) -> dict:
 
 def cell_rows(complex_: QuotientComplex, dim: int) -> list:
     """(vertex names top-first, isotropy order) per cell, report style."""
-    rows = []
-    for cell in complex_.cells_of_dim(dim):
-        names = complex_.cell_vertex_names(cell)
-        rows.append((tuple(reversed(names)), cell.isotropy_order))
-    return sorted(rows)
+    return sorted(
+        (tuple(reversed(complex_.cell_vertex_names(cell))), cell.isotropy_order)
+        for cell in complex_.cells_of_dim(dim)
+    )
 
 
 class CorpusError(RuntimeError):

@@ -282,17 +282,30 @@ def test_duplicated_edge_pair(rank4_complex):
 
 
 def test_one_cell_endpoints_are_collapses(rank4_complex):
-    cx = rank4_complex
+    # every vertex of every cell, against the collapse by its forest
+    # matched to a census class by canonical form; the top comes last
     from spinelab.graphs import collapse
 
-    for cell in cx.cells_of_dim(1):
-        top = cx.classes[cell.graph_index].graph
-        quotient = collapse(top, cell.chain[0])
-        names = cx.cell_vertex_names(cell)
-        target = next(
-            c for c in cx.classes if canonical_form(c.graph) == canonical_form(quotient)
-        )
-        assert names[0] == target.name
+    for cx in (rank4_complex, quotient_complex(5, 4), quotient_complex(3, 3)):
+        class_of = {canonical_form(c.graph): i for i, c in enumerate(cx.classes)}
+        for cell in cx.cells:
+            top = cx.classes[cell.graph_index].graph
+            want = [class_of[canonical_form(collapse(top, f))] for f in cell.chain]
+            assert list(cell.vertices) == [*want, cell.graph_index]
+
+
+def test_vertex_names_need_no_canonical_search(rank4_complex, monkeypatch):
+    from spinelab import symmetry
+
+    searches = []
+    inner = symmetry._min_matrix_data
+    monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+    # canonical_form runs this search, so no call to it goes uncounted
+    tables = census_tables(rank4_complex)
+    names = [rank4_complex.cell_vertex_names(c) for c in rank4_complex.cells]
+    assert [len(tables[key]) for key, _ in spine.CELL_TABLES] == [24, 13, 3]
+    assert all(isinstance(name, str) for row in names for name in row)
+    assert searches == []
 
 
 def test_components(rank4_complex):
