@@ -309,10 +309,10 @@ def assert_input_error(result, text):
     [
         (["spine", "cells", "--rank", "1"], "rank must be >= 2"),
         (["spine", "report", "--rank", "1", "--json"], "rank must be >= 2"),
-        (["spine", "cells", "--rank", "3"], "exist only at rank 4"),
-        (["spine", "cells", "--dim", "-1"], "cell dimension must be >= 0, got -1"),
         (["coh", "series", "--max-degree", "-3"], "degree bound must be >= 0, got -3"),
         (["coh", "component", "--which", "rose", "--max-degree", "-1"], "got -1"),
+        (["spine", "cells", "--rank", "3"], "exist only at rank 4"),
+        (["spine", "cells", "--dim", "-1"], "cell dimension must be >= 0, got -1"),
     ],
 )
 def test_bad_rank_or_bound_is_config_error(runner, args, text):
