@@ -128,6 +128,13 @@ class HalfEdgeGraph:
                 mat[v][u] += 1
         return tuple(tuple(row) for row in mat)
 
+    @cached_property
+    def canonical_form(self):
+        """The canonical form of the graph (see ``symmetry``), searched once."""
+        from spinelab.symmetry import matrix_form
+
+        return matrix_form(self.multiplicity)
+
     def to_json(self) -> dict:
         return {
             "vertices": self.vertex_count,
@@ -267,8 +274,11 @@ def enumerate_forests(g: HalfEdgeGraph) -> list:
     """
     non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
     out = []
-
-    def extend(prefix: list, start: int, ds: DisjointSet):
+    # (forest, next edge to try, its components); a stack, not a recursive
+    # closure, so no reference cycle keeps ``out`` alive for the collector
+    stack = [([], 0, DisjointSet(g.vertex_count))]
+    while stack:
+        prefix, start, ds = stack.pop()
         out.append(frozenset(prefix))
         for i in range(start, len(non_loops)):
             e = non_loops[i]
@@ -278,9 +288,7 @@ def enumerate_forests(g: HalfEdgeGraph) -> list:
             sub = DisjointSet(g.vertex_count)
             sub.parent = list(ds.parent)
             sub.union(u, v)
-            extend(prefix + [e], i + 1, sub)
-
-    extend([], 0, DisjointSet(g.vertex_count))
+            stack.append((prefix + [e], i + 1, sub))
     out.sort(key=lambda f: (len(f), tuple(sorted(f))))
     return out
 

@@ -27,7 +27,9 @@ from spinelab.graphs import (
 )
 from spinelab.symmetry import (
     AutGroup,
+    _edge_generators,
     _group_with_order_divisible_by,
+    _orbit_minima,
     canonical_form,
     form_isomorphism,
     matrix_form,
@@ -47,8 +49,9 @@ class NameAmbiguityError(RuntimeError):
 # admissible census
 
 
-def _blow_ups(rows):
-    """Multiplicity matrices of the one-edge blow-ups of a canonical form.
+def _blow_ups(rows, vertices):
+    """Multiplicity matrices of the one-edge blow-ups at ``vertices`` of a
+    canonical form.
 
     ``rows`` are the form's (loops, lower-triangle) rows.  A blow-up splits
     the darts at one vertex v into sides A and B of at least two darts
@@ -63,7 +66,7 @@ def _blow_ups(rows):
         mult[v][v] = row[0]
         for u, m in enumerate(row[1:]):
             mult[v][u] = mult[u][v] = m
-    for v in range(size):
+    for v in vertices:
         loops = mult[v][v]
         neighbours = [u for u in range(size) if u != v and mult[v][u]]
         links = sum(mult[v][u] for u in neighbours)
@@ -87,16 +90,19 @@ def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
     """All isomorphism classes of admissible graphs of rank n.
 
     Classes are built one edge stratum at a time from the rose, the only
-    one-vertex class, by blowing up every vertex of every class of the
-    stratum below (``_blow_ups``).  This is complete: contracting a
-    non-loop edge of an admissible graph keeps it connected, bridgeless
-    and of the same rank, and the merged vertex has valency at least 4,
-    so every class with e edges and two or more vertices is a blow-up of
-    a class with e - 1 edges.  A blow-up keeps valencies >= 3 and
+    one-vertex class, by blowing up the classes of the stratum below
+    (``_blow_ups``).  This is complete: contracting a non-loop edge of an
+    admissible graph keeps it connected, bridgeless and of the same rank,
+    and the merged vertex has valency at least 4, so every class with e
+    edges and two or more vertices is a blow-up of a class with e - 1
+    edges.  One vertex per orbit of the class's automorphisms is blown
+    up, which loses no class: an automorphism carries each split at v to
+    a split at its image.  A blow-up keeps valencies >= 3 and
     connectivity by construction, so one low-link pass on the
     multiplicity matrix screens it, and it is deduplicated by canonical
     form without building a graph.  The returned representatives are
-    canonical graphs sorted by (edges, vertices, form).
+    canonical graphs sorted by (edges, vertices, form), each carrying the
+    form its search found, so no class is searched again.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
@@ -113,11 +119,15 @@ def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
                         f"stopped inside the {edges}-edge stratum"
                     )
         if not seen:
-            return [form.graph() for form in found]
-        stratum = sorted(seen)
+            return found
+        stratum = [form.graph() for form in sorted(seen)]
         found += stratum
         edges += 1
-        candidates = (child for form in stratum for child in _blow_ups(form.rows))
+        candidates = (
+            child
+            for form in map(canonical_form, stratum)
+            for child in _blow_ups(form.rows, _orbit_minima(len(form.rows), form.generators))
+        )
 
 
 @dataclass(frozen=True)
@@ -222,6 +232,19 @@ def _chain_key(chain) -> tuple:
     return tuple(tuple(sorted(f)) for f in chain)
 
 
+def _chain_orbit(key, generators) -> list:
+    """The keys of a chain's translates under the group that the edge
+    permutations ``generators`` generate, walked from ``key``."""
+    orbit, seen = [key], {key}
+    for current in orbit:
+        for ep in generators:
+            moved = _chain_key([[ep[e] for e in f] for f in current])
+            if moved not in seen:
+                seen.add(moved)
+                orbit.append(moved)
+    return orbit
+
+
 def _cells_for_class(p: int, cls: GraphClass):
     """Orbit representatives of singular forest chains on one top graph.
 
@@ -278,7 +301,8 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
 
     Cells are made in (dim, class, key) order, after all of their faces.
     Each enters one table under the key of every translate of its chain
-    by its top class's automorphisms, so a face is one lookup.  A cell's
+    by its top class's automorphisms, walked as the chain's orbit under
+    the group's generators, so a face is one lookup.  A cell's
     vertices are its re-rooted face's, then its top class: the chain
     F_0 > ... > F_k on G re-roots to F_0/F_k > ... > F_(k-1)/F_k on
     G/F_k, whose vertices are G/F_0, ..., G/F_k.
@@ -294,7 +318,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
 
     forms = [canonical_form(cls.graph) for cls in classes]
     form_index = {form: i for i, form in enumerate(forms)}
-    eperms = [cls.aut.edge_perms() for cls in classes]
+    generators = [_edge_generators(cls.graph) for cls in classes]
     cells: list = []
     lookup: dict = {}  # (class index, chain key) -> cell index
     for dim in range(top_level + 1):
@@ -308,8 +332,8 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
                 cells.append(
                     QuotientCell(index, dim, gi, chain, len(stab), stab, tuple(faces), vertices)
                 )
-                for ep in eperms[gi]:
-                    lookup[(gi, _chain_key([[ep[e] for e in f] for f in chain]))] = index
+                for key in _chain_orbit(_chain_key(chain), generators[gi]):
+                    lookup[(gi, key)] = index
 
     pieces = _components(cells)
     component = {i: c for c, piece in enumerate(pieces) for i in piece}

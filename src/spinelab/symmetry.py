@@ -11,6 +11,15 @@ counts plus off-diagonal edge multiplicities) agree up to a vertex
 relabeling, so canonical forms are computed on that data by refinement
 plus ordered backtracking, pruned by the automorphisms that equal leaves
 reveal; the minimum, and so every form's bytes, is the full search's.
+Each graph is searched once, and keeps its form.
+
+Automorphism groups come from the same search.  The automorphisms found
+at equal leaves generate the vertex group (McKay and Piperno, "Practical
+graph isomorphism, II", 2014): the group maps the first minimal leaf one
+to one onto the minimal leaves, and the search prunes a subtree only
+where a found automorphism maps a searched one onto it.  The dart group
+is the vertex group's closure, each element lifted to darts and composed
+with the symmetries fixing every vertex.
 
 Isomorphisms come from the canonical labelling, the vertex order that
 carries a graph onto its form; a vertex map is lifted to darts by
@@ -143,24 +152,38 @@ class CanonicalForm:
     """Complete isomorphism invariant; equal bytes iff isomorphic graphs.
 
     ``rows`` is the minimal (loops, lower-triangle) matrix that ``data``
-    encodes, kept so that ``graph`` needs no second search, and
+    encodes, kept so that ``graph`` needs no second search;
     ``labelling[i]`` is the vertex of the graph at canonical position i;
-    neither takes part in comparison or hashing.
+    and ``generators`` are vertex automorphisms of the graph, as image
+    tuples, that generate its vertex group.  None of the three takes part
+    in comparison or hashing.
     """
 
     data: bytes
     rows: tuple = field(compare=False, repr=False)
     labelling: tuple = field(compare=False, repr=False)
+    generators: tuple = field(compare=False, repr=False)
 
     def __lt__(self, other):
         return self.data < other.data
 
     def graph(self) -> HalfEdgeGraph:
-        """The deterministic representative of the isomorphism class."""
-        return realize_multiplicity(
+        """The deterministic representative of the isomorphism class.
+
+        It carries its form, so it is never searched: the identity order
+        attains the rows, and the generators move to canonical positions.
+        """
+        g = realize_multiplicity(
             [row[0] for row in self.rows],
             [row[1:] for row in self.rows],
         )
+        position = {v: i for i, v in enumerate(self.labelling)}
+        generators = tuple(tuple(position[a[v]] for v in self.labelling) for a in self.generators)
+        # seeds the cached property, as if the search had run on g
+        vars(g)["canonical_form"] = CanonicalForm(
+            self.data, self.rows, tuple(range(len(self.rows))), generators
+        )
+        return g
 
 
 def _refined_colors(matrix: list, keys: list) -> list:
@@ -193,12 +216,14 @@ def _rank_keys(keys: list) -> list:
 
 def _min_matrix_data(matrix: list, keys: list):
     """Lexicographically minimal (diagonal, lower triangle) of a square
-    matrix of ints under simultaneous row and column permutation.
+    matrix of ints under simultaneous row and column permutation, with the
+    automorphisms of the matrix that the search finds.
 
     The minimum ranges over vertex orderings grouped by the colours refined
     from ``keys``, so it is a relabeling invariant as long as the keys are;
     the full matrix makes it complete when entry (u, v) is a function of
-    entry (v, u), as for the symmetric multiplicity matrix.
+    entry (v, u), as for the symmetric multiplicity matrix.  Discrete
+    colours leave one ordering and no symmetry, so no search.
 
     A node searches only the candidates whose row is least among its
     siblings', since any other candidate ends in a larger sequence.  The
@@ -210,9 +235,15 @@ def _min_matrix_data(matrix: list, keys: list):
     jumps back to the prefix.  A candidate in the orbit of a searched
     sibling, under the found automorphisms that fix the node's prefix,
     roots an image of that sibling's subtree.  Images have the same rows,
-    so the minimum is unchanged.
+    so the minimum is unchanged, and only one row per orbit is built.
 
-    Returns the rows and a vertex order that attains them.
+    Returns the rows, a vertex order that attains them, and the vertex
+    automorphisms found at tie leaves (``a[v]`` is the image of v).  They
+    generate the whole group, which maps the first minimal leaf reached
+    one to one onto the minimal leaves: each reached minimal leaf is the
+    first's image under one of them, and every minimal leaf is the image
+    of a reached one, since each pruned subtree is the image, under a
+    found automorphism, of one searched before it.
     """
     n = len(matrix)
     colors = _refined_colors(matrix, keys)
@@ -220,10 +251,16 @@ def _min_matrix_data(matrix: list, keys: list):
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)
     cell_sequence = [cells[c] for c in sorted(cells)]
+    if len(cell_sequence) == n:
+        order = [cell[0] for cell in cell_sequence]
+        rows = tuple(
+            (matrix[w][w], *map(matrix[w].__getitem__, order[:d])) for d, w in enumerate(order)
+        )
+        return rows, tuple(order), ()
 
     best: list = []
     best_order: list = []
-    autos: list = []  # vertex automorphisms found at tie leaves, as dicts
+    autos: list = []  # (image list, moved set) per automorphism found
     changed = True  # best changed since the last leaf
 
     def search(order, remaining):
@@ -234,11 +271,31 @@ def _min_matrix_data(matrix: list, keys: list):
             if changed:
                 best_order, changed = order, False
                 return depth
-            autos.append(dict(zip(best_order, order)))
+            image = list(range(n))
+            for v, w in zip(best_order, order):
+                image[v] = w
+            autos.append((image, {v for v in best_order if image[v] != v}))
             return next(i for i, (v, w) in enumerate(zip(best_order, order)) if v != w)
         pos = next(i for i, pool in enumerate(remaining) if pool)
         active = remaining[pos]
-        rows = [(matrix[w][w],) + tuple(matrix[w][u] for u in order) for w in active]
+        # the orbits on the active cell of the found automorphisms that fix
+        # the prefix, each labelled by its least vertex, once there are any
+        label, read = None, len(autos)
+        if read and active[1:]:
+            fixing = [image for image, moved in autos if moved.isdisjoint(order)]
+            if fixing:
+                label = {w: w for w in active}
+                _merge_orbits(label, fixing)
+        if label:
+            built, rows = {}, []  # orbits share rows, so one row is built per orbit
+            for w in active:
+                row = built.get(label[w])
+                if row is None:
+                    mw = matrix[w]
+                    row = built[label[w]] = (mw[w], *map(mw.__getitem__, order))
+                rows.append(row)
+        else:
+            rows = [(matrix[w][w], *map(matrix[w].__getitem__, order)) for w in active]
         row = min(rows)
         if len(best) > depth:
             if row > best[depth]:
@@ -248,18 +305,22 @@ def _min_matrix_data(matrix: list, keys: list):
         if len(best) == depth:
             best.append(row)
             changed = True
-        searched, fixing, read = set(), [], 0
+        searched: list = []
         for i, w in enumerate(active):
             if rows[i] != row:
                 continue
-            if autos and searched:
-                fixing += [a for a in autos[read:] if all(a[v] == v for v in order)]
-                read, orbit = len(autos), [w]
-                for x in orbit:
-                    orbit += [a[x] for a in fixing if a[x] not in orbit]
-                if searched.intersection(orbit):
+            if searched:
+                if read < len(autos):
+                    # an automorphism found below this node that jumped no
+                    # further back maps the best leaf, below it too, to the
+                    # tie leaf, so it fixes the prefix
+                    if label is None:
+                        label = {x: x for x in active}
+                    _merge_orbits(label, [image for image, _ in autos[read:]])
+                    read = len(autos)
+                if label and any(label[x] == label[w] for x in searched):
                     continue
-            searched.add(w)
+            searched.append(w)
             nxt = list(remaining)
             nxt[pos] = active[:i] + active[i + 1 :]
             jump = search(order + [w], nxt)
@@ -268,22 +329,39 @@ def _min_matrix_data(matrix: list, keys: list):
         return depth
 
     search([], list(cell_sequence))
-    return tuple(best), tuple(best_order)
+    search = None  # the closure refers to itself; dropping that leaves no cycle to collect
+    return tuple(best), tuple(best_order), tuple(tuple(image) for image, _ in autos)
+
+
+def _merge_orbits(label: dict, images: list) -> None:
+    """Coarsen the orbit labels of ``label``'s keys, each the least vertex
+    of its orbit, to the orbits of the group that also contains the
+    permutations ``images`` (each maps the keys onto themselves)."""
+    for image in images:
+        for w in label:
+            a, b = label[w], label[image[w]]
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                for x in label:
+                    if label[x] == b:
+                        label[x] = a
 
 
 def canonical_form(g: HalfEdgeGraph) -> CanonicalForm:
-    return matrix_form(g.multiplicity)
+    """The form of g, searched once per graph and kept on it."""
+    return g.canonical_form
 
 
 def matrix_form(mult) -> CanonicalForm:
     """The canonical form of the graph whose symmetric multiplicity matrix
     is ``mult`` (the diagonal counts loops), without building the graph;
     a vertex's valence is its row sum plus its diagonal entry."""
-    rows, labelling = _min_matrix_data(
+    rows, labelling, generators = _min_matrix_data(
         mult, [(sum(row) + row[v], row[v]) for v, row in enumerate(mult)]
     )
     payload = json.dumps([len(mult), [list(r) for r in rows]]).encode()
-    return CanonicalForm(payload, rows, labelling)
+    return CanonicalForm(payload, rows, labelling, generators)
 
 
 def isomorphism(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> Optional[GraphAutomorphism]:
@@ -368,34 +446,24 @@ class AutGroup:
         }
 
 
-def _vertex_perms(g: HalfEdgeGraph) -> list:
-    """All vertex permutations preserving loop counts and multiplicities."""
-    n = g.vertex_count
-    mult = g.multiplicity
-    colors = _refined_colors(mult, [(g.valences[v], mult[v][v]) for v in range(n)])
-    out = []
-
-    def extend(mapping: list):
-        i = len(mapping)
-        if i == n:
-            out.append(tuple(mapping))
-            return
-        for w in range(n):
-            if w in mapping or colors[w] != colors[i]:
-                continue
-            if mult[i][i] != mult[w][w]:
-                continue
-            if any(mult[i][j] != mult[w][mapping[j]] for j in range(i)):
-                continue
-            extend(mapping + [w])
-
-    extend([])
-    return out
+def _vertex_group(g: HalfEdgeGraph) -> list:
+    """All vertex permutations preserving loop counts and multiplicities:
+    the closure of the generators that the canonical search found."""
+    generators = canonical_form(g).generators
+    identity = tuple(range(g.vertex_count))
+    group, seen = [identity], {identity}
+    for x in group:
+        for a in generators:
+            y = tuple(map(a.__getitem__, x))
+            if y not in seen:
+                seen.add(y)
+                group.append(y)
+    return group
 
 
 def automorphism_order(g: HalfEdgeGraph) -> int:
     """Group order without materializing elements."""
-    return len(_vertex_perms(g)) * _dart_freedom(g)
+    return len(_vertex_group(g)) * _dart_freedom(g)
 
 
 def _dart_freedom(g: HalfEdgeGraph) -> int:
@@ -408,16 +476,37 @@ def _dart_freedom(g: HalfEdgeGraph) -> int:
 
 def automorphism_group(g: HalfEdgeGraph, element_cap: int = 10**6) -> AutGroup:
     """All dart-level automorphisms; fails loudly past the element cap."""
-    return _group_from_vertex_perms(g, _vertex_perms(g), element_cap)
+    return _group_from_vertex_perms(g, _vertex_group(g), element_cap)
 
 
 def _group_with_order_divisible_by(g: HalfEdgeGraph, p: int) -> Optional[AutGroup]:
     """The automorphism group of g if p divides its order, else None, from
-    one enumeration of the vertex automorphisms."""
-    vperms = _vertex_perms(g)
+    one closure of the vertex group."""
+    vperms = _vertex_group(g)
     if len(vperms) * _dart_freedom(g) % p:
         return None
     return _group_from_vertex_perms(g, vperms)
+
+
+def _orbit_minima(n: int, generators) -> list:
+    """The least vertex of each orbit of the group that the vertex
+    permutations ``generators`` generate on range(n), in increasing order."""
+    label = {v: v for v in range(n)}
+    _merge_orbits(label, generators)
+    return [v for v in range(n) if label[v] == v]
+
+
+def _edge_generators(g: HalfEdgeGraph) -> list:
+    """Edge permutations that generate the image of the automorphism group
+    in the permutations of the edges: the lifted vertex generators, and a
+    swap of each two consecutive edges joining the same ends."""
+    out = [edge_permutation(g, _lift(g, g, a)) for a in canonical_form(g).generators]
+    for pairs in _bundles(g).values():
+        for (h, _), (k, _) in zip(pairs, pairs[1:]):
+            swap = list(range(g.edge_count))
+            swap[g.dart_edge[h]], swap[g.dart_edge[k]] = g.dart_edge[k], g.dart_edge[h]
+            out.append(tuple(swap))
+    return out
 
 
 def _group_from_vertex_perms(

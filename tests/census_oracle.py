@@ -5,9 +5,32 @@ rose.  This generator is independent of it: it sweeps every labelled
 multiplicity matrix with valencies >= 3 in every feasible stratum, so
 tests comparing the two check the census for completeness against a
 search that does not rely on the contraction argument.
+
+``every_vertex_census`` keeps the library's blow-ups but splits every
+vertex of every class, not one per automorphism orbit, so comparing it
+with the library checks the orbit pruning alone.
 """
 
 from __future__ import annotations
+
+from spinelab.graphs import two_edge_connected
+from spinelab.spine import _blow_ups
+from spinelab.symmetry import matrix_form
+
+
+def every_vertex_census(n: int) -> list:
+    """The rank-n census, each class blown up at each of its vertices."""
+    found = []
+    candidates = [[[n]]]
+    while True:
+        seen = {matrix_form(mult) for mult in candidates if two_edge_connected(mult)}
+        if not seen:
+            return found
+        stratum = [form.graph() for form in sorted(seen)]
+        found += stratum
+        candidates = (
+            child for g in stratum for child in _blow_ups(g.canonical_form.rows, range(g.vertex_count))
+        )
 
 
 def _degree_sequences(v: int, total: int):

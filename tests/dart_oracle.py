@@ -4,8 +4,11 @@ The library answers every isomorphism question from the canonical
 labelling.  This search is independent of it: it assigns darts one orbit
 at a time under the edge involution (and an intertwined action, if
 given), so tests comparing the two keep "canonical form is a complete
-invariant" from being a tautology.  The graph helpers beside it have
-no caller left in the library.
+invariant" from being a tautology.  Likewise the library takes each
+vertex automorphism group from the generators its canonical search
+finds, and ``vertex_perms`` lists the group by an unpruned backtracking
+search instead.  The graph helpers beside them have no caller left in
+the library.
 """
 
 from __future__ import annotations
@@ -154,3 +157,27 @@ def _cycle_length(perm, x):
 
 def are_isomorphic(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> bool:
     return next(dart_isomorphisms(g1, g2), None) is not None
+
+
+def vertex_perms(g: HalfEdgeGraph) -> list:
+    """All vertex permutations preserving loop counts and multiplicities,
+    each vertex mapped in turn to every vertex of its valence and loop
+    count that keeps the multiplicities to the vertices mapped before."""
+    n = g.vertex_count
+    mult = g.multiplicity
+    out = []
+
+    def extend(mapping: list):
+        i = len(mapping)
+        if i == n:
+            out.append(tuple(mapping))
+            return
+        for w in range(n):
+            if w in mapping or g.valences[w] != g.valences[i] or mult[i][i] != mult[w][w]:
+                continue
+            if any(mult[i][j] != mult[w][mapping[j]] for j in range(i)):
+                continue
+            extend(mapping + [w])
+
+    extend([])
+    return out

@@ -25,13 +25,14 @@ from spinelab.spine import (
     verify_expected_tables,
 )
 from spinelab.symmetry import (
+    _edge_generators,
     automorphism_group,
     automorphism_order,
     canonical_form,
     realize_multiplicity,
 )
 
-from census_oracle import _candidates
+from census_oracle import _candidates, every_vertex_census
 from dart_oracle import total_loops
 
 
@@ -164,8 +165,14 @@ def test_census_searches_only_the_rose_and_screened_blow_ups(monkeypatch):
     inner = symmetry._min_matrix_data
     monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
     assert len(enumerate_admissible(4)) == 43
-    # 257 of the 338 blow-ups of the rank-4 strata pass the screen
-    assert len(searches) == 258
+    # one vertex per orbit is blown up: 221 of the 290 blow-ups of the
+    # rank-4 strata pass the screen
+    assert len(searches) == 222
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_pruned_census_matches_every_vertex_blow_ups(n):
+    assert enumerate_admissible(n) == every_vertex_census(n)
 
 
 def test_census_cap_names_the_stratum():
@@ -208,22 +215,21 @@ def test_no_eight_edge_singular_graph(rank4_classes):
 
 
 def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypatch):
+    # each class's vertex automorphisms come from the canonical search that
+    # found it, so the filter searches nothing beyond the census
     from spinelab import symmetry
 
-    calls = []
-    inner = symmetry._vertex_perms
-
-    def counted(g):
-        calls.append(g)
-        return inner(g)
-
-    monkeypatch.setattr(symmetry, "_vertex_perms", counted)
+    searches = []
+    inner = symmetry._min_matrix_data
+    monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
     classes = singular_graphs(3, 4)
-    assert len(calls) == len(enumerate_admissible(4)) == 43
+    assert len(searches) == 222
     monkeypatch.undo()
     assert len(classes) == 17
     for cls in classes:
-        assert cls.aut == automorphism_group(cls.graph)
+        g = cls.graph
+        fresh = HalfEdgeGraph(g.vertex_count, g.sigma, g.target)  # searched anew
+        assert cls.aut.elements == automorphism_group(fresh).elements
 
 
 def test_rank5_prime5_is_empty_for_rank2():
@@ -405,6 +411,25 @@ def test_cells_match_whole_group_oracle(p, n, monkeypatch):
     want = quotient_complex(p, n, got.classes)
     assert len(got.cells) > 0
     assert got.cells == want.cells
+
+
+@pytest.mark.parametrize("p, n", sorted(CORPUS_SHA256))
+def test_chain_orbits_key_every_translate(p, n):
+    # the face table keys each cell under its chain's orbit, walked by the
+    # class's generators; the same table keys it under the chain's
+    # translate by every automorphism
+    cx = quotient_complex(p, n)
+    eperms = [cls.aut.edge_perms() for cls in cx.classes]
+    generators = [_edge_generators(cls.graph) for cls in cx.classes]
+    walked, every = {}, {}
+    for cell in cx.cells:
+        gi, key = cell.graph_index, spine._chain_key(cell.chain)
+        orbit = spine._chain_orbit(key, generators[gi])
+        assert len(orbit) * cell.isotropy_order == cx.classes[gi].aut_order
+        walked.update(((gi, k), cell.index) for k in orbit)
+        for ep in eperms[gi]:
+            every[(gi, spine._chain_key([[ep[e] for e in f] for f in cell.chain]))] = cell.index
+    assert walked == every
 
 
 def test_two_forest_cells_are_whole_group_minimal():

@@ -11,6 +11,7 @@ from spinelab.graphs import build_graph, collapse, enumerate_forests
 from spinelab.spine import enumerate_admissible
 from spinelab.symmetry import (
     AutGroupTooLarge,
+    _vertex_group,
     GraphAutomorphism,
     apply_to_graph,
     automorphism_group,
@@ -29,7 +30,7 @@ from spinelab.symmetry import (
 )
 
 from census_oracle import _candidates
-from dart_oracle import are_isomorphic, dart_isomorphisms, elements_of_order
+from dart_oracle import are_isomorphic, dart_isomorphisms, elements_of_order, vertex_perms
 
 
 def random_relabeling(g, rng):
@@ -84,6 +85,20 @@ def test_automorphism_orders(make, order):
     assert automorphism_order(g) == order
     group = automorphism_group(g)
     assert group.order == order
+    assert sorted(_vertex_group(g)) == sorted({a.vperm for a in group.elements}) == vertex_perms(g)
+
+
+def test_vertex_groups_match_backtracking_oracle():
+    # the group closed from the canonical search's generators against a
+    # search that lists every vertex automorphism, on relabeled copies of
+    # every admissible class of ranks 2 to 5
+    rng = random.Random(16)
+    graphs = [
+        random_relabeling(g, rng) for n in (2, 3, 4, 5) for g in enumerate_admissible(n) for _ in range(5)
+    ]
+    assert len(graphs) == 1935
+    for g in graphs:
+        assert sorted(_vertex_group(g)) == vertex_perms(g)
 
 
 def test_automorphisms_fix_graph():
