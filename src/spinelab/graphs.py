@@ -274,11 +274,8 @@ def enumerate_forests(g: HalfEdgeGraph) -> list:
     """
     non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
     out = []
-    # (forest, next edge to try, its components); a stack, not a recursive
-    # closure, so no reference cycle keeps ``out`` alive for the collector
-    stack = [([], 0, DisjointSet(g.vertex_count))]
-    while stack:
-        prefix, start, ds = stack.pop()
+
+    def extend(prefix: list, start: int, ds: DisjointSet):
         out.append(frozenset(prefix))
         for i in range(start, len(non_loops)):
             e = non_loops[i]
@@ -288,7 +285,9 @@ def enumerate_forests(g: HalfEdgeGraph) -> list:
             sub = DisjointSet(g.vertex_count)
             sub.parent = list(ds.parent)
             sub.union(u, v)
-            stack.append((prefix + [e], i + 1, sub))
+            extend(prefix + [e], i + 1, sub)
+
+    extend([], 0, DisjointSet(g.vertex_count))
     out.sort(key=lambda f: (len(f), tuple(sorted(f))))
     return out
 

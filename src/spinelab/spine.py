@@ -27,7 +27,6 @@ from spinelab.graphs import (
 )
 from spinelab.symmetry import (
     AutGroup,
-    _edge_generators,
     _group_with_order_divisible_by,
     _orbit_minima,
     canonical_form,
@@ -232,19 +231,6 @@ def _chain_key(chain) -> tuple:
     return tuple(tuple(sorted(f)) for f in chain)
 
 
-def _chain_orbit(key, generators) -> list:
-    """The keys of a chain's translates under the group that the edge
-    permutations ``generators`` generate, walked from ``key``."""
-    orbit, seen = [key], {key}
-    for current in orbit:
-        for ep in generators:
-            moved = _chain_key([[ep[e] for e in f] for f in current])
-            if moved not in seen:
-                seen.add(moved)
-                orbit.append(moved)
-    return orbit
-
-
 def _cells_for_class(p: int, cls: GraphClass):
     """Orbit representatives of singular forest chains on one top graph.
 
@@ -257,33 +243,50 @@ def _cells_for_class(p: int, cls: GraphClass):
     on ``sub`` alone.  Candidates are visited in key order, so the first
     of each orbit is its representative, and one scan of the stabilizer
     gives both the orbit, marked as seen, and the extension's stabilizer.
+
+    Each representative also comes with the keys of its translates by the
+    whole group, one per coset of its stabilizer, each kept with an edge
+    permutation carrying the chain onto it.  The translates of
+    ``chain + (sub,)`` are those of ``chain`` extended by the images of
+    ``sub``'s orbit under the chain's stabilizer, each key once.
+
+    Returns ``{level: {key: (chain, stabilizer, keys of its translates)}}``.
     """
     if cls.aut_order % p != 0:
         return {0: {}}
     out: dict = {}
-    frontier = {(): ((), tuple(zip(cls.aut.elements, cls.aut.edge_perms())))}
+    identity = tuple(range(cls.graph.edge_count))
+    frontier = {(): ((), tuple(zip(cls.aut.elements, cls.aut.edge_perms())), {(): identity})}
     level = 0
     while frontier:
         out[level] = {
-            key: (chain, tuple(a for a, _ in stab))
-            for key, (chain, stab) in sorted(frontier.items())
+            key: (chain, tuple(a for a, _ in stab), frozenset(translates))
+            for key, (chain, stab, translates) in sorted(frontier.items())
         }
         nxt = {}
-        for chain, stab in frontier.values():
+        for chain, stab, translates in frontier.values():
             subs = _proper_nonempty_subsets(chain[-1]) if chain else enumerate_forests(cls.graph)
             seen = set()
             for sub in sorted((f for f in subs if f), key=sorted):
                 if sub in seen:
                     continue
-                fixing = []
+                fixing, orbit = [], {}  # image of sub -> a stabilizer element giving it
                 for a, ep in stab:
                     moved = frozenset(ep[e] for e in sub)
-                    seen.add(moved)
+                    orbit.setdefault(moved, ep)
                     if moved == sub:
                         fixing.append((a, ep))
+                seen.update(orbit)
                 if len(fixing) % p == 0:
                     rep = chain + (sub,)
-                    nxt[_chain_key(rep)] = (rep, tuple(fixing))
+                    # g carries chain onto a translate, so g h carries rep
+                    # onto that translate extended by g(m)
+                    extended = {
+                        key + (tuple(sorted(map(g.__getitem__, m))),): tuple(map(g.__getitem__, h))
+                        for key, g in translates.items()
+                        for m, h in orbit.items()
+                    }
+                    nxt[_chain_key(rep)] = (rep, tuple(fixing), extended)
         frontier = nxt
         level += 1
     return out
@@ -301,8 +304,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
 
     Cells are made in (dim, class, key) order, after all of their faces.
     Each enters one table under the key of every translate of its chain
-    by its top class's automorphisms, walked as the chain's orbit under
-    the group's generators, so a face is one lookup.  A cell's
+    by its top class's automorphisms, so a face is one lookup.  A cell's
     vertices are its re-rooted face's, then its top class: the chain
     F_0 > ... > F_k on G re-roots to F_0/F_k > ... > F_(k-1)/F_k on
     G/F_k, whose vertices are G/F_0, ..., G/F_k.
@@ -318,12 +320,11 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
 
     forms = [canonical_form(cls.graph) for cls in classes]
     form_index = {form: i for i, form in enumerate(forms)}
-    generators = [_edge_generators(cls.graph) for cls in classes]
     cells: list = []
     lookup: dict = {}  # (class index, chain key) -> cell index
     for dim in range(top_level + 1):
         for gi, levels in enumerate(per_class):
-            for chain, stab in levels.get(dim, {}).values():
+            for chain, stab, translates in levels.get(dim, {}).values():
                 faces = [lookup[(gi, _chain_key(chain[:k] + chain[k + 1 :]))] for k in range(dim)]
                 if dim:
                     faces.append(_rerooted_face(classes, forms, form_index, lookup, gi, chain))
@@ -332,7 +333,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
                 cells.append(
                     QuotientCell(index, dim, gi, chain, len(stab), stab, tuple(faces), vertices)
                 )
-                for key in _chain_orbit(_chain_key(chain), generators[gi]):
+                for key in translates:
                     lookup[(gi, key)] = index
 
     pieces = _components(cells)

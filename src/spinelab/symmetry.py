@@ -222,8 +222,7 @@ def _min_matrix_data(matrix: list, keys: list):
     The minimum ranges over vertex orderings grouped by the colours refined
     from ``keys``, so it is a relabeling invariant as long as the keys are;
     the full matrix makes it complete when entry (u, v) is a function of
-    entry (v, u), as for the symmetric multiplicity matrix.  Discrete
-    colours leave one ordering and no symmetry, so no search.
+    entry (v, u), as for the symmetric multiplicity matrix.
 
     A node searches only the candidates whose row is least among its
     siblings', since any other candidate ends in a larger sequence.  The
@@ -251,20 +250,14 @@ def _min_matrix_data(matrix: list, keys: list):
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)
     cell_sequence = [cells[c] for c in sorted(cells)]
-    if len(cell_sequence) == n:
-        order = [cell[0] for cell in cell_sequence]
-        rows = tuple(
-            (matrix[w][w], *map(matrix[w].__getitem__, order[:d])) for d, w in enumerate(order)
-        )
-        return rows, tuple(order), ()
-
     best: list = []
     best_order: list = []
     autos: list = []  # (image list, moved set) per automorphism found
     changed = True  # best changed since the last leaf
 
     def search(order, remaining):
-        """Search below ``order``; return the depth to jump back to."""
+        """Search below ``order``, whose unplaced vertices are the nonempty
+        cells ``remaining`` in colour order; return the depth to jump back to."""
         nonlocal best_order, changed
         depth = len(order)
         if depth == n:
@@ -276,8 +269,7 @@ def _min_matrix_data(matrix: list, keys: list):
                 image[v] = w
             autos.append((image, {v for v in best_order if image[v] != v}))
             return next(i for i, (v, w) in enumerate(zip(best_order, order)) if v != w)
-        pos = next(i for i, pool in enumerate(remaining) if pool)
-        active = remaining[pos]
+        active = remaining[0]
         # the orbits on the active cell of the found automorphisms that fix
         # the prefix, each labelled by its least vertex, once there are any
         label, read = None, len(autos)
@@ -286,16 +278,14 @@ def _min_matrix_data(matrix: list, keys: list):
             if fixing:
                 label = {w: w for w in active}
                 _merge_orbits(label, fixing)
-        if label:
-            built, rows = {}, []  # orbits share rows, so one row is built per orbit
-            for w in active:
-                row = built.get(label[w])
-                if row is None:
-                    mw = matrix[w]
-                    row = built[label[w]] = (mw[w], *map(mw.__getitem__, order))
-                rows.append(row)
-        else:
-            rows = [(matrix[w][w], *map(matrix[w].__getitem__, order)) for w in active]
+        built, rows = {}, []  # orbits share rows, so one row is built per orbit
+        for w in active:
+            orbit = label[w] if label else w
+            row = built.get(orbit)
+            if row is None:
+                mw = matrix[w]
+                row = built[orbit] = (mw[w], *map(mw.__getitem__, order))
+            rows.append(row)
         row = min(rows)
         if len(best) > depth:
             if row > best[depth]:
@@ -321,15 +311,13 @@ def _min_matrix_data(matrix: list, keys: list):
                 if label and any(label[x] == label[w] for x in searched):
                     continue
             searched.append(w)
-            nxt = list(remaining)
-            nxt[pos] = active[:i] + active[i + 1 :]
-            jump = search(order + [w], nxt)
+            rest = active[:i] + active[i + 1 :]
+            jump = search(order + [w], [rest, *remaining[1:]] if rest else remaining[1:])
             if jump < depth:
                 return jump
         return depth
 
-    search([], list(cell_sequence))
-    search = None  # the closure refers to itself; dropping that leaves no cycle to collect
+    search([], cell_sequence)
     return tuple(best), tuple(best_order), tuple(tuple(image) for image, _ in autos)
 
 
@@ -494,19 +482,6 @@ def _orbit_minima(n: int, generators) -> list:
     label = {v: v for v in range(n)}
     _merge_orbits(label, generators)
     return [v for v in range(n) if label[v] == v]
-
-
-def _edge_generators(g: HalfEdgeGraph) -> list:
-    """Edge permutations that generate the image of the automorphism group
-    in the permutations of the edges: the lifted vertex generators, and a
-    swap of each two consecutive edges joining the same ends."""
-    out = [edge_permutation(g, _lift(g, g, a)) for a in canonical_form(g).generators]
-    for pairs in _bundles(g).values():
-        for (h, _), (k, _) in zip(pairs, pairs[1:]):
-            swap = list(range(g.edge_count))
-            swap[g.dart_edge[h]], swap[g.dart_edge[k]] = g.dart_edge[k], g.dart_edge[h]
-            out.append(tuple(swap))
-    return out
 
 
 def _group_from_vertex_perms(

@@ -25,7 +25,6 @@ from spinelab.spine import (
     verify_expected_tables,
 )
 from spinelab.symmetry import (
-    _edge_generators,
     automorphism_group,
     automorphism_order,
     canonical_form,
@@ -351,19 +350,20 @@ def test_face_of_face_identity(rank4_complex):
 
 
 def whole_group_rep(cls, eperms, chain):
-    """Key-minimal translate of a chain and its stabilizer, each found by
-    scanning the whole automorphism group."""
+    """Key-minimal translate of a chain, its stabilizer and the keys of all
+    its translates, each found by scanning the whole automorphism group."""
 
     def key(chain):
         return tuple(tuple(sorted(f)) for f in chain)
 
-    translates = [tuple(frozenset(ep[e] for e in f) for f in chain) for ep in eperms]
-    rep = min(translates, key=key)
+    chains = (tuple(frozenset(ep[e] for e in f) for f in chain) for ep in eperms)
+    translates = {key(t): t for t in chains}
+    rep = translates[min(translates)]
     stab = tuple(
         a for a, ep in zip(cls.aut.elements, eperms)
         if all(frozenset(ep[e] for e in f) == f for f in rep)
     )
-    return rep, stab
+    return rep, stab, frozenset(translates)
 
 
 def oracle_cells_for_class(p, cls):
@@ -372,15 +372,15 @@ def oracle_cells_for_class(p, cls):
     eperms = cls.aut.edge_perms()
 
     def classify(chain, level):
-        rep, stab = whole_group_rep(cls, eperms, chain)
+        rep, stab, translates = whole_group_rep(cls, eperms, chain)
         key = tuple(tuple(sorted(f)) for f in rep)
         if key not in level and len(stab) % p == 0:
-            level[key] = (rep, stab)
+            level[key] = (rep, stab, translates)
 
     out = {0: {}}
     if cls.aut_order % p != 0:
         return out
-    out[0][()] = ((), tuple(cls.aut.elements))
+    out[0][()] = ((), tuple(cls.aut.elements), frozenset({()}))
     frontier = {}
     for f in enumerate_forests(cls.graph):
         if f:
@@ -389,7 +389,7 @@ def oracle_cells_for_class(p, cls):
     while frontier:
         out[level] = dict(sorted(frontier.items()))
         nxt = {}
-        for _, (chain, _) in sorted(frontier.items()):
+        for _, (chain, _, _) in sorted(frontier.items()):
             items = sorted(chain[-1])
             for mask in range(1, (1 << len(items)) - 1):
                 sub = frozenset(x for i, x in enumerate(items) if mask >> i & 1)
@@ -413,25 +413,6 @@ def test_cells_match_whole_group_oracle(p, n, monkeypatch):
     assert got.cells == want.cells
 
 
-@pytest.mark.parametrize("p, n", sorted(CORPUS_SHA256))
-def test_chain_orbits_key_every_translate(p, n):
-    # the face table keys each cell under its chain's orbit, walked by the
-    # class's generators; the same table keys it under the chain's
-    # translate by every automorphism
-    cx = quotient_complex(p, n)
-    eperms = [cls.aut.edge_perms() for cls in cx.classes]
-    generators = [_edge_generators(cls.graph) for cls in cx.classes]
-    walked, every = {}, {}
-    for cell in cx.cells:
-        gi, key = cell.graph_index, spine._chain_key(cell.chain)
-        orbit = spine._chain_orbit(key, generators[gi])
-        assert len(orbit) * cell.isotropy_order == cx.classes[gi].aut_order
-        walked.update(((gi, k), cell.index) for k in orbit)
-        for ep in eperms[gi]:
-            every[(gi, spine._chain_key([[ep[e] for e in f] for f in cell.chain]))] = cell.index
-    assert walked == every
-
-
 def test_two_forest_cells_are_whole_group_minimal():
     """K_{5,3} at p = 3: a proper subset of a forest can come before a
     smaller-keyed translate in subset-mask order, so each orbit's
@@ -441,5 +422,5 @@ def test_two_forest_cells_are_whole_group_minimal():
     eperms = cls.aut.edge_perms()
     cells = spine._cells_for_class(3, cls)
     assert [len(level) for level in cells.values()] == [1, 30, 243, 730, 876, 360]
-    for chain, stab in cells[2].values():
-        assert whole_group_rep(cls, eperms, chain) == (chain, stab)
+    for chain, stab, translates in cells[2].values():
+        assert whole_group_rep(cls, eperms, chain) == (chain, stab, translates)
