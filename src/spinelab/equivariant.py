@@ -5,9 +5,10 @@ order exactly p.  Equivalence is subgroup conjugacy: two pairs are
 identified when some graph isomorphism carries one generator to a power
 of the other.  ``ZpGraph.key`` is a complete invariant of that relation,
 so classes, closures and blow-ups are deduplicated by lookup.  The census
-enumerates quotient data (fixed vertices and edges plus free p-orbits of
-each shape) rather than raw graphs, which is what keeps the search small
-for p = 5 and 7.
+is the closure of the reduced classes under equivariant blow-ups; only the
+reduced classes come from a sweep, over quotient data with no invariant
+forest (fixed loops and bundles, or the loops and chords of one free
+orbit), which keeps it small for p = 5 and 7.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from spinelab.graphs import (
     is_forest,
     json_int,
     json_ints,
-    rank,
 )
 from spinelab.linalg import check_odd_prime
 from spinelab.symmetry import (
@@ -236,70 +236,35 @@ def reduce_zp(zg: ZpGraph) -> ZpGraph:
 
 
 # ---------------------------------------------------------------------------
-# census via quotient data
+# census: the reduced classes and their blow-up closure
 
-# unit kinds: ("fixed_edge", u, v) one fixed edge: ("bundle", u, v) an orbit
-# of p parallel edges between fixed vertices; ("star", u, j) an orbit of p
-# edges from fixed u to the vertices of free orbit j; ("orbit_loop", j) a
-# loop at each vertex of orbit j; ("chord", j, d) the cycle of chords at
-# offset d inside orbit j; ("matching", j1, j2, d) the matching between two
-# orbits at offset d.
+# units of reduced quotient data: ("loop", u) one fixed loop at fixed vertex
+# u; ("bundle", u, v) an orbit of p parallel edges between fixed vertices, p
+# loops when u = v; ("orbit_loop", j) a loop at each vertex of free orbit j;
+# ("chord", j, d) the cycle of chords at offset d inside orbit j.  No orbit
+# of these is a forest, so every graph they build is reduced.
 
 
-def _unit_slots(p: int, f: int, m: int, reduced_only: bool) -> list:
+def _unit_slots(p: int, f: int, m: int) -> list:
     slots = []
     for u in range(f):
-        for v in range(u, f):
-            if not reduced_only or u == v:
-                slots.append(("fixed_edge", u, v))
-            slots.append(("bundle", u, v))
-    if not reduced_only:
-        for u in range(f):
-            for j in range(m):
-                slots.append(("star", u, j))
+        slots.append(("loop", u))
+        slots += [("bundle", u, v) for v in range(u, f)]
     for j in range(m):
         slots.append(("orbit_loop", j))
-        for d in range(1, (p - 1) // 2 + 1):
-            slots.append(("chord", j, d))
-    if not reduced_only:
-        for j1 in range(m):
-            for j2 in range(j1 + 1, m):
-                for d in range(p):
-                    slots.append(("matching", j1, j2, d))
+        slots += [("chord", j, d) for d in range(1, (p - 1) // 2 + 1)]
     return slots
 
 
-def _unit_edge_count(p: int, unit) -> int:
-    return 1 if unit[0] == "fixed_edge" else p
-
-
-def _unit_valencies(p: int, f: int, m: int, unit) -> dict:
-    """Valency contribution per quotient vertex (fixed index or ('orbit', j))."""
+def _unit_valencies(p: int, f: int, unit) -> list:
+    """(quotient vertex, valency added) pairs; free orbit j is vertex f + j."""
     kind = unit[0]
-    out: dict = {}
-    if kind == "fixed_edge":
+    if kind == "loop":
+        return [(unit[1], 2)]
+    if kind == "bundle":
         _, u, v = unit
-        out[u] = out.get(u, 0) + (2 if u == v else 1)
-        if u != v:
-            out[v] = 1
-    elif kind == "bundle":
-        _, u, v = unit
-        out[u] = out.get(u, 0) + (2 * p if u == v else p)
-        if u != v:
-            out[v] = p
-    elif kind == "star":
-        _, u, j = unit
-        out[u] = p
-        out[("orbit", j)] = 1
-    elif kind == "orbit_loop":
-        out[("orbit", unit[1])] = 2
-    elif kind == "chord":
-        out[("orbit", unit[1])] = 2
-    else:
-        _, j1, j2, _ = unit
-        out[("orbit", j1)] = 1
-        out[("orbit", j2)] = out.get(("orbit", j2), 0) + 1
-    return out
+        return [(u, 2 * p)] if u == v else [(u, p), (v, p)]
+    return [(f + unit[1], 2)]
 
 
 def realize_quotient_data(p: int, f: int, m: int, units: Iterable) -> ZpGraph:
@@ -313,46 +278,29 @@ def realize_quotient_data(p: int, f: int, m: int, units: Iterable) -> ZpGraph:
         return f + j * p + i % p
 
     edges = []
-    orbit_of_edge = []  # (first edge of the orbit, position) for the action
+    image = []  # the edge the action carries each edge to
     for unit in units:
         kind = unit[0]
-        if kind == "fixed_edge":
-            _, u, v = unit
-            edges.append((u, v))
-            orbit_of_edge.append(None)
-        elif kind == "bundle":
-            _, u, v = unit
-            start = len(edges)
-            edges.extend((u, v) for _ in range(p))
-            orbit_of_edge.extend((start, i) for i in range(p))
-        elif kind == "star":
-            _, u, j = unit
-            start = len(edges)
-            edges.extend((u, orbit_vertex(j, i)) for i in range(p))
-            orbit_of_edge.extend((start, i) for i in range(p))
-        elif kind == "orbit_loop":
-            j = unit[1]
-            start = len(edges)
-            edges.extend((orbit_vertex(j, i), orbit_vertex(j, i)) for i in range(p))
-            orbit_of_edge.extend((start, i) for i in range(p))
-        elif kind == "chord":
-            _, j, d = unit
-            start = len(edges)
-            edges.extend((orbit_vertex(j, i), orbit_vertex(j, i + d)) for i in range(p))
-            orbit_of_edge.extend((start, i) for i in range(p))
-        else:
-            _, j1, j2, d = unit
-            start = len(edges)
-            edges.extend((orbit_vertex(j1, i), orbit_vertex(j2, i + d)) for i in range(p))
-            orbit_of_edge.extend((start, i) for i in range(p))
+        if kind == "loop":
+            image.append(len(edges))
+            edges.append((unit[1], unit[1]))
+            continue
+        start = len(edges)
+        for i in range(p):
+            if kind == "bundle":
+                edges.append(unit[1:])
+            elif kind == "orbit_loop":
+                edges.append((orbit_vertex(unit[1], i), orbit_vertex(unit[1], i)))
+            else:
+                edges.append((orbit_vertex(unit[1], i), orbit_vertex(unit[1], i + unit[2])))
+            image.append(start + (i + 1) % p)
 
     g = build_graph(f + m * p, edges)
     vperm = list(range(f)) + [
         f + j * p + (i + 1) % p for j in range(m) for i in range(p)
     ]
     hperm = [None] * g.half_edge_count
-    for e, tag in enumerate(orbit_of_edge):
-        img = e if tag is None else tag[0] + (tag[1] + 1) % p
+    for e, img in enumerate(image):
         h1, h2 = g.edges[e]
         k1, k2 = g.edges[img]
         # darts 2e (first endpoint) and 2e+1 (second endpoint) line up with
@@ -363,34 +311,23 @@ def realize_quotient_data(p: int, f: int, m: int, units: Iterable) -> ZpGraph:
     return ZpGraph(g, action, p, trivial=trivial)
 
 
-def _stratum_raw(p: int, v: int, e: int, f: int, m: int, reduced_only: bool) -> Iterator[ZpGraph]:
-    """All admissible quotient-data graphs in one (vertices, edges) stratum.
+def _stratum_raw(p: int, e: int, f: int, m: int) -> Iterator[ZpGraph]:
+    """All admissible reduced graphs with e edges, f fixed vertices and m
+    free vertex orbits.
 
     The slot recursion prunes on valencies: once every slot touching a
     quotient vertex has been decided the vertex must already have valency
     at least 3, and the total valency deficit can never exceed twice the
     remaining edge budget.
     """
-    if f + m * p != v:
-        return
-    slots = _unit_slots(p, f, m, reduced_only)
-    sizes = [_unit_edge_count(p, s) for s in slots]
+    slots = _unit_slots(p, f, m)
+    sizes = [1 if s[0] == "loop" else p for s in slots]
     nkeys = f + m
-
-    def key_index(key):
-        return key if isinstance(key, int) else f + key[1]
-
-    contrib = []
-    for slot in slots:
-        contrib.append(
-            [(key_index(k), inc) for k, inc in _unit_valencies(p, f, m, slot).items()]
-        )
+    contrib = [_unit_valencies(p, f, slot) for slot in slots]
     last_touch = [-1] * nkeys
     for i, entries in enumerate(contrib):
         for k, _ in entries:
             last_touch[k] = max(last_touch[k], i)
-    if any(t < 0 for t in last_touch):
-        return
     finalized_at = [[] for _ in slots]
     for k, i in enumerate(last_touch):
         finalized_at[i].append(k)
@@ -424,53 +361,65 @@ def _stratum_raw(p: int, v: int, e: int, f: int, m: int, reduced_only: bool) -> 
     yield from rec(0, e, [0] * nkeys, [])
 
 
-def enumerate_zp_graphs(p: int, n: int, max_edges: int, candidate_cap: int = 200_000) -> list:
+def _reduced_classes(p: int, n: int, max_edges: int) -> list:
+    """The reduced classes of rank n with at most max_edges edges.
+
+    A fixed non-loop edge, an orbit of p edges from a fixed vertex to a
+    free orbit and an orbit of p edges matching two free orbits are each
+    an invariant forest, so a reduced graph has none: its free vertex
+    orbits are disconnected from its fixed vertices and from each other.
+    So either every vertex is fixed, or every vertex lies in one free
+    orbit.  A vertex-free action of odd order fixes no edge either, so
+    then p divides the Euler characteristic 1 - n.  The sweep runs on
+    reduced quotient data in these strata only.
+    """
+    # with v fixed vertices the graph has n + v - 1 edges, and the only
+    # connecting units are p-edge bundles, so it needs at least p(v - 1)
+    strata = [(v, 0) for v in range(1, max_edges - n + 2) if p * (v - 1) <= n + v - 1]
+    if (n - 1) % p == 0 and n + p - 1 <= max_edges:
+        strata.append((0, 1))
+    return dedup_equivariant(
+        zg for f, m in strata for zg in _stratum_raw(p, n + f + m * p - 1, f, m)
+    )
+
+
+def enumerate_zp_graphs(p: int, n: int, max_edges: int) -> list:
     """Equivariant-isomorphism classes of admissible rank-n graphs with an
-    order-p symmetry, within the edge budget."""
+    order-p symmetry and at most max_edges edges, in census order.
+
+    The census is the closure of the reduced classes under
+    `equivariant_expansions`.  It is complete.  Contracting a
+    single-orbit invariant forest of an admissible graph leaves an
+    admissible graph of the same rank with fewer edges, and the action
+    still has order p there: the collapse is an equivariant homotopy
+    equivalence, and a graph automorphism with all valences >= 3 that is
+    trivial in Out(F_n) is the identity.  Every nonempty invariant forest
+    contains a single-orbit one, so contracting one orbit at a time ends
+    at a reduced class within the budget, and each contraction is undone
+    by a blow-up of the smaller graph.
+    """
+    check_odd_prime(p)
     if max_edges > 3 * n - 3:
         raise BudgetExceeded(f"edge budget {max_edges} exceeds 3*rank-3 = {3 * n - 3}")
-    found = []
-    count = 0
-    for e in range(n, max_edges + 1):
-        v = e - n + 1
-        for m in range(v // p + 1):
-            f = v - m * p
-            for zg in _stratum_raw(p, v, e, f, m, reduced_only=False):
-                if rank(zg.graph) != n:
-                    continue
-                found.append(zg)
-                count += 1
-                if count > candidate_cap:
-                    raise BudgetExceeded(
-                        f"candidate cap {candidate_cap} hit at {count} graphs"
-                    )
-    return dedup_equivariant(found)
+    classes = _reduced_classes(p, n, max_edges)
+    seen = {zg.key for zg in classes}
+    for zg in classes:  # the list grows as it is read
+        for blown_up, _ in equivariant_expansions(zg, max_edges):
+            if blown_up.key not in seen:
+                seen.add(blown_up.key)
+                classes.append(blown_up)
+    return dedup_equivariant(classes)
 
 
 def classify_reduced(p: int) -> list:
     """All reduced classes of rank n = 2(p-1), up to equivariant isomorphism.
 
-    A reduced graph admits no fixed non-loop edge, star orbit or matching
-    orbit (each is an invariant forest on its own), so free vertex orbits
-    would be disconnected from the fixed part: either every vertex is
-    fixed or every vertex is free.  A vertex-free action is free on edges
-    too, so p divides the Euler characteristic 1 - n, i.e. p divides
-    2p - 3, which holds only at p = 3; the census runs on all-vertices-fixed
-    quotient data, and on all-vertices-free data when p divides n - 1.
+    Every vertex is fixed, or p divides n - 1 = 2p - 3, which holds only
+    at p = 3.
     """
+    check_odd_prime(p)
     n = 2 * (p - 1)
-    # strata (v vertices, f fixed, m free orbits) with n + v - 1 <= 3n - 3
-    # edges; with all vertices fixed the only connecting units are p-edge
-    # bundles, so a connected graph needs at least p(v-1) edges
-    strata = [(v, v, 0) for v in range(1, 2 * n - 1) if p * (v - 1) <= n + v - 1]
-    if (n - 1) % p == 0:
-        strata += [(v, 0, v // p) for v in range(p, 2 * n - 1, p)]
-    out = []
-    for v, f, m in strata:
-        for zg in _stratum_raw(p, v, n + v - 1, f, m, reduced_only=True):
-            if rank(zg.graph) == n and is_reduced(zg):
-                out.append(zg)
-    return dedup_equivariant(out)
+    return _reduced_classes(p, n, 3 * n - 3)
 
 
 # ---------------------------------------------------------------------------

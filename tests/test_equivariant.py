@@ -13,7 +13,6 @@ from spinelab.equivariant import (
     _census_order,
     _dedup_expansion_pairs,
     _equivariant_key,
-    _stratum_raw,
     classify_reduced,
     dedup_equivariant,
     enumerate_zp_graphs,
@@ -23,10 +22,10 @@ from spinelab.equivariant import (
     is_reduced,
     nielsen_closure,
     nielsen_moves,
-    realize_quotient_data,
     reduce_zp,
 )
 from spinelab.graphs import enumerate_forests, is_forest, rank
+from spinelab.spine import singular_graphs
 from spinelab.symmetry import (
     GraphAutomorphism,
     apply_to_graph,
@@ -39,6 +38,7 @@ from spinelab.symmetry import (
 )
 
 from dart_oracle import dart_isomorphisms, elements_of_order
+from zp_census_oracle import realize_quotient_data, stratum_raw, sweep_candidates, sweep_zp_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +132,32 @@ def test_classify_reduced_5_matches_catalog():
         assert sum(1 for c in classes if equivariant_isomorphic(want, c)) == 1
 
 
-def census_classify_reduced_3(classes):
-    """Every reduced order-3 element of the classes' automorphism groups,
-    deduplicated by key: on the rank-4 census classes, an oracle for the
-    quotient-data census at p = 3."""
+def census_zp_classes(classes, p):
+    """Every order-p element of the classes' automorphism groups,
+    deduplicated by key: the order-p subgroups of each group up to
+    conjugacy, over all classes, an oracle for the census of graphs with
+    an order-p symmetry."""
     out = []
     for cls in classes:
-        for a in elements_of_order(cls.aut, 3):
-            zg = ZpGraph(cls.graph, a, 3)
-            if is_reduced(zg):
-                out.append(zg)
+        out += [ZpGraph(cls.graph, a, p) for a in elements_of_order(cls.aut, p)]
     return dedup_equivariant(out)
 
 
 def test_classify_reduced_3_matches_census_oracle(rank4_classes):
     keys = [zg.key for zg in classify_reduced(3)]
-    assert keys == [zg.key for zg in census_classify_reduced_3(rank4_classes)]
+    assert keys == [zg.key for zg in census_zp_classes(rank4_classes, 3) if is_reduced(zg)]
     assert len(keys) == 6
+
+
+@pytest.mark.parametrize("p,n,count", [(3, 3, 4), (3, 4, 19), (5, 4, 1), (3, 5, 96)])
+def test_closure_is_the_order_p_subgroup_census(p, n, count):
+    """The closure at the full budget 3n - 3 has one class per conjugacy
+    class of order-p subgroups of each census graph's automorphism group.
+    Classes on one graph with equal fixed-vertex counts and edge orbit
+    sizes may come in another order, so the keys are compared as sets."""
+    keys = {zg.key for zg in enumerate_zp_graphs(p, n, 3 * n - 3)}
+    assert keys == {zg.key for zg in census_zp_classes(singular_graphs(p, n), p)}
+    assert len(keys) == count
 
 
 def test_classify_reduced_3_contains_expected():
@@ -174,6 +183,27 @@ def test_enumerate_zp_graphs_examples():
     assert any(equivariant_isomorphic(z, wedge(5, "diag")) for z in zs)
     assert all(z.fixed_vertex_count() > 0 for z in zs)
     assert all(rank(z.graph) == 8 for z in zs)
+
+
+@pytest.mark.parametrize("p,n,max_edges", [(3, 3, 6), (5, 8, 10)])
+def test_closure_matches_quotient_data_sweep(p, n, max_edges):
+    want = [zg.key for zg in sweep_zp_graphs(p, n, max_edges)]
+    assert [zg.key for zg in enumerate_zp_graphs(p, n, max_edges)] == want
+
+
+@pytest.mark.parametrize(
+    "census,args",
+    [(enumerate_zp_graphs, (4, 2, 1)), (enumerate_zp_graphs, (-3, 2, 3)), (classify_reduced, (1,))],
+    ids=["enumerate-p4", "enumerate-p-3", "classify-p1"],
+)
+def test_census_validates_p_up_front(census, args):
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
+        census(*args)
+
+
+def test_census_budget_is_at_most_3n_minus_3():
+    with pytest.raises(BudgetExceeded, match="^edge budget 7 exceeds 3\\*rank-3 = 6$"):
+        enumerate_zp_graphs(3, 3, 7)
 
 
 def test_dedup_collapses_conjugate_powers():
@@ -270,7 +300,7 @@ def search_expansions(zg, edge_budget):
     for vv, ee, ff, mm in strata:
         if ff < 0:
             continue
-        for candidate in _stratum_raw(p, vv, ee, ff, mm, reduced_only=False):
+        for candidate in stratum_raw(p, vv, ee, ff, mm):
             if rank(candidate.graph) != rank(zg.graph):
                 continue
             for orbit in candidate.edge_orbits():
@@ -382,11 +412,7 @@ def test_json_round_trip():
 def p3_rank4_candidates():
     """Every admissible rank-4 quotient-data candidate with an order-3
     action, before deduplication."""
-    out = []
-    for e in range(4, 10):
-        v = e - 3
-        for m in range(v // 3 + 1):
-            out += [zg for zg in _stratum_raw(3, v, e, v - 3 * m, m, False) if rank(zg.graph) == 4]
+    out = sweep_candidates(3, 4, 9)
     assert len(out) == 69
     return out
 
@@ -402,6 +428,12 @@ def test_key_matches_oracle_on_p3_rank4_candidates(p3_rank4_candidates):
     # keys in different buckets differ
     keys = {zg.key for zg in candidates}
     assert len(keys) == sum(len({zg.key for zg in b}) for b in buckets.values()) == 19
+
+
+def test_closure_matches_the_p3_rank4_candidates(p3_rank4_candidates):
+    want = [zg.key for zg in dedup_equivariant(p3_rank4_candidates)]
+    assert [zg.key for zg in enumerate_zp_graphs(3, 4, 9)] == want
+    assert len(want) == 19
 
 
 def wheel(p):
