@@ -161,8 +161,8 @@ def _equivariant_key(zg: ZpGraph, forest: frozenset) -> tuple:
 
 def dedup_equivariant(items: Iterable) -> list:
     """Representatives of equivariant-isomorphism classes, census order:
-    the first item of each class, sorted stably by graph form, fixed
-    vertices and edge orbit sizes."""
+    the first item of each class, sorted by graph form, fixed vertices,
+    edge orbit sizes and key, so the order depends only on the classes."""
     kept: dict = {}
     for zg in items:
         kept.setdefault(zg.key, zg)
@@ -171,7 +171,7 @@ def dedup_equivariant(items: Iterable) -> list:
 
 def _census_order(zg: ZpGraph) -> tuple:
     orbit_sizes = tuple(sorted(len(o) for o in zg.edge_orbits()))
-    return canonical_form(zg.graph).data, zg.fixed_vertex_count(), orbit_sizes
+    return canonical_form(zg.graph).data, zg.fixed_vertex_count(), orbit_sizes, zg.key
 
 
 # ---------------------------------------------------------------------------

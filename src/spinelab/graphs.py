@@ -311,13 +311,11 @@ def collapse_with_maps(g: HalfEdgeGraph, forest: Iterable) -> CollapseResult:
     for e in forest:
         if not 0 <= e < g.edge_count:
             raise ValueError(f"edge index {e} out of range")
-    if not is_forest(g, forest):
-        raise NotAForestError("cycle detected in forest argument")
-
     ds = DisjointSet(g.vertex_count)
     for e in forest:
         u, v = g.edge_endpoints(e)
-        ds.union(u, v)
+        if u == v or not ds.union(u, v):
+            raise NotAForestError("cycle detected in forest argument")
 
     dead = set(forest)
     dart_map = [None] * g.half_edge_count

@@ -7,8 +7,10 @@ both run these, so a criterion is implemented exactly once.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from math import factorial
 
 from spinelab import catalog, linalg
 from spinelab.algebra import (
@@ -58,9 +60,11 @@ from spinelab.spine import (
 )
 from spinelab.symmetry import (
     GraphAutomorphism,
+    _vertex_group,
     apply_to_graph,
     canonical_form,
     compose,
+    matrix_form,
     orbits,
     power,
 )
@@ -296,40 +300,70 @@ def criterion_recursion(bound) -> CriterionResult:
     )
 
 
-def criterion_properties(cx, bound, seed) -> CriterionResult:
-    rng = random.Random(seed)
-    rank_ok = True
-    for cls in cx.classes:
-        n = rank(cls.graph)
-        for forest in enumerate_forests(cls.graph):
-            if rank(collapse(cls.graph, forest)) != n:
-                rank_ok = False
+def relabelling_check(g) -> tuple:
+    """``(ok, distinct)``: search every distinct vertex relabelling
+    P M Pᵀ of g's multiplicity matrix M once; ``distinct`` counts them.
+    ``ok`` says that each search gives g's canonical form, and that
+    ``distinct`` times the order of the vertex group that g's own search
+    generates is n!, for the n vertices, as orbit and stabilizer of M
+    must be."""
+    n = g.vertex_count
+    distinct = {_permuted(g.multiplicity, order) for order in itertools.permutations(range(n))}
+    base = canonical_form(g)
+    forms_ok = all(matrix_form(m) == base for m in distinct)
+    return forms_ok and len(distinct) * len(_vertex_group(g)) == factorial(n), len(distinct)
 
-    canon_ok = True
+
+def _permuted(matrix, order) -> tuple:
+    """The matrix whose entry (i, j) is ``matrix[order[i]][order[j]]``."""
+    return tuple(tuple(map(matrix[u].__getitem__, order)) for u in order)
+
+
+def _dart_relabelling(g, rng) -> GraphAutomorphism:
+    """A seeded random relabelling of g's vertices, edges and edge ends."""
+    vperm = list(range(g.vertex_count))
+    rng.shuffle(vperm)
+    edge_order = list(range(g.edge_count))
+    rng.shuffle(edge_order)
+    hperm = [0] * g.half_edge_count
+    for new_e, old_e in enumerate(edge_order):
+        h1, h2 = g.edges[old_e]
+        if rng.random() < 0.5:
+            h1, h2 = h2, h1
+        hperm[h1], hperm[h2] = 2 * new_e, 2 * new_e + 1
+    return GraphAutomorphism(tuple(vperm), tuple(hperm))
+
+
+def criterion_properties(cx, bound, seed) -> CriterionResult:
+    """Four property suites over the classes of the complex.
+
+    rank: collapsing any forest keeps the rank.  canonical: the canonical
+    form is a relabelling invariant.  Each distinct vertex relabelling of
+    a class's multiplicity matrix is searched once (``relabelling_check``),
+    and 100 seeded dart-level relabellings per class, moving vertices,
+    edges and edge ends, each have the class's matrix permuted by their
+    own vertex map.  A graph's form is the search of its matrix, so every
+    such relabelling has the class's form without a search of its own.
+    orbit-stabilizer: on the nonempty forests, under the dart group.
+    d2: the E1 differential squares to zero.
+    """
+    rng = random.Random(seed)
+    rank_ok = canon_ok = orbit_ok = True
     for cls in cx.classes:
         g = cls.graph
-        base = canonical_form(g)
-        for _ in range(100):
-            vperm = list(range(g.vertex_count))
-            rng.shuffle(vperm)
-            edge_order = list(range(g.edge_count))
-            rng.shuffle(edge_order)
-            hperm = [0] * g.half_edge_count
-            for new_e, old_e in enumerate(edge_order):
-                h1, h2 = g.edges[old_e]
-                if rng.random() < 0.5:
-                    h1, h2 = h2, h1
-                hperm[h1], hperm[h2] = 2 * new_e, 2 * new_e + 1
-            moved = apply_to_graph(g, GraphAutomorphism(tuple(vperm), tuple(hperm)))
-            if canonical_form(moved) != base:
-                canon_ok = False
+        forests = enumerate_forests(g)
+        n = rank(g)
+        rank_ok &= all(rank(collapse(g, f)) == n for f in forests)
 
-    orbit_ok = True
-    for cls in cx.classes:
+        moves = [_dart_relabelling(g, rng) for _ in range(100)]
+        moved = [apply_to_graph(g, a).multiplicity for a in moves]
+        moved_ok = all(_permuted(m, a.vperm) == g.multiplicity for m, a in zip(moved, moves))
+        canon_ok &= relabelling_check(g)[0] and moved_ok
+
         eperms = cls.aut.edge_perms()
         lookup = {a: ep for a, ep in zip(cls.aut.elements, eperms)}
         action = lambda a, f: frozenset(lookup[a][e] for e in f)
-        for orb in orbits(cls.aut, [f for f in enumerate_forests(cls.graph) if f], action):
+        for orb in orbits(cls.aut, [f for f in forests if f], action):
             if len(orb.members) * orb.stabilizer_order != cls.aut.order:
                 orbit_ok = False
 

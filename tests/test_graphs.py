@@ -214,6 +214,12 @@ def test_collapse_rejects_cycles():
         collapse(theta, [0, 1])
 
 
+def test_collapse_rejects_loops():
+    g = build_graph(2, [(0, 1), (1, 1), (0, 1)])
+    with pytest.raises(NotAForestError, match="cycle detected in forest argument"):
+        collapse(g, [0, 1])
+
+
 def test_collapse_preserves_rank():
     for make in catalog.RANK4_SINGULAR.values():
         g = make()

@@ -28,6 +28,7 @@ from spinelab.symmetry import (
     realize_multiplicity,
     sylow_p_order,
 )
+from spinelab.verification import relabelling_check
 
 from census_oracle import _candidates
 from dart_oracle import are_isomorphic, dart_isomorphisms, elements_of_order, vertex_perms
@@ -54,6 +55,18 @@ def test_canonical_form_invariance():
         base = canonical_form(g)
         for _ in range(20):
             assert canonical_form(random_relabeling(g, rng)) == base
+
+
+@pytest.mark.parametrize("n,classes,matrices", [(3, 8, 18), (4, 43, 1180)])
+def test_every_vertex_relabelling_has_the_class_form(n, classes, matrices):
+    """Each distinct relabelled multiplicity matrix of every rank-n class
+    is searched to the class's form, and their number times the order of
+    the vertex group from the class's own search is the factorial of its
+    vertex count."""
+    graphs = enumerate_admissible(n)
+    checks = [relabelling_check(g) for g in graphs]
+    assert [ok for ok, _ in checks] == [True] * classes
+    assert sum(distinct for _, distinct in checks) == matrices
 
 
 def test_canonical_form_distinguishes():
