@@ -14,16 +14,28 @@ common kernel of f - g over a list of pairs (f, g), with the pairs
 (g, id) over a group's generators for its invariants; the identity's
 rows are written directly, one entry per source monomial.
 
-Images are built from the previous degrees.  The image of a monomial is
-the cached image of the monomial without its last generator factor, times
-that generator's image: one product per basis monomial, with the factors
-in the same left-to-right order as the full product.  Callers ask for
-degrees in ascending order, so a morphism keeps only the images of the
-degrees at most one maximal generator degree below the last degree
-asked for, the ones the next degree can reach; a degree asked for out of
-order rebuilds the images it misses.  Basis tables depend only on the
-generators' (degree, kind) signature and are shared by every algebra
-with that signature.
+Images are built from the previous degrees, on packed codes.  The code
+of a monomial is an int with one fixed-width exponent slot per
+generator, one bit wide for an exterior generator; a product algebra
+lays its components' slots side by side and adds one flag bit per
+component.  A morphism stores each generator's image once, as terms
+(addend, coefficient, clash, flip).  The product of a code m by a term is
+the code m + addend.  It is zero when m & clash is nonzero: an exterior
+generator squared, or a term of another component.  Its Koszul sign is
+(-1)^popcount(m & flip).  The image of a monomial is the cached image of
+the monomial without its last generator factor, times that generator's
+image: one product per basis monomial, with the factors in the same
+left-to-right order as the full product, reduced mod p once.  Callers
+ask for degrees in ascending order, so a morphism keeps only the images
+of the degrees at most one maximal generator degree below the last
+degree asked for, the ones the next degree can reach; a degree asked for
+out of order rebuilds the images it misses.  The sparse rows of a degree
+are keyed by the position of each image code in the target's basis; that
+table packs the whole basis, so a degree whose exponents overflow their
+slots is refused.  ``Element`` and ``apply_monomial`` keep exponent
+tuples, read back through the same positions.  Basis tables depend only
+on the generators' (degree, kind) signature and are shared by every
+algebra with that signature.
 """
 
 from __future__ import annotations
@@ -36,6 +48,12 @@ from typing import Iterable, Optional
 
 from spinelab import linalg
 from spinelab.series import GradedDims, PowerSeriesRat, geometric, one_plus
+
+# width of a polynomial generator's exponent slot in a packed code (an
+# exterior generator's slot is one bit): exponents up to 4,095, and the
+# codes of a two-polynomial, two-exterior algebra fit one 30-bit digit of
+# a Python int
+POLY_SLOT_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,11 @@ class GradedAlgebra:
         self._signature = tuple((g.degree, g.kind) for g in gens)
         self._odd = tuple(i for i, g in enumerate(gens) if g.kind == "ext")
         self._positions: dict = {}
+        self._codes: dict = {}
+        widths = [1 if g.kind == "ext" else POLY_SLOT_BITS for g in gens]
+        self._shifts = tuple(sum(widths[:i]) for i in range(len(gens)))
+        self._caps = tuple((1 << w) - 1 for w in widths)
+        self._width = sum(widths)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}[{g.degree}]" for g in self.generators)
@@ -124,6 +147,50 @@ class GradedAlgebra:
         if index is None:
             index = self._positions[d] = {m: i for i, m in enumerate(self.basis(d))}
         return index
+
+    def pack(self, mono) -> int:
+        """The code of a monomial: each exponent in its generator's slot.
+        An exponent that does not fit its slot raises ValueError."""
+        if len(mono) != len(self.generators):
+            raise ValueError("monomial does not match the generators")
+        code = 0
+        for e, shift, cap in zip(mono, self._shifts, self._caps):
+            if not 0 <= e <= cap:
+                raise ValueError(f"exponent {e} does not fit its slot")
+            code |= e << shift
+        return code
+
+    def _code_index(self, d: int) -> dict:
+        """Position of each degree-d monomial's code in ``basis(d)``."""
+        index = self._codes.get(d)
+        if index is None:
+            index = self._codes[d] = {self.pack(m): i for i, m in enumerate(self.basis(d))}
+        return index
+
+    def _term(self, mono) -> tuple:
+        """(addend, clash, flip) of a monomial b, for the product of any
+        code by b: the addend is b's code; clash marks b's exterior
+        generators, which square to zero; flip marks the exterior
+        generators with an odd number of b's exterior factors before
+        them, the factors that each of them must pass."""
+        clash = flip = 0
+        odd_seen = 0
+        for i in self._odd:
+            bit = 1 << self._shifts[i]
+            if mono[i]:
+                clash |= bit
+            if odd_seen % 2:
+                flip |= bit
+            odd_seen += mono[i]
+        return self.pack(mono), clash, flip
+
+    def _terms(self, elt: "Element") -> tuple:
+        """The packed terms (addend, coefficient, clash, flip) of an element."""
+        out = []
+        for m, c in elt.coeffs.items():
+            addend, clash, flip = self._term(m)
+            out.append((addend, c, clash, flip))
+        return tuple(out)
 
     def monomial_str(self, mono) -> str:
         parts = [
@@ -215,6 +282,11 @@ class ProductAlgebra(GradedAlgebra):
         self.components = components
         self._basis_cache = {}
         self._positions = {}
+        self._codes = {}
+        # component ci's slots sit at _offsets[ci]; its flag bit above them all
+        widths = [c._width for c in components]
+        self._offsets = tuple(sum(widths[:ci]) for ci in range(len(components)))
+        self._flags = tuple(1 << (sum(widths) + ci) for ci in range(len(components)))
 
     def __repr__(self):
         return f"ProductAlgebra({' x '.join(map(repr, self.components))})"
@@ -254,6 +326,19 @@ class ProductAlgebra(GradedAlgebra):
                 out.extend((ci, m) for m in comp.basis(d))
             self._basis_cache[d] = tuple(out)
         return self._basis_cache[d]
+
+    def pack(self, mono) -> int:
+        ci, inner = mono
+        return self._flags[ci] | self.components[ci].pack(inner) << self._offsets[ci]
+
+    def _term(self, mono) -> tuple:
+        """A term of component ci adds no flag, and clashes with the flags
+        of the other components: cross terms vanish in a product."""
+        ci, inner = mono
+        addend, clash, flip = self.components[ci]._term(inner)
+        shift = self._offsets[ci]
+        others = sum(self._flags) ^ self._flags[ci]
+        return addend << shift, clash << shift | others, flip << shift
 
     def monomial_str(self, mono) -> str:
         ci, inner = mono
@@ -397,7 +482,9 @@ def tensor(p: int, *algebras: GradedAlgebra, suffixes: Optional[list] = None) ->
 class _Morphism:
     """Linear algebra shared by the morphism classes.
 
-    Subclasses set ``source`` and ``target`` and define ``apply_monomial``.
+    Subclasses set ``source`` and ``target`` and define ``_image(mono,
+    d)``, the packed image ``{code: coefficient}`` of a source monomial of
+    degree d.
     """
 
     def apply(self, elt: Element) -> Element:
@@ -405,33 +492,66 @@ class _Morphism:
             raise ValueError("element does not live in the source")
         if not elt.is_homogeneous():
             raise ValueError("apply expects a homogeneous element")
-        out = Element.zero(self.target)
+        if elt.is_zero():
+            return Element.zero(self.target)
+        d = elt.degree()
+        out: dict = {}
         for m, c in elt.coeffs.items():
-            out = out + c * self.apply_monomial(m)
-        return out
+            for code, v in self._image(m, d).items():
+                out[code] = out.get(code, 0) + c * v
+        return self._element(out, d)
+
+    def apply_monomial(self, mono) -> Element:
+        """Image of a source monomial."""
+        mono = tuple(mono)
+        d = self.source.monomial_degree(mono)
+        return self._element(self._image(mono, d), d)
+
+    def _element(self, codes: dict, d: int) -> Element:
+        """The target element of degree d with the given packed terms."""
+        basis = self.target.basis(d)
+        index = self.target._code_index(d)
+        return Element(self.target, {basis[index[m]]: c for m, c in codes.items()})
 
     def add_rows(self, d: int, rows=None, tag=None, sign: int = 1) -> dict:
         """Add ``sign`` times the degree-d map to the sparse rows
-        ``{(tag, target monomial): {source column: coefficient}}``, a new
-        dict when ``rows`` is None, and return them."""
+        ``{(tag, target basis position): {source column: coefficient}}``,
+        a new dict when ``rows`` is None, and return them."""
         rows = {} if rows is None else rows
-        index = self.target._basis_index(d)
+        index = self.target._code_index(d)
         for j, mono in enumerate(self.source.basis(d)):
-            for m, c in self.apply_monomial(mono).coeffs.items():
-                if m not in index:
+            for m, c in self._image(mono, d).items():
+                i = index.get(m)
+                if i is None:
                     raise ValueError("morphism does not preserve degree")
-                row = rows.setdefault((tag, m), {})
+                row = rows.setdefault((tag, i), {})
                 row[j] = row.get(j, 0) + sign * c
         return rows
 
     def _matrix(self, d: int) -> list:
         """The dense view of ``add_rows``."""
-        index = self.target._basis_index(d)
-        mat = [[0] * len(self.source.basis(d)) for _ in range(len(index))]
-        for (_, m), row in self.add_rows(d).items():
+        mat = [[0] * len(self.source.basis(d)) for _ in self.target.basis(d)]
+        for (_, i), row in self.add_rows(d).items():
             for j, c in row.items():
-                mat[index[m]][j] = c
+                mat[i][j] = c
         return mat
+
+
+def _times(image: dict, terms: tuple, p: int) -> dict:
+    """The packed product image * t, summed over the packed terms t of an
+    element, reduced mod p."""
+    out: dict = {}
+    get = out.get
+    for m1, c1 in image.items():
+        for addend, c2, clash, flip in terms:
+            if m1 & clash:
+                continue
+            m = m1 + addend
+            if (m1 & flip).bit_count() % 2:
+                out[m] = get(m, 0) - c1 * c2
+            else:
+                out[m] = get(m, 0) + c1 * c2
+    return {m: c % p for m, c in out.items() if c % p}
 
 
 class AlgebraMorphism(_Morphism):
@@ -449,42 +569,41 @@ class AlgebraMorphism(_Morphism):
         self.source = source
         self.target = target
         self.images = dict(images)
-        self._generator_images = tuple(self.images[g.name] for g in source.generators)
+        self._generator_terms = tuple(target._terms(self.images[g.name]) for g in source.generators)
+        self._unit = {target.pack(m): c for m, c in target.unit_monomials()}
         self._degrees = tuple(g.degree for g in source.generators)
-        # degree -> {monomial: image} for the degrees from _last - _span
-        # on, the ones that building degree _last can reach
+        # degree -> {monomial: packed image} for the degrees from
+        # _last - _span on, the ones that building degree _last can reach
         self._window: dict = {}
         self._span = max(self._degrees, default=0)
         self._last = 0
 
-    def apply_monomial(self, mono) -> Element:
-        """Image of a source monomial; images missing from the window are
-        built upwards from the nearest cached one."""
-        mono = tuple(mono)
-        d = self.source.monomial_degree(mono)
+    def _image(self, mono, d: int) -> dict:
+        """Packed image of a source monomial of degree d; images missing
+        from the window are built upwards from the nearest cached one."""
+        window = self._window
         if d != self._last:
             self._last = d
-            for k in [k for k in self._window if k < d - self._span]:
-                del self._window[k]
+            for k in [k for k in window if k < d - self._span]:
+                del window[k]
         missing = []
-        img = self._cached_image(mono, d)
-        while img is None:
+        img = self._unit
+        while d:
+            cached = window.get(d, {}).get(mono)
+            if cached is not None:
+                img = cached
+                break
             i = len(mono) - 1
             while not mono[i]:
                 i -= 1
             missing.append((mono, d, i))
             mono = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
             d -= self._degrees[i]
-            img = self._cached_image(mono, d)
+        p = self.target.p
         for mono, d, i in reversed(missing):
-            img = img * self._generator_images[i]
-            self._window.setdefault(d, {})[mono] = img
+            img = _times(img, self._generator_terms[i], p)
+            window.setdefault(d, {})[mono] = img
         return img
-
-    def _cached_image(self, mono, d: int) -> Optional[Element]:
-        if d == 0:
-            return Element.one(self.target)
-        return self._window.get(d, {}).get(mono)
 
     def matrix_in_degree(self, d: int) -> list:
         """Rows indexed by target basis, columns by source basis."""
@@ -505,11 +624,11 @@ class ProductMorphism(_Morphism):
         self.inner = inner
         self.target = inner.target
 
-    def apply_monomial(self, mono) -> Element:
+    def _image(self, mono, d: int) -> dict:
         ci, inner_mono = mono
         if ci != self.component:
-            return Element.zero(self.target)
-        return self.inner.apply_monomial(inner_mono)
+            return {}
+        return self.inner._image(inner_mono, d)
 
     def matrix_in_degree(self, d: int) -> list:
         """Rows indexed by target basis, columns by source basis."""
@@ -539,27 +658,38 @@ class EqualizerResult:
         return f.apply(elt) == g.apply(elt)
 
 
-def _common_kernel(source, pairs: list, bound: int) -> EqualizerResult:
-    """Degree-wise common kernel of f - g over the morphism pairs (f, g)
-    out of ``source``: the sparse rows of every f - g, keyed by (pair,
-    target monomial), one kernel.  A pair (f, None) stands for (f, id):
-    the identity's rows are one -1 per source monomial."""
+def _check_pairs(source, pairs: list) -> None:
     for f, g in pairs:
         target = source if g is None else g.target
         if f.source != source or (g is not None and g.source != source) or f.target != target:
             raise ValueError("equalizer needs morphisms with equal source and target")
-    kernels = []
-    for d in range(bound + 1):
-        rows: dict = {}
-        for k, (f, g) in enumerate(pairs):
-            f.add_rows(d, rows, k)
-            if g is not None:
-                g.add_rows(d, rows, k, -1)
-            else:
-                for j, mono in enumerate(source.basis(d)):
-                    row = rows.setdefault((k, mono), {})
-                    row[j] = row.get(j, 0) - 1
-        kernels.append(linalg.nullspace(rows.values(), len(source.basis(d)), source.p))
+
+
+def _kernel_rows(source, pairs: list, d: int) -> dict:
+    """The sparse rows of every f - g in degree d over the morphism pairs
+    (f, g) out of ``source``, keyed by (pair, target basis position).  A
+    pair (f, None) stands for (f, id): the identity's rows are one -1 per
+    source monomial, at its own position."""
+    rows: dict = {}
+    for k, (f, g) in enumerate(pairs):
+        f.add_rows(d, rows, k)
+        if g is not None:
+            g.add_rows(d, rows, k, -1)
+        else:
+            for j in range(len(source.basis(d))):
+                row = rows.setdefault((k, j), {})
+                row[j] = row.get(j, 0) - 1
+    return rows
+
+
+def _common_kernel(source, pairs: list, bound: int) -> EqualizerResult:
+    """Degree-wise common kernel of f - g over the morphism pairs (f, g)
+    out of ``source``: one kernel of the rows of every pair."""
+    _check_pairs(source, pairs)
+    kernels = [
+        linalg.nullspace(_kernel_rows(source, pairs, d).values(), len(source.basis(d)), source.p)
+        for d in range(bound + 1)
+    ]
     return EqualizerResult(source, GradedDims(bound, tuple(map(len, kernels))), kernels)
 
 
@@ -684,18 +814,23 @@ def verify_free_module(
     )
     p = eq.source.p
     module_degrees = [0 if mg.is_zero() else mg.degree() for mg in module_gens]
+    module_terms = [eq.source._terms(mg) for mg in module_gens]
     reach = max(module_degrees, default=0)
-    # ring degree -> images of its basis, kept while a module generator needs them
+    # ring degree -> packed images of its basis, kept while a module
+    # generator needs them
     ring_images: dict = {}
     for d in range(bound + 1):
-        ring_images[d] = [subring.apply_monomial(mono) for mono in ring.basis(d)]
+        ring_images[d] = [subring._image(mono, d) for mono in ring.basis(d)]
         ring_images.pop(d - reach - 1, None)
+        index = eq.source._code_index(d)
         vectors = []
-        for mg, k in zip(module_gens, module_degrees):
+        for terms, k in zip(module_terms, module_degrees):
             for img in ring_images.get(d - k, ()):
-                prod = mg * img
-                if not prod.is_zero():
-                    vectors.append(prod.vector(d))
+                # img * mg is mg * img up to one sign, which moves
+                # neither the count of nonzero products nor their rank
+                prod = _times(img, terms, p)
+                if prod:
+                    vectors.append({index[m]: c for m, c in prod.items()})
         want = eq.dims[d]
         if len(vectors) != want:
             return False

@@ -16,7 +16,7 @@ Both read the restriction morphisms as sparse rows: the page's
 differentials are lists of ``{column: value}`` rows holding the
 morphisms' ``add_rows`` entries at block offsets, and the amalgam is the
 kernel of the two restrictions out of the product of the vertex algebras,
-the same ``equalizer`` the series criteria read.
+from the same rows as the ``equalizer`` the series criteria read.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from spinelab.algebra import (
     parse_element,
     swap_action,
     tensor,
+    _check_pairs,
+    _kernel_rows,
 )
 from spinelab.fixtures import load_algebras, load_coefficient_rule, load_morphism
 from spinelab.series import GradedDims
@@ -208,8 +210,7 @@ def build_e1(
                             )
                         block = {k: {k: 1} for k in range(target_dim)}
                     else:
-                        index = morphism.target._basis_index(q)
-                        block = {index[m]: row for (_, m), row in morphism.add_rows(q).items()}
+                        block = {i: row for (_, i), row in morphism.add_rows(q).items()}
                     for r, entries in block.items():
                         row = rows[row0 + r]
                         for c, v in entries.items():
@@ -272,12 +273,19 @@ def amalgam_cohomology(f1: AlgebraMorphism, f2: AlgebraMorphism, bound: int) -> 
     connecting maps of the pair would interfere); the result in degree d is
     dim ker [f1, -f2], the pairs (u, v) with f1(u) = f2(v), computed as the
     equalizer of the two projections out of the product of the sources.
+    The guard and the equalizer read each degree in turn, so each map
+    builds the images of a degree once.
     """
+    src = ProductAlgebra([f1.source, f2.source])
+    pairs = [(ProductMorphism(src, 0, f1), ProductMorphism(src, 1, f2))]
+    _check_pairs(src, pairs)
+    dims = []
     for d in range(bound + 1):
         if not (f1.is_surjective_in_degree(d) or f2.is_surjective_in_degree(d)):
             raise ValueError(f"neither map is surjective in degree {d}")
-    src = ProductAlgebra([f1.source, f2.source])
-    return equalizer(ProductMorphism(src, 0, f1), ProductMorphism(src, 1, f2), bound).dims
+        rows = _kernel_rows(src, pairs, d)
+        dims.append(len(src.basis(d)) - linalg.rank(rows.values(), src.p))
+    return GradedDims(bound, tuple(dims))
 
 
 # ---------------------------------------------------------------------------

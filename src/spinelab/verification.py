@@ -7,7 +7,6 @@ both run these, so a criterion is implemented exactly once.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import factorial
@@ -303,15 +302,25 @@ def criterion_recursion(bound) -> CriterionResult:
 def relabelling_check(g) -> tuple:
     """``(ok, distinct)``: search every distinct vertex relabelling
     P M Pᵀ of g's multiplicity matrix M once; ``distinct`` counts them.
-    ``ok`` says that each search gives g's canonical form, and that
-    ``distinct`` times the order of the vertex group that g's own search
-    generates is n!, for the n vertices, as orbit and stabilizer of M
-    must be."""
+    They are the closure of M under the n - 1 adjacent transpositions of
+    the n vertices, which generate every permutation, found breadth first
+    with n - 1 matrices built for each.  ``ok`` says that each search
+    gives g's canonical form, and that ``distinct`` times the order of the
+    vertex group that g's own search generates is n!, as orbit and
+    stabilizer of M must be."""
     n = g.vertex_count
-    distinct = {_permuted(g.multiplicity, order) for order in itertools.permutations(range(n))}
+    swaps = [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
+    found = [g.multiplicity]
+    seen = set(found)
+    for matrix in found:
+        for swap in swaps:
+            moved = _permuted(matrix, swap)
+            if moved not in seen:
+                seen.add(moved)
+                found.append(moved)
     base = canonical_form(g)
-    forms_ok = all(matrix_form(m) == base for m in distinct)
-    return forms_ok and len(distinct) * len(_vertex_group(g)) == factorial(n), len(distinct)
+    forms_ok = all(matrix_form(m) == base for m in found)
+    return forms_ok and len(found) * len(_vertex_group(g)) == factorial(n), len(found)
 
 
 def _permuted(matrix, order) -> tuple:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 from spinelab.algebra import (
+    POLY_SLOT_BITS,
     AlgebraMorphism,
     Element,
     GradedAlgebra,
@@ -322,7 +323,8 @@ def test_common_kernel_keeps_its_two_refusals():
         equalizer(ident, into_other, 4)
     # images are checked when a morphism is made, so break one afterwards
     shifted = AlgebraMorphism(alg, alg, dict(ident.images))
-    shifted._generator_images = (alg.generator_element("c4"), alg.generator_element("c4"))
+    c4 = alg._terms(alg.generator_element("c4"))
+    shifted._generator_terms = (c4, c4)
     with pytest.raises(ValueError, match="does not preserve degree"):
         equalizer(shifted, ident, 4)
 
@@ -435,6 +437,12 @@ _gen_shapes = st.one_of(
     st.tuples(st.sampled_from([2, 4, 6]), st.just("poly")),
     st.tuples(st.sampled_from([1, 3, 5]), st.just("ext")),
 )
+# up to four mixed generators, or up to six exterior ones, so that images
+# carry many exterior terms, each with its own packed clash and flip masks
+_shape_lists = st.one_of(
+    st.lists(_gen_shapes, max_size=4),
+    st.lists(st.tuples(st.sampled_from([1, 3, 5]), st.just("ext")), max_size=6),
+)
 
 
 def _algebra(p, shapes, prefix):
@@ -444,13 +452,16 @@ def _algebra(p, shapes, prefix):
 @settings(max_examples=60)
 @given(
     p=st.sampled_from([3, 5]),
-    source_shapes=st.lists(_gen_shapes, max_size=4),
-    target_shapes=st.lists(_gen_shapes, max_size=4),
+    source_shapes=_shape_lists,
+    target_shapes=st.lists(_shape_lists, min_size=1, max_size=2),
     data=st.data(),
 )
 def test_matrix_in_degree_matches_full_products_property(p, source_shapes, target_shapes, data):
+    """Against the full products, into one algebra or into a product of
+    two, as the free-module check's subring map goes."""
     source = _algebra(p, source_shapes, "s")
-    target = _algebra(p, target_shapes, "t")
+    parts = [_algebra(p, shapes, f"t{k}_") for k, shapes in enumerate(target_shapes)]
+    target = parts[0] if len(parts) == 1 else ProductAlgebra(parts)
     images = {}
     for g in source.generators:
         basis = target.basis(g.degree)
@@ -461,6 +472,22 @@ def test_matrix_in_degree_matches_full_products_property(p, source_shapes, targe
     morphism = AlgebraMorphism(source, target, images)
     for d in list(range(17)) + [16, 3, 12, 0]:
         assert morphism.matrix_in_degree(d) == oracle_matrix(morphism, d), d
+
+
+def test_pack_refuses_an_exponent_that_overflows_its_slot():
+    alg = GradedAlgebra(3, [("c2", 2, "poly"), ("e1", 1, "ext")])
+    top = (1 << POLY_SLOT_BITS) - 1
+    assert alg.pack((top, 1)) != alg.pack((top, 0))
+    for mono in ((top + 1, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="does not fit its slot"):
+            alg.pack(mono)
+    with pytest.raises(ValueError, match="does not fit its slot"):
+        ProductAlgebra([alg, alg]).pack((1, (top + 1, 0)))
+    # a morphism refuses the first degree whose target exponents overflow
+    ident = identity_morphism(GradedAlgebra(3, [("c2", 2, "poly")]))
+    assert ident.matrix_in_degree(2 * top) == [[1]]
+    with pytest.raises(ValueError, match="does not fit its slot"):
+        ident.matrix_in_degree(2 * top + 2)
 
 
 @settings(max_examples=60)

@@ -105,6 +105,21 @@ def test_k33_component_is_the_equalizer(rank4_complex):
     assert dims.dims == chi.coefficients(BOUND)
 
 
+def test_k33_component_builds_each_image_once(rank4_complex, monkeypatch):
+    """The amalgam's surjectivity guard and its equalizer read each degree
+    in turn, so each source monomial of positive degree of alpha and beta
+    has its image built by one kernel product."""
+    from spinelab import algebra
+
+    products = []
+    real = algebra._times
+    monkeypatch.setattr(algebra, "_times", lambda *args: products.append(args) or real(*args))
+    component_cohomology(rank4_complex, rank4_complex.component_containing("K33"), BOUND)
+    sources = [load_algebra(name) for name in ("stab_k33", "stab_wedge")]
+    monomials = sum(len(alg.basis(d)) for alg in sources for d in range(1, BOUND + 1))
+    assert len(products) == monomials
+
+
 def test_segment_page_matches_the_amalgam(rank4_complex):
     """The two-vertex/one-edge page computes the same answer as the
     component-level amalgam, concentrated in column zero."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinelab import catalog
 from spinelab.graphs import build_graph, collapse, enumerate_forests
-from spinelab.spine import enumerate_admissible
+from spinelab.spine import enumerate_admissible, singular_graphs
 from spinelab.symmetry import (
     AutGroupTooLarge,
     _vertex_group,
@@ -67,6 +67,25 @@ def test_every_vertex_relabelling_has_the_class_form(n, classes, matrices):
     checks = [relabelling_check(g) for g in graphs]
     assert [ok for ok, _ in checks] == [True] * classes
     assert sum(distinct for _, distinct in checks) == matrices
+
+
+def test_relabellings_are_closed_under_adjacent_transpositions(monkeypatch):
+    """The 245 distinct relabellings of the 17 classes at (3, 4) are found
+    by building n - 1 matrices for each one: 1,080 matrices, where the n!
+    vertex orders of the classes number 2,277."""
+    from spinelab import verification
+
+    builds = []
+    real = verification._permuted
+    monkeypatch.setattr(
+        verification, "_permuted", lambda matrix, order: builds.append(order) or real(matrix, order)
+    )
+    graphs = [cls.graph for cls in singular_graphs(3, 4)]
+    checks = [relabelling_check(g) for g in graphs]
+    assert all(ok for ok, _ in checks)
+    assert sum(distinct for _, distinct in checks) == 245
+    each = [(g.vertex_count - 1) * distinct for g, (_, distinct) in zip(graphs, checks)]
+    assert len(builds) == sum(each) == 1080
 
 
 def test_canonical_form_distinguishes():
