@@ -58,6 +58,11 @@ def _blow_ups(rows, vertices):
     a new last vertex.  Parallel edges and loops are interchangeable, so a
     split is fixed by how many of the edges to each neighbour stay on A
     and how many loops stay on A, stay on B or cross from A to B.
+
+    The split B|A gives the same graph as A|B with v and the new vertex
+    exchanged, so of each such pair only the split whose (edges kept per
+    neighbour, loops staying on A) is the smaller is made; a split that
+    is its own swap is made once.
     """
     size = len(rows)
     mult = [[0] * (size + 1) for _ in range(size + 1)]
@@ -68,20 +73,23 @@ def _blow_ups(rows, vertices):
     for v in vertices:
         loops = mult[v][v]
         neighbours = [u for u in range(size) if u != v and mult[v][u]]
-        links = sum(mult[v][u] for u in neighbours)
         for kept in itertools.product(*(range(mult[v][u] + 1) for u in neighbours)):
-            on_a = sum(kept)
+            moved = tuple(mult[v][u] - k for u, k in zip(neighbours, kept))
+            if kept > moved:
+                continue  # its side swap is made instead
+            on_a, on_b = sum(kept), sum(moved)
             for stay_a in range(loops + 1):
-                for stay_b in range(loops - stay_a + 1):
+                # keep (kept, stay_a) <= (moved, stay_b)
+                for stay_b in range(stay_a if kept == moved else 0, loops - stay_a + 1):
                     cross = loops - stay_a - stay_b
-                    if on_a + 2 * stay_a + cross < 2 or links - on_a + 2 * stay_b + cross < 2:
+                    if on_a + 2 * stay_a + cross < 2 or on_b + 2 * stay_b + cross < 2:
                         continue
                     child = [row[:] for row in mult]
                     child[v][v], child[size][size] = stay_a, stay_b
                     child[v][size] = child[size][v] = cross + 1
-                    for u, k in zip(neighbours, kept):
+                    for u, k, m in zip(neighbours, kept, moved):
                         child[v][u] = child[u][v] = k
-                        child[size][u] = child[u][size] = mult[v][u] - k
+                        child[size][u] = child[u][size] = m
                     yield child
 
 
@@ -96,7 +104,9 @@ def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
     edges and two or more vertices is a blow-up of a class with e - 1
     edges.  One vertex per orbit of the class's automorphisms is blown
     up, which loses no class: an automorphism carries each split at v to
-    a split at its image.  A blow-up keeps valencies >= 3 and
+    a split at its image.  Of a split and its side swap only one is made,
+    which loses none either: the two graphs differ by exchanging v and
+    the new vertex.  A blow-up keeps valencies >= 3 and
     connectivity by construction, so one low-link pass on the
     multiplicity matrix screens it, and it is deduplicated by canonical
     form without building a graph.  The returned representatives are
@@ -307,7 +317,9 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     by its top class's automorphisms, so a face is one lookup.  A cell's
     vertices are its re-rooted face's, then its top class: the chain
     F_0 > ... > F_k on G re-roots to F_0/F_k > ... > F_(k-1)/F_k on
-    G/F_k, whose vertices are G/F_0, ..., G/F_k.
+    G/F_k, whose vertices are G/F_0, ..., G/F_k.  Many cells share a
+    top class and a smallest forest, so each such collapse is identified
+    with its census class once, in a table that lives for this call.
     """
     if classes is None:
         classes = singular_graphs(p, n)
@@ -322,12 +334,15 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     form_index = {form: i for i, form in enumerate(forms)}
     cells: list = []
     lookup: dict = {}  # (class index, chain key) -> cell index
+    collapses: dict = {}  # (class index, forest) -> (class index, edge map)
     for dim in range(top_level + 1):
         for gi, levels in enumerate(per_class):
             for chain, stab, translates in levels.get(dim, {}).values():
                 faces = [lookup[(gi, _chain_key(chain[:k] + chain[k + 1 :]))] for k in range(dim)]
                 if dim:
-                    faces.append(_rerooted_face(classes, forms, form_index, lookup, gi, chain))
+                    faces.append(
+                        _rerooted_face(classes, forms, form_index, lookup, collapses, gi, chain)
+                    )
                 vertices = (cells[faces[-1]].vertices if dim else ()) + (gi,)
                 index = len(cells)
                 cells.append(
@@ -342,23 +357,31 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     return QuotientComplex(p, n, list(classes), cells, component_of, len(pieces))
 
 
-def _rerooted_face(classes, forms, form_index, lookup, gi: int, chain) -> int:
+def _rerooted_face(classes, forms, form_index, lookup, collapses, gi: int, chain) -> int:
     """Face omitting the top vertex: collapse by the smallest forest.
 
-    The remaining forests are pushed through the collapse, the collapsed
-    graph is identified with its census representative by canonical form,
-    and the chain is transported along the isomorphism that the two
-    canonical labellings give and looked up there.
+    The collapsed graph is identified with its census representative by
+    canonical form, and the isomorphism that the two canonical labellings
+    give is composed with the collapse into a map from the top graph's
+    edges to the representative's, None on the collapsed forest.  That
+    depends only on the top class and the smallest forest, so it is made
+    once per key of ``collapses`` and stored there.  The remaining
+    forests are carried along the map and looked up.
     """
-    res = collapse_with_maps(classes[gi].graph, chain[-1])
-    form = canonical_form(res.graph)
-    target = form_index[form]
-    rep_graph = classes[target].graph
-    iso = form_isomorphism(res.graph, form, rep_graph, forms[target])
-    eperm = [rep_graph.dart_edge[iso.hperm[h1]] for h1, _ in res.graph.edges]
-    moved = [
-        [eperm[res.edge_map[e]] for e in f if res.edge_map[e] is not None] for f in chain[:-1]
-    ]
+    key = (gi, chain[-1])
+    if key not in collapses:
+        res = collapse_with_maps(classes[gi].graph, chain[-1])
+        form = canonical_form(res.graph)
+        target = form_index[form]
+        rep_graph = classes[target].graph
+        iso = form_isomorphism(res.graph, form, rep_graph, forms[target])
+        edges = res.graph.edges
+        collapses[key] = target, [
+            None if e is None else rep_graph.dart_edge[iso.hperm[edges[e][0]]]
+            for e in res.edge_map
+        ]
+    target, edge_map = collapses[key]
+    moved = [[edge_map[e] for e in f if edge_map[e] is not None] for f in chain[:-1]]
     return lookup[(target, _chain_key(moved))]
 
 

@@ -6,16 +6,56 @@ multiplicity matrix with valencies >= 3 in every feasible stratum, so
 tests comparing the two check the census for completeness against a
 search that does not rely on the contraction argument.
 
-``every_vertex_census`` keeps the library's blow-ups but splits every
-vertex of every class, not one per automorphism orbit, so comparing it
-with the library checks the orbit pruning alone.
+``every_vertex_census`` blows up every vertex of every class, not one
+per automorphism orbit, and makes every split at a vertex and its side
+swap both, with ``_blow_ups`` below: the library's blow-ups before either
+pruning.  Comparing it with the library checks the two prunings, and
+nothing else.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from spinelab.graphs import two_edge_connected
-from spinelab.spine import _blow_ups
 from spinelab.symmetry import matrix_form
+
+
+def _blow_ups(rows, vertices):
+    """Multiplicity matrices of the one-edge blow-ups at ``vertices`` of a
+    canonical form.
+
+    ``rows`` are the form's (loops, lower-triangle) rows.  A blow-up splits
+    the darts at one vertex v into sides A and B of at least two darts
+    each and joins A to B by a new edge; v keeps side A and side B goes to
+    a new last vertex.  Parallel edges and loops are interchangeable, so a
+    split is fixed by how many of the edges to each neighbour stay on A
+    and how many loops stay on A, stay on B or cross from A to B.
+    """
+    size = len(rows)
+    mult = [[0] * (size + 1) for _ in range(size + 1)]
+    for v, row in enumerate(rows):
+        mult[v][v] = row[0]
+        for u, m in enumerate(row[1:]):
+            mult[v][u] = mult[u][v] = m
+    for v in vertices:
+        loops = mult[v][v]
+        neighbours = [u for u in range(size) if u != v and mult[v][u]]
+        links = sum(mult[v][u] for u in neighbours)
+        for kept in itertools.product(*(range(mult[v][u] + 1) for u in neighbours)):
+            on_a = sum(kept)
+            for stay_a in range(loops + 1):
+                for stay_b in range(loops - stay_a + 1):
+                    cross = loops - stay_a - stay_b
+                    if on_a + 2 * stay_a + cross < 2 or links - on_a + 2 * stay_b + cross < 2:
+                        continue
+                    child = [row[:] for row in mult]
+                    child[v][v], child[size][size] = stay_a, stay_b
+                    child[v][size] = child[size][v] = cross + 1
+                    for u, k in zip(neighbours, kept):
+                        child[v][u] = child[u][v] = k
+                        child[size][u] = child[u][size] = mult[v][u] - k
+                    yield child
 
 
 def every_vertex_census(n: int) -> list:

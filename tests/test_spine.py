@@ -31,6 +31,7 @@ from spinelab.symmetry import (
     realize_multiplicity,
 )
 
+from census_oracle import _blow_ups as oracle_blow_ups
 from census_oracle import _candidates, every_vertex_census
 from dart_oracle import total_loops
 
@@ -164,14 +165,36 @@ def test_census_searches_only_the_rose_and_screened_blow_ups(monkeypatch):
     inner = symmetry._min_matrix_data
     monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
     assert len(enumerate_admissible(4)) == 43
-    # one vertex per orbit is blown up: 221 of the 290 blow-ups of the
-    # rank-4 strata pass the screen
-    assert len(searches) == 222
+    # one vertex per orbit is blown up, each split once up to the side
+    # swap: 119 of the 154 blow-ups of the rank-4 strata pass the screen
+    assert len(searches) == 120
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_pruned_census_matches_every_vertex_blow_ups(n):
     assert enumerate_admissible(n) == every_vertex_census(n)
+
+
+def _side_swap(mult, v):
+    """The multiplicity matrix with v and the last vertex exchanged."""
+    order = list(range(len(mult)))
+    order[v], order[-1] = order[-1], v
+    return tuple(tuple(mult[i][j] for j in order) for i in order)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blow_ups_make_each_split_once_up_to_the_side_swap(n):
+    # splitting v into A|B or into B|A gives one graph with v and the new
+    # vertex exchanged: no two children are such a pair, and closing the
+    # children under the exchange gives every split of the unpruned oracle
+    for g in enumerate_admissible(n):
+        rows = canonical_form(g).rows
+        for v in range(len(rows)):
+            children = [tuple(map(tuple, c)) for c in spine._blow_ups(rows, [v])]
+            pairs = {frozenset((c, _side_swap(c, v))) for c in children}
+            assert len(pairs) == len(children)
+            unpruned = {tuple(map(tuple, c)) for c in oracle_blow_ups(rows, [v])}
+            assert set().union(*pairs) == unpruned
 
 
 def test_census_cap_names_the_stratum():
@@ -222,7 +245,7 @@ def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypa
     inner = symmetry._min_matrix_data
     monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
     classes = singular_graphs(3, 4)
-    assert len(searches) == 222
+    assert len(searches) == 120
     monkeypatch.undo()
     assert len(classes) == 17
     for cls in classes:
@@ -297,6 +320,16 @@ def test_one_cell_endpoints_are_collapses(rank4_complex):
             top = cx.classes[cell.graph_index].graph
             want = [class_of[canonical_form(collapse(top, f))] for f in cell.chain]
             assert list(cell.vertices) == [*want, cell.graph_index]
+
+
+def test_rerooted_collapses_once_per_class_and_smallest_forest(monkeypatch):
+    calls = []
+    inner = spine.collapse_with_maps
+    monkeypatch.setattr(spine, "collapse_with_maps", lambda *a: calls.append(a) or inner(*a))
+    cx = quotient_complex(3, 4)
+    positive = [c for c in cx.cells if c.dim]
+    assert len(positive) == 40
+    assert len({(c.graph_index, c.chain[-1]) for c in positive}) == len(calls) == 24
 
 
 def test_vertex_names_need_no_canonical_search(rank4_complex, monkeypatch):
