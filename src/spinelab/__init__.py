@@ -38,18 +38,14 @@ from spinelab.spine import (
     singular_graphs,
 )
 from spinelab.symmetry import (
-    AutGroup,
     CanonicalForm,
     GraphAutomorphism,
-    automorphism_group,
     canonical_form,
-    orbits,
     sylow_p_order,
 )
 
 __all__ = [
     "AlgebraMorphism",
-    "AutGroup",
     "CanonicalForm",
     "Element",
     "GradedAlgebra",
@@ -60,7 +56,6 @@ __all__ = [
     "ProductAlgebra",
     "ProductMorphism",
     "ZpGraph",
-    "automorphism_group",
     "build_graph",
     "canonical_form",
     "classify_reduced",
@@ -78,7 +73,6 @@ __all__ = [
     "match_names",
     "nielsen_closure",
     "nielsen_moves",
-    "orbits",
     "parse_element",
     "quotient_complex",
     "rank",

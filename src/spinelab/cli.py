@@ -39,7 +39,6 @@ from spinelab.spine import (
     quotient_complex,
     table_problems,
 )
-from spinelab.symmetry import AutGroupTooLarge
 
 
 CONFIG_ERROR = 2
@@ -54,7 +53,6 @@ INPUT_ERRORS = (
     CorpusError,
     BudgetExceeded,
     ResourceCapExceeded,
-    AutGroupTooLarge,
 )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 Forest = frozenset  # frozenset of geometric-edge indices
 
@@ -266,13 +266,15 @@ def is_forest(g: HalfEdgeGraph, edges: Iterable) -> bool:
     return True
 
 
-def enumerate_forests(g: HalfEdgeGraph) -> list:
-    """All acyclic edge subsets of g, the empty forest included.
+def enumerate_forests(g: HalfEdgeGraph, edges: Optional[Iterable] = None) -> list:
+    """All acyclic subsets of the edges of g (of ``edges``, if given), the
+    empty forest included.
 
     Output is sorted lexicographically on the sorted edge tuples, so the
     result is canonical for a given graph.
     """
-    non_loops = [e for e in range(g.edge_count) if not g.is_loop(e)]
+    pool = range(g.edge_count) if edges is None else sorted(edges)
+    non_loops = [e for e in pool if not g.is_loop(e)]
     out = []
 
     def extend(prefix: list, start: int, ds: DisjointSet):

@@ -8,12 +8,16 @@ the chain setwise still contains an element of order p.  Faces drop one
 forest from the chain, or re-root the chain at the smallest collapse;
 each is one lookup in a table that keys every translate of a cell's
 chain to the cell, and a cell's vertices are read off its re-rooted face.
+Chains are acted on through bundles, the sets of parallel edges, by the
+vertex group alone; no dart-level automorphism is ever listed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from math import prod
 from typing import Optional
 
 from spinelab import catalog, linalg
@@ -26,11 +30,12 @@ from spinelab.graphs import (
     two_edge_connected,
 )
 from spinelab.symmetry import (
-    AutGroup,
-    _group_with_order_divisible_by,
+    _dart_freedom,
     _orbit_minima,
+    _vertex_group,
+    bundle_names,
+    bundle_perms,
     canonical_form,
-    form_isomorphism,
     matrix_form,
     sylow_p_order,
 )
@@ -141,27 +146,28 @@ def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
 
 @dataclass(frozen=True)
 class GraphClass:
-    graph: HalfEdgeGraph
-    aut: AutGroup
-    name: Optional[str] = None
+    """A census class with the order of its automorphism group and its
+    vertex group, as image tuples."""
 
-    @property
-    def aut_order(self) -> int:
-        return self.aut.order
+    graph: HalfEdgeGraph
+    aut_order: int
+    vertex_group: tuple
+    name: Optional[str] = None
 
 
 def singular_graphs(p: int, n: int) -> list:
     """Admissible rank-n classes with a symmetry of order p, as GraphClass.
 
     Existence of an order-p element is equivalent to p dividing the group
-    order (Cauchy), so the filter runs on orders before materializing any
-    group elements.
+    order (Cauchy), so the filter runs on orders, |vertex group| times the
+    automorphisms fixing every vertex; no dart-level element is listed.
     """
     out = []
     for g in enumerate_admissible(n):
-        group = _group_with_order_divisible_by(g, p)
-        if group is not None:
-            out.append(GraphClass(g, group))
+        group = _vertex_group(g)
+        order = len(group) * _dart_freedom(g)
+        if order % p == 0:
+            out.append(GraphClass(g, order, tuple(group)))
     return out
 
 
@@ -185,7 +191,7 @@ def match_names(classes: list) -> list:
         form = canonical_form(cls.graph)
         if form not in table:
             raise NameAmbiguityError(f"no catalog name for the form {form.data.decode()}")
-        named.append(GraphClass(cls.graph, cls.aut, table[form]))
+        named.append(replace(cls, name=table[form]))
     if len({c.name for c in named}) != len(named):
         raise NameAmbiguityError("two census classes received the same name")
     return named
@@ -202,7 +208,6 @@ class QuotientCell:
     graph_index: int
     chain: tuple  # strictly decreasing forests on the top graph
     isotropy_order: int
-    isotropy: tuple  # the stabilizing subgroup, as GraphAutomorphism list
     faces: tuple  # cell indices, ordered by omitted-vertex position
     vertices: tuple  # class indices of the collapses, most-collapsed first, top last
 
@@ -244,6 +249,17 @@ def _chain_key(chain) -> tuple:
 def _cells_for_class(p: int, cls: GraphClass):
     """Orbit representatives of singular forest chains on one top graph.
 
+    A forest holds no loop and at most one edge of each bundle (the edges
+    joining two vertices), and the automorphisms fixing every vertex
+    permute each bundle's edges freely.  So up to them a chain is a chain
+    of bundle sets, and its key-minimal translate names each bundle by its
+    least edge (``bundle_names``): chains are scanned in those names under
+    the vertex group alone, acting on bundles.  A chain's isotropy order
+    is its vertex stabilizer's times the number of automorphisms fixing
+    every vertex and the edge that F_0 uses in each of its bundles:
+    ``_dart_freedom`` divided by m_b for each such bundle b of
+    multiplicity m_b.
+
     Chains are grown by appending strictly smaller nonempty forests; the
     stabilizer of an extension sits inside the stabilizer of its prefix,
     so only singular representatives need extending.  A representative is
@@ -255,39 +271,45 @@ def _cells_for_class(p: int, cls: GraphClass):
     gives both the orbit, marked as seen, and the extension's stabilizer.
 
     Each representative also comes with the keys of its translates by the
-    whole group, one per coset of its stabilizer, each kept with an edge
+    vertex group, one per coset of its stabilizer, each kept with a bundle
     permutation carrying the chain onto it.  The translates of
     ``chain + (sub,)`` are those of ``chain`` extended by the images of
     ``sub``'s orbit under the chain's stabilizer, each key once.
 
-    Returns ``{level: {key: (chain, stabilizer, keys of its translates)}}``.
+    Returns ``{level: {key: (chain, isotropy order, vertex stabilizer,
+    keys of its translates)}}``.
     """
     if cls.aut_order % p != 0:
         return {0: {}}
+    graph = cls.graph
+    names = bundle_names(graph)
+    sizes = Counter(names)
+    freedom = _dart_freedom(graph)
+    identity = tuple(range(graph.edge_count))
+    group = tuple(zip(cls.vertex_group, bundle_perms(graph, cls.vertex_group)))
+    frontier = {(): ((), cls.aut_order, group, {(): identity})}
     out: dict = {}
-    identity = tuple(range(cls.graph.edge_count))
-    frontier = {(): ((), tuple(zip(cls.aut.elements, cls.aut.edge_perms())), {(): identity})}
     level = 0
     while frontier:
         out[level] = {
-            key: (chain, tuple(a for a, _ in stab), frozenset(translates))
-            for key, (chain, stab, translates) in sorted(frontier.items())
+            key: (chain, order, tuple(a for a, _ in stab), frozenset(translates))
+            for key, (chain, order, stab, translates) in sorted(frontier.items())
         }
         nxt = {}
-        for chain, stab, translates in frontier.values():
-            subs = _proper_nonempty_subsets(chain[-1]) if chain else enumerate_forests(cls.graph)
+        for chain, _, stab, translates in frontier.values():
+            if chain:
+                subs = _proper_nonempty_subsets(chain[-1])
+            else:
+                subs = enumerate_forests(graph, set(names))
             seen = set()
             for sub in sorted((f for f in subs if f), key=sorted):
                 if sub in seen:
                     continue
-                fixing, orbit = [], {}  # image of sub -> a stabilizer element giving it
-                for a, ep in stab:
-                    moved = frozenset(ep[e] for e in sub)
-                    orbit.setdefault(moved, ep)
-                    if moved == sub:
-                        fixing.append((a, ep))
+                orbit, fixing = _orbit(stab, sub)
                 seen.update(orbit)
-                if len(fixing) % p == 0:
+                top = chain[0] if chain else sub
+                order = len(fixing) * freedom // prod(sizes[b] for b in top)
+                if order % p == 0:
                     rep = chain + (sub,)
                     # g carries chain onto a translate, so g h carries rep
                     # onto that translate extended by g(m)
@@ -296,10 +318,23 @@ def _cells_for_class(p: int, cls: GraphClass):
                         for key, g in translates.items()
                         for m, h in orbit.items()
                     }
-                    nxt[_chain_key(rep)] = (rep, tuple(fixing), extended)
+                    nxt[_chain_key(rep)] = (rep, order, fixing, extended)
         frontier = nxt
         level += 1
     return out
+
+
+def _orbit(stab, sub) -> tuple:
+    """The orbit of a bundle set under ``stab``, (vertex permutation,
+    bundle permutation) pairs, as a dict from each image to a bundle
+    permutation giving it, and the pairs that fix the set."""
+    orbit, fixing = {}, []
+    for pair in stab:
+        moved = frozenset(map(pair[1].__getitem__, sub))
+        orbit.setdefault(moved, pair[1])
+        if moved == sub:
+            fixing.append(pair)
+    return orbit, fixing
 
 
 def _proper_nonempty_subsets(forest):
@@ -314,12 +349,13 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
 
     Cells are made in (dim, class, key) order, after all of their faces.
     Each enters one table under the key of every translate of its chain
-    by its top class's automorphisms, so a face is one lookup.  A cell's
-    vertices are its re-rooted face's, then its top class: the chain
-    F_0 > ... > F_k on G re-roots to F_0/F_k > ... > F_(k-1)/F_k on
-    G/F_k, whose vertices are G/F_0, ..., G/F_k.  Many cells share a
-    top class and a smallest forest, so each such collapse is identified
-    with its census class once, in a table that lives for this call.
+    by its top class's vertex group, bundles named by their least edges,
+    so a face is one lookup.  A cell's vertices are its re-rooted
+    face's, then its top class: the chain F_0 > ... > F_k on G re-roots
+    to F_0/F_k > ... > F_(k-1)/F_k on G/F_k, whose vertices are G/F_0,
+    ..., G/F_k.  Many cells share a top class and a smallest forest, so
+    each such collapse is identified with its census class once, in a
+    table that lives for this call.
     """
     if classes is None:
         classes = singular_graphs(p, n)
@@ -337,7 +373,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     collapses: dict = {}  # (class index, forest) -> (class index, edge map)
     for dim in range(top_level + 1):
         for gi, levels in enumerate(per_class):
-            for chain, stab, translates in levels.get(dim, {}).values():
+            for chain, order, _, translates in levels.get(dim, {}).values():
                 faces = [lookup[(gi, _chain_key(chain[:k] + chain[k + 1 :]))] for k in range(dim)]
                 if dim:
                     faces.append(
@@ -346,7 +382,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
                 vertices = (cells[faces[-1]].vertices if dim else ()) + (gi,)
                 index = len(cells)
                 cells.append(
-                    QuotientCell(index, dim, gi, chain, len(stab), stab, tuple(faces), vertices)
+                    QuotientCell(index, dim, gi, chain, order, tuple(faces), vertices)
                 )
                 for key in translates:
                     lookup[(gi, key)] = index
@@ -361,24 +397,26 @@ def _rerooted_face(classes, forms, form_index, lookup, collapses, gi: int, chain
     """Face omitting the top vertex: collapse by the smallest forest.
 
     The collapsed graph is identified with its census representative by
-    canonical form, and the isomorphism that the two canonical labellings
+    canonical form, and the vertex map that the two canonical labellings
     give is composed with the collapse into a map from the top graph's
-    edges to the representative's, None on the collapsed forest.  That
-    depends only on the top class and the smallest forest, so it is made
-    once per key of ``collapses`` and stored there.  The remaining
+    edges to the representative's bundles, each named by its least edge.
+    That depends only on the top class and the smallest forest, so it is
+    made once per key of ``collapses`` and stored there.  The remaining
     forests are carried along the map and looked up.
     """
     key = (gi, chain[-1])
     if key not in collapses:
-        res = collapse_with_maps(classes[gi].graph, chain[-1])
+        top = classes[gi].graph
+        res = collapse_with_maps(top, chain[-1])
         form = canonical_form(res.graph)
         target = form_index[form]
-        rep_graph = classes[target].graph
-        iso = form_isomorphism(res.graph, form, rep_graph, forms[target])
-        edges = res.graph.edges
+        vmap = dict(zip(form.labelling, forms[target].labelling))
+        along = [vmap[w] for w in res.vertex_map]
+        rep = classes[target].graph
+        named = {frozenset(rep.edge_endpoints(e)): b for e, b in enumerate(bundle_names(rep))}
         collapses[key] = target, [
-            None if e is None else rep_graph.dart_edge[iso.hperm[edges[e][0]]]
-            for e in res.edge_map
+            None if e in chain[-1] else named[frozenset(along[v] for v in top.edge_endpoints(e))]
+            for e in range(top.edge_count)
         ]
     target, edge_map = collapses[key]
     moved = [[edge_map[e] for e in f if edge_map[e] is not None] for f in chain[:-1]]
@@ -442,7 +480,7 @@ def corpus_json(complex_: QuotientComplex) -> dict:
                 "name": cls.name,
                 "graph": cls.graph.to_json(),
                 "aut_order": cls.aut_order,
-                "sylow_p_order": sylow_p_order(cls.aut, complex_.p),
+                "sylow_p_order": sylow_p_order(cls.aut_order, complex_.p),
             }
             for cls in complex_.classes
         ],
@@ -507,7 +545,8 @@ def corpus_tables(data: dict) -> dict:
 
     Each cell row names the top graph, then the collapses along the
     stored forests from the smallest up, matched to the corpus graphs by
-    canonical form; components follow the stored faces.
+    canonical form once per (top, forest) pair; components follow the
+    stored faces.
     """
     try:
         parsed = [
@@ -522,20 +561,20 @@ def corpus_tables(data: dict) -> dict:
             "graphs": sorted((name, g.vertex_count, g.edge_count, aut) for name, g, aut in parsed)
         }
         rows: dict = {dim: [] for _, dim in CELL_TABLES}
+        quotients: dict = {}  # (top name, forest) -> name of the collapse
         cells = data["cells"]
         ds = DisjointSet(len(cells))
         for index, cell in enumerate(cells):
             for f in cell["faces"]:
                 ds.union(index, f)
             if cell["dim"] in rows:
-                top = graphs[cell["top_name"]]
-                quotients = [
-                    names[canonical_form(collapse(top, forest))]
-                    for forest in reversed(cell["forests"])
-                ]
-                rows[cell["dim"]].append(
-                    ((cell["top_name"], *quotients), cell["isotropy_order"])
-                )
+                top, row = cell["top_name"], []
+                for forest in reversed(cell["forests"]):
+                    key = (top, tuple(forest))
+                    if key not in quotients:
+                        quotients[key] = names[canonical_form(collapse(graphs[top], forest))]
+                    row.append(quotients[key])
+                rows[cell["dim"]].append(((top, *row), cell["isotropy_order"]))
         for key, dim in CELL_TABLES:
             tables[key] = sorted(rows[dim])
         tables["components"] = _component_rows(

@@ -18,8 +18,11 @@ at equal leaves generate the vertex group (McKay and Piperno, "Practical
 graph isomorphism, II", 2014): the group maps the first minimal leaf one
 to one onto the minimal leaves, and the search prunes a subtree only
 where a found automorphism maps a searched one onto it.  The dart group
-is the vertex group's closure, each element lifted to darts and composed
-with the symmetries fixing every vertex.
+is never listed: it extends the vertex group by the symmetries fixing
+every vertex, which permute each bundle of parallel edges and turn
+loops, so its order is a product (``automorphism_order``), and it acts
+on forests through their bundles, each named by its least edge
+(``bundle_names``, ``bundle_perms``).
 
 Isomorphisms come from the canonical labelling, the vertex order that
 carries a graph onto its form; a vertex map is lifted to darts by
@@ -28,17 +31,12 @@ matching loops and parallel edges in edge order.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from spinelab.graphs import HalfEdgeGraph, build_graph
-
-
-class AutGroupTooLarge(RuntimeError):
-    """The automorphism group exceeds the configured element cap."""
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,6 @@ class GraphAutomorphism:
 
     def __lt__(self, other):
         return (self.vperm, self.hperm) < (other.vperm, other.hperm)
-
-
-def identity_automorphism(g: HalfEdgeGraph) -> GraphAutomorphism:
-    return GraphAutomorphism(
-        tuple(range(g.vertex_count)), tuple(range(g.half_edge_count))
-    )
 
 
 def compose(a: GraphAutomorphism, b: GraphAutomorphism) -> GraphAutomorphism:
@@ -353,16 +345,9 @@ def matrix_form(mult) -> CanonicalForm:
 
 
 def isomorphism(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> Optional[GraphAutomorphism]:
-    """A dart-level isomorphism g1 -> g2, or None when there is none."""
-    return form_isomorphism(g1, canonical_form(g1), g2, canonical_form(g2))
-
-
-def form_isomorphism(
-    g1: HalfEdgeGraph, form1: CanonicalForm, g2: HalfEdgeGraph, form2: CanonicalForm
-) -> Optional[GraphAutomorphism]:
-    """The isomorphism g1 -> g2 sending each vertex of g1 to the vertex of
-    g2 at its canonical position, given the graphs' canonical forms; None
-    when the forms differ."""
+    """The dart-level isomorphism g1 -> g2 sending each vertex of g1 to the
+    vertex of g2 at its canonical position; None when there is none."""
+    form1, form2 = canonical_form(g1), canonical_form(g2)
     if form1 != form2:
         return None
     vmap = dict(zip(form1.labelling, form2.labelling))
@@ -411,29 +396,6 @@ def realize_multiplicity(loops: list, lower: list) -> HalfEdgeGraph:
 # automorphism groups
 
 
-@dataclass(frozen=True)
-class AutGroup:
-    """Full element list of the dart-level automorphism group."""
-
-    graph: HalfEdgeGraph
-    elements: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def edge_perms(self) -> list:
-        return [edge_permutation(self.graph, a) for a in self.elements]
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "generators": [
-                {"vperm": list(a.vperm), "hperm": list(a.hperm)} for a in self.elements
-            ],
-        }
-
-
 def _vertex_group(g: HalfEdgeGraph) -> list:
     """All vertex permutations preserving loop counts and multiplicities:
     the closure of the generators that the canonical search found."""
@@ -462,20 +424,6 @@ def _dart_freedom(g: HalfEdgeGraph) -> int:
     return free
 
 
-def automorphism_group(g: HalfEdgeGraph, element_cap: int = 10**6) -> AutGroup:
-    """All dart-level automorphisms; fails loudly past the element cap."""
-    return _group_from_vertex_perms(g, _vertex_group(g), element_cap)
-
-
-def _group_with_order_divisible_by(g: HalfEdgeGraph, p: int) -> Optional[AutGroup]:
-    """The automorphism group of g if p divides its order, else None, from
-    one closure of the vertex group."""
-    vperms = _vertex_group(g)
-    if len(vperms) * _dart_freedom(g) % p:
-        return None
-    return _group_from_vertex_perms(g, vperms)
-
-
 def _orbit_minima(n: int, generators) -> list:
     """The least vertex of each orbit of the group that the vertex
     permutations ``generators`` generate on range(n), in increasing order."""
@@ -484,114 +432,24 @@ def _orbit_minima(n: int, generators) -> list:
     return [v for v in range(n) if label[v] == v]
 
 
-def _group_from_vertex_perms(
-    g: HalfEdgeGraph, vperms: list, element_cap: int = 10**6
-) -> AutGroup:
-    total = len(vperms) * _dart_freedom(g)
-    if total > element_cap:
-        raise AutGroupTooLarge(
-            f"automorphism group has {total} elements, cap is {element_cap}"
-        )
-
-    fixing, darts = _vertex_fixing_maps(g), range(g.half_edge_count)
-    elements = []
-    for vp in vperms:
-        lifted = _lift(g, g, vp).hperm
-        elements += [GraphAutomorphism(vp, tuple(lifted[k[h]] for h in darts)) for k in fixing]
-    elements.sort()
-    group = AutGroup(g, tuple(elements))
-    assert group.order == total
-    return group
+def bundle_names(g: HalfEdgeGraph) -> tuple:
+    """Each edge's bundle, named by the least edge joining the same ends."""
+    least: dict = {}
+    return tuple(least.setdefault(frozenset(g.edge_endpoints(e)), e) for e in range(g.edge_count))
 
 
-def _vertex_fixing_maps(g: HalfEdgeGraph) -> list:
-    """Dart maps of the automorphisms fixing every vertex: the edges joining
-    two vertices permuted, each dart to the dart at its own end, and each
-    loop also turned or not."""
-    factors = []
-    for ends, pairs in _bundles(g).items():
-        images = list(itertools.permutations(pairs))
-        if len(ends) == 1:
-            images = [
-                [pair[::-1] if turn else pair for pair, turn in zip(image, turns)]
-                for image in images
-                for turns in itertools.product((False, True), repeat=len(pairs))
-            ]
-        factors.append([list(zip(pairs, image)) for image in images])
-    return [
-        {h: k for matched in combo for pair, image in matched for h, k in zip(pair, image)}
-        for combo in itertools.product(*factors)
-    ]
+def bundle_perms(g: HalfEdgeGraph, vperms) -> list:
+    """The action of vertex automorphisms on bundles: entry e of each
+    names the bundle joining the images of e's ends."""
+    ends = [g.edge_endpoints(e) for e in range(g.edge_count)]
+    named = {frozenset(uv): b for uv, b in zip(ends, bundle_names(g))}
+    return [tuple(named[frozenset((a[u], a[v]))] for u, v in ends) for a in vperms]
 
 
-def sylow_p_order(group, p: int) -> int:
+def sylow_p_order(order: int, p: int) -> int:
     """Largest power of p dividing the group order."""
-    order = group.order if isinstance(group, AutGroup) else int(group)
     out = 1
     while order % p == 0:
         order //= p
         out *= p
     return out
-
-
-# ---------------------------------------------------------------------------
-# orbits of a group action
-
-
-@dataclass(frozen=True)
-class Orbit:
-    representative: object
-    members: tuple
-    stabilizer_order: int
-
-
-def orbits(group: AutGroup, items: Iterable, action: Callable, key=None) -> list:
-    """Partition items into orbits with deterministic representatives.
-
-    ``action(a, x)`` must implement a group action; this is spot-checked on
-    the identity and on a sample of composed pairs.  The representative of
-    each orbit is its key-minimal member.
-    """
-    if key is None:
-        key = _default_key
-    items = sorted(set(items), key=key)
-    if not items:
-        return []
-
-    ident = identity_automorphism(group.graph)
-    for x in items:
-        if action(ident, x) != x:
-            raise ValueError("action does not fix items under the identity")
-    sample = group.elements[: min(4, len(group.elements))]
-    for a in sample:
-        for b in sample:
-            x = items[0]
-            if action(compose(a, b), x) != action(a, action(b, x)):
-                raise ValueError("action is not compatible with composition")
-
-    seen = set()
-    out = []
-    for x in items:
-        kx = key(x)
-        if kx in seen:
-            continue
-        members = {}
-        stab = 0
-        for a in group.elements:
-            y = action(a, x)
-            members[key(y)] = y
-            if y == x:
-                stab += 1
-        for k in members:
-            seen.add(k)
-        ordered = tuple(sorted(members.values(), key=key))
-        out.append(Orbit(ordered[0], ordered, stab))
-    return out
-
-
-def _default_key(x):
-    if isinstance(x, frozenset):
-        return tuple(sorted(x))
-    if isinstance(x, tuple):
-        return tuple(_default_key(y) for y in x)
-    return x

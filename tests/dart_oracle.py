@@ -1,4 +1,4 @@
-"""The dart-level backtracking isomorphism search, kept as a test oracle.
+"""Dart-level oracles: isomorphism search, automorphism groups and cells.
 
 The library answers every isomorphism question from the canonical
 labelling.  This search is independent of it: it assigns darts one orbit
@@ -7,16 +7,33 @@ given), so tests comparing the two keep "canonical form is a complete
 invariant" from being a tautology.  Likewise the library takes each
 vertex automorphism group from the generators its canonical search
 finds, and ``vertex_perms`` lists the group by an unpruned backtracking
-search instead.  The graph helpers beside them have no caller left in
-the library.
+search instead.
+
+The library never lists a dart-level automorphism: it scans forest
+chains as chains of bundle sets under the vertex group, and counts the
+automorphisms fixing every vertex.  ``automorphism_group`` lists the
+whole dart group, and ``oracle_quotient_complex`` builds the cells from
+it the direct way: each chain's orbit, stabilizer and translates by
+scanning every element, and each re-rooted face along a searched dart
+isomorphism.  The graph helpers beside them have no caller left in the
+library.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional
 
-from spinelab.graphs import HalfEdgeGraph
-from spinelab.symmetry import AutGroup, GraphAutomorphism, perm_order
+from spinelab.graphs import HalfEdgeGraph, collapse_with_maps, enumerate_forests
+from spinelab.spine import QuotientCell
+from spinelab.symmetry import (
+    GraphAutomorphism,
+    _bundles,
+    _lift,
+    canonical_form,
+    edge_permutation,
+    perm_order,
+)
 
 
 def degree_multiset(g: HalfEdgeGraph) -> tuple:
@@ -27,10 +44,10 @@ def total_loops(g: HalfEdgeGraph) -> int:
     return sum(1 for e in range(g.edge_count) if g.is_loop(e))
 
 
-def elements_of_order(group: AutGroup, k: int) -> list:
+def elements_of_order(elements, k: int) -> list:
     if k < 1:
         raise ValueError("order must be >= 1")
-    return [a for a in group.elements if perm_order(a) == k]
+    return [a for a in elements if perm_order(a) == k]
 
 
 def graph_signature(g: HalfEdgeGraph) -> tuple:
@@ -181,3 +198,127 @@ def vertex_perms(g: HalfEdgeGraph) -> list:
 
     extend([])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dart-level automorphism group and the cells it gives
+
+
+def automorphism_group(g: HalfEdgeGraph) -> tuple:
+    """Every dart-level automorphism of g, sorted: each vertex automorphism
+    (``vertex_perms``) lifted to darts and composed with each dart map
+    fixing every vertex."""
+    fixing, darts = _vertex_fixing_maps(g), range(g.half_edge_count)
+    elements = []
+    for vp in vertex_perms(g):
+        lifted = _lift(g, g, vp).hperm
+        elements += [GraphAutomorphism(vp, tuple(lifted[k[h]] for h in darts)) for k in fixing]
+    return tuple(sorted(elements))
+
+
+def _vertex_fixing_maps(g: HalfEdgeGraph) -> list:
+    """Dart maps of the automorphisms fixing every vertex: the edges joining
+    two vertices permuted, each dart to the dart at its own end, and each
+    loop also turned or not."""
+    factors = []
+    for ends, pairs in _bundles(g).items():
+        images = list(itertools.permutations(pairs))
+        if len(ends) == 1:
+            images = [
+                [pair[::-1] if turn else pair for pair, turn in zip(image, turns)]
+                for image in images
+                for turns in itertools.product((False, True), repeat=len(pairs))
+            ]
+        factors.append([list(zip(pairs, image)) for image in images])
+    return [
+        {h: k for matched in combo for pair, image in matched for h, k in zip(pair, image)}
+        for combo in itertools.product(*factors)
+    ]
+
+
+def chain_key(chain) -> tuple:
+    return tuple(tuple(sorted(f)) for f in chain)
+
+
+def whole_group_rep(elements, eperms, chain):
+    """Key-minimal translate of a chain, its stabilizer and the keys of all
+    its translates, each found by scanning the whole automorphism group
+    ``elements``, whose edge permutations are ``eperms``."""
+    chains = (tuple(frozenset(ep[e] for e in f) for f in chain) for ep in eperms)
+    translates = {chain_key(t): t for t in chains}
+    rep = translates[min(translates)]
+    stab = tuple(
+        a for a, ep in zip(elements, eperms) if all(frozenset(ep[e] for e in f) == f for f in rep)
+    )
+    return rep, stab, frozenset(translates)
+
+
+def oracle_cells_for_class(p: int, graph: HalfEdgeGraph):
+    """Cells of one top graph by whole-group scans: every forest, and every
+    extension of a singular chain, is translated by every automorphism.
+
+    Returns ``{level: {key: (chain, stabilizer, keys of its translates)}}``
+    in key order, the stabilizer as dart-level automorphisms."""
+    elements = automorphism_group(graph)
+    eperms = [edge_permutation(graph, a) for a in elements]
+
+    def classify(chain, level):
+        rep, stab, translates = whole_group_rep(elements, eperms, chain)
+        key = chain_key(rep)
+        if key not in level and len(stab) % p == 0:
+            level[key] = (rep, stab, translates)
+
+    out = {0: {}}
+    if len(elements) % p != 0:
+        return out
+    out[0][()] = ((), elements, frozenset({()}))
+    frontier: dict = {}
+    for f in enumerate_forests(graph):
+        if f:
+            classify((f,), frontier)
+    level = 1
+    while frontier:
+        out[level] = dict(sorted(frontier.items()))
+        nxt: dict = {}
+        for _, (chain, _, _) in sorted(frontier.items()):
+            items = sorted(chain[-1])
+            for mask in range(1, (1 << len(items)) - 1):
+                sub = frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+                classify(chain + (sub,), nxt)
+        frontier = nxt
+        level += 1
+    return out
+
+
+def oracle_quotient_complex(p: int, classes: list) -> list:
+    """The cells of ``quotient_complex(p, n, classes)`` from the dart group.
+
+    Each cell enters the face table under every translate of its chain by
+    the whole dart group; its re-rooted face carries the chain along a
+    dart isomorphism, found by ``dart_isomorphisms``, from the collapse by
+    its smallest forest onto that collapse's census class."""
+    per_class = [oracle_cells_for_class(p, cls.graph) for cls in classes]
+    class_of = {canonical_form(cls.graph): i for i, cls in enumerate(classes)}
+    cells: list = []
+    lookup: dict = {}
+    for dim in range(max(map(len, per_class))):
+        for gi, levels in enumerate(per_class):
+            for chain, stab, translates in levels.get(dim, {}).values():
+                faces = [lookup[(gi, chain_key(chain[:k] + chain[k + 1 :]))] for k in range(dim)]
+                vertices = (gi,)
+                if dim:
+                    res = collapse_with_maps(classes[gi].graph, chain[-1])
+                    target = class_of[canonical_form(res.graph)]
+                    rep = classes[target].graph
+                    iso = next(dart_isomorphisms(res.graph, rep))
+                    dart = [None if e is None else res.graph.edges[e][0] for e in res.edge_map]
+                    moved = [
+                        [rep.dart_edge[iso.hperm[dart[e]]] for e in f - chain[-1]]
+                        for f in chain[:-1]
+                    ]
+                    faces.append(lookup[(target, chain_key(moved))])
+                    vertices = cells[faces[-1]].vertices + vertices
+                lookup.update(((gi, key), len(cells)) for key in translates)
+                cell = QuotientCell(len(cells), dim, gi, chain, len(stab), tuple(faces), vertices)
+                cells.append(cell)
+    return cells

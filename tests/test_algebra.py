@@ -237,22 +237,6 @@ def test_equalizer_dims_bounded_by_source(setup):
         assert eq.dims[d] <= dimensions(source, 16)[d]
 
 
-def test_aut_group_json_shape():
-    from spinelab.symmetry import automorphism_group
-
-    group = automorphism_group(load_fixture_graph())
-    data = group.to_json()
-    assert data["order"] == len(data["generators"]) == group.order
-    first = data["generators"][0]
-    assert set(first) == {"vperm", "hperm"}
-
-
-def load_fixture_graph():
-    from spinelab.catalog import multi_edge
-
-    return multi_edge(3)
-
-
 @pytest.mark.parametrize(
     "perms,dims",
     [

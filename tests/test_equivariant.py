@@ -37,7 +37,7 @@ from spinelab.symmetry import (
     power,
 )
 
-from dart_oracle import dart_isomorphisms, elements_of_order
+from dart_oracle import automorphism_group, dart_isomorphisms, elements_of_order
 from zp_census_oracle import realize_quotient_data, stratum_raw, sweep_candidates, sweep_zp_graphs
 
 
@@ -139,7 +139,8 @@ def census_zp_classes(classes, p):
     an order-p symmetry."""
     out = []
     for cls in classes:
-        out += [ZpGraph(cls.graph, a, p) for a in elements_of_order(cls.aut, p)]
+        group = automorphism_group(cls.graph)
+        out += [ZpGraph(cls.graph, a, p) for a in elements_of_order(group, p)]
     return dedup_equivariant(out)
 
 
@@ -333,6 +334,10 @@ def test_expansions_match_search_oracle(oracle_cases):
     takes about 14 s on it; acceptance criterion 10 and the CLI test
     test_equiv_expand_p5_wedge pin its answer, one blow-up to K_{p,3}
     along a star forest, as test_expansion_round_trip_p3 does for p = 3.
+    The p = 7 reduced classes are left out for the same reason: the
+    search takes 4 to 5 s on each two-vertex class and 220 s on the
+    wedge, and the rose, searched in 0.1 s, has 27 blow-ups, whose pairs
+    add about 50 s to the key test below.
     """
     for zg, budget in oracle_cases:
         built = equivariant_expansions(zg, budget)

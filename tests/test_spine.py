@@ -25,15 +25,24 @@ from spinelab.spine import (
     verify_expected_tables,
 )
 from spinelab.symmetry import (
-    automorphism_group,
+    _vertex_group,
     automorphism_order,
+    bundle_names,
     canonical_form,
+    edge_permutation,
     realize_multiplicity,
 )
 
 from census_oracle import _blow_ups as oracle_blow_ups
 from census_oracle import _candidates, every_vertex_census
-from dart_oracle import total_loops
+from dart_oracle import (
+    automorphism_group,
+    chain_key,
+    oracle_cells_for_class,
+    oracle_quotient_complex,
+    total_loops,
+    whole_group_rep,
+)
 
 
 def oracle_admissible_classes(target_rank, max_vertices, max_edges):
@@ -251,7 +260,16 @@ def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypa
     for cls in classes:
         g = cls.graph
         fresh = HalfEdgeGraph(g.vertex_count, g.sigma, g.target)  # searched anew
-        assert cls.aut.elements == automorphism_group(fresh).elements
+        assert sorted(cls.vertex_group) == sorted(_vertex_group(fresh))
+        assert cls.aut_order == automorphism_order(fresh)
+
+
+def test_classes_keep_vertex_groups_not_dart_groups():
+    # the 17 classes at (3, 4) keep 125 vertex automorphisms; their dart
+    # groups, which the complex never lists, have 1,188 elements
+    classes = quotient_complex(3, 4).classes
+    assert sum(len(cls.vertex_group) for cls in classes) == 125
+    assert sum(cls.aut_order for cls in classes) == 1188
 
 
 def test_rank5_prime5_is_empty_for_rank2():
@@ -292,6 +310,22 @@ def test_all_tables(rank4_complex):
 def test_corpus_reads_back_to_the_complex_tables(rank4_complex):
     data = json.loads(corpus_document(rank4_complex))
     assert corpus_tables(data) == census_tables(rank4_complex)
+
+
+def test_corpus_reads_back_with_one_search_per_top_and_forest(rank4_complex, monkeypatch):
+    from spinelab import symmetry
+
+    data = json.loads(corpus_document(rank4_complex))
+    stored = [c for c in data["cells"] if c["dim"] in (1, 2, 3)]
+    pairs = {(c["top_name"], tuple(f)) for c in stored for f in c["forests"]}
+    searches = []
+    inner = symmetry._min_matrix_data
+    monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+    corpus_tables(data)
+    # 17 class forms and one collapse for each of the 24 distinct pairs,
+    # where one search per stored forest made 76
+    assert len(pairs) == 24
+    assert len(searches) == 17 + 24
 
 
 def test_three_cell_isotropies(rank4_complex):
@@ -358,11 +392,16 @@ def test_rose_component_is_acyclic(rank4_complex):
 
 
 def test_isotropy_subgroup_membership(rank4_complex):
-    cx = rank4_complex
-    for cell in cx.cells:
-        group = set(cx.classes[cell.graph_index].aut.elements)
-        assert all(a in group for a in cell.isotropy)
-        assert cell.isotropy_order % 3 == 0
+    # each cell's vertex stabilizer is the image in the vertex group of
+    # the dart-level stabilizer that the oracle finds by a whole-group scan
+    for cls in rank4_complex.classes:
+        group = set(cls.vertex_group)
+        theirs = oracle_cells_for_class(3, cls.graph)
+        for level, cells in spine._cells_for_class(3, cls).items():
+            for key, (_, order, stab, _) in cells.items():
+                assert set(stab) <= group and len(set(stab)) == len(stab)
+                assert set(stab) == {a.vperm for a in theirs[level][key][1]}
+                assert order % 3 == 0
 
 
 def test_face_of_face_identity(rank4_complex):
@@ -382,68 +421,46 @@ def test_face_of_face_identity(rank4_complex):
                 assert via_j == via_i
 
 
-def whole_group_rep(cls, eperms, chain):
-    """Key-minimal translate of a chain, its stabilizer and the keys of all
-    its translates, each found by scanning the whole automorphism group."""
-
-    def key(chain):
-        return tuple(tuple(sorted(f)) for f in chain)
-
-    chains = (tuple(frozenset(ep[e] for e in f) for f in chain) for ep in eperms)
-    translates = {key(t): t for t in chains}
-    rep = translates[min(translates)]
-    stab = tuple(
-        a for a, ep in zip(cls.aut.elements, eperms)
-        if all(frozenset(ep[e] for e in f) == f for f in rep)
-    )
-    return rep, stab, frozenset(translates)
+def comparable(cell):
+    """A cell of ``_cells_for_class`` with its stabilizer as a set."""
+    chain, order, stab, translates = cell
+    return chain, order, frozenset(stab), translates
 
 
-def oracle_cells_for_class(p, cls):
-    """Cells of one top graph by whole-group scans: every forest, and every
-    extension of a singular chain, is translated by every automorphism."""
-    eperms = cls.aut.edge_perms()
-
-    def classify(chain, level):
-        rep, stab, translates = whole_group_rep(cls, eperms, chain)
-        key = tuple(tuple(sorted(f)) for f in rep)
-        if key not in level and len(stab) % p == 0:
-            level[key] = (rep, stab, translates)
-
-    out = {0: {}}
-    if cls.aut_order % p != 0:
-        return out
-    out[0][()] = ((), tuple(cls.aut.elements), frozenset({()}))
-    frontier = {}
-    for f in enumerate_forests(cls.graph):
-        if f:
-            classify((f,), frontier)
-    level = 1
-    while frontier:
-        out[level] = dict(sorted(frontier.items()))
-        nxt = {}
-        for _, (chain, _, _) in sorted(frontier.items()):
-            items = sorted(chain[-1])
-            for mask in range(1, (1 << len(items)) - 1):
-                sub = frozenset(x for i, x in enumerate(items) if mask >> i & 1)
-                classify(chain + (sub,), nxt)
-        frontier = nxt
-        level += 1
-    return out
+def as_bundle_cell(graph, cell):
+    """An oracle cell in the terms of ``_cells_for_class``: its isotropy
+    order, the vertex maps of its stabilizer, and its translate keys with
+    each bundle named by its least edge."""
+    names = bundle_names(graph)
+    chain, stab, translates = cell
+    keys = frozenset(chain_key([names[e] for e in f] for f in key) for key in translates)
+    return chain, len(stab), frozenset(a.vperm for a in stab), keys
 
 
 @pytest.mark.parametrize("p, n", sorted(CORPUS_SHA256))
-def test_cells_match_whole_group_oracle(p, n, monkeypatch):
+def test_cells_match_whole_group_oracle(p, n):
+    # level by level and cell by cell, then the whole complex: chains,
+    # isotropy orders, faces and vertices
     got = quotient_complex(p, n)
     for cls in got.classes:
-        mine, theirs = spine._cells_for_class(p, cls), oracle_cells_for_class(p, cls)
-        assert [list(level.items()) for level in mine.values()] == [
-            list(level.items()) for level in theirs.values()
+        g = cls.graph
+        mine, theirs = spine._cells_for_class(p, cls), oracle_cells_for_class(p, g)
+        assert [[(k, comparable(c)) for k, c in level.items()] for level in mine.values()] == [
+            [(k, as_bundle_cell(g, c)) for k, c in level.items()] for level in theirs.values()
         ]
-    monkeypatch.setattr(spine, "_cells_for_class", oracle_cells_for_class)
-    want = quotient_complex(p, n, got.classes)
     assert len(got.cells) > 0
-    assert got.cells == want.cells
+    assert got.cells == oracle_quotient_complex(p, got.classes)
+
+
+@pytest.mark.parametrize("p, n, scanned", [(3, 4, 1889), (5, 4, 2), (3, 3, 135)])
+def test_cells_scan_vertex_stabilizers(p, n, scanned, monkeypatch):
+    # the stabilizer elements scanned, one scan per orbit: the dart-level
+    # scan of the same orbits read 4,284 at (3, 4) and 240 at (5, 4)
+    seen = []
+    inner = spine._orbit
+    monkeypatch.setattr(spine, "_orbit", lambda *a: seen.append(len(a[0])) or inner(*a))
+    quotient_complex(p, n)
+    assert sum(seen) == scanned
 
 
 def test_two_forest_cells_are_whole_group_minimal():
@@ -451,9 +468,11 @@ def test_two_forest_cells_are_whole_group_minimal():
     smaller-keyed translate in subset-mask order, so each orbit's
     representative must be found in key order."""
     g, _ = catalog.bipartite_block_rotation(5)
-    cls = spine.GraphClass(g, automorphism_group(g))
-    eperms = cls.aut.edge_perms()
+    cls = spine.GraphClass(g, automorphism_order(g), tuple(_vertex_group(g)))
+    elements = automorphism_group(g)
+    eperms = [edge_permutation(g, a) for a in elements]
     cells = spine._cells_for_class(3, cls)
     assert [len(level) for level in cells.values()] == [1, 30, 243, 730, 876, 360]
-    for chain, stab, translates in cells[2].values():
-        assert whole_group_rep(cls, eperms, chain) == (chain, stab, translates)
+    for cell in cells[2].values():
+        theirs = whole_group_rep(elements, eperms, cell[0])
+        assert as_bundle_cell(g, theirs) == comparable(cell)

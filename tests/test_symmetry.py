@@ -8,30 +8,33 @@ from hypothesis import strategies as st
 
 from spinelab import catalog
 from spinelab.graphs import build_graph, collapse, enumerate_forests
-from spinelab.spine import enumerate_admissible, singular_graphs
+from spinelab.spine import GraphClass, _orbit, enumerate_admissible, singular_graphs
 from spinelab.symmetry import (
-    AutGroupTooLarge,
     _vertex_group,
     GraphAutomorphism,
     apply_to_graph,
-    automorphism_group,
     automorphism_order,
+    bundle_names,
+    bundle_perms,
     canonical_form,
     compose,
-    edge_permutation,
-    identity_automorphism,
     inverse,
     is_automorphism,
     isomorphism,
-    orbits,
     perm_order,
     realize_multiplicity,
     sylow_p_order,
 )
-from spinelab.verification import relabelling_check
+from spinelab.verification import forest_orbit_check, relabelling_check
 
 from census_oracle import _candidates
-from dart_oracle import are_isomorphic, dart_isomorphisms, elements_of_order, vertex_perms
+from dart_oracle import (
+    are_isomorphic,
+    automorphism_group,
+    dart_isomorphisms,
+    elements_of_order,
+    vertex_perms,
+)
 
 
 def random_relabeling(g, rng):
@@ -116,8 +119,8 @@ def test_automorphism_orders(make, order):
     g = make()
     assert automorphism_order(g) == order
     group = automorphism_group(g)
-    assert group.order == order
-    assert sorted(_vertex_group(g)) == sorted({a.vperm for a in group.elements}) == vertex_perms(g)
+    assert len(group) == order
+    assert sorted(_vertex_group(g)) == sorted({a.vperm for a in group}) == vertex_perms(g)
 
 
 def test_vertex_groups_match_backtracking_oracle():
@@ -135,8 +138,7 @@ def test_vertex_groups_match_backtracking_oracle():
 
 def test_automorphisms_fix_graph():
     g = catalog.theta2_diamond_y()
-    group = automorphism_group(g)
-    for a in group.elements:
+    for a in automorphism_group(g):
         assert is_automorphism(g, a)
         assert apply_to_graph(g, a) == g
 
@@ -144,14 +146,14 @@ def test_automorphisms_fix_graph():
 def test_group_closure_and_lagrange():
     g = catalog.theta_with_roses(3, 0, 2)
     group = automorphism_group(g)
-    elements = set(group.elements)
-    sample = group.elements[::7]
+    elements = set(group)
+    sample = group[::7]
     for a in sample:
         assert inverse(a) in elements
         for b in sample:
             assert compose(a, b) in elements
-    for a in group.elements:
-        assert group.order % perm_order(a) == 0
+    for a in group:
+        assert len(group) % perm_order(a) == 0
 
 
 def test_elements_of_order():
@@ -163,18 +165,11 @@ def test_elements_of_order():
 
 
 def test_census_groups_are_the_whole_group(rank4_classes):
-    """Each rank-4 singular class's group lists |Aut| distinct
-    automorphisms, sorted."""
+    """Each rank-4 singular class keeps its whole vertex group, and its
+    order is that of the dart group the oracle lists."""
     for cls in rank4_classes:
-        elements = cls.aut.elements
-        assert len(set(elements)) == automorphism_order(cls.graph)
-        assert list(elements) == sorted(elements)
-        assert all(is_automorphism(cls.graph, a) for a in elements)
-
-
-def test_element_cap():
-    with pytest.raises(AutGroupTooLarge):
-        automorphism_group(catalog.rose(4), element_cap=100)
+        assert sorted(cls.vertex_group) == vertex_perms(cls.graph)
+        assert cls.aut_order == len(automorphism_group(cls.graph))
 
 
 @pytest.mark.parametrize("order,p,want", [(72, 3, 9), (48, 3, 3), (384, 3, 3)])
@@ -182,47 +177,47 @@ def test_sylow(order, p, want):
     assert sylow_p_order(order, p) == want
 
 
-def forest_action(group):
-    lookup = {a: edge_permutation(group.graph, a) for a in group.elements}
-    return lambda a, f: frozenset(lookup[a][e] for e in f)
+def bundle_group(g, vperms=None):
+    """(vertex permutation, bundle permutation) pairs of the vertex group,
+    or of the vertex permutations ``vperms``."""
+    vperms = _vertex_group(g) if vperms is None else vperms
+    return list(zip(vperms, bundle_perms(g, vperms)))
 
 
 def test_orbit_single_edges_of_theta2():
+    # the three edges are one bundle, named 0, fixed by the vertex swap
     theta = catalog.multi_edge(3)
-    group = automorphism_group(theta)
-    singles = [frozenset([e]) for e in range(3)]
-    out = orbits(group, singles, forest_action(group))
-    assert len(out) == 1 and len(out[0].members) == 3
+    assert bundle_names(theta) == (0, 0, 0)
+    orbit, fixing = _orbit(bundle_group(theta), frozenset([0]))
+    assert list(orbit) == [frozenset([0])] and len(fixing) == 2
 
 
 def test_orbit_stars_of_k33():
     k33 = catalog.complete_bipartite(3, 3)
-    group = automorphism_group(k33)
     stars = []
     for v in range(6):
         star = frozenset(e for e in range(9) if v in k33.edge_endpoints(e))
         stars.append(star)
-    out = orbits(group, stars, forest_action(group))
-    assert len(out) == 1 and len(out[0].members) == 6
+    orbit, fixing = _orbit(bundle_group(k33), stars[0])
+    assert set(orbit) == set(stars) and len(fixing) == 72 // 6
 
 
 def test_orbit_stabilizer_identity():
     g = catalog.theta2_colon_theta1()
-    group = automorphism_group(g)
-    action = forest_action(group)
-    forests = [f for f in enumerate_forests(g) if f]
-    for orbit in orbits(group, forests, action):
-        assert len(orbit.members) * orbit.stabilizer_order == group.order
+    cls = GraphClass(g, automorphism_order(g), tuple(_vertex_group(g)))
+    nonempty = len(enumerate_forests(g)) - 1
+    assert forest_orbit_check(cls, nonempty)
+    assert not forest_orbit_check(cls, nonempty + 1)
 
 
 def test_trivial_group_orbits():
-    from spinelab.symmetry import AutGroup
-
-    g = catalog.multi_edge(3)
-    trivial = AutGroup(g, (identity_automorphism(g),))
-    singles = [frozenset([e]) for e in range(3)]
-    out = orbits(trivial, singles, forest_action(trivial))
-    assert len(out) == 3
+    # under the identity alone each bundle set is its own orbit
+    g = catalog.theta2_colon_theta1()
+    group = bundle_group(g, [tuple(range(g.vertex_count))])
+    forests = [f for f in enumerate_forests(g, set(bundle_names(g))) if f]
+    for f in forests:
+        orbit, fixing = _orbit(group, f)
+        assert list(orbit) == [f] and len(fixing) == 1
 
 
 def test_dart_isomorphism_respects_structure():
