@@ -1,22 +1,23 @@
 """Isotropy pages over the quotient complex and cohomology assembly.
 
 Each cell of the quotient carries the cohomology of its stabilizer as a
-graded coefficient; faces induce restriction maps.  For the components
-handled here the coefficient rule is configuration data: cells whose
-stabilizer has Sylow-p part of order p share a fixed graded model with
-identity faces, while the two big vertex groups and the edge joining them
-carry explicit algebras and the two restriction morphisms.  Components
-with a uniform rule are resolved by a direct page computation; the
-component owning the special edge is resolved by checking that everything
-outside that edge is an acyclic identity region and then computing the
-equalizer of the two restrictions (the amalgam answer for a segment
-fundamental domain).
+graded coefficient; faces induce restriction maps.  The coefficient rule
+is configuration data: cells whose stabilizer has Sylow-p part of order p
+share a fixed graded model with identity faces, while the two big vertex
+groups and the special edge joining them carry explicit algebras, and the
+edge's two faces the restriction morphisms alpha and beta.
 
-Both read the restriction morphisms as sparse rows: the page's
-differentials are lists of ``{column: value}`` rows holding the
-morphisms' ``add_rows`` entries at block offsets, and the amalgam is the
-kernel of the two restrictions out of the product of the vertex algebras,
-from the same rows as the ``equalizer`` the series criteria read.
+Every component is read off one page, that of a face-closed cell list
+(Brown's equivariant spectral sequence, *Cohomology of Groups*, VII.7).
+A component without the special edge is its own page.  The component
+holding the special edge is first checked to retract onto it: everything
+outside the open edge is an acyclic identity region.  Its answer is then
+the page of the segment, two vertices and the edge, which is the
+amalgam's Mayer-Vietoris sequence: H^0 = ker [alpha, -beta], given that
+H^1 = coker [alpha, -beta] vanishes, which the page checks.
+
+The page's differentials are lists of sparse rows ``{column: value}``
+holding the morphisms' ``add_rows`` entries at block offsets.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from spinelab.algebra import (
     AlgebraMorphism,
     Element,
     GradedAlgebra,
-    ProductAlgebra,
-    ProductMorphism,
     cohomology_of_metacyclic,
     compose_morphisms,
     dimensions,
@@ -39,8 +38,6 @@ from spinelab.algebra import (
     parse_element,
     swap_action,
     tensor,
-    _check_pairs,
-    _kernel_rows,
 )
 from spinelab.fixtures import load_algebras, load_coefficient_rule, load_morphism
 from spinelab.series import GradedDims
@@ -76,12 +73,15 @@ class CoefficientRule:
         return self.special_faces.get((cell_index, position))
 
 
-def sylow_rule(cx: QuotientComplex, bound: int, with_special_edge: bool = True) -> CoefficientRule:
+def sylow_rule(cx: QuotientComplex, bound: int) -> CoefficientRule:
     """The shipped coefficient rule for the p = 3 rank-4 complex.
 
     Stabilizers with Sylow-3 order 3 all carry the same model with
-    identity faces; the two order-9 vertices and the edge between them
-    carry the two explicit restriction morphisms.
+    identity faces.  The special edge, the 1-cell whose vertices are the
+    endpoints of the configuration's critical edge, carries the edge
+    algebra, its two vertices their own algebras, and its two faces the
+    restriction morphisms: the rule's special faces are its faces.  No
+    other function reads the critical edge.
     """
     cfg = load_coefficient_rule()
     algebras = load_algebras()
@@ -102,26 +102,24 @@ def sylow_rule(cx: QuotientComplex, bound: int, with_special_edge: bool = True) 
                 f"no coefficient model for Sylow order {s} on cell {cell.index}"
             )
 
+    edge_cfg = cfg["critical_edge"]
+    vertex_algebra = {name: algebras[key] for name, key in edge_cfg["vertex_algebras"].items()}
+    face_morphism = {
+        name: load_morphism(key, algebras) for name, key in edge_cfg["face_morphisms"].items()
+    }
+    edge_dims = dimensions(algebras[edge_cfg["edge_algebra"]], bound).dims
+    endpoints = set(edge_cfg["endpoints"])
     special = {}
-    if with_special_edge:
-        edge_cfg = cfg["critical_edge"]
-        vertex_algebra = {
-            name: algebras[key] for name, key in edge_cfg["vertex_algebras"].items()
-        }
-        face_morphism = {
-            name: load_morphism(key, algebras)
-            for name, key in edge_cfg["face_morphisms"].items()
-        }
-        edge_algebra = algebras[edge_cfg["edge_algebra"]]
-        for cell in _special_edges(cx, edge_cfg):
-            names = cx.cell_vertex_names(cell)  # [collapsed, top]
-            cell_dims[cell.index] = dimensions(edge_algebra, bound).dims
-            for position, name in ((0, names[1]), (1, names[0])):
-                # omitting vertex 0 leaves the top endpoint, omitting 1
-                # leaves the collapsed one
-                special[(cell.index, position)] = face_morphism[name]
-                vertex_cell = cx.cells[cell.faces[position]]
-                cell_dims[vertex_cell.index] = dimensions(vertex_algebra[name], bound).dims
+    for cell in cx.cells_of_dim(1):
+        names = cx.cell_vertex_names(cell)  # [collapsed, top]
+        if set(names) != endpoints:
+            continue
+        cell_dims[cell.index] = edge_dims
+        for position, name in ((0, names[1]), (1, names[0])):
+            # omitting vertex 0 leaves the top endpoint, omitting 1
+            # leaves the collapsed one
+            special[(cell.index, position)] = face_morphism[name]
+            cell_dims[cell.faces[position]] = dimensions(vertex_algebra[name], bound).dims
     return CoefficientRule(bound, cell_dims, special)
 
 
@@ -141,41 +139,24 @@ class E1Page:
     differentials: dict  # (s, q) -> sparse rows of C^s(q) -> C^{s+1}(q)
 
 
-def build_e1(
-    cx: QuotientComplex,
-    rule: CoefficientRule,
-    component: Optional[int] = None,
-    cell_indices: Optional[list] = None,
-) -> E1Page:
-    """Assemble the page of a component, a cell subset, or everything.
+def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
+    """Assemble the page of a face-closed list of cell indices.
 
     The coboundary into a cell of dimension s+1 is the alternating sum of
-    its face maps; identity faces require equal dims on both sides.  A
-    cell subset must be closed under faces.  Each differential is a list
-    of sparse rows ``{column: value}``, one per basis vector of the
-    (s+1)-cochains, with entries reduced mod p and zeros dropped.
+    its face maps; identity faces require equal dims on both sides.  Each
+    differential is a list of sparse rows ``{column: value}``, one per
+    basis vector of the (s+1)-cochains, with entries reduced mod p and
+    zeros dropped.
     """
-    if cell_indices is not None:
-        chosen = set(cell_indices)
-        for ci in chosen:
-            for f in cx.cells[ci].faces:
-                if f not in chosen:
-                    raise CoefficientRuleError("cell subset is not closed under faces")
-        selected = [c for c in cx.cells if c.index in chosen]
-    else:
-        selected = [
-            c
-            for c in cx.cells
-            if component is None or cx.component_of[c.index] == component
-        ]
-    for cell in selected:
-        if cell.index not in rule.cell_dims:
-            raise CoefficientRuleError(f"cell {cell.index} is not covered by the rule")
+    chosen = set(cells)
+    for ci in chosen:
+        if not chosen.issuperset(cx.cells[ci].faces):
+            raise CoefficientRuleError("cell list is not closed under faces")
+        if ci not in rule.cell_dims:
+            raise CoefficientRuleError(f"cell {ci} is not covered by the rule")
     cells_by_dim: dict = {}
-    for cell in selected:
-        cells_by_dim.setdefault(cell.dim, []).append(cell.index)
-    for s in cells_by_dim:
-        cells_by_dim[s].sort()
+    for ci in sorted(chosen):
+        cells_by_dim.setdefault(cx.cells[ci].dim, []).append(ci)
 
     p, bound = cx.p, rule.bound
     offsets = {}
@@ -216,7 +197,7 @@ def build_e1(
                         for c, v in entries.items():
                             row[col0 + c] = row.get(col0 + c, 0) + sign * v
             differentials[(s, q)] = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    return E1Page(p, bound, cells_by_dim, {c.index: rule.dims_of(c.index) for c in selected}, differentials)
+    return E1Page(p, bound, cells_by_dim, {ci: rule.dims_of(ci) for ci in chosen}, differentials)
 
 
 def check_d_squared(page: E1Page) -> bool:
@@ -234,18 +215,14 @@ def check_d_squared(page: E1Page) -> bool:
 
 
 def page_cohomology(page: E1Page) -> dict:
-    """dims of H^s per degree q, from the s-direction complexes."""
+    """dims of H^s per degree q, from the s-direction complexes; each
+    differential is ranked once."""
+    ranks = {key: linalg.rank(rows, page.p) for key, rows in page.differentials.items()}
     out = {}
-    max_s = max(page.cells_by_dim)
     for q in range(page.bound + 1):
-        sizes = {
-            s: sum(page.dims[ci][q] for ci in page.cells_by_dim.get(s, []))
-            for s in range(max_s + 1)
-        }
-        for s in range(max_s + 1):
-            incoming = page.differentials.get((s - 1, q))
-            outgoing = page.differentials.get((s, q))
-            out[(s, q)] = sizes[s] - linalg.rank(outgoing, page.p) - linalg.rank(incoming, page.p)
+        for s in range(max(page.cells_by_dim) + 1):
+            size = sum(page.dims[ci][q] for ci in page.cells_by_dim.get(s, ()))
+            out[(s, q)] = size - ranks.get((s, q), 0) - ranks.get((s - 1, q), 0)
     return out
 
 
@@ -263,99 +240,47 @@ def equivariant_cohomology_from_page(page: E1Page) -> GradedDims:
 
 
 # ---------------------------------------------------------------------------
-# amalgam over a segment
-
-
-def amalgam_cohomology(f1: AlgebraMorphism, f2: AlgebraMorphism, bound: int) -> GradedDims:
-    """Equalizer dims of two algebra morphisms into a common target.
-
-    At least one of the maps must be surjective in every degree (else the
-    connecting maps of the pair would interfere); the result in degree d is
-    dim ker [f1, -f2], the pairs (u, v) with f1(u) = f2(v), computed as the
-    equalizer of the two projections out of the product of the sources.
-    The guard and the equalizer read each degree in turn, so each map
-    builds the images of a degree once.
-    """
-    src = ProductAlgebra([f1.source, f2.source])
-    pairs = [(ProductMorphism(src, 0, f1), ProductMorphism(src, 1, f2))]
-    _check_pairs(src, pairs)
-    dims = []
-    for d in range(bound + 1):
-        if not (f1.is_surjective_in_degree(d) or f2.is_surjective_in_degree(d)):
-            raise ValueError(f"neither map is surjective in degree {d}")
-        rows = _kernel_rows(src, pairs, d)
-        dims.append(len(src.basis(d)) - linalg.rank(rows.values(), src.p))
-    return GradedDims(bound, tuple(dims))
-
-
-# ---------------------------------------------------------------------------
 # component-level assembly
 
 
-def component_cohomology(cx: QuotientComplex, component: int, bound: int) -> GradedDims:
+def component_cohomology(
+    cx: QuotientComplex, component: int, bound: int, rule: Optional[CoefficientRule] = None
+) -> GradedDims:
     """Equivariant cohomology dims of one component of the quotient.
 
-    Components without the special edge use the uniform rule and the page
-    computation directly.  The component carrying the special edge is
-    first checked to retract onto it: removing the open edge must leave
-    acyclic identity-coefficient pieces, one per endpoint; the answer is
-    then the equalizer of the two restriction morphisms.
+    A component without the special edge, the 1-cell with special faces
+    in the rule, is its own page.  The component holding it is first
+    checked to retract onto it; its answer is then the page of the edge
+    and its two vertices, which refuses unless coker [alpha, -beta]
+    vanishes.  ``rule`` defaults to ``sylow_rule(cx, bound)``.
     """
-    edge_cfg = load_coefficient_rule()["critical_edge"]
-    endpoints = set(edge_cfg["endpoints"])
-    names_in_component = {
-        cx.classes[c.graph_index].name
-        for c in cx.cells
-        if c.dim == 0 and cx.component_of[c.index] == component
-    }
-    if not endpoints <= names_in_component:
-        rule = sylow_rule(cx, bound, with_special_edge=False)
-        page = build_e1(cx, rule, component)
-        return equivariant_cohomology_from_page(page)
-    _check_retraction(cx, component, edge_cfg)
-    algebras = load_algebras()
-    alpha = load_morphism(edge_cfg["face_morphisms"]["K33"], algebras)
-    beta = load_morphism(edge_cfg["face_morphisms"]["Theta2vTheta2"], algebras)
-    return amalgam_cohomology(alpha, beta, bound)
+    if rule is None:
+        rule = sylow_rule(cx, bound)
+    edge = min((ci for ci, _ in rule.special_faces if cx.component_of[ci] == component), default=None)
+    if edge is None:
+        cells = [c.index for c in cx.cells if cx.component_of[c.index] == component]
+    else:
+        _check_retraction(cx, cx.cells[edge])
+        cells = [edge, *cx.cells[edge].faces]
+    return equivariant_cohomology_from_page(build_e1(cx, rule, cells))
 
 
-def _special_edges(cx: QuotientComplex, edge_cfg: dict) -> list:
-    """The 1-cells whose two vertices carry the endpoint names of the
-    coefficient rule's critical edge."""
-    endpoints = set(edge_cfg["endpoints"])
-    return [c for c in cx.cells_of_dim(1) if set(cx.cell_vertex_names(c)) == endpoints]
-
-
-def special_edge_cells(cx: QuotientComplex) -> list:
-    """The special 1-cell and its two endpoint vertices, as cell indices."""
-    edges = _special_edges(cx, load_coefficient_rule()["critical_edge"])
-    if not edges:
-        raise CoefficientRuleError("no special edge in the complex")
-    return sorted([edges[0].index, *edges[0].faces])
-
-
-def _check_retraction(cx: QuotientComplex, component: int, edge_cfg: dict):
-    """The special edge must carry the component up to acyclic padding.
+def _check_retraction(cx: QuotientComplex, edge):
+    """The special edge must carry its component up to acyclic padding.
 
     Removing the open edge has to disconnect the component into pieces
-    with trivial reduced homology, one per endpoint, and every other cell
-    must have a Sylow-p stabilizer of order exactly p (the identity
-    region).  These are the mechanical facts behind collapsing the
-    component onto the edge.
+    with trivial reduced homology, one per endpoint.  No other cell may
+    hold both endpoints (a second special edge would), and every other
+    cell of positive dimension must have a Sylow-p stabilizer of order
+    exactly p (the identity region).  These are the mechanical facts
+    behind collapsing the component onto the edge.
     """
-    endpoints = set(edge_cfg["endpoints"])
-    cells = [c for c in cx.cells if cx.component_of[c.index] == component]
-    special = [c for c in _special_edges(cx, edge_cfg) if cx.component_of[c.index] == component]
-    if len(special) != 1:
-        raise ConcentrationError("expected exactly one special edge in the component")
-    edge = special[0]
-    for c in cells:
-        if c.index == edge.index:
-            continue
-        if set(cx.cell_vertex_names(c)) >= endpoints and c.dim >= 1:
-            raise ConcentrationError("a higher cell touches both special endpoints")
-    rest = [c for c in cells if c.index != edge.index]
+    component = cx.component_of[edge.index]
+    ends = set(edge.vertices)
+    rest = [c for c in cx.cells if cx.component_of[c.index] == component and c.index != edge.index]
     for c in rest:
+        if c.dim >= 1 and ends <= set(c.vertices):
+            raise ConcentrationError("a higher cell touches both special endpoints")
         if c.dim >= 1 and sylow_p_order(c.isotropy_order, cx.p) != cx.p:
             raise ConcentrationError("identity region contains a big stabilizer")
     pieces = _components(rest)
@@ -369,9 +294,10 @@ def _check_retraction(cx: QuotientComplex, component: int, edge_cfg: dict):
 
 
 def corollary_dims(cx: QuotientComplex, bound: int) -> dict:
-    """Per-component and total equivariant cohomology dims."""
+    """Per-component and total equivariant cohomology dims, from one rule."""
+    rule = sylow_rule(cx, bound)
     out = {
-        key: component_cohomology(cx, cx.component_containing(anchor), bound)
+        key: component_cohomology(cx, cx.component_containing(anchor), bound, rule)
         for key, anchor in catalog.COMPONENT_ANCHORS.items()
     }
     out["total"] = out["rose"].add(out["theta11"]).add(out["k33"])

@@ -24,9 +24,10 @@ loops, so its order is a product (``automorphism_order``), and it acts
 on forests through their bundles, each named by its least edge
 (``bundle_names``, ``bundle_perms``).
 
-Isomorphisms come from the canonical labelling, the vertex order that
-carries a graph onto its form; a vertex map is lifted to darts by
-matching loops and parallel edges in edge order.
+Two graphs are isomorphic exactly when their forms are equal.  A vertex
+map between them is read off their canonical labellings, the vertex
+orders that carry each graph onto its form (``spine`` maps the vertices
+of its re-rooted faces so); no dart-level isomorphism is built.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Optional
 
 from spinelab.graphs import HalfEdgeGraph, build_graph
 
@@ -344,16 +344,6 @@ def matrix_form(mult) -> CanonicalForm:
     return CanonicalForm(payload, rows, labelling, generators)
 
 
-def isomorphism(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> Optional[GraphAutomorphism]:
-    """The dart-level isomorphism g1 -> g2 sending each vertex of g1 to the
-    vertex of g2 at its canonical position; None when there is none."""
-    form1, form2 = canonical_form(g1), canonical_form(g2)
-    if form1 != form2:
-        return None
-    vmap = dict(zip(form1.labelling, form2.labelling))
-    return _lift(g1, g2, [vmap[v] for v in range(g1.vertex_count)])
-
-
 def _bundles(g: HalfEdgeGraph) -> dict:
     """The edges joining each set of ends, in edge order, as dart pairs
     whose first dart points at the smaller end."""
@@ -362,19 +352,6 @@ def _bundles(g: HalfEdgeGraph) -> dict:
         pair = (h1, h2) if g.target[h1] <= g.target[h2] else (h2, h1)
         out.setdefault(frozenset(g.target[h] for h in pair), []).append(pair)
     return out
-
-
-def _lift(g1: HalfEdgeGraph, g2: HalfEdgeGraph, vmap) -> GraphAutomorphism:
-    """The dart map over a multiplicity-preserving vertex map g1 -> g2: the
-    edges joining two vertices go in edge order onto those joining their
-    images, each dart to the dart at the image of its own end."""
-    images = {ends: iter(pairs) for ends, pairs in _bundles(g2).items()}
-    hperm = [0] * g1.half_edge_count
-    for h1, h2 in g1.edges:
-        u = vmap[g1.target[h1]]
-        k1, k2 = next(images[frozenset((u, vmap[g1.target[h2]]))])
-        hperm[h1], hperm[h2] = (k1, k2) if g2.target[k1] == u else (k2, k1)
-    return GraphAutomorphism(tuple(vmap), tuple(hperm))
 
 
 def realize_multiplicity(loops: list, lower: list) -> HalfEdgeGraph:

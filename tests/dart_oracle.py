@@ -15,8 +15,10 @@ automorphisms fixing every vertex.  ``automorphism_group`` lists the
 whole dart group, and ``oracle_quotient_complex`` builds the cells from
 it the direct way: each chain's orbit, stabilizer and translates by
 scanning every element, and each re-rooted face along a searched dart
-isomorphism.  The graph helpers beside them have no caller left in the
-library.
+isomorphism.  ``isomorphism`` lifts the vertex map of two canonical
+labellings to darts, matching loops and parallel edges in edge order,
+and ``automorphism_group`` lifts each vertex permutation the same way.
+The graph helpers beside them have no caller left in the library.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from spinelab.spine import QuotientCell
 from spinelab.symmetry import (
     GraphAutomorphism,
     _bundles,
-    _lift,
     canonical_form,
     edge_permutation,
     perm_order,
@@ -174,6 +175,29 @@ def _cycle_length(perm, x):
 
 def are_isomorphic(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> bool:
     return next(dart_isomorphisms(g1, g2), None) is not None
+
+
+def isomorphism(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> Optional[GraphAutomorphism]:
+    """The dart-level isomorphism g1 -> g2 sending each vertex of g1 to the
+    vertex of g2 at its canonical position; None when there is none."""
+    form1, form2 = canonical_form(g1), canonical_form(g2)
+    if form1 != form2:
+        return None
+    vmap = dict(zip(form1.labelling, form2.labelling))
+    return _lift(g1, g2, [vmap[v] for v in range(g1.vertex_count)])
+
+
+def _lift(g1: HalfEdgeGraph, g2: HalfEdgeGraph, vmap) -> GraphAutomorphism:
+    """The dart map over a multiplicity-preserving vertex map g1 -> g2: the
+    edges joining two vertices go in edge order onto those joining their
+    images, each dart to the dart at the image of its own end."""
+    images = {ends: iter(pairs) for ends, pairs in _bundles(g2).items()}
+    hperm = [0] * g1.half_edge_count
+    for h1, h2 in g1.edges:
+        u = vmap[g1.target[h1]]
+        k1, k2 = next(images[frozenset((u, vmap[g1.target[h2]]))])
+        hperm[h1], hperm[h2] = (k1, k2) if g2.target[k1] == u else (k2, k1)
+    return GraphAutomorphism(tuple(vmap), tuple(hperm))
 
 
 def vertex_perms(g: HalfEdgeGraph) -> list:

@@ -85,14 +85,14 @@ def test_12_recursion_pipeline():
 
 
 def test_13_property_suites(rank4_complex):
-    _report(13, criterion_properties(rank4_complex, BOUND, RunConfig().seed))
+    _report(13, criterion_properties(rank4_complex, BOUND))
 
 
 def test_property_suite_searches_each_relabelled_matrix_once(monkeypatch, rank4_complex):
     searched = []
     real = verification.matrix_form
     monkeypatch.setattr(verification, "matrix_form", lambda m: searched.append(m) or real(m))
-    assert criterion_properties(rank4_complex, BOUND, RunConfig().seed).passed
+    assert criterion_properties(rank4_complex, BOUND).passed
     want = {
         tuple(tuple(mult[u][v] for v in order) for u in order)
         for mult in (cls.graph.multiplicity for cls in rank4_complex.classes)
@@ -105,7 +105,7 @@ def test_property_suite_searches_each_relabelled_matrix_once(monkeypatch, rank4_
 def test_property_suite_checks_every_dart_relabelling(monkeypatch, rank4_complex):
     moves = []
     monkeypatch.setattr(verification, "apply_to_graph", lambda g, a: moves.append(a) or g)
-    result = criterion_properties(rank4_complex, BOUND, RunConfig().seed)
+    result = criterion_properties(rank4_complex, BOUND)
     assert len(moves) == 100 * len(rank4_complex.classes) == 1700
     assert "canonical=False" in result.detail
 

@@ -406,10 +406,9 @@ def test_matrix_in_degree_matches_full_products(name):
 
 
 def test_a_second_ascending_pass_keeps_only_the_reachable_images():
-    # the amalgam's surjectivity guard reads every degree before the
-    # equalizer reads them again from degree 0; the window holds the
-    # degrees reachable from the last one asked for, plus at most those
-    # left at the top of the first pass
+    # a caller may read every degree and then read them again from
+    # degree 0; the window holds the degrees reachable from the last one
+    # asked for, plus at most those left at the top of the first pass
     alpha = _oracle_morphisms()["alpha"]
     for _ in range(2):
         for d in range(121):

@@ -1,4 +1,6 @@
-"""Page assembly, component cohomology, amalgams and the recursion pipeline."""
+"""Page assembly, component cohomology and the recursion pipeline."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +9,6 @@ from spinelab.algebra import (
     AlgebraMorphism,
     Element,
     GradedAlgebra,
-    ProductAlgebra,
     dimensions,
     equalizer,
     swap_action,
@@ -15,7 +16,7 @@ from spinelab.algebra import (
 from spinelab.assembly import (
     _recursion_maps,
     CoefficientRuleError,
-    amalgam_cohomology,
+    ConcentrationError,
     build_e1,
     check_d_squared,
     component_cohomology,
@@ -39,27 +40,37 @@ def sigma3_dims():
     return dimensions(load_algebra("sigma3"), BOUND).dims
 
 
+def component_cells(cx, anchor):
+    component = cx.component_containing(anchor)
+    return [c.index for c in cx.cells if cx.component_of[c.index] == component]
+
+
+def all_cells(cx):
+    return range(len(cx.cells))
+
+
 def test_rose_page_shape(rank4_complex):
-    rule = sylow_rule(rank4_complex, BOUND, with_special_edge=False)
-    page = build_e1(rank4_complex, rule, rank4_complex.component_containing("R4"))
+    rule = sylow_rule(rank4_complex, BOUND)
+    page = build_e1(rank4_complex, rule, component_cells(rank4_complex, "R4"))
     assert {s: len(v) for s, v in page.cells_by_dim.items()} == {0: 7, 1: 13, 2: 10, 3: 3}
 
 
 def test_single_point_component(rank4_complex, sigma3_dims):
-    comp = rank4_complex.component_containing("Theta2^{1,1}")
-    rule = sylow_rule(rank4_complex, BOUND, with_special_edge=False)
-    page = build_e1(rank4_complex, rule, comp)
+    rule = sylow_rule(rank4_complex, BOUND)
+    page = build_e1(rank4_complex, rule, component_cells(rank4_complex, "Theta2^{1,1}"))
     assert {s: len(v) for s, v in page.cells_by_dim.items()} == {0: 1}
     assert equivariant_cohomology_from_page(page).dims == sigma3_dims
 
 
 def test_d_squared_zero_full_complex(rank4_complex):
-    page = build_e1(rank4_complex, constant_rule(rank4_complex, BOUND, load_algebra("sigma3")))
+    rule = constant_rule(rank4_complex, BOUND, load_algebra("sigma3"))
+    page = build_e1(rank4_complex, rule, all_cells(rank4_complex))
     assert check_d_squared(page)
 
 
 def test_check_d_squared_catches_a_flipped_face_sign(rank4_complex):
-    page = build_e1(rank4_complex, constant_rule(rank4_complex, 0, load_algebra("sigma3")))
+    rule = constant_rule(rank4_complex, 0, load_algebra("sigma3"))
+    page = build_e1(rank4_complex, rule, all_cells(rank4_complex))
     assert check_d_squared(page)
     d0, d1 = page.differentials[(0, 0)], page.differentials[(1, 0)]
     # negating d1[r][c] adds -2 d1[r][c] d0[c] to row r of d1 d0, which is
@@ -78,14 +89,21 @@ def test_identity_face_dim_mismatch_is_an_error(rank4_complex):
         first_edge = rank4_complex.cells_of_dim(1)[0]
         bad[first_edge.index] = dimensions(load_algebra("sigma3"), BOUND).dims
         rule.cell_dims.update(bad)
-        build_e1(rank4_complex, rule)
+        build_e1(rank4_complex, rule, all_cells(rank4_complex))
 
 
 def test_uncovered_cell_is_an_error(rank4_complex):
     rule = constant_rule(rank4_complex, BOUND, load_algebra("sigma3"))
     del rule.cell_dims[rank4_complex.cells[0].index]
     with pytest.raises(CoefficientRuleError):
-        build_e1(rank4_complex, rule)
+        build_e1(rank4_complex, rule, all_cells(rank4_complex))
+
+
+def test_cell_list_must_be_closed_under_faces(rank4_complex):
+    rule = constant_rule(rank4_complex, BOUND, load_algebra("sigma3"))
+    edge = rank4_complex.cells_of_dim(1)[0]
+    with pytest.raises(CoefficientRuleError, match="closed under faces"):
+        build_e1(rank4_complex, rule, [edge.index, edge.faces[0]])
 
 
 def test_rose_component_cohomology(rank4_complex, sigma3_dims):
@@ -106,8 +124,8 @@ def test_k33_component_is_the_equalizer(rank4_complex):
 
 
 def test_k33_component_builds_each_image_once(rank4_complex, monkeypatch):
-    """The amalgam's surjectivity guard and its equalizer read each degree
-    in turn, so each source monomial of positive degree of alpha and beta
+    """The segment page reads each degree of alpha and beta once, in
+    ascending order, so each source monomial of positive degree of alpha and beta
     has its image built by one kernel product."""
     from spinelab import algebra
 
@@ -118,19 +136,6 @@ def test_k33_component_builds_each_image_once(rank4_complex, monkeypatch):
     sources = [load_algebra(name) for name in ("stab_k33", "stab_wedge")]
     monomials = sum(len(alg.basis(d)) for alg in sources for d in range(1, BOUND + 1))
     assert len(products) == monomials
-
-
-def test_segment_page_matches_the_amalgam(rank4_complex):
-    """The two-vertex/one-edge page computes the same answer as the
-    component-level amalgam, concentrated in column zero."""
-    from spinelab.assembly import special_edge_cells
-
-    cells = special_edge_cells(rank4_complex)
-    rule = sylow_rule(rank4_complex, BOUND, with_special_edge=True)
-    page = build_e1(rank4_complex, rule, cell_indices=cells)
-    dims = equivariant_cohomology_from_page(page)
-    comp = rank4_complex.component_containing("K33")
-    assert dims.dims == component_cohomology(rank4_complex, comp, BOUND).dims
 
 
 def test_corollary_sum(rank4_complex, sigma3_dims):
@@ -151,46 +156,70 @@ def zero_morphism(source, target):
     return AlgebraMorphism(source, target, images)
 
 
-def test_amalgam_zero_maps_give_direct_sum():
-    # dims (1, 0, 2) and (1, 1, 0) over a target that is F_3 in degree 0
-    h1 = GradedAlgebra(3, [("a2", 2, "poly"), ("b2", 2, "poly")])
-    h2 = GradedAlgebra(3, [("e1", 1, "ext")])
-    point = GradedAlgebra(3, [])
-    dims = amalgam_cohomology(zero_morphism(h1, point), zero_morphism(h2, point), 2)
-    # the direct sum above degree 0, where the two units are identified
-    assert dims.dims == (1, 1, 2)
+def special_edge(cx, rule):
+    (edge,) = {ci for ci, _ in rule.special_faces}
+    return cx.cells[edge]
 
 
-def test_amalgam_rank_nullity_on_synthetic_data():
-    alg = GradedAlgebra(5, [("a8", 8, "poly"), ("b7", 7, "ext")])
-    ident = swap_action(alg, [])  # swapping no pairs
-    other = GradedAlgebra(5, [("e1", 1, "ext"), ("c2", 2, "poly")])
-    dims = amalgam_cohomology(ident, zero_morphism(other, alg), 20)
-    # f1 bijective: dim Eq(d) = h2(d) + dim ker f1(d) = 1 + 0
-    assert dims.dims == dimensions(other, 20).dims == (1,) * 21
+def test_segment_page_requires_a_vanishing_cokernel(rank4_complex):
+    """With both face maps zero on every generator, the edge algebra above
+    degree 0 is the cokernel of [alpha, -beta], and it survives at column
+    one of the segment page."""
+    rule = sylow_rule(rank4_complex, BOUND)
+    edge = special_edge(rank4_complex, rule)
+    for key, morphism in rule.special_faces.items():
+        rule.special_faces[key] = zero_morphism(morphism.source, morphism.target)
+    page = build_e1(rank4_complex, rule, [edge.index, *edge.faces])
+    with pytest.raises(ConcentrationError, match="column 1"):
+        equivariant_cohomology_from_page(page)
 
 
-def test_amalgam_rank_nullity_on_restriction_data():
-    """With f1 surjective, dim Eq(d) = h1(d) + h2(d) - h12(d)."""
+def test_k33_component_refuses_a_big_stabilizer_off_the_edge(rank4_complex):
+    """The segment answers for its component only if the rest of the
+    component is an identity region."""
+    component = rank4_complex.component_containing("K33")
+    edge = special_edge(rank4_complex, sylow_rule(rank4_complex, BOUND))
+    other = next(
+        c
+        for c in rank4_complex.cells_of_dim(1)
+        if rank4_complex.component_of[c.index] == component and c.index != edge.index
+    )
+    cells = list(rank4_complex.cells)
+    cells[other.index] = replace(other, isotropy_order=3 * other.isotropy_order)
+    cx = replace(rank4_complex, cells=cells)
+    with pytest.raises(ConcentrationError, match="big stabilizer"):
+        component_cohomology(cx, component, BOUND)
+
+
+def test_k33_component_refuses_a_second_special_edge(rank4_complex):
+    """A copy of the special edge joins the same two vertices, so the
+    component no longer retracts onto one segment."""
+    component = rank4_complex.component_containing("K33")
+    edge = special_edge(rank4_complex, sylow_rule(rank4_complex, BOUND))
+    copy = replace(edge, index=len(rank4_complex.cells))
+    cx = replace(
+        rank4_complex,
+        cells=[*rank4_complex.cells, copy],
+        component_of=[*rank4_complex.component_of, component],
+    )
+    with pytest.raises(ConcentrationError, match="both special endpoints"):
+        component_cohomology(cx, component, BOUND)
+
+
+def test_amalgam_rank_nullity_on_restriction_data(rank4_complex):
+    """The K33 component with alpha surjective: dim H(d) = h1(d) + h2(d) -
+    h12(d)."""
     algebras = load_algebras()
     alpha = load_morphism("alpha", algebras)
     beta = load_morphism("beta", algebras)
     h1 = dimensions(alpha.source, BOUND).dims
     h2 = dimensions(beta.source, BOUND).dims
     h12 = dimensions(alpha.target, BOUND).dims
-    dims = amalgam_cohomology(alpha, beta, BOUND)
+    comp = rank4_complex.component_containing("K33")
+    dims = component_cohomology(rank4_complex, comp, BOUND)
     for d in range(BOUND + 1):
+        assert alpha.is_surjective_in_degree(d)
         assert dims[d] == h1[d] + h2[d] - h12[d]
-
-
-def test_amalgam_requires_a_surjection():
-    # the unit goes to the sum of the two units, a line in the plane of
-    # degree 0 of a product
-    point = GradedAlgebra(3, [])
-    plane = ProductAlgebra([point, point])
-    zero = zero_morphism(point, plane)
-    with pytest.raises(ValueError, match="degree 0"):
-        amalgam_cohomology(zero, zero, 0)
 
 
 def test_k33_amalgam_matches_the_dense_pair_kernel(rank4_complex):

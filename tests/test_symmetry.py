@@ -20,7 +20,6 @@ from spinelab.symmetry import (
     compose,
     inverse,
     is_automorphism,
-    isomorphism,
     perm_order,
     realize_multiplicity,
     sylow_p_order,
@@ -33,6 +32,7 @@ from dart_oracle import (
     automorphism_group,
     dart_isomorphisms,
     elements_of_order,
+    isomorphism,
     vertex_perms,
 )
 
