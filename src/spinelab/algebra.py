@@ -22,20 +22,24 @@ component.  A morphism stores each generator's image once, as terms
 (addend, coefficient, clash, flip).  The product of a code m by a term is
 the code m + addend.  It is zero when m & clash is nonzero: an exterior
 generator squared, or a term of another component.  Its Koszul sign is
-(-1)^popcount(m & flip).  The image of a monomial is the cached image of
-the monomial without its last generator factor, times that generator's
-image: one product per basis monomial, with the factors in the same
+(-1)^popcount(m & flip).  A morphism builds the images of a whole degree
+at once, as a list by basis position.  The parent table of a degree
+gives, for each basis monomial, its last nonzero generator i and the
+position j of the monomial with that exponent lowered by one, so image k
+of degree d is image j of degree d - deg_i times generator i's image:
+one product per basis monomial, with the factors in the same
 left-to-right order as the full product, reduced mod p once.  Callers
-ask for degrees in ascending order, so a morphism keeps only the images
-of the degrees at most one maximal generator degree below the last
+ask for degrees in ascending order, so a morphism keeps only the image
+lists of the degrees at most one maximal generator degree below the last
 degree asked for, the ones the next degree can reach; a degree asked for
-out of order rebuilds the images it misses.  The sparse rows of a degree
-are keyed by the position of each image code in the target's basis; that
-table packs the whole basis, so a degree whose exponents overflow their
-slots is refused.  ``Element`` and ``apply_monomial`` keep exponent
-tuples, read back through the same positions.  Basis tables depend only
-on the generators' (degree, kind) signature and are shared by every
-algebra with that signature.
+out of order first builds the degrees it misses below it, in ascending
+order.  The sparse rows of a degree are keyed by the position of each
+image code in the target's basis; that table packs the whole basis, so a
+degree whose exponents overflow their slots is refused.  ``Element``,
+``apply`` and ``apply_monomial`` keep exponent tuples, read through the
+same positions.  Basis and parent tables depend only on the generators'
+(degree, kind) signature and are shared by every algebra with that
+signature.
 """
 
 from __future__ import annotations
@@ -268,6 +272,28 @@ def _monomials(signature: tuple, d: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _parents(signature: tuple, d: int) -> tuple:
+    """Two tuples aligned with ``_monomials(signature, d)`` for d > 0: the
+    last nonzero generator i of each monomial, and the position j, in
+    ``_monomials(signature, d - degree_i)``, of the monomial with that
+    exponent lowered by one.  The unit monomial of degree 0 has no
+    parent, so both are empty there.  Cached like ``_monomials``."""
+    lasts, positions = [], []
+    lower_index: dict = {}
+    for mono in _monomials(signature, d) if d else ():
+        i = len(mono) - 1
+        while not mono[i]:
+            i -= 1
+        lower = d - signature[i][0]
+        index = lower_index.get(lower)
+        if index is None:
+            index = lower_index[lower] = {m: j for j, m in enumerate(_monomials(signature, lower))}
+        lasts.append(i)
+        positions.append(index[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]])
+    return tuple(lasts), tuple(positions)
+
+
 class ProductAlgebra(GradedAlgebra):
     """Finite product of graded algebras with component-tagged monomials."""
 
@@ -482,9 +508,9 @@ def tensor(p: int, *algebras: GradedAlgebra, suffixes: Optional[list] = None) ->
 class _Morphism:
     """Linear algebra shared by the morphism classes.
 
-    Subclasses set ``source`` and ``target`` and define ``_image(mono,
-    d)``, the packed image ``{code: coefficient}`` of a source monomial of
-    degree d.
+    Subclasses set ``source`` and ``target`` and define ``_images(d)``,
+    the packed images ``{code: coefficient}`` of ``source.basis(d)``, by
+    position.
     """
 
     def apply(self, elt: Element) -> Element:
@@ -495,9 +521,11 @@ class _Morphism:
         if elt.is_zero():
             return Element.zero(self.target)
         d = elt.degree()
+        images = self._images(d)
+        position = self.source._basis_index(d)
         out: dict = {}
         for m, c in elt.coeffs.items():
-            for code, v in self._image(m, d).items():
+            for code, v in images[position[m]].items():
                 out[code] = out.get(code, 0) + c * v
         return self._element(out, d)
 
@@ -505,7 +533,7 @@ class _Morphism:
         """Image of a source monomial."""
         mono = tuple(mono)
         d = self.source.monomial_degree(mono)
-        return self._element(self._image(mono, d), d)
+        return self._element(self._images(d)[self.source._basis_index(d)[mono]], d)
 
     def _element(self, codes: dict, d: int) -> Element:
         """The target element of degree d with the given packed terms."""
@@ -519,8 +547,8 @@ class _Morphism:
         a new dict when ``rows`` is None, and return them."""
         rows = {} if rows is None else rows
         index = self.target._code_index(d)
-        for j, mono in enumerate(self.source.basis(d)):
-            for m, c in self._image(mono, d).items():
+        for j, image in enumerate(self._images(d)):
+            for m, c in image.items():
                 i = index.get(m)
                 if i is None:
                     raise ValueError("morphism does not preserve degree")
@@ -572,38 +600,42 @@ class AlgebraMorphism(_Morphism):
         self._generator_terms = tuple(target._terms(self.images[g.name]) for g in source.generators)
         self._unit = {target.pack(m): c for m, c in target.unit_monomials()}
         self._degrees = tuple(g.degree for g in source.generators)
-        # degree -> {monomial: packed image} for the degrees from
-        # _last - _span on, the ones that building degree _last can reach
+        # degree -> packed images of source.basis(degree), by position, for
+        # the degrees from _last - _span on, the ones that building degree
+        # _last can reach
         self._window: dict = {}
         self._span = max(self._degrees, default=0)
         self._last = 0
 
-    def _image(self, mono, d: int) -> dict:
-        """Packed image of a source monomial of degree d; images missing
-        from the window are built upwards from the nearest cached one."""
+    def _images(self, d: int) -> list:
+        """Packed images of ``source.basis(d)``, by position.  The degrees
+        missing from the window below d are found downwards along the
+        parent table and built upwards, each from its parents' degrees."""
         window = self._window
         if d != self._last:
             self._last = d
             for k in [k for k in window if k < d - self._span]:
                 del window[k]
-        missing = []
-        img = self._unit
-        while d:
-            cached = window.get(d, {}).get(mono)
-            if cached is not None:
-                img = cached
-                break
-            i = len(mono) - 1
-            while not mono[i]:
-                i -= 1
-            missing.append((mono, d, i))
-            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
-            d -= self._degrees[i]
-        p = self.target.p
-        for mono, d, i in reversed(missing):
-            img = _times(img, self._generator_terms[i], p)
-            window.setdefault(d, {})[mono] = img
-        return img
+        images = window.get(d)
+        if images is not None:
+            return images
+        signature, degrees = self.source._signature, self._degrees
+        missing, todo = {d}, [d]
+        while todo:
+            k = todo.pop()
+            for lower in {k - degrees[i] for i in set(_parents(signature, k)[0])}:
+                if lower not in window and lower not in missing:
+                    missing.add(lower)
+                    todo.append(lower)
+        terms, p = self._generator_terms, self.target.p
+        for k in sorted(missing):
+            if not k:
+                window[k] = [self._unit]
+                continue
+            lower = [window.get(k - degree) for degree in degrees]
+            lasts, positions = _parents(signature, k)
+            window[k] = [_times(lower[i][j], terms[i], p) for i, j in zip(lasts, positions)]
+        return window[d]
 
     def matrix_in_degree(self, d: int) -> list:
         """Rows indexed by target basis, columns by source basis."""
@@ -624,11 +656,13 @@ class ProductMorphism(_Morphism):
         self.inner = inner
         self.target = inner.target
 
-    def _image(self, mono, d: int) -> dict:
-        ci, inner_mono = mono
-        if ci != self.component:
-            return {}
-        return self.inner._image(inner_mono, d)
+    def _images(self, d: int) -> list:
+        """The inner images on the chosen component's block of
+        ``source.basis(d)``, and empty images on the others."""
+        out = []
+        for ci, comp in enumerate(self.source.components):
+            out += self.inner._images(d) if ci == self.component else [{}] * len(comp.basis(d))
+        return out
 
     def matrix_in_degree(self, d: int) -> list:
         """Rows indexed by target basis, columns by source basis."""
@@ -820,7 +854,7 @@ def verify_free_module(
     # generator needs them
     ring_images: dict = {}
     for d in range(bound + 1):
-        ring_images[d] = [subring._image(mono, d) for mono in ring.basis(d)]
+        ring_images[d] = subring._images(d)
         ring_images.pop(d - reach - 1, None)
         index = eq.source._code_index(d)
         vectors = []

@@ -144,9 +144,13 @@ def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
 
     The coboundary into a cell of dimension s+1 is the alternating sum of
     its face maps; identity faces require equal dims on both sides.  Each
-    differential is a list of sparse rows ``{column: value}``, one per
-    basis vector of the (s+1)-cochains, with entries reduced mod p and
-    zeros dropped.
+    cell's dims, and each (s+1)-cell's faces, signs and face morphisms,
+    are read from the rule once; the differentials of every degree q then
+    come from these, an identity face writing its diagonal directly and a
+    face morphism its ``add_rows``, degree by degree in ascending order.
+    Each differential is a list of sparse rows ``{column: value}``, one
+    per basis vector of the (s+1)-cochains, with entries reduced mod p
+    and zeros dropped.
     """
     chosen = set(cells)
     for ci in chosen:
@@ -157,47 +161,44 @@ def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
     cells_by_dim: dict = {}
     for ci in sorted(chosen):
         cells_by_dim.setdefault(cx.cells[ci].dim, []).append(ci)
+    dims = {ci: rule.dims_of(ci) for ci in chosen}
 
     p, bound = cx.p, rule.bound
-    offsets = {}
-    for s, ids in cells_by_dim.items():
-        offsets[s] = {}
-        for q in range(bound + 1):
-            acc = 0
-            for ci in ids:
-                offsets[s][(ci, q)] = acc
-                acc += rule.dims_of(ci)[q]
-
     differentials = {}
     for s in sorted(cells_by_dim):
         if s + 1 not in cells_by_dim:
             continue
+        # (cell, [(sign, face, face morphism or None for the identity)])
+        cofaces = [
+            (ci, [((-1) ** k, f, rule.face_morphism(ci, k)) for k, f in enumerate(cx.cells[ci].faces)])
+            for ci in cells_by_dim[s + 1]
+        ]
         for q in range(bound + 1):
-            rows = [{} for ci in cells_by_dim[s + 1] for _ in range(rule.dims_of(ci)[q])]
-            for ci in cells_by_dim[s + 1]:
-                cell = cx.cells[ci]
-                row0 = offsets[s + 1][(ci, q)]
-                target_dim = rule.dims_of(ci)[q]
-                for position, face in enumerate(cell.faces):
-                    sign = (-1) ** position
-                    col0 = offsets[s][(face, q)]
-                    source_dim = rule.dims_of(face)[q]
-                    morphism = rule.face_morphism(ci, position)
+            first_column, acc = {}, 0
+            for face in cells_by_dim[s]:
+                first_column[face] = acc
+                acc += dims[face][q]
+            rows = []
+            for ci, faces in cofaces:
+                block = [{} for _ in range(dims[ci][q])]
+                for sign, face, morphism in faces:
+                    offset = first_column[face]
                     if morphism is None:
-                        if source_dim != target_dim:
+                        if dims[face][q] != len(block):
                             raise CoefficientRuleError(
                                 f"identity face of cell {ci} has mismatched dims "
-                                f"({source_dim} vs {target_dim}) in degree {q}"
+                                f"({dims[face][q]} vs {len(block)}) in degree {q}"
                             )
-                        block = {k: {k: 1} for k in range(target_dim)}
-                    else:
-                        block = {i: row for (_, i), row in morphism.add_rows(q).items()}
-                    for r, entries in block.items():
-                        row = rows[row0 + r]
+                        for k, row in enumerate(block, offset):
+                            row[k] = row.get(k, 0) + sign
+                        continue
+                    for (_, i), entries in morphism.add_rows(q).items():
+                        row = block[i]
                         for c, v in entries.items():
-                            row[col0 + c] = row.get(col0 + c, 0) + sign * v
+                            row[offset + c] = row.get(offset + c, 0) + sign * v
+                rows += block
             differentials[(s, q)] = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    return E1Page(p, bound, cells_by_dim, {ci: rule.dims_of(ci) for ci in chosen}, differentials)
+    return E1Page(p, bound, cells_by_dim, dims, differentials)
 
 
 def check_d_squared(page: E1Page) -> bool:

@@ -104,6 +104,14 @@ def _alpha_beta():
     return alpha, beta, source, f, g
 
 
+def _alpha_beta_equalizer(bound):
+    """(source, f, g, equalizer(f, g, bound)) for the alpha/beta pair, the
+    kernel that ``criterion_series`` and ``criterion_algebra_structure``
+    read; ``run_all`` computes it once for both."""
+    _, _, source, f, g = _alpha_beta()
+    return source, f, g, equalizer(f, g, bound)
+
+
 # ---------------------------------------------------------------------------
 # the criteria
 
@@ -141,9 +149,8 @@ def criterion_components(cx) -> CriterionResult:
     )
 
 
-def criterion_series(bound) -> CriterionResult:
-    _, _, _, f, g = _alpha_beta()
-    eq = equalizer(f, g, bound)
+def criterion_series(bound, equalized=None) -> CriterionResult:
+    _, _, _, eq = equalized or _alpha_beta_equalizer(bound)
     chi = closed_form("equalizer")
     series_ok = eq.dims.dims == chi.coefficients(bound)
     lhs = chi + closed_form("sigma3")
@@ -167,9 +174,8 @@ def _structure_elements(source):
     return r4, r8, s3, one, t7, t7_tilde, t8
 
 
-def criterion_algebra_structure(bound) -> CriterionResult:
-    _, _, source, f, g = _alpha_beta()
-    eq = equalizer(f, g, bound)
+def criterion_algebra_structure(bound, equalized=None) -> CriterionResult:
+    source, f, g, eq = equalized or _alpha_beta_equalizer(bound)
     r4, r8, s3, one, t7, t7t, t8 = _structure_elements(source)
     free = verify_free_module(eq, f, g, [r4, r8, s3], [one, t7, t7t, t8], bound)
     zero = Element.zero(source)
@@ -427,12 +433,13 @@ def run_all(config: RunConfig) -> list:
         ]
     cx = quotient_complex(3, 4)
     reduced = {q: classify_reduced(q) for q in (5, 7)}
+    equalized = _alpha_beta_equalizer(bound)
     return [
         criterion_census(cx),
         criterion_cells(cx),
         criterion_components(cx),
-        criterion_series(bound),
-        criterion_algebra_structure(bound),
+        criterion_series(bound, equalized),
+        criterion_algebra_structure(bound, equalized),
         criterion_corollary(cx, bound),
         criterion_wreath(bound),
         criterion_classification(reduced=reduced),

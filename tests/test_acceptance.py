@@ -125,6 +125,21 @@ def test_each_suite_classifies_once_per_prime(monkeypatch, p, primes):
     assert calls == primes
 
 
+def test_each_p3_suite_builds_one_alpha_beta_equalizer(monkeypatch):
+    """The series and free-module criteria read one kernel of the
+    alpha/beta pair, which ``run_all`` builds once for both."""
+    from spinelab import algebra
+
+    source = verification._alpha_beta()[2]
+    sources = []
+    real = algebra._common_kernel
+    monkeypatch.setattr(
+        algebra, "_common_kernel", lambda src, pairs, bound: sources.append(src) or real(src, pairs, bound)
+    )
+    assert all(result.passed for result in run_all(RunConfig()))
+    assert sources.count(source) == 1
+
+
 def test_metacyclic_fails_on_the_algebra_of_another_prime(monkeypatch):
     real = verification.cohomology_of_metacyclic
     monkeypatch.setattr(verification, "cohomology_of_metacyclic", lambda p, m: real(5, 4))

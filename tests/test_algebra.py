@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import linalg_oracle as oracle
 from spinelab.algebra import (
     POLY_SLOT_BITS,
+    _parents,
     AlgebraMorphism,
     Element,
     GradedAlgebra,
@@ -154,6 +155,18 @@ def test_matrix_in_degree_is_multiplicative(setup):
     image = alpha.apply(x).vector(7)
     got = [sum(mat[r][c] * col[c] for c in range(len(col))) % 3 for r in range(len(mat))]
     assert got == image
+
+
+def test_apply_monomial_matches_full_products(setup):
+    # out of order, through an algebra and through the product's
+    # projection, whose other component maps to zero
+    _, alpha, _, source, f, _ = setup
+    for d in (16, 0, 7, 3):
+        for mono in alpha.source.basis(d):
+            assert alpha.apply_monomial(mono) == oracle_apply_monomial(alpha, mono), mono
+        for ci, mono in source.basis(d):
+            want = oracle_apply_monomial(alpha, mono) if ci == 0 else Element.zero(alpha.target)
+            assert f.apply_monomial((ci, mono)) == want, (ci, mono)
 
 
 def test_equalizer_dims_and_membership(setup):
@@ -430,6 +443,24 @@ _shape_lists = st.one_of(
 
 def _algebra(p, shapes, prefix):
     return GradedAlgebra(p, [(f"{prefix}{i}", deg, kind) for i, (deg, kind) in enumerate(shapes)])
+
+
+@settings(max_examples=60)
+@given(shapes=_shape_lists)
+def test_parent_table_lowers_the_last_generator(shapes):
+    """Each monomial of positive degree is its parent times its last
+    nonzero generator i, the parent sitting at position j one degree of
+    generator i below."""
+    alg = _algebra(3, shapes, "a")
+    assert _parents(alg._signature, 0) == ((), ())
+    for d in range(1, 17):
+        lasts, positions = _parents(alg._signature, d)
+        basis = alg.basis(d)
+        assert len(lasts) == len(positions) == len(basis), d
+        for mono, i, j in zip(basis, lasts, positions):
+            assert mono[i] and not any(mono[i + 1 :]), (d, mono, i)
+            parent = alg.basis(d - alg.generators[i].degree)[j]
+            assert parent[:i] + (parent[i] + 1,) + parent[i + 1 :] == mono, (d, mono)
 
 
 @settings(max_examples=60)

@@ -15,6 +15,7 @@ from spinelab.algebra import (
 )
 from spinelab.assembly import (
     _recursion_maps,
+    CoefficientRule,
     CoefficientRuleError,
     ConcentrationError,
     build_e1,
@@ -104,6 +105,22 @@ def test_cell_list_must_be_closed_under_faces(rank4_complex):
     edge = rank4_complex.cells_of_dim(1)[0]
     with pytest.raises(CoefficientRuleError, match="closed under faces"):
         build_e1(rank4_complex, rule, [edge.index, edge.faces[0]])
+
+
+@pytest.mark.parametrize("bound", [10, 40])
+def test_full_page_reads_each_face_once(rank4_complex, monkeypatch, bound):
+    """The page asks the rule for each face of each cell of dimension >= 1
+    once, whatever the degree bound."""
+    calls = []
+    real = CoefficientRule.face_morphism
+    monkeypatch.setattr(
+        CoefficientRule, "face_morphism", lambda rule, ci, k: calls.append((ci, k)) or real(rule, ci, k)
+    )
+    rule = constant_rule(rank4_complex, bound, load_algebra("sigma3"))
+    build_e1(rank4_complex, rule, all_cells(rank4_complex))
+    pairs = [(c.index, k) for c in rank4_complex.cells if c.dim >= 1 for k in range(len(c.faces))]
+    assert len(pairs) == 99
+    assert sorted(calls) == pairs
 
 
 def test_rose_component_cohomology(rank4_complex, sigma3_dims):
