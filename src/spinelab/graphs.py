@@ -117,15 +117,14 @@ class HalfEdgeGraph:
     @cached_property
     def multiplicity(self) -> tuple:
         """Symmetric vertex-by-vertex edge multiplicity; diagonal counts loops."""
-        n = self.vertex_count
+        n, target = self.vertex_count, self.target
         mat = [[0] * n for _ in range(n)]
-        for e in range(self.edge_count):
-            u, v = self.edge_endpoints(e)
-            if u == v:
-                mat[u][u] += 1
-            else:
+        for h, s in enumerate(self.sigma):
+            if h < s:
+                u, v = target[h], target[s]
                 mat[u][v] += 1
-                mat[v][u] += 1
+                if u != v:
+                    mat[v][u] += 1
         return tuple(tuple(row) for row in mat)
 
     @cached_property
@@ -195,9 +194,8 @@ def rank(g: HalfEdgeGraph) -> int:
     """First Betti number: edges - vertices + number of components."""
     ds = DisjointSet(g.vertex_count)
     components = g.vertex_count
-    for e in range(g.edge_count):
-        u, v = g.edge_endpoints(e)
-        if ds.union(u, v):
+    for h, s in enumerate(g.sigma):
+        if h < s and ds.union(g.target[h], g.target[s]):
             components -= 1
     return g.edge_count - g.vertex_count + components
 
@@ -305,44 +303,42 @@ class CollapseResult:
 def collapse_with_maps(g: HalfEdgeGraph, forest: Iterable) -> CollapseResult:
     """Contract each edge of the forest to a point, with relabeling maps.
 
-    Surviving darts keep their relative order and vertices of the quotient
-    are numbered by first appearance in the new attachment map, so repeated
-    runs are bit-identical.
+    Surviving darts keep their relative order, and so surviving edges
+    keep theirs; vertices of the quotient are numbered by their least
+    original vertex, so repeated runs are bit-identical and an empty
+    forest collapses to the identical graph.
     """
     forest = sorted(set(forest))
     for e in forest:
         if not 0 <= e < g.edge_count:
             raise ValueError(f"edge index {e} out of range")
     ds = DisjointSet(g.vertex_count)
+    dead = set()
     for e in forest:
-        u, v = g.edge_endpoints(e)
-        if u == v or not ds.union(u, v):
+        h1, h2 = g.edges[e]
+        if not ds.union(g.target[h1], g.target[h2]):
             raise NotAForestError("cycle detected in forest argument")
+        dead.update((h1, h2))
 
-    dead = set(forest)
+    # a class's root is its least vertex, met first in vertex order
+    classes: dict = {}
+    vertex_map = tuple(classes.setdefault(ds.find(v), len(classes)) for v in range(g.vertex_count))
     dart_map = [None] * g.half_edge_count
-    kept = [h for h in range(g.half_edge_count) if g.dart_edge[h] not in dead]
+    kept = [h for h in range(g.half_edge_count) if h not in dead]
     for new, old in enumerate(kept):
         dart_map[old] = new
-
-    # classes numbered by minimal original vertex, so an empty forest
-    # collapses to the identical graph
-    roots = sorted({ds.find(v) for v in range(g.vertex_count)})
-    class_index = {root: i for i, root in enumerate(roots)}
-    new_targets = [class_index[ds.find(g.target[old])] for old in kept]
-
-    new_sigma = [0] * len(kept)
-    for old in kept:
-        new_sigma[dart_map[old]] = dart_map[g.sigma[old]]
-
-    quotient = HalfEdgeGraph(len(class_index), tuple(new_sigma), tuple(new_targets))
-    vertex_map = tuple(class_index[ds.find(v)] for v in range(g.vertex_count))
-    edge_map = [None] * g.edge_count
-    for e in range(g.edge_count):
-        if e in dead:
-            continue
-        h1, _ = g.edges[e]
-        edge_map[e] = quotient.dart_edge[dart_map[h1]]
+    quotient = HalfEdgeGraph(
+        len(classes),
+        tuple(dart_map[g.sigma[old]] for old in kept),
+        tuple(vertex_map[g.target[old]] for old in kept),
+    )
+    edge_map, survivors = [], 0
+    for h1, _ in g.edges:
+        if h1 in dead:
+            edge_map.append(None)
+        else:
+            edge_map.append(survivors)
+            survivors += 1
     return CollapseResult(quotient, vertex_map, tuple(dart_map), tuple(edge_map))
 
 

@@ -33,6 +33,7 @@ from spinelab.symmetry import (
     _dart_freedom,
     _orbit_minima,
     _vertex_group,
+    automorphism_order,
     bundle_names,
     bundle_perms,
     canonical_form,
@@ -159,15 +160,16 @@ def singular_graphs(p: int, n: int) -> list:
     """Admissible rank-n classes with a symmetry of order p, as GraphClass.
 
     Existence of an order-p element is equivalent to p dividing the group
-    order (Cauchy), so the filter runs on orders, |vertex group| times the
-    automorphisms fixing every vertex; no dart-level element is listed.
+    order (Cauchy), so the filter runs on orders (``automorphism_order``),
+    |vertex group| times the automorphisms fixing every vertex; no
+    dart-level element is listed.  The vertex group is listed only for
+    the classes kept, whose cells are scanned under it.
     """
     out = []
     for g in enumerate_admissible(n):
-        group = _vertex_group(g)
-        order = len(group) * _dart_freedom(g)
+        order = automorphism_order(g)
         if order % p == 0:
-            out.append(GraphClass(g, order, tuple(group)))
+            out.append(GraphClass(g, order, tuple(_vertex_group(g))))
     return out
 
 

@@ -17,7 +17,10 @@ Automorphism groups come from the same search.  The automorphisms found
 at equal leaves generate the vertex group (McKay and Piperno, "Practical
 graph isomorphism, II", 2014): the group maps the first minimal leaf one
 to one onto the minimal leaves, and the search prunes a subtree only
-where a found automorphism maps a searched one onto it.  The dart group
+where a found automorphism maps a searched one onto it.  That leaf is a
+base for them, so the group's order is a product of orbit lengths read
+off the generators (``vertex_group_order``), and the group is listed
+only where its elements are used (``_vertex_group``).  The dart group
 is never listed: it extends the vertex group by the symmetries fixing
 every vertex, which permute each bundle of parallel edges and turn
 loops, so its order is a product (``automorphism_order``), and it acts
@@ -122,12 +125,13 @@ def is_automorphism(g: HalfEdgeGraph, a: GraphAutomorphism) -> bool:
 
 def apply_to_graph(g: HalfEdgeGraph, a: GraphAutomorphism) -> HalfEdgeGraph:
     """Relabel g along a; equals g exactly when a is an automorphism."""
-    hinv = [0] * g.half_edge_count
-    for i, h in enumerate(a.hperm):
-        hinv[h] = i
-    sigma = tuple(a.hperm[g.sigma[hinv[h]]] for h in range(g.half_edge_count))
-    target = tuple(a.vperm[g.target[hinv[h]]] for h in range(g.half_edge_count))
-    return HalfEdgeGraph(g.vertex_count, sigma, target)
+    hperm, vperm = a.hperm, a.vperm
+    sigma = [0] * g.half_edge_count
+    target = [0] * g.half_edge_count
+    for h, k in enumerate(hperm):
+        sigma[k] = hperm[g.sigma[h]]
+        target[k] = vperm[g.target[h]]
+    return HalfEdgeGraph(g.vertex_count, tuple(sigma), tuple(target))
 
 
 def edge_permutation(g: HalfEdgeGraph, a: GraphAutomorphism) -> tuple:
@@ -344,16 +348,6 @@ def matrix_form(mult) -> CanonicalForm:
     return CanonicalForm(payload, rows, labelling, generators)
 
 
-def _bundles(g: HalfEdgeGraph) -> dict:
-    """The edges joining each set of ends, in edge order, as dart pairs
-    whose first dart points at the smaller end."""
-    out: dict = {}
-    for h1, h2 in g.edges:
-        pair = (h1, h2) if g.target[h1] <= g.target[h2] else (h2, h1)
-        out.setdefault(frozenset(g.target[h] for h in pair), []).append(pair)
-    return out
-
-
 def realize_multiplicity(loops: list, lower: list) -> HalfEdgeGraph:
     """Graph from loop counts and lower-triangular multiplicities.
 
@@ -388,16 +382,54 @@ def _vertex_group(g: HalfEdgeGraph) -> list:
     return group
 
 
+def vertex_group_order(form: CanonicalForm) -> int:
+    """The order of the vertex group, from the search's stabilizer chain.
+
+    ``form.labelling`` is a base and ``form.generators`` a strong
+    generating set for it (Sims, "Computational methods in the study of
+    permutation groups", 1970): the generators fixing ``labelling[:d]``
+    generate that prefix's pointwise stabilizer, so the order is the
+    product over d of the orbit length of ``labelling[d]`` under them.
+
+    The labelling is the first minimal leaf.  No tie leaf below a node on
+    its path jumps back past that node, since a jump goes to the first
+    place where the tie leaf and the labelling differ; so each child of
+    the node is searched or pruned.  Of the children whose subtrees hold
+    a minimal leaf, each searched one but the labelling's own ends in a
+    first tie leaf, whose automorphism fixes the prefix and maps the
+    labelling's child onto it; each pruned one is the image of a searched
+    one under found automorphisms that fix the prefix.  So the orbit of
+    ``labelling[d]`` under the generators fixing ``labelling[:d]`` is its
+    whole orbit under the stabilizer of ``labelling[:d]``, and by orbit
+    and stabilizer, from the leaf up, those generators generate it.
+    """
+    order, generators = 1, form.generators
+    for v in form.labelling:
+        orbit = [v]
+        for x in orbit:
+            for a in generators:
+                if a[x] not in orbit:
+                    orbit.append(a[x])
+        order *= len(orbit)
+        generators = [a for a in generators if a[v] == v]
+    return order
+
+
 def automorphism_order(g: HalfEdgeGraph) -> int:
     """Group order without materializing elements."""
-    return len(_vertex_group(g)) * _dart_freedom(g)
+    return vertex_group_order(canonical_form(g)) * _dart_freedom(g)
 
 
 def _dart_freedom(g: HalfEdgeGraph) -> int:
-    """The number of automorphisms fixing every vertex."""
+    """The number of automorphisms fixing every vertex: each bundle of m
+    parallel edges permuted freely, m!, and each of l loops at a vertex
+    also turned or not, l! 2^l."""
+    mult = g.multiplicity
     free = 1
-    for ends, pairs in _bundles(g).items():
-        free *= factorial(len(pairs)) * (2 ** len(pairs) if len(ends) == 1 else 1)
+    for v, row in enumerate(mult):
+        free *= factorial(row[v]) << row[v]
+        for m in row[v + 1 :]:
+            free *= factorial(m)
     return free
 
 

@@ -61,7 +61,6 @@ from spinelab.spine import (
 )
 from spinelab.symmetry import (
     GraphAutomorphism,
-    _vertex_group,
     apply_to_graph,
     bundle_names,
     bundle_perms,
@@ -69,6 +68,7 @@ from spinelab.symmetry import (
     compose,
     matrix_form,
     power,
+    vertex_group_order,
 )
 
 
@@ -318,8 +318,8 @@ def relabelling_check(g) -> tuple:
     the n vertices, which generate every permutation, found breadth first
     with n - 1 matrices built for each.  ``ok`` says that each search
     gives g's canonical form, and that ``distinct`` times the order of the
-    vertex group that g's own search generates is n!, as orbit and
-    stabilizer of M must be."""
+    vertex group, read off the stabilizer chain of g's own search, is n!,
+    as orbit and stabilizer of M must be."""
     n = g.vertex_count
     swaps = [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
     found = [g.multiplicity]
@@ -332,7 +332,7 @@ def relabelling_check(g) -> tuple:
                 found.append(moved)
     base = canonical_form(g)
     forms_ok = all(matrix_form(m) == base for m in found)
-    return forms_ok and len(found) * len(_vertex_group(g)) == factorial(n), len(found)
+    return forms_ok and len(found) * vertex_group_order(base) == factorial(n), len(found)
 
 
 def _permuted(matrix, order) -> tuple:

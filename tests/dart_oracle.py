@@ -30,7 +30,6 @@ from spinelab.graphs import HalfEdgeGraph, collapse_with_maps, enumerate_forests
 from spinelab.spine import QuotientCell
 from spinelab.symmetry import (
     GraphAutomorphism,
-    _bundles,
     canonical_form,
     edge_permutation,
     perm_order,
@@ -185,6 +184,16 @@ def isomorphism(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> Optional[GraphAutomorph
         return None
     vmap = dict(zip(form1.labelling, form2.labelling))
     return _lift(g1, g2, [vmap[v] for v in range(g1.vertex_count)])
+
+
+def _bundles(g: HalfEdgeGraph) -> dict:
+    """The edges joining each set of ends, in edge order, as dart pairs
+    whose first dart points at the smaller end."""
+    out: dict = {}
+    for h1, h2 in g.edges:
+        pair = (h1, h2) if g.target[h1] <= g.target[h2] else (h2, h1)
+        out.setdefault(frozenset(g.target[h] for h in pair), []).append(pair)
+    return out
 
 
 def _lift(g1: HalfEdgeGraph, g2: HalfEdgeGraph, vmap) -> GraphAutomorphism:

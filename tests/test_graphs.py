@@ -1,6 +1,7 @@
 """Core multigraph operations, checked against brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from spinelab import catalog
 from spinelab.graphs import (
+    CollapseResult,
+    DisjointSet,
     HalfEdgeGraph,
     NotAForestError,
     build_graph,
@@ -19,7 +22,8 @@ from spinelab.graphs import (
     rank,
     two_edge_connected,
 )
-from spinelab.symmetry import canonical_form
+from spinelab.spine import enumerate_admissible
+from spinelab.symmetry import GraphAutomorphism, apply_to_graph, canonical_form
 
 from dart_oracle import degree_multiset
 
@@ -238,6 +242,47 @@ def test_nested_collapse_composition():
                 two_step = collapse(res.graph, image)
                 one_step = collapse(g, big)
                 assert canonical_form(two_step) == canonical_form(one_step)
+
+
+def collapse_oracle(g, forest) -> CollapseResult:
+    """The collapse built from edges: darts of forest edges dropped,
+    vertex classes numbered by their sorted roots, and each surviving
+    edge looked up in the quotient's own dart-to-edge table."""
+    ds = DisjointSet(g.vertex_count)
+    for e in forest:
+        ds.union(*g.edge_endpoints(e))
+    kept = [h for h in range(g.half_edge_count) if g.dart_edge[h] not in forest]
+    dart_map = [None] * g.half_edge_count
+    for new, old in enumerate(kept):
+        dart_map[old] = new
+    roots = sorted({ds.find(v) for v in range(g.vertex_count)})
+    class_index = {root: i for i, root in enumerate(roots)}
+    new_sigma = [0] * len(kept)
+    for old in kept:
+        new_sigma[dart_map[old]] = dart_map[g.sigma[old]]
+    new_targets = [class_index[ds.find(g.target[old])] for old in kept]
+    quotient = HalfEdgeGraph(len(roots), tuple(new_sigma), tuple(new_targets))
+    edge_map = tuple(
+        None if e in forest else quotient.dart_edge[dart_map[h1]] for e, (h1, _) in enumerate(g.edges)
+    )
+    vertex_map = tuple(class_index[ds.find(v)] for v in range(g.vertex_count))
+    return CollapseResult(quotient, vertex_map, tuple(dart_map), edge_map)
+
+
+def test_collapse_maps_match_the_edge_construction():
+    # every forest of every rank-4 class, and of a copy of each whose
+    # darts are shuffled, so that the darts of one edge are not adjacent
+    rng = random.Random(24)
+    count = 0
+    for g in enumerate_admissible(4):
+        darts = list(range(g.half_edge_count))
+        rng.shuffle(darts)
+        shuffled = apply_to_graph(g, GraphAutomorphism(tuple(range(g.vertex_count)), tuple(darts)))
+        for h in (g, shuffled):
+            for forest in enumerate_forests(h):
+                assert collapse_with_maps(h, forest) == collapse_oracle(h, forest)
+                count += 1
+    assert count == 2 * 2807
 
 
 def test_json_round_trip():

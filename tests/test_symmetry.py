@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinelab import catalog
-from spinelab.graphs import build_graph, collapse, enumerate_forests
+from spinelab.graphs import HalfEdgeGraph, build_graph, collapse, enumerate_forests
 from spinelab.spine import GraphClass, _orbit, enumerate_admissible, singular_graphs
 from spinelab.symmetry import (
+    _dart_freedom,
     _vertex_group,
     GraphAutomorphism,
     apply_to_graph,
@@ -23,11 +24,13 @@ from spinelab.symmetry import (
     perm_order,
     realize_multiplicity,
     sylow_p_order,
+    vertex_group_order,
 )
-from spinelab.verification import forest_orbit_check, relabelling_check
+from spinelab.verification import _dart_relabelling, forest_orbit_check, relabelling_check
 
 from census_oracle import _candidates
 from dart_oracle import (
+    _vertex_fixing_maps,
     are_isomorphic,
     automorphism_group,
     dart_isomorphisms,
@@ -134,6 +137,49 @@ def test_vertex_groups_match_backtracking_oracle():
     assert len(graphs) == 1935
     for g in graphs:
         assert sorted(_vertex_group(g)) == vertex_perms(g)
+
+
+def test_vertex_group_order_from_the_stabilizer_chain():
+    # the order read off the search's base and generators against the
+    # group closed from them, on every admissible class of ranks 2 to 5
+    # and a seeded relabelling of each, searched afresh
+    rng = random.Random(24)
+    classes = [g for n in (2, 3, 4, 5) for g in enumerate_admissible(n)]
+    assert len(classes) == 387
+    for g in classes + [random_relabeling(g, rng) for g in classes]:
+        assert vertex_group_order(canonical_form(g)) == len(_vertex_group(g))
+
+
+def test_dart_freedom_counts_the_vertex_fixing_maps():
+    classes = [g for n in (2, 3, 4) for g in enumerate_admissible(n)]
+    assert len(classes) == 53
+    for g in classes:
+        assert _dart_freedom(g) == len(_vertex_fixing_maps(g))
+    assert _dart_freedom(catalog.rose(4)) == 384
+
+
+def apply_oracle(g, a):
+    """Relabel g along a by reading each new dart's preimage."""
+    hinv = [0] * g.half_edge_count
+    for i, h in enumerate(a.hperm):
+        hinv[h] = i
+    sigma = tuple(a.hperm[g.sigma[hinv[h]]] for h in range(g.half_edge_count))
+    target = tuple(a.vperm[g.target[hinv[h]]] for h in range(g.half_edge_count))
+    return HalfEdgeGraph(g.vertex_count, sigma, target)
+
+
+def test_apply_to_graph_matches_the_inverse_construction():
+    # on each rank-4 class and on a copy whose darts are shuffled, so
+    # that the darts of one edge are not adjacent
+    rng = random.Random(23)
+    for g in enumerate_admissible(4):
+        darts = list(range(g.half_edge_count))
+        rng.shuffle(darts)
+        shuffled = apply_oracle(g, GraphAutomorphism(tuple(range(g.vertex_count)), tuple(darts)))
+        for h in (g, shuffled):
+            for _ in range(100):
+                a = _dart_relabelling(h, rng)
+                assert apply_to_graph(h, a) == apply_oracle(h, a)
 
 
 def test_automorphisms_fix_graph():
