@@ -404,7 +404,11 @@ def enumerate_zp_graphs(p: int, n: int, max_edges: int) -> list:
     classes = _reduced_classes(p, n, max_edges)
     seen = {zg.key for zg in classes}
     for zg in classes:  # the list grows as it is read
-        for blown_up, _ in equivariant_expansions(zg, max_edges):
+        # only each blow-up's graph class is kept, so each candidate is
+        # keyed once, without its forest; the first candidate of a class
+        # is also the first of its forest class, so the representatives
+        # are those that `equivariant_expansions` would give
+        for blown_up, _ in _blow_up_candidates(zg, max_edges):
             if blown_up.key not in seen:
                 seen.add(blown_up.key)
                 classes.append(blown_up)
@@ -552,6 +556,12 @@ def equivariant_expansions(zg: ZpGraph, edge_budget: int) -> list:
     so every blow-up arises; the candidates are filtered for
     admissibility and deduplicated.  A trivial action has none.
     """
+    return _dedup_expansion_pairs(_blow_up_candidates(zg, edge_budget))
+
+
+def _blow_up_candidates(zg: ZpGraph, edge_budget: int) -> list:
+    """The admissible (ZpGraph, forest) pairs of `equivariant_expansions`
+    in the order they are built, before deduplication."""
     if zg.trivial:
         return []
     p, g, a = zg.p, zg.graph, zg.action
@@ -578,7 +588,7 @@ def equivariant_expansions(zg: ZpGraph, edge_budget: int) -> list:
             for block in _two_block_splits([[h] for h in darts_at[w]], len(darts_at[w])):
                 moved = {x: i for (h,) in block for i, x in enumerate(_orbit(a.hperm, h))}
                 pairs.append(_grow(zg, anchors, moved))
-    return _dedup_expansion_pairs([pair for pair in pairs if is_admissible(pair[0].graph)])
+    return [pair for pair in pairs if is_admissible(pair[0].graph)]
 
 
 def _orbit(perm, x) -> list:

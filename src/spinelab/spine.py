@@ -2,14 +2,18 @@
 
 Vertices of the complex built here are isomorphism classes of admissible
 graphs of a fixed rank whose symmetry group contains an element of prime
-order p.  A k-cell is an orbit of a strictly nested chain of nonempty
-forests on a top graph, kept when the subgroup preserving every forest of
-the chain setwise still contains an element of order p.  Faces drop one
-forest from the chain, or re-root the chain at the smallest collapse;
-each is one lookup in a table that keys every translate of a cell's
-chain to the cell, and a cell's vertices are read off its re-rooted face.
-Chains are acted on through bundles, the sets of parallel edges, by the
-vertex group alone; no dart-level automorphism is ever listed.
+order p.  They are the underlying graphs of the order-p census, the
+blow-up closure of the reduced classes (``equivariant``), so no class
+without such an element is built; ``enumerate_admissible`` is the full
+census of the rank, built independently from the rose.  A k-cell is an
+orbit of a strictly nested chain of nonempty forests on a top graph,
+kept when the subgroup preserving every forest of the chain setwise
+still contains an element of order p.  Faces drop one forest from the
+chain, or re-root the chain at the smallest collapse; each is one lookup
+in a table that keys every translate of a cell's chain to the cell, and
+a cell's vertices are read off its re-rooted face.  Chains are acted on
+through bundles, the sets of parallel edges, by the vertex group alone;
+no dart-level automorphism is ever listed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from math import prod
 from typing import Optional
 
 from spinelab import catalog, linalg
+from spinelab.equivariant import enumerate_zp_graphs
 from spinelab.graphs import (
     DisjointSet,
     HalfEdgeGraph,
@@ -157,19 +162,32 @@ class GraphClass:
 
 
 def singular_graphs(p: int, n: int) -> list:
-    """Admissible rank-n classes with a symmetry of order p, as GraphClass.
+    """Admissible rank-n classes with a symmetry of order p, as GraphClass;
+    p must be an odd prime.
 
-    Existence of an order-p element is equivalent to p dividing the group
-    order (Cauchy), so the filter runs on orders (``automorphism_order``),
-    |vertex group| times the automorphisms fixing every vertex; no
-    dart-level element is listed.  The vertex group is listed only for
-    the classes kept, whose cells are scanned under it.
+    A class has a symmetry of order p exactly when p divides its group
+    order (Cauchy), and each such symmetry is the action of a graph in the
+    equivariant census ``enumerate_zp_graphs(p, n, 3n - 3)``, which is
+    complete at the full edge budget (see there).  So the classes are the
+    census's distinct underlying graphs, read off by canonical form: the
+    census is sorted by those forms, so none is searched again, and no
+    class without an order-p symmetry is searched at all.  Each class is
+    its form's representative, in ``enumerate_admissible``'s order (edges,
+    then form), with its group order (``automorphism_order``), checked
+    against p, and its vertex group, under which its cells are scanned;
+    no dart-level element is listed.
     """
+    if n < 2:
+        raise ValueError("rank must be >= 2")
+    forms = {canonical_form(zg.graph) for zg in enumerate_zp_graphs(p, n, 3 * n - 3)}
     out = []
-    for g in enumerate_admissible(n):
+    # at rank n a class with v vertices has n + v - 1 edges
+    for form in sorted(forms, key=lambda f: (len(f.rows), f)):
+        g = form.graph()
         order = automorphism_order(g)
-        if order % p == 0:
-            out.append(GraphClass(g, order, tuple(_vertex_group(g))))
+        if order % p:
+            raise RuntimeError(f"a class of the order-{p} census has group order {order}")
+        out.append(GraphClass(g, order, tuple(_vertex_group(g))))
     return out
 
 
@@ -288,7 +306,7 @@ def _cells_for_class(p: int, cls: GraphClass):
     sizes = Counter(names)
     freedom = _dart_freedom(graph)
     identity = tuple(range(graph.edge_count))
-    group = tuple(zip(cls.vertex_group, bundle_perms(graph, cls.vertex_group)))
+    group = tuple(zip(cls.vertex_group, bundle_perms(graph, cls.vertex_group, names)))
     frontier = {(): ((), cls.aut_order, group, {(): identity})}
     out: dict = {}
     level = 0

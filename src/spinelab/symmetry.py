@@ -447,11 +447,12 @@ def bundle_names(g: HalfEdgeGraph) -> tuple:
     return tuple(least.setdefault(frozenset(g.edge_endpoints(e)), e) for e in range(g.edge_count))
 
 
-def bundle_perms(g: HalfEdgeGraph, vperms) -> list:
+def bundle_perms(g: HalfEdgeGraph, vperms, names: tuple) -> list:
     """The action of vertex automorphisms on bundles: entry e of each
-    names the bundle joining the images of e's ends."""
+    names the bundle joining the images of e's ends, by ``names``, the
+    graph's ``bundle_names``."""
     ends = [g.edge_endpoints(e) for e in range(g.edge_count)]
-    named = {frozenset(uv): b for uv, b in zip(ends, bundle_names(g))}
+    named = {frozenset(uv): b for uv, b in zip(ends, names)}
     return [tuple(named[frozenset((a[u], a[v]))] for u, v in ends) for a in vperms]
 
 

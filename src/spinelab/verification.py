@@ -364,7 +364,7 @@ def forest_orbit_check(cls, forest_count: int) -> bool:
     g = cls.graph
     names = bundle_names(g)
     sizes = Counter(names)
-    group = list(zip(cls.vertex_group, bundle_perms(g, cls.vertex_group)))
+    group = list(zip(cls.vertex_group, bundle_perms(g, cls.vertex_group, names)))
     seen: set = set()
     ok, counted = True, 0
     for sub in enumerate_forests(g, set(names)):

@@ -11,6 +11,11 @@ per automorphism orbit, and makes every split at a vertex and its side
 swap both, with ``_blow_ups`` below: the library's blow-ups before either
 pruning.  Comparing it with the library checks the two prunings, and
 nothing else.
+
+``singular_by_filter`` keeps the classes of a full census whose group
+order p divides.  The library builds the order-p classes from the
+equivariant blow-up closure instead, so comparing the two checks that
+closure against a census it did not build.
 """
 
 from __future__ import annotations
@@ -18,7 +23,19 @@ from __future__ import annotations
 import itertools
 
 from spinelab.graphs import two_edge_connected
-from spinelab.symmetry import matrix_form
+from spinelab.spine import GraphClass
+from spinelab.symmetry import _vertex_group, automorphism_order, matrix_form
+
+
+def singular_by_filter(p: int, census: list) -> list:
+    """The classes of ``census`` (``enumerate_admissible(n)``) with a
+    symmetry of order p, as GraphClass, in census order."""
+    out = []
+    for g in census:
+        order = automorphism_order(g)
+        if order % p == 0:
+            out.append(GraphClass(g, order, tuple(_vertex_group(g))))
+    return out
 
 
 def _blow_ups(rows, vertices):

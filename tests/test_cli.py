@@ -287,6 +287,7 @@ def test_max_degree_env_not_an_integer_is_config_error(runner, monkeypatch):
         ["spine", "census", "--p", "1"],
         ["spine", "report", "--p", "15"],
         ["verify", "all", "--p", "4"],
+        ["spine", "census", "--p", "2"],
     ],
 )
 def test_non_prime_p_is_config_error(runner, args):

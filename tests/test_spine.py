@@ -34,7 +34,7 @@ from spinelab.symmetry import (
 )
 
 from census_oracle import _blow_ups as oracle_blow_ups
-from census_oracle import _candidates, every_vertex_census
+from census_oracle import _candidates, every_vertex_census, singular_by_filter
 from dart_oracle import (
     automorphism_group,
     chain_key,
@@ -245,16 +245,44 @@ def test_no_eight_edge_singular_graph(rank4_classes):
     assert all(c.graph.edge_count != 8 for c in rank4_classes)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_singular_graphs_match_the_filtered_full_census(n):
+    # the classes read off the order-p closure against the full census
+    # filtered by group order, one census for every prime
+    census = enumerate_admissible(n)
+    for p in (3, 5, 7, 11):
+        got = singular_graphs(p, n)
+        want = singular_by_filter(p, census)
+        assert [c.graph for c in got] == [c.graph for c in want], (p, n)
+        assert [c.aut_order for c in got] == [c.aut_order for c in want], (p, n)
+        assert [sorted(c.vertex_group) for c in got] == [sorted(c.vertex_group) for c in want]
+
+
+@pytest.mark.parametrize("p, n", [(4, 3), (2, 3), (9, 4)])
+def test_singular_graphs_need_an_odd_prime(p, n):
+    with pytest.raises(ValueError, match="odd prime"):
+        singular_graphs(p, n)
+    with pytest.raises(ValueError, match="odd prime"):
+        quotient_complex(p, n)
+
+
 def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypatch):
     # each class's vertex automorphisms come from the canonical search that
-    # found it, so the filter searches nothing beyond the census
-    from spinelab import symmetry
+    # found it, so nothing is searched beyond the order-3 census, which
+    # searches through its own module's import of the search: count both
+    from spinelab import equivariant, symmetry
 
     searches = []
     inner = symmetry._min_matrix_data
-    monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+
+    def counted(*a):
+        searches.append(a)
+        return inner(*a)
+
+    monkeypatch.setattr(symmetry, "_min_matrix_data", counted)
+    monkeypatch.setattr(equivariant, "_min_matrix_data", counted)
     classes = singular_graphs(3, 4)
-    assert len(searches) == 120
+    assert len(searches) == 75
     monkeypatch.undo()
     assert len(classes) == 17
     for cls in classes:

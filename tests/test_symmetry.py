@@ -227,7 +227,7 @@ def bundle_group(g, vperms=None):
     """(vertex permutation, bundle permutation) pairs of the vertex group,
     or of the vertex permutations ``vperms``."""
     vperms = _vertex_group(g) if vperms is None else vperms
-    return list(zip(vperms, bundle_perms(g, vperms)))
+    return list(zip(vperms, bundle_perms(g, vperms, bundle_names(g))))
 
 
 def test_orbit_single_edges_of_theta2():
