@@ -9,10 +9,11 @@ is the sum of the component units.
 
 Degree-wise everything is finite linear algebra over F_p.  A morphism
 writes each degree as sparse rows read off the images of the source
-monomials, and equalizers and invariants are one computation: the
-common kernel of f - g over a list of pairs (f, g), with the pairs
-(g, id) over a group's generators for its invariants; the identity's
-rows are written directly, one entry per source monomial.
+monomials, and equalizers and invariants are one computation: in each
+degree, the source's dimension less the rank of the rows of f - g over
+a list of pairs (f, g), with the pairs (g, id) over a group's generators
+for its invariants; no kernel basis is built.  The identity's rows are
+written directly, one entry per source monomial.
 
 Images are built from the previous degrees, on packed codes.  The code
 of a monomial is an int with one fixed-width exponent slot per
@@ -471,11 +472,6 @@ class Element:
             vec[i] = c
         return vec
 
-    @classmethod
-    def from_vector(cls, parent, d: int, vec) -> "Element":
-        basis = parent.basis(d)
-        return cls(parent, {m: c for m, c in zip(basis, vec)})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -594,6 +590,8 @@ class AlgebraMorphism(_Morphism):
             img = images[g.name]
             if not img.is_zero() and img.degree() != g.degree:
                 raise ValueError(f"image of {g.name} is not homogeneous of its degree")
+        if source.p != target.p:
+            raise ValueError("source and target must lie over the same prime")
         self.source = source
         self.target = target
         self.images = dict(images)
@@ -678,20 +676,6 @@ def dimensions(alg, bound: int) -> GradedDims:
 # equalizers and invariants: common kernels of f - g
 
 
-@dataclass
-class EqualizerResult:
-    source: object
-    dims: GradedDims
-    kernels: list  # degree -> kernel vectors over source.basis(degree)
-
-    def basis(self, d: int) -> list:
-        """The kernel in degree d as Elements of the source."""
-        return [Element.from_vector(self.source, d, vec) for vec in self.kernels[d]]
-
-    def contains(self, f, g, elt: Element) -> bool:
-        return f.apply(elt) == g.apply(elt)
-
-
 def _check_pairs(source, pairs: list) -> None:
     for f, g in pairs:
         target = source if g is None else g.target
@@ -716,19 +700,22 @@ def _kernel_rows(source, pairs: list, d: int) -> dict:
     return rows
 
 
-def _common_kernel(source, pairs: list, bound: int) -> EqualizerResult:
-    """Degree-wise common kernel of f - g over the morphism pairs (f, g)
-    out of ``source``: one kernel of the rows of every pair."""
+def _common_kernel(source, pairs: list, bound: int) -> GradedDims:
+    """Degree-wise dimension of the common kernel of f - g over the
+    morphism pairs (f, g) out of ``source``: the source's dimension less
+    the rank of the rows of every pair."""
     _check_pairs(source, pairs)
-    kernels = [
-        linalg.nullspace(_kernel_rows(source, pairs, d).values(), len(source.basis(d)), source.p)
-        for d in range(bound + 1)
-    ]
-    return EqualizerResult(source, GradedDims(bound, tuple(map(len, kernels))), kernels)
+    return GradedDims(
+        bound,
+        tuple(
+            len(source.basis(d)) - linalg.rank(_kernel_rows(source, pairs, d).values(), source.p)
+            for d in range(bound + 1)
+        ),
+    )
 
 
-def equalizer(f, g, bound: int) -> EqualizerResult:
-    """Degree-wise kernel of f - g on their common source.
+def equalizer(f, g, bound: int) -> GradedDims:
+    """Degree-wise dimension of the kernel of f - g on their common source.
 
     When the source is a product A x B and f, g factor through the two
     projections, the kernel consists of the pairs (u, v) with f(u) = g(v).
@@ -736,10 +723,10 @@ def equalizer(f, g, bound: int) -> EqualizerResult:
     return _common_kernel(f.source, [(f, g)], bound)
 
 
-def invariants(alg: GradedAlgebra, action: list, bound: int) -> EqualizerResult:
-    """Fixed subspace of the group generated by ``action``, endomorphisms of
-    ``alg`` given on generators: the common kernel of g - id over the
-    generators g, in every characteristic."""
+def invariants(alg: GradedAlgebra, action: list, bound: int) -> GradedDims:
+    """Degree-wise dimension of the fixed subspace of the group generated
+    by ``action``, endomorphisms of ``alg`` given on generators: the common
+    kernel of g - id over the generators g, in every characteristic."""
     return _common_kernel(alg, [(g, None) for g in action], bound)
 
 
@@ -787,12 +774,12 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def cohomology_of_metacyclic(p: int, m: int, probe: Optional[int] = None) -> GradedAlgebra:
+def cohomology_of_metacyclic(p: int, m: int) -> GradedAlgebra:
     """Invariants of an exterior-times-polynomial pair under a weight-one
     scaling action of Z/m, presented on two detected generators.
 
     For m = p-1 the generator degrees come out as (2p-3, 2p-2); they are
-    found by probing invariant dimensions, not assumed.
+    found from the invariant dimensions through degree 4m + 4, not assumed.
     """
     if m < 1 or (p - 1) % m != 0:
         raise ValueError("m must divide p-1")
@@ -808,14 +795,13 @@ def cohomology_of_metacyclic(p: int, m: int, probe: Optional[int] = None) -> Gra
             "y": lam * base.generator_element("y"),
         },
     )
-    probe = probe if probe is not None else 4 * m + 4
-    inv = invariants(base, [action], probe)
-    odd = next((d for d in range(1, probe + 1, 2) if inv.dims[d]), None)
-    even = next((d for d in range(2, probe + 1, 2) if inv.dims[d]), None)
-    if odd is None or even is None:
-        raise ValueError("probe bound too small to detect both generators")
+    bound = 4 * m + 4
+    inv = invariants(base, [action], bound)
+    # x y^(m-1) and y^m are invariant, in degrees 2m - 1 and 2m
+    odd = next(d for d in range(1, bound + 1, 2) if inv[d])
+    even = next(d for d in range(2, bound + 1, 2) if inv[d])
     out = GradedAlgebra(p, [(f"u{odd}", odd, "ext"), (f"c{even}", even, "poly")])
-    if dimensions(out, probe).dims != inv.dims.dims:
+    if dimensions(out, bound) != inv:
         raise ValueError("invariants are not free on the two detected generators")
     return out
 
@@ -825,30 +811,31 @@ def cohomology_of_metacyclic(p: int, m: int, probe: Optional[int] = None) -> Gra
 
 
 def verify_free_module(
-    eq: EqualizerResult, f, g, subring_gens: list, module_gens: list, bound: int
+    dims: GradedDims, f, g, subring_gens: list, module_gens: list, bound: int
 ) -> bool:
-    """Check the equalizer is a free module over the stated subring.
+    """Check the equalizer of f and g, of dimensions ``dims``, is a free
+    module over the stated subring.
 
     Products (subring monomial) * (module generator) must be linearly
     independent and span the equalizer in every degree up to the bound.
     The subring generators are required to lie in the equalizer first.
     """
+    source, p = f.source, f.source.p
     for elt in subring_gens + module_gens:
-        if not eq.contains(f, g, elt):
+        if f.apply(elt) != g.apply(elt):
             raise ValueError("a stated generator is not equalized")
     ring = GradedAlgebra(
-        eq.source.p,
+        p,
         [
             (f"g{i}", elt.degree(), "ext" if elt.degree() % 2 else "poly")
             for i, elt in enumerate(subring_gens)
         ],
     )
     subring = AlgebraMorphism(
-        ring, eq.source, {g.name: elt for g, elt in zip(ring.generators, subring_gens)}
+        ring, source, {g.name: elt for g, elt in zip(ring.generators, subring_gens)}
     )
-    p = eq.source.p
     module_degrees = [0 if mg.is_zero() else mg.degree() for mg in module_gens]
-    module_terms = [eq.source._terms(mg) for mg in module_gens]
+    module_terms = [source._terms(mg) for mg in module_gens]
     reach = max(module_degrees, default=0)
     # ring degree -> packed images of its basis, kept while a module
     # generator needs them
@@ -856,7 +843,7 @@ def verify_free_module(
     for d in range(bound + 1):
         ring_images[d] = subring._images(d)
         ring_images.pop(d - reach - 1, None)
-        index = eq.source._code_index(d)
+        index = source._code_index(d)
         vectors = []
         for terms, k in zip(module_terms, module_degrees):
             for img in ring_images.get(d - k, ()):
@@ -865,7 +852,7 @@ def verify_free_module(
                 prod = _times(img, terms, p)
                 if prod:
                     vectors.append({index[m]: c for m, c in prod.items()})
-        want = eq.dims[d]
+        want = dims[d]
         if len(vectors) != want:
             return False
         if linalg.rank(vectors, p) != want:

@@ -342,7 +342,7 @@ def theorem_pipeline(
     pairs = [(g.name + "_1", g.name + "_2") for g in M.generators]
     swap = swap_action(MM, pairs)
     inv = invariants(MM, [swap], bound)
-    eq_dims = equalizer(compose_morphisms(swap, f1), f1, bound).dims
+    eq_dims = equalizer(compose_morphisms(swap, f1), f1, bound)
 
     M_dims = dimensions(M, bound)
     aut_dims = dimensions(aut_input, bound)
@@ -353,9 +353,9 @@ def theorem_pipeline(
     kernel_dims = GradedDims(bound, tuple(tensor_kernel))
 
     holds = all(
-        eq_dims[d] == inv.dims[d] + kernel_dims[d] for d in range(bound + 1)
+        eq_dims[d] == inv[d] + kernel_dims[d] for d in range(bound + 1)
     )
-    return RecursionReport(p, bound, eq_dims, inv.dims, kernel_dims, holds)
+    return RecursionReport(p, bound, eq_dims, inv, kernel_dims, holds)
 
 
 def _recursion_maps(p: int, aut_input: GradedAlgebra, restriction_images: dict) -> tuple:

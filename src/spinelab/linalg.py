@@ -1,12 +1,12 @@
 """Exact linear algebra over the prime field F_p.
 
-Every rank and kernel comes from one elimination, ``echelon``.  It keeps
-the reduced row echelon form of the rows seen so far: a new row is
-reduced by the pivot rows whose columns it meets, its least column
-becomes its pivot, and that column is cleared from the earlier pivot
-rows.  The matrices here are mostly zeros, so rows are sparse dicts
+Every rank comes from one elimination, ``echelon``.  It keeps the
+reduced row echelon form of the rows seen so far: a new row is reduced
+by the pivot rows whose columns it meets, its least column becomes its
+pivot, and that column is cleared from the earlier pivot rows.  The
+matrices here are mostly zeros, so rows are sparse dicts
 ``{column: value}``; a dense row list is read as one.  The reduced form
-is unique, so pivots and kernel bases do not depend on the row order.
+is unique, so pivots and ranks do not depend on the row order.
 """
 
 from __future__ import annotations
@@ -55,23 +55,3 @@ def check_odd_prime(p: int) -> int:
     if p < 3 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
         raise ValueError("p must be an odd prime")
     return p
-
-
-def nullspace(rows, cols: int, p):
-    """Canonical kernel basis over columns ``range(cols)``: one vector per
-    free column f, with 1 at f, 0 at the other free columns and the
-    pivot entries that forces.
-
-    The width is passed because a matrix with no rows does not record it;
-    its kernel is then the whole space.
-    """
-    basis = {f: [0] * cols for f in range(cols)}
-    reduced = echelon(rows, p)
-    for c in reduced:
-        del basis[c]
-    for f, vec in basis.items():
-        vec[f] = 1
-    for c, row in reduced.items():
-        for f, v in row.items():
-            basis[f][c] = -v % p
-    return list(basis.values())

@@ -105,9 +105,10 @@ def _alpha_beta():
 
 
 def _alpha_beta_equalizer(bound):
-    """(source, f, g, equalizer(f, g, bound)) for the alpha/beta pair, the
-    kernel that ``criterion_series`` and ``criterion_algebra_structure``
-    read; ``run_all`` computes it once for both."""
+    """(source, f, g, equalizer(f, g, bound)) for the alpha/beta pair: the
+    equalizer dimensions that ``criterion_series`` and
+    ``criterion_algebra_structure`` read; ``run_all`` computes them once
+    for both."""
     _, _, source, f, g = _alpha_beta()
     return source, f, g, equalizer(f, g, bound)
 
@@ -152,12 +153,12 @@ def criterion_components(cx) -> CriterionResult:
 def criterion_series(bound, equalized=None) -> CriterionResult:
     _, _, _, eq = equalized or _alpha_beta_equalizer(bound)
     chi = closed_form("equalizer")
-    series_ok = eq.dims.dims == chi.coefficients(bound)
+    series_ok = eq.dims == chi.coefficients(bound)
     lhs = chi + closed_form("sigma3")
     rhs = closed_form("sigma3+equalizer")
     euler_ok = lhs.same_function(rhs) and series_equal(lhs, rhs, bound)
     return CriterionResult(
-        "equalizer-series", series_ok and euler_ok, f"dims<=8 {eq.dims.dims[:9]}"
+        "equalizer-series", series_ok and euler_ok, f"dims<=8 {eq.dims[:9]}"
     )
 
 
@@ -208,7 +209,7 @@ def criterion_wreath(bound) -> CriterionResult:
     wreath = load_algebra("wreath")
     swap = swap_action(big, [("c41", "c42"), ("d31", "d32")])
     inv = invariants(big, [swap], bound)
-    dims_ok = inv.dims.dims == dimensions(wreath, bound).dims
+    dims_ok = inv == dimensions(wreath, bound)
     c4 = parse_element(big, "c41 + c42")
     c8 = parse_element(big, "(c41 - c42)^2")
     d3 = parse_element(big, "d31 + d32")

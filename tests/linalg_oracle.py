@@ -1,9 +1,10 @@
 """Dense Gauss-Jordan elimination over F_p, kept as a test oracle.
 
 The library eliminates sparse rows in ``spinelab.linalg.echelon``.  This
-is the dense column-by-column loop it replaced, with the rank and kernel
-read off it the same way, plus the dense products and pair kernels the
-library no longer forms; tests compare the two.
+is the dense column-by-column loop it replaced, with the rank read off it
+the same way, plus what the library does not form: kernel bases, which
+the equalizer tests read, dense products and pair kernels.  Tests
+compare the two.
 """
 
 from __future__ import annotations

@@ -256,7 +256,7 @@ def test_k33_amalgam_matches_the_dense_pair_kernel(rank4_complex):
         for d in range(61)
     )
     assert component_cohomology(rank4_complex, comp, 60).dims == dense
-    assert equalizer(f, g, 60).dims.dims == dense
+    assert equalizer(f, g, 60).dims == dense
 
 
 def test_recursion_pipeline_degenerate():

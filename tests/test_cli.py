@@ -350,7 +350,15 @@ def _image_list(data):
     return "'restriction_images' must be an object of strings"
 
 
-@pytest.mark.parametrize("spoil", [_missing_image, _odd_polynomial, _string_degree, _image_list])
+def _other_prime(data):
+    # an F_5 algebra restricting onto the F_3 metacyclic cohomology
+    data["algebra"]["p"] = 5
+    return "source and target must lie over the same prime"
+
+
+@pytest.mark.parametrize(
+    "spoil", [_missing_image, _odd_polynomial, _string_degree, _image_list, _other_prime]
+)
 def test_thm14_bad_aut_input_is_config_error(runner, tmp_path, spoil):
     data = _thm_input()
     text = spoil(data)

