@@ -608,7 +608,9 @@ class AlgebraMorphism(_Morphism):
     def _images(self, d: int) -> list:
         """Packed images of ``source.basis(d)``, by position.  The degrees
         missing from the window below d are found downwards along the
-        parent table and built upwards, each from its parents' degrees."""
+        parent table and built upwards, each from its parents' degrees.
+        Degree 0 and the degrees with no monomials have no parents, and
+        are not looked up in the parent table."""
         window = self._window
         if d != self._last:
             self._last = d
@@ -617,11 +619,13 @@ class AlgebraMorphism(_Morphism):
         images = window.get(d)
         if images is not None:
             return images
-        signature, degrees = self.source._signature, self._degrees
+        source, degrees = self.source, self._degrees
         missing, todo = {d}, [d]
         while todo:
             k = todo.pop()
-            for lower in {k - degrees[i] for i in set(_parents(signature, k)[0])}:
+            if not k or not source.basis(k):
+                continue
+            for lower in {k - degrees[i] for i in set(_parents(source._signature, k)[0])}:
                 if lower not in window and lower not in missing:
                     missing.add(lower)
                     todo.append(lower)
@@ -629,10 +633,12 @@ class AlgebraMorphism(_Morphism):
         for k in sorted(missing):
             if not k:
                 window[k] = [self._unit]
-                continue
-            lower = [window.get(k - degree) for degree in degrees]
-            lasts, positions = _parents(signature, k)
-            window[k] = [_times(lower[i][j], terms[i], p) for i, j in zip(lasts, positions)]
+            elif not source.basis(k):
+                window[k] = []
+            else:
+                lower = [window.get(k - degree) for degree in degrees]
+                lasts, positions = _parents(source._signature, k)
+                window[k] = [_times(lower[i][j], terms[i], p) for i, j in zip(lasts, positions)]
         return window[d]
 
     def matrix_in_degree(self, d: int) -> list:

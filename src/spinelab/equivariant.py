@@ -5,10 +5,10 @@ order exactly p.  Equivalence is subgroup conjugacy: two pairs are
 identified when some graph isomorphism carries one generator to a power
 of the other.  ``ZpGraph.key`` is a complete invariant of that relation,
 so classes, closures and blow-ups are deduplicated by lookup.  The census
-is the closure of the reduced classes under equivariant blow-ups; only the
-reduced classes come from a sweep, over quotient data with no invariant
-forest (fixed loops and bundles, or the loops and chords of one free
-orbit), which keeps it small for p = 5 and 7.
+is the closure of the reduced classes under equivariant blow-ups.  The
+reduced classes are built directly from quotient data with no invariant
+forest: fixed loops and bundles whose bundles connect the fixed vertices,
+or the loops and chords, at least one chord, of one free orbit.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from spinelab.graphs import (
+    DisjointSet,
     HalfEdgeGraph,
     build_graph,
     collapse_with_maps,
@@ -256,19 +257,20 @@ def _unit_slots(p: int, f: int, m: int) -> list:
     return slots
 
 
-def _unit_valencies(p: int, f: int, unit) -> list:
-    """(quotient vertex, valency added) pairs; free orbit j is vertex f + j."""
-    kind = unit[0]
-    if kind == "loop":
-        return [(unit[1], 2)]
-    if kind == "bundle":
-        _, u, v = unit
-        return [(u, 2 * p)] if u == v else [(u, p), (v, p)]
-    return [(f + unit[1], 2)]
+def _compositions(total: int, parts: int) -> Iterator[tuple]:
+    """Every tuple of ``parts`` >= 1 nonnegative integers summing to
+    total, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def realize_quotient_data(p: int, f: int, m: int, units: Iterable) -> ZpGraph:
-    """Build the ZpGraph described by a multiset of units.
+    """Build the ZpGraph described by a multiset of units with a bundle or
+    a chord, so that the action is nontrivial.
 
     Fixed vertices come first, then each free orbit as a block of p
     consecutive vertices rotated by the action.
@@ -306,59 +308,57 @@ def realize_quotient_data(p: int, f: int, m: int, units: Iterable) -> ZpGraph:
         # darts 2e (first endpoint) and 2e+1 (second endpoint) line up with
         # the image edge's endpoints by construction
         hperm[h1], hperm[h2] = k1, k2
-    action = GraphAutomorphism(tuple(vperm), tuple(hperm))
-    trivial = perm_order(action) == 1
-    return ZpGraph(g, action, p, trivial=trivial)
+    return ZpGraph(g, GraphAutomorphism(tuple(vperm), tuple(hperm)), p)
 
 
 def _stratum_raw(p: int, e: int, f: int, m: int) -> Iterator[ZpGraph]:
-    """All admissible reduced graphs with e edges, f fixed vertices and m
-    free vertex orbits.
+    """All admissible reduced graphs with e edges whose vertices are f
+    fixed ones (m = 0) or one free orbit (f = 0, m = 1), built from the
+    unit counts that describe them.
 
-    The slot recursion prunes on valencies: once every slot touching a
-    quotient vertex has been decided the vertex must already have valency
-    at least 3, and the total valency deficit can never exceed twice the
-    remaining edge budget.
+    Every vertex fixed: a loop separates nothing, and any other edge lies
+    in a bundle of p >= 3 parallel edges, so no edge is a bridge.  The
+    graph is admissible when the bundles between distinct vertices
+    connect the f vertices, and then every vertex meets a bundle: p darts,
+    or 2p at the lone vertex of f = 1, which needs one bundle to move
+    anything.  So no vertex needs a loop for valency 3, the counts are the
+    bundle counts with t >= 1 bundles and pt <= e whose support connects,
+    each with every spread of the e - pt loops, and a bundle makes the
+    action nontrivial.
+
+    One free orbit: each unit is p edges and adds 2 to every orbit
+    vertex's valency, so p | e and k = e / p >= 2 units.  A chord cycle at
+    any offset joins the whole orbit, p being prime, and lies on a cycle,
+    so the graph is admissible exactly when it has a chord.
+
+    The counts are realized in lexicographic order over ``_unit_slots``,
+    so the order of the graphs, and the representatives that
+    ``dedup_equivariant`` keeps, depend only on the counts.
     """
     slots = _unit_slots(p, f, m)
-    sizes = [1 if s[0] == "loop" else p for s in slots]
-    nkeys = f + m
-    contrib = [_unit_valencies(p, f, slot) for slot in slots]
-    last_touch = [-1] * nkeys
-    for i, entries in enumerate(contrib):
-        for k, _ in entries:
-            last_touch[k] = max(last_touch[k], i)
-    finalized_at = [[] for _ in slots]
-    for k, i in enumerate(last_touch):
-        finalized_at[i].append(k)
-    # for deficit accounting a free orbit stands for p vertices of its valency
-    weight = [1] * f + [p] * m
-
-    def deficit(val) -> int:
-        return sum(weight[k] * max(0, 3 - val[k]) for k in range(nkeys))
-
-    def rec(i: int, remaining: int, val: list, counts: list):
-        if i == len(slots):
-            if remaining == 0:
-                units = []
-                for slot, c in zip(slots, counts):
-                    units.extend([slot] * c)
-                zg = realize_quotient_data(p, f, m, units)
-                if not zg.trivial and is_admissible(zg.graph):
-                    yield zg
-            return
-        for c in range(remaining // sizes[i] + 1):
-            nval = list(val)
-            for k, inc in contrib[i]:
-                nval[k] += inc * c
-            if any(nval[k] < 3 for k in finalized_at[i]):
-                continue
-            left = remaining - c * sizes[i]
-            if deficit(nval) > 2 * left:
-                continue
-            yield from rec(i + 1, left, nval, counts + [c])
-
-    yield from rec(0, e, [0] * nkeys, [])
+    found = []
+    if m:
+        k = e // p
+        if e % p == 0 and k >= 2:
+            found = [c for c in _compositions(k, len(slots)) if c[0] < k]
+    else:
+        bundle_at = [i for i, slot in enumerate(slots) if slot[0] == "bundle"]
+        loop_at = [i for i, slot in enumerate(slots) if slot[0] == "loop"]
+        pairs = [slots[i][1:] for i in bundle_at]
+        # connecting f vertices takes f - 1 bundles
+        for t in range(max(1, f - 1), e // p + 1):
+            for bundles in _compositions(t, len(pairs)):
+                ds = DisjointSet(f)
+                joins = sum(ds.union(u, v) for (u, v), c in zip(pairs, bundles) if c and u != v)
+                if joins < f - 1:
+                    continue
+                for loops in _compositions(e - p * t, f):
+                    counts = [0] * len(slots)
+                    for i, c in zip(bundle_at + loop_at, bundles + loops):
+                        counts[i] = c
+                    found.append(tuple(counts))
+    for counts in sorted(found):
+        yield realize_quotient_data(p, f, m, [s for s, c in zip(slots, counts) for _ in range(c)])
 
 
 def _reduced_classes(p: int, n: int, max_edges: int) -> list:
@@ -370,8 +370,8 @@ def _reduced_classes(p: int, n: int, max_edges: int) -> list:
     orbits are disconnected from its fixed vertices and from each other.
     So either every vertex is fixed, or every vertex lies in one free
     orbit.  A vertex-free action of odd order fixes no edge either, so
-    then p divides the Euler characteristic 1 - n.  The sweep runs on
-    reduced quotient data in these strata only.
+    then p divides the Euler characteristic 1 - n.  `_stratum_raw` builds
+    the reduced quotient data of these strata only.
     """
     # with v fixed vertices the graph has n + v - 1 edges, and the only
     # connecting units are p-edge bundles, so it needs at least p(v - 1)

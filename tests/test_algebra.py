@@ -507,6 +507,27 @@ def test_parent_table_lowers_the_last_generator(shapes):
             assert parent[:i] + (parent[i] + 1,) + parent[i + 1 :] == mono, (d, mono)
 
 
+def test_the_parent_table_is_read_only_in_degrees_with_monomials():
+    """Degree 0 and the degrees with no monomials get their (empty or
+    unit) images without a parent-table entry: over degrees 0 to 12 of
+    one generator of degree 4, only 4, 8 and 12 have entries; and a
+    cohomology pass at degree bound 120, the six criteria that read the
+    algebras, makes 557 entries, 440 fewer than one per degree read."""
+    from spinelab import spine, verification
+
+    alg = GradedAlgebra(3, [("x", 4, "poly")])
+    _parents.cache_clear()
+    for d in range(13):
+        assert identity_morphism(alg).matrix_in_degree(d) == [[1]] * (d % 4 == 0)
+    assert _parents.cache_info().currsize == 3
+    cx = spine.quotient_complex(3, 4)
+    _parents.cache_clear()
+    for criterion in ("series", "algebra_structure", "wreath", "metacyclic", "recursion"):
+        assert getattr(verification, f"criterion_{criterion}")(120).passed, criterion
+    assert verification.criterion_corollary(cx, 120).passed
+    assert _parents.cache_info().currsize == 557
+
+
 @settings(max_examples=60)
 @given(
     p=st.sampled_from([3, 5]),

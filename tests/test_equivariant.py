@@ -39,7 +39,13 @@ from spinelab.symmetry import (
 
 from census_oracle import singular_by_filter
 from dart_oracle import automorphism_group, dart_isomorphisms, elements_of_order
-from zp_census_oracle import realize_quotient_data, stratum_raw, sweep_candidates, sweep_zp_graphs
+from zp_census_oracle import (
+    realize_quotient_data,
+    reduced_sweep,
+    stratum_raw,
+    sweep_candidates,
+    sweep_zp_graphs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +199,55 @@ def test_enumerate_zp_graphs_examples():
 def test_closure_matches_quotient_data_sweep(p, n, max_edges):
     want = [zg.key for zg in sweep_zp_graphs(p, n, max_edges)]
     assert [zg.key for zg in enumerate_zp_graphs(p, n, max_edges)] == want
+
+
+def reduced_candidates(monkeypatch, p, n, max_edges):
+    """The reduced graphs `_reduced_classes` builds, before deduplication."""
+    with monkeypatch.context() as patch:
+        patch.setattr(equivariant, "dedup_equivariant", list)
+        return equivariant._reduced_classes(p, n, max_edges)
+
+
+def graphs_and_actions(zgs):
+    return [(zg.graph, zg.action) for zg in zgs]
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 4), (5, 5), (5, 6), (7, 6), (5, 8)],
+)
+def test_reduced_construction_matches_the_sweep(monkeypatch, p, n):
+    """The graphs built from connected quotient data are those the sweep
+    over every unit count keeps, labelled alike and in the same order, at
+    the full budget and at the budget of the smallest graphs."""
+    for max_edges in (n, 3 * n - 3):
+        want = graphs_and_actions(reduced_sweep(p, n, max_edges))
+        assert graphs_and_actions(reduced_candidates(monkeypatch, p, n, max_edges)) == want
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_classify_reduced_matches_the_sweep(q):
+    n = 2 * (q - 1)
+    want = dedup_equivariant(reduced_sweep(q, n, 3 * n - 3))
+    got = classify_reduced(q)
+    assert [zg.key for zg in got] == [zg.key for zg in want]
+    assert graphs_and_actions(got) == graphs_and_actions(want)
+
+
+@pytest.mark.parametrize("p,n,count", [(3, 4, 9), (3, 7, 130), (5, 8, 9), (7, 12, 11), (13, 24, 17)])
+def test_every_realized_reduced_graph_is_kept(monkeypatch, p, n, count):
+    """Only admissible nontrivial quotient data is realized."""
+    realized = []
+    real = equivariant.realize_quotient_data
+
+    def spy(*args):
+        realized.append(real(*args))
+        return realized[-1]
+
+    monkeypatch.setattr(equivariant, "realize_quotient_data", spy)
+    got = reduced_candidates(monkeypatch, p, n, 3 * n - 3)
+    assert len(got) == count
+    assert [id(zg) for zg in got] == [id(zg) for zg in realized]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,10 @@ that argument: it realizes every admissible multiset of quotient-data
 units (fixed vertices and edges plus free p-orbits of each shape) in
 every (vertices, edges) stratum, so tests comparing the two check the
 closure for completeness against a search that does not rely on
-equivariant collapse.
+equivariant collapse.  ``reduced_sweep`` runs the same sweep over the
+reduced units only, realizing every count vector and keeping what is
+admissible, against which the library's direct construction of the
+reduced classes is checked.
 """
 
 from __future__ import annotations
@@ -139,8 +142,23 @@ def realize_quotient_data(p: int, f: int, m: int, units: Iterable) -> ZpGraph:
     return ZpGraph(g, action, p, trivial=trivial)
 
 
-def stratum_raw(p: int, v: int, e: int, f: int, m: int) -> Iterator[ZpGraph]:
-    """All admissible quotient-data graphs in one (vertices, edges) stratum.
+def _reduced_slots(p: int, f: int, m: int) -> list:
+    """The units of reduced quotient data: fixed loops and bundles, orbit
+    loops and chords, in the slot order of the library's reduced census."""
+    slots = []
+    for u in range(f):
+        slots.append(("fixed_edge", u, u))
+        slots += [("bundle", u, v) for v in range(u, f)]
+    for j in range(m):
+        slots.append(("orbit_loop", j))
+        slots += [("chord", j, d) for d in range(1, (p - 1) // 2 + 1)]
+    return slots
+
+
+def stratum_raw(p: int, v: int, e: int, f: int, m: int, slots=None) -> Iterator[ZpGraph]:
+    """All admissible quotient-data graphs in one (vertices, edges) stratum
+    with a nontrivial action, over the given unit slots (all of them by
+    default), in the lexicographic order of their unit counts.
 
     The slot recursion prunes on valencies: once every slot touching a
     quotient vertex has been decided the vertex must already have valency
@@ -149,7 +167,8 @@ def stratum_raw(p: int, v: int, e: int, f: int, m: int) -> Iterator[ZpGraph]:
     """
     if f + m * p != v:
         return
-    slots = _unit_slots(p, f, m)
+    if slots is None:
+        slots = _unit_slots(p, f, m)
     sizes = [_unit_edge_count(p, s) for s in slots]
     nkeys = f + m
 
@@ -214,3 +233,19 @@ def sweep_candidates(p: int, n: int, max_edges: int) -> list:
 def sweep_zp_graphs(p: int, n: int, max_edges: int) -> list:
     """The census by the sweep: classes of the candidates, census order."""
     return dedup_equivariant(sweep_candidates(p, n, max_edges))
+
+
+def reduced_sweep(p: int, n: int, max_edges: int) -> list:
+    """The reduced rank-n graphs with an order-p action and at most
+    max_edges edges, before deduplication: every count vector of reduced
+    units in the strata of the library's reduced census (every vertex
+    fixed, or one free orbit) is realized, and the nontrivial admissible
+    ones are kept, in stratum order and then in the order of the counts."""
+    strata = [(v, 0) for v in range(1, max_edges - n + 2) if p * (v - 1) <= n + v - 1]
+    if (n - 1) % p == 0 and n + p - 1 <= max_edges:
+        strata.append((0, 1))
+    found = []
+    for f, m in strata:
+        v = f + m * p
+        found += stratum_raw(p, v, n + v - 1, f, m, _reduced_slots(p, f, m))
+    return found
