@@ -19,8 +19,9 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from spinelab.graphs import (
-    DisjointSet,
     HalfEdgeGraph,
+    _acyclic_unions,
+    _union,
     build_graph,
     collapse_with_maps,
     is_admissible,
@@ -180,20 +181,11 @@ def _census_order(zg: ZpGraph) -> tuple:
 
 
 def invariant_forests(zg: ZpGraph) -> list:
-    """All nonempty forests that are unions of edge orbits of the action."""
+    """All nonempty forests that are unions of edge orbits of the action,
+    sorted as ``enumerate_forests`` sorts: each step of the enumeration
+    adds a whole acyclic orbit."""
     orbits = [o for o in zg.edge_orbits() if is_forest(zg.graph, o)]
-    out = []
-
-    def extend(prefix: list, start: int):
-        if prefix:
-            out.append(frozenset(e for o in prefix for e in o))
-        for i in range(start, len(orbits)):
-            candidate = prefix + [orbits[i]]
-            if is_forest(zg.graph, [e for o in candidate for e in o]):
-                extend(candidate, i + 1)
-
-    extend([], 0)
-    return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
+    return _acyclic_unions(zg.graph, orbits)[1:]
 
 
 def is_reduced(zg: ZpGraph) -> bool:
@@ -348,8 +340,8 @@ def _stratum_raw(p: int, e: int, f: int, m: int) -> Iterator[ZpGraph]:
         # connecting f vertices takes f - 1 bundles
         for t in range(max(1, f - 1), e // p + 1):
             for bundles in _compositions(t, len(pairs)):
-                ds = DisjointSet(f)
-                joins = sum(ds.union(u, v) for (u, v), c in zip(pairs, bundles) if c and u != v)
+                parent = list(range(f))
+                joins = sum(_union(parent, u, v) for (u, v), c in zip(pairs, bundles) if c and u != v)
                 if joins < f - 1:
                     continue
                 for loops in _compositions(e - p * t, f):

@@ -6,6 +6,10 @@ with its reversal and a map ``target`` sending each dart to the vertex it
 points at.  Geometric edges are the involution orbits, so loops and
 parallel edges are fully supported and symmetries are free to reverse
 edges.  All values are immutable; every operation is a pure function.
+
+Connectivity is one flat union-find, a parent list read by ``_root``
+with path halving; ``_union`` links the larger root under the smaller,
+so each class's root is its least vertex.
 """
 
 from __future__ import annotations
@@ -21,27 +25,24 @@ class NotAForestError(ValueError):
     """Raised when an edge set expected to be acyclic contains a cycle."""
 
 
-class DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _root(parent: list, x: int) -> int:
+    """The root of x's class in the union-find ``parent``, halving the
+    path on the way up."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, x: int, y: int) -> bool:
-        """Merge the classes of x and y; return False if already merged."""
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return False
-        if y < x:
-            x, y = y, x
-        self.parent[y] = x
-        return True
+def _union(parent: list, x: int, y: int) -> bool:
+    """Merge the classes of x and y under the lesser root; return False
+    if they were one class already."""
+    x, y = _root(parent, x), _root(parent, y)
+    if x == y:
+        return False
+    if y < x:
+        x, y = y, x
+    parent[y] = x
+    return True
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class HalfEdgeGraph:
                 mat[u][v] += 1
                 if u != v:
                     mat[v][u] += 1
-        return tuple(tuple(row) for row in mat)
+        return tuple(map(tuple, mat))
 
     @cached_property
     def canonical_form(self):
@@ -192,10 +193,10 @@ def build_graph(vertex_count: int, edge_list: Iterable) -> HalfEdgeGraph:
 
 def rank(g: HalfEdgeGraph) -> int:
     """First Betti number: edges - vertices + number of components."""
-    ds = DisjointSet(g.vertex_count)
-    components = g.vertex_count
+    parent = list(range(g.vertex_count))
+    components, target = g.vertex_count, g.target
     for h, s in enumerate(g.sigma):
-        if h < s and ds.union(g.target[h], g.target[s]):
+        if h < s and _union(parent, target[h], target[s]):
             components -= 1
     return g.edge_count - g.vertex_count + components
 
@@ -256,40 +257,48 @@ def two_edge_connected(lower) -> bool:
 
 
 def is_forest(g: HalfEdgeGraph, edges: Iterable) -> bool:
-    ds = DisjointSet(g.vertex_count)
-    for e in edges:
-        u, v = g.edge_endpoints(e)
-        if u == v or not ds.union(u, v):
-            return False
-    return True
+    parent = list(range(g.vertex_count))
+    return all(_union(parent, *g.edge_endpoints(e)) for e in edges)
 
 
 def enumerate_forests(g: HalfEdgeGraph, edges: Optional[Iterable] = None) -> list:
     """All acyclic subsets of the edges of g (of ``edges``, if given), the
     empty forest included.
 
-    Output is sorted lexicographically on the sorted edge tuples, so the
-    result is canonical for a given graph.
+    Output is sorted by size, then lexicographically on the sorted edge
+    tuples, so the result is canonical for a given graph.
     """
     pool = range(g.edge_count) if edges is None else sorted(edges)
-    non_loops = [e for e in pool if not g.is_loop(e)]
-    out = []
+    return _acyclic_unions(g, [(e,) for e in pool if not g.is_loop(e)])
 
-    def extend(prefix: list, start: int, ds: DisjointSet):
-        out.append(frozenset(prefix))
-        for i in range(start, len(non_loops)):
-            e = non_loops[i]
-            u, v = g.edge_endpoints(e)
-            if ds.find(u) == ds.find(v):
-                continue
-            sub = DisjointSet(g.vertex_count)
-            sub.parent = list(ds.parent)
-            sub.union(u, v)
-            extend(prefix + [e], i + 1, sub)
 
-    extend([], 0, DisjointSet(g.vertex_count))
-    out.sort(key=lambda f: (len(f), tuple(sorted(f))))
-    return out
+def _acyclic_unions(g: HalfEdgeGraph, parts: list) -> list:
+    """The acyclic unions of the disjoint, each acyclic, edge tuples
+    ``parts``, the empty one included, as forests sorted by size and then
+    by their sorted edges.
+
+    A stack entry is a union of parts, the position of the next part it
+    may take and the component label of each vertex under its edges; a
+    part is taken when each of its edges joins two components, whose
+    labels it merges, so no entry shares or copies a union-find.
+    """
+    ends = [[g.edge_endpoints(e) for e in part] for part in parts]
+    found = []
+    stack = [((), 0, tuple(range(g.vertex_count)))]
+    while stack:
+        union, start, labels = stack.pop()
+        found.append(union)
+        for i in range(start, len(parts)):
+            merged = labels
+            for u, v in ends[i]:
+                a, b = merged[u], merged[v]
+                if a == b:
+                    break
+                merged = tuple(a if x == b else x for x in merged)
+            else:
+                stack.append((union + parts[i], i + 1, merged))
+    found.sort(key=lambda f: (len(f), sorted(f)))
+    return list(map(frozenset, found))
 
 
 @dataclass(frozen=True)
@@ -312,23 +321,29 @@ def collapse_with_maps(g: HalfEdgeGraph, forest: Iterable) -> CollapseResult:
     for e in forest:
         if not 0 <= e < g.edge_count:
             raise ValueError(f"edge index {e} out of range")
-    ds = DisjointSet(g.vertex_count)
+    parent = list(range(g.vertex_count))
     dead = set()
     for e in forest:
         h1, h2 = g.edges[e]
-        if not ds.union(g.target[h1], g.target[h2]):
+        if not _union(parent, g.target[h1], g.target[h2]):
             raise NotAForestError("cycle detected in forest argument")
         dead.update((h1, h2))
 
-    # a class's root is its least vertex, met first in vertex order
-    classes: dict = {}
-    vertex_map = tuple(classes.setdefault(ds.find(v), len(classes)) for v in range(g.vertex_count))
+    # a class's root is its least vertex, numbered before the rest of it
+    vertex_map, classes = [], 0
+    for v in range(g.vertex_count):
+        r = _root(parent, v)
+        if r == v:
+            vertex_map.append(classes)
+            classes += 1
+        else:
+            vertex_map.append(vertex_map[r])
     dart_map = [None] * g.half_edge_count
     kept = [h for h in range(g.half_edge_count) if h not in dead]
     for new, old in enumerate(kept):
         dart_map[old] = new
     quotient = HalfEdgeGraph(
-        len(classes),
+        classes,
         tuple(dart_map[g.sigma[old]] for old in kept),
         tuple(vertex_map[g.target[old]] for old in kept),
     )
@@ -339,7 +354,7 @@ def collapse_with_maps(g: HalfEdgeGraph, forest: Iterable) -> CollapseResult:
         else:
             edge_map.append(survivors)
             survivors += 1
-    return CollapseResult(quotient, vertex_map, tuple(dart_map), tuple(edge_map))
+    return CollapseResult(quotient, tuple(vertex_map), tuple(dart_map), tuple(edge_map))
 
 
 def collapse(g: HalfEdgeGraph, forest: Iterable) -> HalfEdgeGraph:

@@ -27,8 +27,9 @@ from typing import Optional
 from spinelab import catalog, linalg
 from spinelab.equivariant import enumerate_zp_graphs
 from spinelab.graphs import (
-    DisjointSet,
     HalfEdgeGraph,
+    _root,
+    _union,
     collapse,
     collapse_with_maps,
     enumerate_forests,
@@ -447,13 +448,13 @@ def _components(cells: list) -> list:
     """Connected components of a face-closed list of cells, as lists of
     cell indices, in the order of each component's first cell."""
     pos = {cell.index: k for k, cell in enumerate(cells)}
-    ds = DisjointSet(len(cells))
+    parent = list(range(len(cells)))
     for cell in cells:
         for f in cell.faces:
-            ds.union(pos[cell.index], pos[f])
+            _union(parent, pos[cell.index], pos[f])
     pieces: dict = {}
     for cell in cells:
-        pieces.setdefault(ds.find(pos[cell.index]), []).append(cell.index)
+        pieces.setdefault(_root(parent, pos[cell.index]), []).append(cell.index)
     return list(pieces.values())
 
 
@@ -583,10 +584,10 @@ def corpus_tables(data: dict) -> dict:
         rows: dict = {dim: [] for _, dim in CELL_TABLES}
         quotients: dict = {}  # (top name, forest) -> name of the collapse
         cells = data["cells"]
-        ds = DisjointSet(len(cells))
+        parent = list(range(len(cells)))
         for index, cell in enumerate(cells):
             for f in cell["faces"]:
-                ds.union(index, f)
+                _union(parent, index, f)
             if cell["dim"] in rows:
                 top, row = cell["top_name"], []
                 for forest in reversed(cell["forests"]):
@@ -598,7 +599,7 @@ def corpus_tables(data: dict) -> dict:
         for key, dim in CELL_TABLES:
             tables[key] = sorted(rows[dim])
         tables["components"] = _component_rows(
-            (ds.find(i), cell["top_name"]) for i, cell in enumerate(cells) if cell["dim"] == 0
+            (_root(parent, i), cell["top_name"]) for i, cell in enumerate(cells) if cell["dim"] == 0
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed corpus: {type(exc).__name__}: {exc}") from exc

@@ -11,7 +11,10 @@ counts plus off-diagonal edge multiplicities) agree up to a vertex
 relabeling, so canonical forms are computed on that data by refinement
 plus ordered backtracking, pruned by the automorphisms that equal leaves
 reveal; the minimum, and so every form's bytes, is the full search's.
-Each graph is searched once, and keeps its form.
+A cell of one vertex is placed in its parent's call, a forced step with
+no node of its own, and each node reads its candidates' rows off the
+matrix with one ``itemgetter`` of its prefix.  Each graph is searched
+once, and keeps its form.
 
 Automorphism groups come from the same search.  The automorphisms found
 at equal leaves generate the vertex group (McKay and Piperno, "Practical
@@ -38,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import factorial
+from operator import itemgetter
 
 from spinelab.graphs import HalfEdgeGraph, build_graph
 
@@ -125,12 +129,12 @@ def is_automorphism(g: HalfEdgeGraph, a: GraphAutomorphism) -> bool:
 
 def apply_to_graph(g: HalfEdgeGraph, a: GraphAutomorphism) -> HalfEdgeGraph:
     """Relabel g along a; equals g exactly when a is an automorphism."""
-    hperm, vperm = a.hperm, a.vperm
-    sigma = [0] * g.half_edge_count
-    target = [0] * g.half_edge_count
+    hperm, vperm, g_sigma, g_target = a.hperm, a.vperm, g.sigma, g.target
+    sigma = [0] * len(g_sigma)
+    target = [0] * len(g_sigma)
     for h, k in enumerate(hperm):
-        sigma[k] = hperm[g.sigma[h]]
-        target[k] = vperm[g.target[h]]
+        sigma[k] = hperm[g_sigma[h]]
+        target[k] = vperm[g_target[h]]
     return HalfEdgeGraph(g.vertex_count, tuple(sigma), tuple(target))
 
 
@@ -232,6 +236,12 @@ def _min_matrix_data(matrix: list, keys: list):
     roots an image of that sibling's subtree.  Images have the same rows,
     so the minimum is unchanged, and only one row per orbit is built.
 
+    A node whose first cell is one vertex has one candidate: the call
+    places it, with the same row bound, and goes on one level down, so a
+    prune there returns its own depth and a leaf's jump is returned as
+    is.  Each node reads its candidates' rows with one reader of its
+    prefix (``_row_reader``).
+
     Returns the rows, a vertex order that attains them, and the vertex
     automorphisms found at tie leaves (``a[v]`` is the image of v).  They
     generate the whole group, which maps the first minimal leaf reached
@@ -256,41 +266,54 @@ def _min_matrix_data(matrix: list, keys: list):
         cells ``remaining`` in colour order; return the depth to jump back to."""
         nonlocal best_order, changed
         depth = len(order)
-        if depth == n:
-            if changed:
-                best_order, changed = order, False
-                return depth
-            image = list(range(n))
-            for v, w in zip(best_order, order):
-                image[v] = w
-            autos.append((image, {v for v in best_order if image[v] != v}))
-            return next(i for i, (v, w) in enumerate(zip(best_order, order)) if v != w)
-        active = remaining[0]
-        # the orbits on the active cell of the found automorphisms that fix
-        # the prefix, each labelled by its least vertex, once there are any
-        label, read = None, len(autos)
-        if read and active[1:]:
-            fixing = [image for image, moved in autos if moved.isdisjoint(order)]
-            if fixing:
-                label = {w: w for w in active}
-                _merge_orbits(label, fixing)
-        built, rows = {}, []  # orbits share rows, so one row is built per orbit
-        for w in active:
-            orbit = label[w] if label else w
-            row = built.get(orbit)
-            if row is None:
-                mw = matrix[w]
-                row = built[orbit] = (mw[w], *map(mw.__getitem__, order))
-            rows.append(row)
-        row = min(rows)
-        if len(best) > depth:
-            if row > best[depth]:
-                return depth
-            if row < best[depth]:
-                del best[depth:]
-        if len(best) == depth:
-            best.append(row)
-            changed = True
+        while True:
+            if depth == n:
+                if changed:
+                    best_order, changed = order, False
+                    return depth
+                image = list(range(n))
+                for v, w in zip(best_order, order):
+                    image[v] = w
+                autos.append((image, {v for v in best_order if image[v] != v}))
+                return next(i for i, (v, w) in enumerate(zip(best_order, order)) if v != w)
+            active = remaining[0]
+            entries = _row_reader(order)
+            if active[1:]:
+                # the orbits on the active cell of the found automorphisms
+                # that fix the prefix, each labelled by its least vertex,
+                # once there are any
+                label, read = None, len(autos)
+                if read:
+                    fixing = [image for image, moved in autos if moved.isdisjoint(order)]
+                    if fixing:
+                        label = {w: w for w in active}
+                        _merge_orbits(label, fixing)
+                built, rows = {}, []  # orbits share rows, so one row is built per orbit
+                for w in active:
+                    orbit = label[w] if label else w
+                    row = built.get(orbit)
+                    if row is None:
+                        mw = matrix[w]
+                        row = built[orbit] = (mw[w], *entries(mw))
+                    rows.append(row)
+                row = min(rows)
+            else:
+                mw = matrix[active[0]]
+                row = (mw[active[0]], *entries(mw))
+            if len(best) > depth:
+                if row > best[depth]:
+                    return depth
+                if row < best[depth]:
+                    del best[depth:]
+            if len(best) == depth:
+                best.append(row)
+                changed = True
+            if active[1:]:
+                break
+            # order is this call's own list, made for it by its parent
+            order.append(active[0])
+            remaining = remaining[1:]
+            depth += 1
         searched: list = []
         for i, w in enumerate(active):
             if rows[i] != row:
@@ -315,6 +338,17 @@ def _min_matrix_data(matrix: list, keys: list):
 
     search([], cell_sequence)
     return tuple(best), tuple(best_order), tuple(tuple(image) for image, _ in autos)
+
+
+def _row_reader(order: list):
+    """A function reading the entries at ``order`` off a matrix row, as a
+    tuple; ``itemgetter`` gives one for two indices or more."""
+    if order[1:]:
+        return itemgetter(*order)
+    if order:
+        v = order[0]
+        return lambda row: (row[v],)
+    return lambda row: ()
 
 
 def _merge_orbits(label: dict, images: list) -> None:

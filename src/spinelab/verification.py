@@ -61,6 +61,7 @@ from spinelab.spine import (
 )
 from spinelab.symmetry import (
     GraphAutomorphism,
+    _row_reader,
     apply_to_graph,
     bundle_names,
     bundle_perms,
@@ -338,7 +339,8 @@ def relabelling_check(g) -> tuple:
 
 def _permuted(matrix, order) -> tuple:
     """The matrix whose entry (i, j) is ``matrix[order[i]][order[j]]``."""
-    return tuple(tuple(map(matrix[u].__getitem__, order)) for u in order)
+    read = _row_reader(order)
+    return tuple(read(matrix[u]) for u in order)
 
 
 def _dart_relabelling(g, rng) -> GraphAutomorphism:

@@ -57,6 +57,17 @@ def test_verify_tables_detects_component_mismatch(runner, corpus_path, tmp_path)
     assert "components mismatch" in result.output
 
 
+@pytest.mark.parametrize("face", [10**6, "x"])
+def test_verify_tables_bad_face_index_is_config_error(runner, corpus_path, tmp_path, face):
+    data = json.loads(corpus_path.read_text())
+    data["cells"][-1]["faces"] = [face]
+    bad = tmp_path / "bad_face.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["spine", "verify-tables", str(bad)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: malformed corpus")
+
+
 def test_verify_tables_missing_file_is_config_error(runner, tmp_path):
     result = runner.invoke(main, ["spine", "verify-tables", str(tmp_path / "no.json")])
     assert result.exit_code == 2

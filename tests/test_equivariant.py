@@ -118,6 +118,31 @@ def test_is_reduced_cross_checked_with_forest_filter():
         assert is_reduced(zg) == (not brute)
 
 
+def recursive_invariant_forests(zg: ZpGraph) -> list:
+    """Oracle: the depth-first search over acyclic edge orbits that each
+    check the whole union with ``is_forest``, sorted afterwards."""
+    orbits = [o for o in zg.edge_orbits() if is_forest(zg.graph, o)]
+    out = []
+
+    def extend(prefix: list, start: int):
+        if prefix:
+            out.append(frozenset(e for o in prefix for e in o))
+        for i in range(start, len(orbits)):
+            candidate = prefix + [orbits[i]]
+            if is_forest(zg.graph, [e for o in candidate for e in o]):
+                extend(candidate, i + 1)
+
+    extend([], 0)
+    return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
+
+
+def test_invariant_forests_match_the_recursive_search():
+    zgs = [zg for args in ((3, 4, 9), (5, 4, 9), (3, 5, 12)) for zg in enumerate_zp_graphs(*args)]
+    assert len(zgs) == 19 + 1 + 96
+    assert sum(len(invariant_forests(zg)) for zg in zgs) == 47 + 1487
+    assert all(invariant_forests(zg) == recursive_invariant_forests(zg) for zg in zgs)
+
+
 def test_reduce_left_wedge_gives_theta():
     reduced = reduce_zp(wedge(5, "left"))
     want = ZpGraph(*catalog.theta_rotation(5, 0, 4), 5)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spinelab import catalog
 from spinelab.graphs import (
     CollapseResult,
-    DisjointSet,
     HalfEdgeGraph,
     NotAForestError,
     build_graph,
@@ -28,9 +27,11 @@ from spinelab.symmetry import GraphAutomorphism, apply_to_graph, canonical_form
 from dart_oracle import degree_multiset
 
 
-def brute_force_forests(g):
-    """Oracle: a subset is a forest iff |edges| = |touched vertices| - #components."""
-    count = 0
+def brute_force_forests(g) -> list:
+    """Oracle: every subset of the edges, by size and then in
+    lexicographic order, kept when it is a forest, that is, when
+    |edges| = |touched vertices| - #components."""
+    found = []
     for r in range(g.edge_count + 1):
         for sub in itertools.combinations(range(g.edge_count), r):
             if any(g.is_loop(e) for e in sub):
@@ -57,8 +58,8 @@ def brute_force_forests(g):
                             seen.add(y)
                             stack.append(y)
             if len(sub) == len(verts) - comps:
-                count += 1
-    return count
+                found.append(frozenset(sub))
+    return found
 
 
 def test_rank_examples():
@@ -169,7 +170,7 @@ def test_forests_theta2():
 
 def test_forests_k33_oracle():
     k33 = catalog.complete_bipartite(3, 3)
-    assert brute_force_forests(k33) == 328  # frozen from the subset oracle
+    assert len(brute_force_forests(k33)) == 328  # frozen from the subset oracle
     assert len(enumerate_forests(k33)) == 328
 
 
@@ -178,7 +179,18 @@ def test_forests_k33_oracle():
 )
 def test_forests_match_oracle(make):
     g = make()
-    assert len(enumerate_forests(g)) == brute_force_forests(g)
+    assert enumerate_forests(g) == brute_force_forests(g)
+
+
+@settings(max_examples=200)
+@given(multigraphs(), st.data())
+def test_forests_match_brute_force(g, data):
+    """The whole list, in order, and the forests within a drawn edge set."""
+    brute = brute_force_forests(g)
+    assert enumerate_forests(g) == brute
+    edges = data.draw(st.sets(st.integers(0, g.edge_count - 1))) if g.edge_count else set()
+    assert enumerate_forests(g, edges) == [f for f in brute if f <= edges]
+    assert is_forest(g, edges) == (frozenset(edges) in brute)
 
 
 def test_forests_closed_under_subsets():
@@ -244,29 +256,61 @@ def test_nested_collapse_composition():
                 assert canonical_form(two_step) == canonical_form(one_step)
 
 
+def least_companions(n, pairs) -> list:
+    """Each vertex's least vertex in its component of the graph on
+    range(n) with edges ``pairs``, by a plain depth-first search."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in pairs:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    least = [None] * n
+    for v in range(n):
+        if least[v] is None:
+            least[v], stack = v, [v]
+            while stack:
+                for y in adjacent[stack.pop()]:
+                    if least[y] is None:
+                        least[y] = v
+                        stack.append(y)
+    return least
+
+
 def collapse_oracle(g, forest) -> CollapseResult:
     """The collapse built from edges: darts of forest edges dropped,
-    vertex classes numbered by their sorted roots, and each surviving
+    vertex classes numbered by their least vertices, and each surviving
     edge looked up in the quotient's own dart-to-edge table."""
-    ds = DisjointSet(g.vertex_count)
-    for e in forest:
-        ds.union(*g.edge_endpoints(e))
+    least = least_companions(g.vertex_count, [g.edge_endpoints(e) for e in forest])
     kept = [h for h in range(g.half_edge_count) if g.dart_edge[h] not in forest]
     dart_map = [None] * g.half_edge_count
     for new, old in enumerate(kept):
         dart_map[old] = new
-    roots = sorted({ds.find(v) for v in range(g.vertex_count)})
+    roots = sorted(set(least))
     class_index = {root: i for i, root in enumerate(roots)}
     new_sigma = [0] * len(kept)
     for old in kept:
         new_sigma[dart_map[old]] = dart_map[g.sigma[old]]
-    new_targets = [class_index[ds.find(g.target[old])] for old in kept]
+    new_targets = [class_index[least[g.target[old]]] for old in kept]
     quotient = HalfEdgeGraph(len(roots), tuple(new_sigma), tuple(new_targets))
     edge_map = tuple(
         None if e in forest else quotient.dart_edge[dart_map[h1]] for e, (h1, _) in enumerate(g.edges)
     )
-    vertex_map = tuple(class_index[ds.find(v)] for v in range(g.vertex_count))
+    vertex_map = tuple(class_index[least[v]] for v in range(g.vertex_count))
     return CollapseResult(quotient, vertex_map, tuple(dart_map), edge_map)
+
+
+def oracle_rank(g) -> int:
+    """Edges less vertices plus components, by a plain search."""
+    ends = [g.edge_endpoints(e) for e in range(g.edge_count)]
+    return g.edge_count - g.vertex_count + len(set(least_companions(g.vertex_count, ends)))
+
+
+@settings(max_examples=200)
+@given(multigraphs(), st.data())
+def test_collapse_and_rank_match_the_oracles(g, data):
+    forest = data.draw(st.sampled_from(brute_force_forests(g)))
+    res = collapse_with_maps(g, forest)
+    assert res == collapse_oracle(g, forest)
+    assert rank(g) == oracle_rank(g) == rank(res.graph) == oracle_rank(res.graph)
 
 
 def test_collapse_maps_match_the_edge_construction():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinelab import catalog
+from spinelab import catalog, equivariant, symmetry
 from spinelab.graphs import HalfEdgeGraph, build_graph, collapse, enumerate_forests
 from spinelab.spine import GraphClass, _orbit, enumerate_admissible, singular_graphs
 from spinelab.symmetry import (
@@ -28,6 +28,7 @@ from spinelab.symmetry import (
 )
 from spinelab.verification import _dart_relabelling, forest_orbit_check, relabelling_check
 
+import search_oracle
 from census_oracle import _candidates
 from dart_oracle import (
     _vertex_fixing_maps,
@@ -462,3 +463,70 @@ def test_pruned_search_matches_oracle(g, data):
     moved = apply_to_graph(g, _relabeling(data, g))
     assert canonical_form(g).rows == oracle_min_matrix_data(g)
     assert canonical_form(moved).rows == oracle_min_matrix_data(moved) == canonical_form(g).rows
+
+
+def _recorded_searches(monkeypatch, module, run) -> list:
+    """The (matrix, keys) argument of each search that ``run`` makes
+    through ``module``'s name for the search."""
+    searches = []
+    inner = module._min_matrix_data
+    monkeypatch.setattr(module, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+    run()
+    monkeypatch.undo()
+    return searches
+
+
+def _agrees_with_search_oracle(matrix, keys) -> bool:
+    """The search and the search without forced steps and row readers give
+    the same rows, labelling and generators."""
+    return symmetry._min_matrix_data(matrix, keys) == search_oracle.min_matrix_data(matrix, keys)
+
+
+def test_search_matches_oracle_on_every_rank4_relabelling(monkeypatch):
+    graphs = enumerate_admissible(4)
+    searches = _recorded_searches(
+        monkeypatch, symmetry, lambda: [relabelling_check(g) for g in graphs]
+    )
+    assert len({matrix for matrix, _ in searches}) == 1180
+    assert all(_agrees_with_search_oracle(*search) for search in searches)
+
+
+def test_search_matches_oracle_on_equivariant_keys(monkeypatch):
+    """The key matrices mark the action's moves with unequal entries
+    (u, v) and (v, u), so they are not symmetric."""
+    searches = _recorded_searches(
+        monkeypatch,
+        equivariant,
+        lambda: [equivariant.enumerate_zp_graphs(p, 4, 9) for p in (3, 5)],
+    )
+    assert any(
+        matrix[u][v] != matrix[v][u]
+        for matrix, _ in searches
+        for u in range(len(matrix))
+        for v in range(u)
+    )
+    assert len(searches) == 57
+    assert all(_agrees_with_search_oracle(*search) for search in searches)
+
+
+@st.composite
+def coloured_matrices(draw):
+    """Square matrices on up to 7 vertices with keys of two colours, so
+    that cells repeat; a circulant has a vertex-transitive group, and a
+    symmetric draw is a multiplicity matrix."""
+    n = draw(st.integers(0, 7))
+    entry = st.sampled_from([0, 0, 0, 1, 2])
+    if n and draw(st.booleans()):
+        steps = draw(st.lists(entry, min_size=n, max_size=n))
+        matrix = [[steps[(v - u) % n] for v in range(n)] for u in range(n)]
+    else:
+        matrix = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        matrix = [[matrix[min(u, v)][max(u, v)] for v in range(n)] for u in range(n)]
+    return matrix, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=300)
+@given(coloured_matrices())
+def test_search_matches_oracle_on_drawn_matrices(drawn):
+    assert _agrees_with_search_oracle(*drawn)
