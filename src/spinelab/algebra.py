@@ -36,11 +36,15 @@ degree asked for, the ones the next degree can reach; a degree asked for
 out of order first builds the degrees it misses below it, in ascending
 order.  The sparse rows of a degree are keyed by the position of each
 image code in the target's basis; that table packs the whole basis, so a
-degree whose exponents overflow their slots is refused.  ``Element``,
-``apply`` and ``apply_monomial`` keep exponent tuples, read through the
-same positions.  Basis and parent tables depend only on the generators'
-(degree, kind) signature and are shared by every algebra with that
-signature.
+degree whose exponents overflow their slots is refused.  ``Element`` and
+``apply`` keep exponent tuples, read through the same positions; a map
+that moves monomials between algebras, like the inclusion of a factor in
+a tensor product, is itself an ``AlgebraMorphism`` and is applied, so no
+caller rewrites exponent tuples.  Basis and parent tables depend only on
+the generators' (degree, kind) signature and are shared by every algebra
+with that signature.  Monomials are listed from one explicit stack and
+expressions parsed by module-level readers, so building tables and
+parsing leave no reference cycles for the collector.
 """
 
 from __future__ import annotations
@@ -250,26 +254,27 @@ def _monomials(signature: tuple, d: int) -> tuple:
     """Exponent tuples of degree d over generators with the given
     ``(degree, kind)`` signature, in lexicographic order.
 
-    The last exponent is closed by one divmod.  The cache is bounded so a
-    long-lived process does not keep every table it ever built.
+    One stack of (prefix, degree left) entries, each prefix's extensions
+    pushed with the largest exponent at the bottom so that they are read
+    in order; the last exponent is closed by one divmod.  The cache is
+    bounded so a long-lived process does not keep every table it ever
+    built.
     """
     if not signature:
         return ((),) if d == 0 else ()
     *head, (last, last_kind) = signature
     out = []
-
-    def rec(i, remaining, prefix):
-        if i == len(head):
+    stack = [((), d)]
+    while stack:
+        prefix, remaining = stack.pop()
+        if len(prefix) == len(head):
             e, r = divmod(remaining, last)
             if not r and (e <= 1 or last_kind == "poly"):
                 out.append(prefix + (e,))
-            return
-        degree, kind = head[i]
+            continue
+        degree, kind = head[len(prefix)]
         top = remaining // degree if kind == "poly" else min(remaining // degree, 1)
-        for e in range(top + 1):
-            rec(i + 1, remaining - e * degree, prefix + (e,))
-
-    rec(0, d, ())
+        stack += [(prefix + (e,), remaining - e * degree) for e in range(top, -1, -1)]
     return tuple(out)
 
 
@@ -523,19 +528,8 @@ class _Morphism:
         for m, c in elt.coeffs.items():
             for code, v in images[position[m]].items():
                 out[code] = out.get(code, 0) + c * v
-        return self._element(out, d)
-
-    def apply_monomial(self, mono) -> Element:
-        """Image of a source monomial."""
-        mono = tuple(mono)
-        d = self.source.monomial_degree(mono)
-        return self._element(self._images(d)[self.source._basis_index(d)[mono]], d)
-
-    def _element(self, codes: dict, d: int) -> Element:
-        """The target element of degree d with the given packed terms."""
-        basis = self.target.basis(d)
-        index = self.target._code_index(d)
-        return Element(self.target, {basis[index[m]]: c for m, c in codes.items()})
+        basis, index = self.target.basis(d), self.target._code_index(d)
+        return Element(self.target, {basis[index[code]]: c for code, c in out.items()})
 
     def add_rows(self, d: int, rows=None, tag=None, sign: int = 1) -> dict:
         """Add ``sign`` times the degree-d map to the sparse rows
@@ -885,59 +879,58 @@ def parse_element(alg, text: str) -> Element:
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append(None)
-    state = {"i": 0}
-
-    def peek():
-        return tokens[state["i"]]
-
-    def take():
-        tok = tokens[state["i"]]
-        state["i"] += 1
-        return tok
-
-    def atom() -> Element:
-        tok = take()
-        if tok == "(":
-            e = expr()
-            if take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return e
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok.isdigit():
-            return int(tok) * Element.one(alg)
-        if not tok.isidentifier():
-            raise ValueError(f"unexpected token {tok!r}")
-        return alg.generator_element(tok)
-
-    def factor() -> Element:
-        e = atom()
-        if peek() == "^":
-            take()
-            exp = take()
-            if exp is None or not exp.isdigit():
-                raise ValueError("exponent must be an integer")
-            e = e ** int(exp)
-        return e
-
-    def term() -> Element:
-        e = factor()
-        while peek() == "*":
-            take()
-            e = e * factor()
-        return e
-
-    def expr() -> Element:
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        e = sign * term()
-        while peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-            e = e + sign * term()
-        return e
-
-    out = expr()
-    if peek() is not None:
-        raise ValueError(f"trailing tokens near {peek()!r}")
+    tokens.reverse()
+    out = _expr(alg, tokens)
+    if tokens[-1] is not None:
+        raise ValueError(f"trailing tokens near {tokens[-1]!r}")
     return out
+
+
+# each reader below takes its tokens off the end of ``tokens``: the unread
+# tokens in reverse order, above a None that marks the end of the text
+
+
+def _expr(alg, tokens: list) -> Element:
+    sign = 1
+    if tokens[-1] in ("+", "-"):
+        sign = -1 if tokens.pop() == "-" else 1
+    e = sign * _term(alg, tokens)
+    while tokens[-1] in ("+", "-"):
+        sign = -1 if tokens.pop() == "-" else 1
+        e = e + sign * _term(alg, tokens)
+    return e
+
+
+def _term(alg, tokens: list) -> Element:
+    e = _factor(alg, tokens)
+    while tokens[-1] == "*":
+        tokens.pop()
+        e = e * _factor(alg, tokens)
+    return e
+
+
+def _factor(alg, tokens: list) -> Element:
+    e = _atom(alg, tokens)
+    if tokens[-1] == "^":
+        tokens.pop()
+        exp = tokens.pop()
+        if exp is None or not exp.isdigit():
+            raise ValueError("exponent must be an integer")
+        e = e ** int(exp)
+    return e
+
+
+def _atom(alg, tokens: list) -> Element:
+    tok = tokens.pop()
+    if tok == "(":
+        e = _expr(alg, tokens)
+        if tokens.pop() != ")":
+            raise ValueError("unbalanced parenthesis")
+        return e
+    if tok is None:
+        raise ValueError("unexpected end of expression")
+    if tok.isdigit():
+        return int(tok) * Element.one(alg)
+    if not tok.isidentifier():
+        raise ValueError(f"unexpected token {tok!r}")
+    return alg.generator_element(tok)

@@ -28,7 +28,6 @@ from typing import Optional
 from spinelab import catalog, linalg
 from spinelab.algebra import (
     AlgebraMorphism,
-    Element,
     GradedAlgebra,
     cohomology_of_metacyclic,
     compose_morphisms,
@@ -65,9 +64,6 @@ class CoefficientRule:
     bound: int
     cell_dims: dict
     special_faces: dict  # (cell index, omission position) -> AlgebraMorphism
-
-    def dims_of(self, cell_index: int):
-        return self.cell_dims[cell_index]
 
     def face_morphism(self, cell_index: int, position: int):
         return self.special_faces.get((cell_index, position))
@@ -161,7 +157,7 @@ def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
     cells_by_dim: dict = {}
     for ci in sorted(chosen):
         cells_by_dim.setdefault(cx.cells[ci].dim, []).append(ci)
-    dims = {ci: rule.dims_of(ci) for ci in chosen}
+    dims = {ci: rule.cell_dims[ci] for ci in chosen}
 
     p, bound = cx.p, rule.bound
     differentials = {}
@@ -369,25 +365,9 @@ def _recursion_maps(p: int, aut_input: GradedAlgebra, restriction_images: dict) 
     )
     MM = tensor(p, M, M, suffixes=["_1", "_2"])
     big = tensor(p, M, aut_input, suffixes=["_1", ""])
-    f1_images = {}
-    for g in M.generators:
-        f1_images[g.name + "_1"] = MM.generator_element(g.name + "_1")
+    # the inclusion of the second copy, g -> g_2
+    second = AlgebraMorphism(M, MM, {g.name: MM.generator_element(g.name + "_2") for g in M.generators})
+    f1_images = {g.name + "_1": MM.generator_element(g.name + "_1") for g in M.generators}
     for g in aut_input.generators:
-        img = restriction.images[g.name]
-        f1_images[g.name] = Element(
-            MM,
-            {
-                _shift_monomial(MM, M, m): c
-                for m, c in img.coeffs.items()
-            },
-        )
+        f1_images[g.name] = second.apply(restriction.images[g.name])
     return M, restriction, AlgebraMorphism(big, MM, f1_images)
-
-
-def _shift_monomial(MM: GradedAlgebra, M: GradedAlgebra, mono):
-    """Recast a monomial of M as a monomial of MM in the second copy."""
-    k = len(M.generators)
-    out = [0] * len(MM.generators)
-    for i, e in enumerate(mono):
-        out[k + i] = e
-    return tuple(out)

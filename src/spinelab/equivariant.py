@@ -9,6 +9,11 @@ is the closure of the reduced classes under equivariant blow-ups.  The
 reduced classes are built directly from quotient data with no invariant
 forest: fixed loops and bundles whose bundles connect the fixed vertices,
 or the loops and chords, at least one chord, of one free orbit.
+
+Every builder here (quotient data, blow-ups, collapses, moves) makes a
+valid pair by construction, so the constructor checks nothing;
+``ZpGraph.from_json`` is the one checked entry, for pairs read from
+outside.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from spinelab.graphs import (
 from spinelab.linalg import check_odd_prime
 from spinelab.symmetry import (
     GraphAutomorphism,
+    _cycles,
     _min_matrix_data,
+    _orbit,
     canonical_form,
     edge_permutation,
     is_automorphism,
@@ -47,28 +54,24 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ZpGraph:
-    """A graph with a chosen symmetry of order exactly p.
+    """A graph with a chosen symmetry of order exactly p, or the identity.
 
-    A trivial action is allowed only when flagged, for degenerate corners
-    of collapse pipelines; everything produced by the census has order
-    exactly p.
+    The constructor trusts its caller: p an odd prime and the action an
+    automorphism of order p or 1.  ``from_json`` is the checked entry for
+    anything read from outside.  An identity action arises only in
+    degenerate corners of collapse pipelines; everything produced by the
+    census has order exactly p.
     """
 
     graph: HalfEdgeGraph
     action: GraphAutomorphism
     p: int
-    trivial: bool = False
 
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if not is_automorphism(self.graph, self.action):
-            raise ValueError("action is not an automorphism of the graph")
-        order = perm_order(self.action)
-        if self.trivial:
-            if order != 1:
-                raise ValueError("trivial flag set but the action is nontrivial")
-        elif order != self.p:
-            raise ValueError(f"action has order {order}, expected {self.p}")
+    @cached_property
+    def trivial(self) -> bool:
+        """Whether the action is the identity: it fixes every dart."""
+        hperm = self.action.hperm
+        return hperm == tuple(range(len(hperm)))
 
     def group(self) -> list:
         """The cyclic group generated by the action, identity first."""
@@ -77,19 +80,7 @@ class ZpGraph:
     def edge_orbits(self) -> list:
         """Orbits of geometric edges, each sorted, in sorted order."""
         ep = edge_permutation(self.graph, self.action)
-        seen = set()
-        orbits = []
-        for e in range(self.graph.edge_count):
-            if e in seen:
-                continue
-            orbit = []
-            x = e
-            while x not in seen:
-                seen.add(x)
-                orbit.append(x)
-                x = ep[x]
-            orbits.append(tuple(sorted(orbit)))
-        return sorted(orbits)
+        return sorted(tuple(sorted(o)) for o in _cycles(ep, range(len(ep))))
 
     @cached_property
     def key(self) -> tuple:
@@ -113,10 +104,18 @@ class ZpGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "ZpGraph":
+        """The pair of a JSON document, checked: a checked graph, p an odd
+        prime, and an automorphism of order p or 1; ValueError if not."""
         graph = HalfEdgeGraph.from_json(data)
         action = GraphAutomorphism(json_ints(data, "action_vperm"), json_ints(data, "action_hperm"))
-        trivial = perm_order(action) == 1
-        return cls(graph, action, json_int(data, "p"), trivial=trivial)
+        p = json_int(data, "p")
+        check_odd_prime(p)
+        if not is_automorphism(graph, action):
+            raise ValueError("action is not an automorphism of the graph")
+        order = perm_order(action)
+        if order not in (1, p):
+            raise ValueError(f"action has order {order}, expected {p}")
+        return cls(graph, action, p)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def is_reduced(zg: ZpGraph) -> bool:
     Any invariant forest contains a whole edge orbit and subsets of
     forests are forests, so it is enough that no single orbit is acyclic.
     """
-    return not any(is_forest(zg.graph, o) for o in zg.edge_orbits())
+    return _reduced_for_group(zg.graph, zg.group())
 
 
 def equivariant_collapse(zg: ZpGraph, forest: Iterable) -> ZpGraph:
@@ -212,9 +211,7 @@ def equivariant_collapse(zg: ZpGraph, forest: Iterable) -> ZpGraph:
     for h in range(zg.graph.half_edge_count):
         if res.dart_map[h] is not None:
             hperm[res.dart_map[h]] = res.dart_map[zg.action.hperm[h]]
-    action = GraphAutomorphism(tuple(vperm), tuple(hperm))
-    order = perm_order(action)
-    return ZpGraph(res.graph, action, zg.p, trivial=(order == 1))
+    return ZpGraph(res.graph, GraphAutomorphism(tuple(vperm), tuple(hperm)), zg.p)
 
 
 def reduce_zp(zg: ZpGraph) -> ZpGraph:
@@ -485,7 +482,7 @@ def nielsen_moves(zg: ZpGraph) -> list:
     """Moves of the cyclic group generated by the action."""
     out = []
     for e1, e2, moved in nielsen_moves_for_group(zg.graph, zg.group()):
-        result = ZpGraph(moved, zg.action, zg.p, trivial=zg.trivial)
+        result = ZpGraph(moved, zg.action, zg.p)
         out.append(NielsenMove(e1, e2, result))
     return out
 
@@ -513,7 +510,7 @@ def nielsen_closure(zg: ZpGraph, step_cap: int = 10_000) -> list:
                 continue
             seen.add(target)
             moved = HalfEdgeGraph(graph.vertex_count, graph.sigma, target)
-            candidate = reduce_zp(ZpGraph(moved, current.action, current.p, trivial=current.trivial))
+            candidate = reduce_zp(ZpGraph(moved, current.action, current.p))
             if candidate.key not in classes:
                 classes[candidate.key] = candidate
                 queue.append(candidate)
@@ -565,12 +562,12 @@ def _blow_up_candidates(zg: ZpGraph, edge_budget: int) -> list:
     pairs = []
     if e + 1 <= edge_budget:
         for v in fixed:
-            orbits = _dart_orbits(a, darts_at[v])
+            orbits = _cycles(a.hperm, darts_at[v])
             for block in _two_block_splits(orbits, len(darts_at[v])):
                 pairs.append(_grow(zg, [v], {h: 0 for o in block for h in o}))
     if e + p <= edge_budget:
         for v in fixed:
-            free = [o for o in _dart_orbits(a, darts_at[v]) if len(o) == p]
+            free = [o for o in _cycles(a.hperm, darts_at[v]) if len(o) == p]
             for moved in _star_assignments(free, p):
                 pairs.append(_grow(zg, [v] * p, moved))
         for w in range(g.vertex_count):
@@ -581,28 +578,6 @@ def _blow_up_candidates(zg: ZpGraph, edge_budget: int) -> list:
                 moved = {x: i for (h,) in block for i, x in enumerate(_orbit(a.hperm, h))}
                 pairs.append(_grow(zg, anchors, moved))
     return [pair for pair in pairs if is_admissible(pair[0].graph)]
-
-
-def _orbit(perm, x) -> list:
-    """x, perm(x), perm^2(x), ... up to the return to x."""
-    out = [x]
-    y = perm[x]
-    while y != x:
-        out.append(y)
-        y = perm[y]
-    return out
-
-
-def _dart_orbits(a: GraphAutomorphism, darts: list) -> list:
-    """Orbits of the action meeting the darts, each listed from its least dart."""
-    seen = set()
-    out = []
-    for h in darts:
-        if h not in seen:
-            orbit = _orbit(a.hperm, h)
-            seen.update(orbit)
-            out.append(orbit)
-    return out
 
 
 def _two_block_splits(orbits: list, total: int) -> Iterator[list]:

@@ -7,6 +7,11 @@ points at.  Geometric edges are the involution orbits, so loops and
 parallel edges are fully supported and symmetries are free to reverse
 edges.  All values are immutable; every operation is a pure function.
 
+A graph is checked once, where it comes in: the constructor trusts its
+caller, since every builder here makes a valid graph by construction,
+and ``HalfEdgeGraph.from_json`` is the checked entry for a graph read
+from outside (corpus and ``--input`` files).
+
 Connectivity is one flat union-find, a parent list read by ``_root``
 with path halving; ``_union`` links the larger root under the smaller,
 so each class's root is its least vertex.
@@ -53,28 +58,13 @@ class HalfEdgeGraph:
     ``target`` a total map from darts to vertices.  The dart pair
     ``{h, sigma[h]}`` is a geometric edge joining ``target[h]`` and
     ``target[sigma[h]]``; both darts of a loop point at the same vertex.
+    The constructor trusts its caller to pass such data; ``from_json`` is
+    the checked entry for anything read from outside.
     """
 
     vertex_count: int
     sigma: tuple
     target: tuple
-
-    def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex count must be >= 0")
-        m = len(self.sigma)
-        if len(self.target) != m:
-            raise ValueError("sigma and target must have equal length")
-        if m % 2 != 0:
-            raise ValueError("dart count must be even")
-        for h, s in enumerate(self.sigma):
-            if not 0 <= s < m or self.sigma[s] != h:
-                raise ValueError("sigma is not an involution")
-            if s == h:
-                raise ValueError("sigma must be fixed-point free")
-        for v in self.target:
-            if not 0 <= v < self.vertex_count:
-                raise ValueError("target vertex out of range")
 
     @property
     def half_edge_count(self) -> int:
@@ -112,9 +102,6 @@ class HalfEdgeGraph:
         """Valence of each vertex: the number of darts pointing at it."""
         return tuple(self.target.count(v) for v in range(self.vertex_count))
 
-    def valence(self, v: int) -> int:
-        return self.valences[v]
-
     @cached_property
     def multiplicity(self) -> tuple:
         """Symmetric vertex-by-vertex edge multiplicity; diagonal counts loops."""
@@ -145,10 +132,29 @@ class HalfEdgeGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "HalfEdgeGraph":
-        g = cls(json_int(data, "vertices"), json_ints(data, "sigma"), json_ints(data, "target"))
-        if g.half_edge_count != json_int(data, "half_edges"):
+        """The graph of a JSON document, checked: a vertex count, darts
+        paired by a fixed-point-free involution and pointing at vertices,
+        and a ``half_edges`` field that counts them; ValueError if not."""
+        vertex_count = json_int(data, "vertices")
+        sigma, target = json_ints(data, "sigma"), json_ints(data, "target")
+        if vertex_count < 0:
+            raise ValueError("vertex count must be >= 0")
+        m = len(sigma)
+        if len(target) != m:
+            raise ValueError("sigma and target must have equal length")
+        if m % 2 != 0:
+            raise ValueError("dart count must be even")
+        for h, s in enumerate(sigma):
+            if not 0 <= s < m or sigma[s] != h:
+                raise ValueError("sigma is not an involution")
+            if s == h:
+                raise ValueError("sigma must be fixed-point free")
+        for v in target:
+            if not 0 <= v < vertex_count:
+                raise ValueError("target vertex out of range")
+        if m != json_int(data, "half_edges"):
             raise ValueError("half_edges field inconsistent with sigma length")
-        return g
+        return cls(vertex_count, sigma, target)
 
 
 def json_int(data: dict, key: str) -> int:

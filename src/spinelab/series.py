@@ -112,10 +112,6 @@ class PowerSeriesRat:
             coeffs.append(acc // lead)
         return tuple(coeffs)
 
-    def expand(self, bound: int) -> GradedDims:
-        """Truncated expansion as a dimension sequence."""
-        return GradedDims(bound, self.coefficients(bound))
-
 
 def series_equal(a: PowerSeriesRat, b: PowerSeriesRat, bound: int) -> bool:
     """Coefficient-wise equality of the truncated expansions."""

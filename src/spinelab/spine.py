@@ -587,6 +587,8 @@ def corpus_tables(data: dict) -> dict:
         parent = list(range(len(cells)))
         for index, cell in enumerate(cells):
             for f in cell["faces"]:
+                if not 0 <= f < len(cells):
+                    raise ValueError(f"face index {f} out of range")
                 _union(parent, index, f)
             if cell["dim"] in rows:
                 top, row = cell["top_name"], []

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, lcm
 from operator import itemgetter
 
 from spinelab.graphs import HalfEdgeGraph, build_graph
@@ -93,25 +93,31 @@ def power(a: GraphAutomorphism, k: int) -> GraphAutomorphism:
 
 
 def perm_order(a: GraphAutomorphism) -> int:
-    n = len(a.hperm)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = a.hperm[x]
-            length += 1
-        order = order * length // _gcd(order, length)
-    return order
+    """The order of a's dart permutation, the lcm of its cycle lengths."""
+    return lcm(*map(len, _cycles(a.hperm, range(len(a.hperm)))))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _orbit(perm, x) -> list:
+    """x, perm(x), perm^2(x), ... up to the return to x."""
+    out = [x]
+    y = perm[x]
+    while y != x:
+        out.append(y)
+        y = perm[y]
+    return out
+
+
+def _cycles(perm, starts) -> list:
+    """The cycles of ``perm`` meeting ``starts``, each read by ``_orbit``
+    from its first element met, in the order met."""
+    seen: set = set()
+    out = []
+    for x in starts:
+        if x not in seen:
+            cycle = _orbit(perm, x)
+            seen.update(cycle)
+            out.append(cycle)
+    return out
 
 
 def is_automorphism(g: HalfEdgeGraph, a: GraphAutomorphism) -> bool:
@@ -337,6 +343,9 @@ def _min_matrix_data(matrix: list, keys: list):
         return depth
 
     search([], cell_sequence)
+    # the closure holds itself through its cell; emptying the cell frees it
+    # now rather than at the next collection
+    del search
     return tuple(best), tuple(best_order), tuple(tuple(image) for image, _ in autos)
 
 

@@ -140,6 +140,33 @@ def test_each_p3_suite_builds_one_alpha_beta_equalizer(monkeypatch):
     assert sources.count(source) == 1
 
 
+def test_run_all_leaves_no_spinelab_function_for_the_collector():
+    """No closure of the program sits in a reference cycle: with the
+    monomial tables cleared, one ``run_all`` leaves no function of
+    ``spinelab`` among the objects the collector finds unreachable."""
+    import gc
+    import inspect
+
+    from spinelab.algebra import _monomials
+
+    _monomials.cache_clear()
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert all(result.passed for result in run_all(RunConfig()))
+        gc.collect()
+        leaked = sorted(
+            f"{obj.__module__}.{obj.__qualname__}"
+            for obj in gc.garbage
+            if inspect.isfunction(obj) and obj.__module__.startswith("spinelab")
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
+
+
 def test_metacyclic_fails_on_the_algebra_of_another_prime(monkeypatch):
     real = verification.cohomology_of_metacyclic
     monkeypatch.setattr(verification, "cohomology_of_metacyclic", lambda p, m: real(5, 4))

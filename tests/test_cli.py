@@ -57,7 +57,7 @@ def test_verify_tables_detects_component_mismatch(runner, corpus_path, tmp_path)
     assert "components mismatch" in result.output
 
 
-@pytest.mark.parametrize("face", [10**6, "x"])
+@pytest.mark.parametrize("face", [10**6, "x", -1])
 def test_verify_tables_bad_face_index_is_config_error(runner, corpus_path, tmp_path, face):
     data = json.loads(corpus_path.read_text())
     data["cells"][-1]["faces"] = [face]

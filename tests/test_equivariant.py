@@ -91,11 +91,11 @@ def test_action_order_is_validated():
     g, a = catalog.rose_rotation(3, 4)
     assert perm_order(a) == 3
     with pytest.raises(ValueError):
-        ZpGraph(g, a, 5)
+        ZpGraph.from_json(ZpGraph(g, a, 5).to_json())
     g, a = catalog.rose_rotation(4, 4)
     assert perm_order(a) == 4
     with pytest.raises(ValueError, match="odd prime"):
-        ZpGraph(g, a, 4)
+        ZpGraph.from_json(ZpGraph(g, a, 4).to_json())
 
 
 def test_is_reduced_examples():
@@ -482,7 +482,8 @@ def test_equivariant_collapse_commutes_with_relabeling(collapse_sources, data):
 
 def test_expansion_trivial_action():
     g = catalog.rose(3)
-    zg = ZpGraph(g, GraphAutomorphism((0,), tuple(range(6))), 3, trivial=True)
+    zg = ZpGraph(g, GraphAutomorphism((0,), tuple(range(6))), 3)
+    assert zg.trivial
     assert equivariant_expansions(zg, 6) == []
 
 

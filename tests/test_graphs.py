@@ -108,7 +108,7 @@ def oracle_two_edge_connected(g):
 
 def oracle_admissible(g):
     return oracle_two_edge_connected(g) and all(
-        g.valence(v) >= 3 for v in range(g.vertex_count)
+        g.valences[v] >= 3 for v in range(g.vertex_count)
     )
 
 
@@ -139,7 +139,7 @@ def test_valences_count_darts(g):
 
 def test_negative_vertex_count_is_rejected():
     with pytest.raises(ValueError, match="vertex count must be >= 0"):
-        HalfEdgeGraph(-1, (), ())
+        HalfEdgeGraph.from_json({"vertices": -1, "half_edges": 0, "sigma": [], "target": []})
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ def test_sigma3_series():
 
 def test_expand_requires_unit_constant_term():
     with pytest.raises(ValueError):
-        PowerSeriesRat.make([1], [2, 1]).expand(4)
+        PowerSeriesRat.make([1], [2, 1]).coefficients(4)
     with pytest.raises(ZeroDivisionError):
         PowerSeriesRat.make([1], [0])
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from spinelab.equivariant import ZpGraph, dedup_equivariant
 from spinelab.graphs import build_graph, is_admissible, rank
-from spinelab.symmetry import GraphAutomorphism, perm_order
+from spinelab.symmetry import GraphAutomorphism
 
 # unit kinds: ("fixed_edge", u, v) one fixed edge: ("bundle", u, v) an orbit
 # of p parallel edges between fixed vertices; ("star", u, j) an orbit of p
@@ -137,9 +137,7 @@ def realize_quotient_data(p: int, f: int, m: int, units: Iterable) -> ZpGraph:
         # darts 2e (first endpoint) and 2e+1 (second endpoint) line up with
         # the image edge's endpoints by construction
         hperm[h1], hperm[h2] = k1, k2
-    action = GraphAutomorphism(tuple(vperm), tuple(hperm))
-    trivial = perm_order(action) == 1
-    return ZpGraph(g, action, p, trivial=trivial)
+    return ZpGraph(g, GraphAutomorphism(tuple(vperm), tuple(hperm)), p)
 
 
 def _reduced_slots(p: int, f: int, m: int) -> list:
