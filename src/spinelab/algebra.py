@@ -56,7 +56,7 @@ from operator import add
 from typing import Iterable, Optional
 
 from spinelab import linalg
-from spinelab.series import GradedDims, PowerSeriesRat, geometric, one_plus
+from spinelab.series import GradedDims
 
 # width of a polynomial generator's exponent slot in a packed code (an
 # exterior generator's slot is one bit): exponents up to 4,095, and the
@@ -208,12 +208,6 @@ class GradedAlgebra:
             if e
         ]
         return "*".join(parts) if parts else "1"
-
-    def poincare_series(self) -> PowerSeriesRat:
-        series = PowerSeriesRat.make([1])
-        for g in self.generators:
-            series = series * (geometric(g.degree) if g.kind == "poly" else one_plus(g.degree))
-        return series
 
     def generator_element(self, name: str) -> "Element":
         if name not in self._index:

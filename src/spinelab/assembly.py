@@ -16,7 +16,11 @@ the page of the segment, two vertices and the edge, which is the
 amalgam's Mayer-Vietoris sequence: H^0 = ker [alpha, -beta], given that
 H^1 = coker [alpha, -beta] vanishes, which the page checks.
 
-The page's differentials are lists of sparse rows ``{column: value}``
+A differential whose faces are all identities is the cellular
+coboundary tensored with the identity of each degree, so the page keeps
+it once, as the cells' ``signed_faces`` rows, and ranks it once per dims
+class rather than once per degree.  Only a differential with a special
+face is written out degree by degree, as sparse rows ``{column: value}``
 holding the morphisms' ``add_rows`` entries at block offsets.
 """
 
@@ -38,9 +42,9 @@ from spinelab.algebra import (
     swap_action,
     tensor,
 )
-from spinelab.fixtures import load_algebras, load_coefficient_rule, load_morphism
+from spinelab.fixtures import load_algebras, load_coefficient_rule, load_morphisms
 from spinelab.series import GradedDims
-from spinelab.spine import QuotientComplex, _components, reduced_homology
+from spinelab.spine import QuotientComplex, _components, reduced_homology, signed_faces
 from spinelab.symmetry import sylow_p_order
 
 
@@ -100,9 +104,8 @@ def sylow_rule(cx: QuotientComplex, bound: int) -> CoefficientRule:
 
     edge_cfg = cfg["critical_edge"]
     vertex_algebra = {name: algebras[key] for name, key in edge_cfg["vertex_algebras"].items()}
-    face_morphism = {
-        name: load_morphism(key, algebras) for name, key in edge_cfg["face_morphisms"].items()
-    }
+    keys = edge_cfg["face_morphisms"]  # vertex name -> morphism fixture
+    face_morphism = dict(zip(keys, load_morphisms(list(keys.values()), algebras)))
     edge_dims = dimensions(algebras[edge_cfg["edge_algebra"]], bound).dims
     endpoints = set(edge_cfg["endpoints"])
     special = {}
@@ -126,27 +129,36 @@ def constant_rule(cx: QuotientComplex, bound: int, model: GradedAlgebra) -> Coef
 
 @dataclass
 class E1Page:
-    """Cochain complex of graded vector spaces over the cell structure."""
+    """Cochain complex of graded vector spaces over the cell structure.
+
+    The differential out of column s is kept in one of two forms.  If
+    every face of every (s+1)-cell is an identity face, ``incidences[s]``
+    holds each (s+1)-cell's ``signed_faces`` row, the same in every
+    degree.  Otherwise ``differentials[(s, q)]`` holds, for each degree
+    q, the sparse rows of C^s(q) -> C^{s+1}(q): one per basis vector of
+    the (s+1)-cochains, over the s-cells' blocks of columns in cell
+    order, with entries reduced mod p and zeros dropped.
+    """
 
     p: int
     bound: int
     cells_by_dim: dict  # s -> ordered cell indices
     dims: dict  # cell index -> dims vector
-    differentials: dict  # (s, q) -> sparse rows of C^s(q) -> C^{s+1}(q)
+    incidences: dict  # s -> {(s+1)-cell: {s-cell: sign}}, identity faces only
+    differentials: dict  # (s, q) -> sparse rows, where column s has a special face
 
 
 def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
     """Assemble the page of a face-closed list of cell indices.
 
     The coboundary into a cell of dimension s+1 is the alternating sum of
-    its face maps; identity faces require equal dims on both sides.  Each
-    cell's dims, and each (s+1)-cell's faces, signs and face morphisms,
-    are read from the rule once; the differentials of every degree q then
-    come from these, an identity face writing its diagonal directly and a
-    face morphism its ``add_rows``, degree by degree in ascending order.
-    Each differential is a list of sparse rows ``{column: value}``, one
-    per basis vector of the (s+1)-cochains, with entries reduced mod p
-    and zeros dropped.
+    its face maps; identity faces require equal dims on both sides in
+    every degree.  Each cell's dims, and each (s+1)-cell's faces, signs
+    and face morphisms, are read from the rule once.  A differential
+    with identity faces only is stored as its cells' ``signed_faces``
+    rows; one with a special face is written out in every degree q, an
+    identity face writing its diagonal directly and a face morphism its
+    ``add_rows``, degree by degree in ascending order.
     """
     chosen = set(cells)
     for ci in chosen:
@@ -160,7 +172,7 @@ def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
     dims = {ci: rule.cell_dims[ci] for ci in chosen}
 
     p, bound = cx.p, rule.bound
-    differentials = {}
+    incidences, differentials = {}, {}
     for s in sorted(cells_by_dim):
         if s + 1 not in cells_by_dim:
             continue
@@ -169,52 +181,135 @@ def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
             (ci, [((-1) ** k, f, rule.face_morphism(ci, k)) for k, f in enumerate(cx.cells[ci].faces)])
             for ci in cells_by_dim[s + 1]
         ]
+        _check_identity_dims(cofaces, dims, bound)
+        if all(morphism is None for _, faces in cofaces for _, _, morphism in faces):
+            incidences[s] = {ci: signed_faces(cx.cells[ci]) for ci in cells_by_dim[s + 1]}
+            continue
         for q in range(bound + 1):
-            first_column, acc = {}, 0
-            for face in cells_by_dim[s]:
-                first_column[face] = acc
-                acc += dims[face][q]
-            rows = []
-            for ci, faces in cofaces:
-                block = [{} for _ in range(dims[ci][q])]
-                for sign, face, morphism in faces:
-                    offset = first_column[face]
-                    if morphism is None:
-                        if dims[face][q] != len(block):
-                            raise CoefficientRuleError(
-                                f"identity face of cell {ci} has mismatched dims "
-                                f"({dims[face][q]} vs {len(block)}) in degree {q}"
-                            )
-                        for k, row in enumerate(block, offset):
-                            row[k] = row.get(k, 0) + sign
-                        continue
-                    for (_, i), entries in morphism.add_rows(q).items():
-                        row = block[i]
-                        for c, v in entries.items():
-                            row[offset + c] = row.get(offset + c, 0) + sign * v
-                rows += block
-            differentials[(s, q)] = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    return E1Page(p, bound, cells_by_dim, dims, differentials)
+            differentials[(s, q)] = _degree_rows(cofaces, cells_by_dim[s], dims, q, p)
+    return E1Page(p, bound, cells_by_dim, dims, incidences, differentials)
+
+
+def _check_identity_dims(cofaces, dims, bound) -> None:
+    """Raise at the first degree, then (s+1)-cell and face in page order,
+    where an identity face joins cells of different dims."""
+    unequal = [
+        (ci, face)
+        for ci, faces in cofaces
+        for _, face, morphism in faces
+        if morphism is None and dims[face] != dims[ci]
+    ]
+    if not unequal:
+        return
+    for q in range(bound + 1):
+        for ci, face in unequal:
+            if dims[face][q] != dims[ci][q]:
+                raise CoefficientRuleError(
+                    f"identity face of cell {ci} has mismatched dims "
+                    f"({dims[face][q]} vs {dims[ci][q]}) in degree {q}"
+                )
+
+
+def _degree_rows(cofaces, face_cells, dims, q, p) -> list:
+    """The differential in degree q as sparse rows over the face cells'
+    blocks of columns: a block of rows per (s+1)-cell, an identity face
+    adding its sign on the block's diagonal, a face morphism its signed
+    ``add_rows`` entries."""
+    first_column, acc = {}, 0
+    for face in face_cells:
+        first_column[face] = acc
+        acc += dims[face][q]
+    rows = []
+    for ci, faces in cofaces:
+        block = [{} for _ in range(dims[ci][q])]
+        for sign, face, morphism in faces:
+            offset = first_column[face]
+            if morphism is None:
+                for k, row in enumerate(block, offset):
+                    row[k] = row.get(k, 0) + sign
+                continue
+            for (_, i), entries in morphism.add_rows(q).items():
+                row = block[i]
+                for c, v in entries.items():
+                    row[offset + c] = row.get(offset + c, 0) + sign * v
+        rows += block
+    return [{c: v % p for c, v in row.items() if v % p} for row in rows]
+
+
+def _rows_in_degree(page: E1Page, s: int, q: int) -> list:
+    """The differential out of column s in degree q as sparse rows, an
+    incidence expanded into its identity blocks."""
+    if s not in page.incidences:
+        return page.differentials[(s, q)]
+    cofaces = [
+        (ci, [(sign, face, None) for face, sign in row.items()])
+        for ci, row in page.incidences[s].items()
+    ]
+    return _degree_rows(cofaces, page.cells_by_dim[s], page.dims, q, page.p)
+
+
+def _composes_to_zero(second, first, p) -> bool:
+    """Whether each row of ``second`` times the rows of ``first`` it
+    indexes vanishes mod p."""
+    for row in second:
+        composite: dict = {}
+        for k, v in row.items():
+            for c, w in first[k].items():
+                composite[c] = (composite.get(c, 0) + v * w) % p
+        if any(composite.values()):
+            return False
+    return True
 
 
 def check_d_squared(page: E1Page) -> bool:
-    """Whether each composite of two consecutive differentials vanishes,
-    composed row by row: a row of the second times the rows of the first."""
-    for (s, q), rows in page.differentials.items():
-        for row in page.differentials.get((s + 1, q), ()):
-            composite: dict = {}
-            for k, v in row.items():
-                for c, w in rows[k].items():
-                    composite[c] = (composite.get(c, 0) + v * w) % page.p
-            if any(composite.values()):
+    """Whether each composite of two consecutive differentials vanishes.
+
+    Two incidences are composed once, cell by cell: the composite in
+    degree q is theirs tensored with the identity, so it matters on the
+    (s+2)-cells whose dims are not all zero.  A pair with a special side
+    is composed in every degree, row by row, the identity side expanded
+    into its rows in that degree.
+    """
+    for s in page.cells_by_dim:
+        if s + 2 not in page.cells_by_dim:
+            continue
+        if s in page.incidences and s + 1 in page.incidences:
+            second = [row for ci, row in page.incidences[s + 1].items() if any(page.dims[ci])]
+            if not _composes_to_zero(second, page.incidences[s], page.p):
+                return False
+            continue
+        for q in range(page.bound + 1):
+            second, first = _rows_in_degree(page, s + 1, q), _rows_in_degree(page, s, q)
+            if not _composes_to_zero(second, first, page.p):
                 return False
     return True
 
 
-def page_cohomology(page: E1Page) -> dict:
-    """dims of H^s per degree q, from the s-direction complexes; each
-    differential is ranked once."""
+def page_ranks(page: E1Page) -> dict:
+    """Rank of each differential, ``{(s, q): rank}``.
+
+    An identity face joins cells of equal dims, so an incidence splits
+    into one block per dims vector D of its (s+1)-cells, and in degree q
+    the block is that part of the coboundary tensored with the identity
+    of rank D[q].  Each block's incidence rows are ranked once and the
+    rank weighted by D[q]; a differential with a special face is ranked
+    in each degree.
+    """
     ranks = {key: linalg.rank(rows, page.p) for key, rows in page.differentials.items()}
+    for s, incidence in page.incidences.items():
+        blocks: dict = {}
+        for ci, row in incidence.items():
+            blocks.setdefault(tuple(page.dims[ci]), []).append(row)
+        weighted = [(d, linalg.rank(rows, page.p)) for d, rows in blocks.items()]
+        for q in range(page.bound + 1):
+            ranks[(s, q)] = sum(d[q] * r for d, r in weighted)
+    return ranks
+
+
+def page_cohomology(page: E1Page) -> dict:
+    """dims of H^s per degree q, from the s-direction complexes and the
+    ranks of ``page_ranks``."""
+    ranks = page_ranks(page)
     out = {}
     for q in range(page.bound + 1):
         for s in range(max(page.cells_by_dim) + 1):

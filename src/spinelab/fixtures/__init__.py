@@ -34,18 +34,20 @@ def load_algebra(name: str) -> GradedAlgebra:
     return algebras[name]
 
 
-def load_morphism(name: str, algebras: dict | None = None) -> AlgebraMorphism:
+def load_morphisms(names, algebras: dict | None = None) -> list:
+    """The named morphism fixtures, in order, from one read of the file;
+    ``algebras`` defaults to one ``load_algebras()``."""
     data = _load("morphisms.json")
-    if name not in data:
-        raise FixtureError(f"no morphism fixture named {name}")
-    cfg = data[name]
     algebras = algebras or load_algebras()
-    source = algebras[cfg["source"]]
-    target = algebras[cfg["target"]]
-    images = {
-        gen: parse_element(target, expr) for gen, expr in cfg["images"].items()
-    }
-    return AlgebraMorphism(source, target, images)
+    out = []
+    for name in names:
+        if name not in data:
+            raise FixtureError(f"no morphism fixture named {name}")
+        cfg = data[name]
+        target = algebras[cfg["target"]]
+        images = {gen: parse_element(target, expr) for gen, expr in cfg["images"].items()}
+        out.append(AlgebraMorphism(algebras[cfg["source"]], target, images))
+    return out
 
 
 def load_coefficient_rule() -> dict:

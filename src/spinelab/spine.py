@@ -462,14 +462,24 @@ def _components(cells: list) -> list:
 # homology of a set of quotient cells over F_p
 
 
+def signed_faces(cell: QuotientCell) -> dict:
+    """The cell's boundary as a sparse row ``{face cell index: sign}``:
+    the alternating sum of its faces, the face omitting vertex k with
+    sign (-1)^k, a face met twice summing its two signs."""
+    row: dict = {}
+    for omit, f in enumerate(cell.faces):
+        row[f] = row.get(f, 0) + (-1) ** omit
+    return row
+
+
 def reduced_homology(complex_: QuotientComplex, cell_ids) -> list:
     """Reduced homology dimensions of a face-closed set of cells.
 
     The cells form a CW complex whose boundary maps are the alternating
     sums of face cells, augmented by sending every vertex to 1, so the
-    reduced homology is plain linear algebra over F_p, one sparse row of
-    signed faces per cell.  Index d of the result is the dimension of
-    reduced H_d.
+    reduced homology is plain linear algebra over F_p, one row of
+    ``signed_faces`` per cell; the isotropy page of ``assembly`` ranks the
+    same rows.  Index d of the result is the dimension of reduced H_d.
     """
     by_dim: dict = {}
     for i in sorted(cell_ids):
@@ -477,12 +487,7 @@ def reduced_homology(complex_: QuotientComplex, cell_ids) -> list:
     top = max(by_dim)
     ranks = [1]  # the augmentation
     for d in range(1, top + 1):
-        rows = []
-        for i in by_dim[d]:
-            row: dict = {}
-            for omit, f in enumerate(complex_.cells[i].faces):
-                row[f] = row.get(f, 0) + (-1) ** omit
-            rows.append(row)
+        rows = [signed_faces(complex_.cells[i]) for i in by_dim[d]]
         ranks.append(linalg.rank(rows, complex_.p))
     ranks.append(0)
     return [len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]

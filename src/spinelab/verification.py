@@ -45,7 +45,7 @@ from spinelab.fixtures import (
     load_algebra,
     load_algebras,
     load_expected_tables,
-    load_morphism,
+    load_morphisms,
     load_thm_input,
 )
 from spinelab.graphs import collapse, enumerate_forests, rank
@@ -96,9 +96,7 @@ class RunConfig:
 
 
 def _alpha_beta():
-    algebras = load_algebras()
-    alpha = load_morphism("alpha", algebras)
-    beta = load_morphism("beta", algebras)
+    alpha, beta = load_morphisms(["alpha", "beta"])
     source = ProductAlgebra([alpha.source, beta.source])
     f = ProductMorphism(source, 0, alpha)
     g = ProductMorphism(source, 1, beta)
@@ -206,8 +204,8 @@ def criterion_corollary(cx, bound) -> CriterionResult:
 
 
 def criterion_wreath(bound) -> CriterionResult:
-    big = load_algebra("double_sigma3")
-    wreath = load_algebra("wreath")
+    algebras = load_algebras()
+    big, wreath = algebras["double_sigma3"], algebras["wreath"]
     swap = swap_action(big, [("c41", "c42"), ("d31", "d32")])
     inv = invariants(big, [swap], bound)
     dims_ok = inv == dimensions(wreath, bound)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
 same criteria back ``spinelab verify all``.
 """
 
+import collections
 import itertools
 
 import pytest
@@ -138,6 +139,29 @@ def test_each_p3_suite_builds_one_alpha_beta_equalizer(monkeypatch):
     )
     assert all(result.passed for result in run_all(RunConfig()))
     assert sources.count(source) == 1
+
+
+def test_each_function_reads_a_fixture_file_once(monkeypatch, rank4_complex):
+    """``sylow_rule``, ``_alpha_beta`` and ``criterion_wreath`` read each
+    fixture file they need once, so one ``run_all`` reads algebras.json
+    four times and morphisms.json twice."""
+    from spinelab import fixtures
+    from spinelab.assembly import sylow_rule
+
+    reads = collections.Counter()
+    real = fixtures._load
+    monkeypatch.setattr(fixtures, "_load", lambda name: reads.update([name]) or real(name))
+    for call in (
+        lambda: sylow_rule(rank4_complex, BOUND),
+        verification._alpha_beta,
+        lambda: criterion_wreath(BOUND),
+    ):
+        reads.clear()
+        call()
+        assert set(reads.values()) == {1}, reads
+    reads.clear()
+    assert all(result.passed for result in run_all(RunConfig()))
+    assert (reads["algebras.json"], reads["morphisms.json"]) == (4, 2)
 
 
 def test_run_all_leaves_no_spinelab_function_for_the_collector():

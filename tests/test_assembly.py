@@ -1,10 +1,13 @@
 """Page assembly, component cohomology and the recursion pipeline."""
 
+import re
 from dataclasses import replace
 
 import pytest
 
 import linalg_oracle as oracle
+import page_oracle
+from spinelab import linalg
 from spinelab.algebra import (
     AlgebraMorphism,
     Element,
@@ -24,10 +27,12 @@ from spinelab.assembly import (
     constant_rule,
     corollary_dims,
     equivariant_cohomology_from_page,
+    page_cohomology,
+    page_ranks,
     sylow_rule,
     theorem_pipeline,
 )
-from spinelab.fixtures import load_algebra, load_algebras, load_morphism, load_thm_input
+from spinelab.fixtures import load_algebra, load_morphisms, load_thm_input
 from spinelab.series import PowerSeriesRat
 from spinelab.verification import _alpha_beta
 
@@ -69,27 +74,56 @@ def test_d_squared_zero_full_complex(rank4_complex):
     assert check_d_squared(page)
 
 
+def flip_a_face_sign(page):
+    d0, d1 = page.incidences[0], page.incidences[1]
+    # negating d1[r][c] adds -2 d1[r][c] d0[c] to row r of d1 d0, which is
+    # nonzero when both are
+    p = page.p
+    r, c = next(
+        (r, c) for r, row in d1.items() for c, v in row.items() if v % p and any(w % p for w in d0[c].values())
+    )
+    d1[r][c] = -d1[r][c]
+
+
 def test_check_d_squared_catches_a_flipped_face_sign(rank4_complex):
     rule = constant_rule(rank4_complex, 0, load_algebra("sigma3"))
     page = build_e1(rank4_complex, rule, all_cells(rank4_complex))
     assert check_d_squared(page)
-    d0, d1 = page.differentials[(0, 0)], page.differentials[(1, 0)]
-    # negating d1[r][c] adds -2 d1[r][c] d0[c] to row r of d1 d0, which is
-    # nonzero when row c of d0 is
-    r, c = next((r, c) for r, row in enumerate(d1) for c in row if d0[c])
-    d1[r][c] = -d1[r][c] % page.p
+    flip_a_face_sign(page)
     assert not check_d_squared(page)
 
 
+def test_d_squared_counts_only_cells_with_coefficients(rank4_complex):
+    """A flipped sign among cells whose dims are zero in every degree
+    leaves every degree's composite zero."""
+    rule = constant_rule(rank4_complex, 0, load_algebra("sigma3"))
+    rule.cell_dims = {ci: (0,) for ci in rule.cell_dims}
+    page = build_e1(rank4_complex, rule, all_cells(rank4_complex))
+    flip_a_face_sign(page)
+    assert check_d_squared(page)
+
+
 def test_identity_face_dim_mismatch_is_an_error(rank4_complex):
-    # wreath coefficients everywhere force identity faces between spaces
-    # of different dimensions
-    with pytest.raises(CoefficientRuleError):
-        rule = constant_rule(rank4_complex, BOUND, load_algebra("wreath"))
-        bad = dict(rule.cell_dims)
-        first_edge = rank4_complex.cells_of_dim(1)[0]
-        bad[first_edge.index] = dimensions(load_algebra("sigma3"), BOUND).dims
-        rule.cell_dims.update(bad)
+    # wreath coefficients everywhere but on one edge, whose identity faces
+    # then join spaces of different dimensions, first in degree 7
+    rule = constant_rule(rank4_complex, BOUND, load_algebra("wreath"))
+    first_edge = rank4_complex.cells_of_dim(1)[0]
+    rule.cell_dims[first_edge.index] = dimensions(load_algebra("sigma3"), BOUND).dims
+    message = "identity face of cell 17 has mismatched dims (2 vs 1) in degree 7"
+    with pytest.raises(CoefficientRuleError, match=re.escape(message)):
+        page_oracle.build_e1(rank4_complex, rule, all_cells(rank4_complex))
+    with pytest.raises(CoefficientRuleError, match=re.escape(message)):
+        build_e1(rank4_complex, rule, all_cells(rank4_complex))
+
+
+def test_identity_face_dim_mismatch_beside_a_special_face(rank4_complex):
+    """The whole complex under the shipped rule: the edges at the big
+    vertices join unequal dims, in the differential that holds the
+    special faces, and the error names what the per-degree page names."""
+    rule = sylow_rule(rank4_complex, BOUND)
+    with pytest.raises(CoefficientRuleError) as want:
+        page_oracle.build_e1(rank4_complex, rule, all_cells(rank4_complex))
+    with pytest.raises(CoefficientRuleError, match=re.escape(str(want.value))):
         build_e1(rank4_complex, rule, all_cells(rank4_complex))
 
 
@@ -121,6 +155,123 @@ def test_full_page_reads_each_face_once(rank4_complex, monkeypatch, bound):
     pairs = [(c.index, k) for c in rank4_complex.cells if c.dim >= 1 for k in range(len(c.faces))]
     assert len(pairs) == 99
     assert sorted(calls) == pairs
+
+
+def sylow_page(anchor, bound):
+    """The page ``component_cohomology`` reads for the component holding
+    ``anchor``: the component, or the special edge's segment."""
+
+    def make(cx):
+        rule = sylow_rule(cx, bound)
+        if anchor != "K33":
+            return rule, component_cells(cx, anchor)
+        edge = special_edge(cx, rule)
+        return rule, [edge.index, *edge.faces]
+
+    return make
+
+
+def two_dims_classes(cx):
+    """Identity faces only, sigma3 on the rose and theta11 components and
+    the wreath dims on the K33 component."""
+    sigma3 = dimensions(load_algebra("sigma3"), 40).dims
+    wreath = dimensions(load_algebra("wreath"), 40).dims
+    k33 = cx.component_containing("K33")
+    cell_dims = {c.index: wreath if cx.component_of[c.index] == k33 else sigma3 for c in cx.cells}
+    return CoefficientRule(40, cell_dims, {}), all_cells(cx)
+
+
+def scaled_morphism(alg, factor):
+    return AlgebraMorphism(
+        alg, alg, {g.name: factor * alg.generator_element(g.name) for g in alg.generators}
+    )
+
+
+def mixed_page(factor):
+    """sigma3 everywhere, with one face of an edge that bounds a 2-cell
+    made special: the generators times ``factor``.  The differential out
+    of the vertices is then written per degree, the one out of the edges
+    stays an incidence."""
+
+    def make(cx):
+        sigma3 = load_algebra("sigma3")
+        rule = constant_rule(cx, BOUND, sigma3)
+        edge = cx.cells[cx.cells_of_dim(2)[0].faces[0]]
+        rule.special_faces[(edge.index, 0)] = scaled_morphism(sigma3, factor)
+        return rule, all_cells(cx)
+
+    return make
+
+
+PAGES = {
+    "rose-24": sylow_page("R4", 24),
+    "rose-120": sylow_page("R4", 120),
+    "theta11-24": sylow_page("Theta2^{1,1}", 24),
+    "theta11-120": sylow_page("Theta2^{1,1}", 120),
+    "k33-segment-24": sylow_page("K33", 24),
+    "k33-segment-120": sylow_page("K33", 120),
+    "constant-40": lambda cx: (constant_rule(cx, 40, load_algebra("sigma3")), all_cells(cx)),
+    "two-dims-classes-40": two_dims_classes,
+    "mixed-identity-24": mixed_page(1),
+    "mixed-doubled-24": mixed_page(2),
+}
+
+
+@pytest.mark.parametrize("name", PAGES)
+def test_page_matches_the_per_degree_oracle(rank4_complex, name):
+    """The rank in every (s, q), the cohomology and d^2 = 0 against the
+    page written out degree by degree."""
+    rule, cells = PAGES[name](rank4_complex)
+    page = build_e1(rank4_complex, rule, cells)
+    want = page_oracle.build_e1(rank4_complex, rule, cells)
+    assert page_ranks(page) == page_oracle.page_ranks(want)
+    assert page_cohomology(page) == page_oracle.page_cohomology(want)
+    assert check_d_squared(page) == page_oracle.check_d_squared(want)
+
+
+def test_page_forms_of_the_oracle_pages(rank4_complex):
+    """Each page case holds the form it is there for: identity-only pages
+    keep no per-degree rows, the two-class page has two dims classes
+    wherever the K33 component has cells, and the mixed pages write one column per degree, with
+    d^2 = 0 failing only under the doubled face."""
+    pages = {name: build_e1(rank4_complex, *make(rank4_complex)) for name, make in PAGES.items()}
+    for name in ("rose-120", "theta11-120", "constant-40", "two-dims-classes-40"):
+        assert pages[name].differentials == {}, name
+    assert set(pages["k33-segment-120"].differentials) == {(0, q) for q in range(121)}
+    two = pages["two-dims-classes-40"]
+    assert [len({two.dims[ci] for ci in two.incidences[s]}) for s in (0, 1, 2)] == [2, 2, 1]
+    for name in ("mixed-identity-24", "mixed-doubled-24"):
+        assert set(pages[name].incidences) == {1, 2}, name
+    assert check_d_squared(pages["mixed-identity-24"])
+    assert not check_d_squared(pages["mixed-doubled-24"])
+
+
+def test_rose_page_ranks_do_not_depend_on_the_bound(rank4_complex, monkeypatch):
+    """Each of the rose's three incidences has one dims class and is
+    ranked once, at any degree bound."""
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows, p: calls.append(p) or real(rows, p))
+    counts = []
+    for bound in (24, 120):
+        page = build_e1(rank4_complex, sylow_rule(rank4_complex, bound), component_cells(rank4_complex, "R4"))
+        assert sum(len(rows) for rows in page.incidences.values()) == 26
+        before = len(calls)
+        page_cohomology(page)
+        counts.append(len(calls) - before)
+    assert counts == [3, 3]
+
+
+def test_corollary_eliminations_at_bound_120(rank4_complex, monkeypatch):
+    """One corollary at bound 120 eliminates 127 times on 100 rows: the
+    segment's differential in each of 121 degrees (61 rows), the rose's
+    three incidences (26 rows) and three boundary maps of the retraction
+    check's two pieces (13 rows)."""
+    sizes = []
+    real = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda rows, p: sizes.append(len(rows)) or real(rows, p))
+    corollary_dims(rank4_complex, 120)
+    assert (len(sizes), sum(sizes)) == (127, 100)
 
 
 def test_rose_component_cohomology(rank4_complex, sigma3_dims):
@@ -226,9 +377,7 @@ def test_k33_component_refuses_a_second_special_edge(rank4_complex):
 def test_amalgam_rank_nullity_on_restriction_data(rank4_complex):
     """The K33 component with alpha surjective: dim H(d) = h1(d) + h2(d) -
     h12(d)."""
-    algebras = load_algebras()
-    alpha = load_morphism("alpha", algebras)
-    beta = load_morphism("beta", algebras)
+    alpha, beta = load_morphisms(["alpha", "beta"])
     h1 = dimensions(alpha.source, BOUND).dims
     h2 = dimensions(beta.source, BOUND).dims
     h12 = dimensions(alpha.target, BOUND).dims
