@@ -7,9 +7,11 @@ algebras are modeled as one object with component-tagged monomials, so an
 element of A x B is a formal sum spread over both components and the unit
 is the sum of the component units.
 
-Degree-wise everything is finite linear algebra over F_p.  A morphism
-writes each degree as sparse rows read off the images of the source
-monomials, and equalizers and invariants are one computation: in each
+Degree-wise everything is finite linear algebra over F_p.  The rank of
+a morphism in a degree is the rank of its images as they are, one row
+per source monomial keyed by target codes, so nothing is transposed to
+rank it.  A morphism also writes each degree as sparse rows read off
+those images, and equalizers and invariants are one computation: in each
 degree, the source's dimension less the rank of the rows of f - g over
 a list of pairs (f, g), with the pairs (g, id) over a group's generators
 for its invariants; no kernel basis is built.  The identity's rows are
@@ -35,16 +37,18 @@ lists of the degrees at most one maximal generator degree below the last
 degree asked for, the ones the next degree can reach; a degree asked for
 out of order first builds the degrees it misses below it, in ascending
 order.  The sparse rows of a degree are keyed by the position of each
-image code in the target's basis; that table packs the whole basis, so a
-degree whose exponents overflow their slots is refused.  ``Element`` and
+image code in the target's basis; that table holds the code of every
+basis monomial, so a degree whose exponents overflow their slots is
+refused, and a rank reads it for that refusal.  ``Element`` and
 ``apply`` keep exponent tuples, read through the same positions; a map
 that moves monomials between algebras, like the inclusion of a factor in
 a tensor product, is itself an ``AlgebraMorphism`` and is applied, so no
-caller rewrites exponent tuples.  Basis and parent tables depend only on
-the generators' (degree, kind) signature and are shared by every algebra
-with that signature.  Monomials are listed from one explicit stack and
-expressions parsed by module-level readers, so building tables and
-parsing leave no reference cycles for the collector.
+caller rewrites exponent tuples.  Basis, parent and code tables depend
+only on the generators' (degree, kind) signature and are shared by every
+algebra with that signature; a product algebra keeps its own code table,
+read off its components' tables.  Monomials are listed from one explicit
+stack and expressions parsed by module-level readers, so building tables
+and parsing leave no reference cycles for the collector.
 """
 
 from __future__ import annotations
@@ -99,11 +103,7 @@ class GradedAlgebra:
         self._signature = tuple((g.degree, g.kind) for g in gens)
         self._odd = tuple(i for i, g in enumerate(gens) if g.kind == "ext")
         self._positions: dict = {}
-        self._codes: dict = {}
-        widths = [1 if g.kind == "ext" else POLY_SLOT_BITS for g in gens]
-        self._shifts = tuple(sum(widths[:i]) for i in range(len(gens)))
-        self._caps = tuple((1 << w) - 1 for w in widths)
-        self._width = sum(widths)
+        self._shifts, self._caps, self._width = _slots(self._signature)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}[{g.degree}]" for g in self.generators)
@@ -171,10 +171,7 @@ class GradedAlgebra:
 
     def _code_index(self, d: int) -> dict:
         """Position of each degree-d monomial's code in ``basis(d)``."""
-        index = self._codes.get(d)
-        if index is None:
-            index = self._codes[d] = {self.pack(m): i for i, m in enumerate(self.basis(d))}
-        return index
+        return _codes(self._signature, d)
 
     def _term(self, mono) -> tuple:
         """(addend, clash, flip) of a monomial b, for the product of any
@@ -294,6 +291,33 @@ def _parents(signature: tuple, d: int) -> tuple:
     return tuple(lasts), tuple(positions)
 
 
+def _slots(signature: tuple) -> tuple:
+    """The shift and the largest exponent of each generator's slot in a
+    packed code, and the width of all the slots."""
+    widths = [1 if kind == "ext" else POLY_SLOT_BITS for _, kind in signature]
+    shifts = tuple(sum(widths[:i]) for i in range(len(widths)))
+    return shifts, tuple((1 << w) - 1 for w in widths), sum(widths)
+
+
+@lru_cache(maxsize=4096)
+def _codes(signature: tuple, d: int) -> dict:
+    """Position of each monomial's packed code in ``_monomials(signature,
+    d)``.  The codes are packed as ``pack`` packs them, from the slot
+    widths, and an exponent that does not fit its slot raises ValueError.
+    Cached like ``_monomials``, so every algebra with the signature shares
+    the table; callers read it and never change it."""
+    shifts, caps, _ = _slots(signature)
+    index = {}
+    for i, mono in enumerate(_monomials(signature, d)):
+        code = 0
+        for e, shift, cap in zip(mono, shifts, caps):
+            if e > cap:
+                raise ValueError(f"exponent {e} does not fit its slot")
+            code |= e << shift
+        index[code] = i
+    return index
+
+
 class ProductAlgebra(GradedAlgebra):
     """Finite product of graded algebras with component-tagged monomials."""
 
@@ -356,6 +380,19 @@ class ProductAlgebra(GradedAlgebra):
     def pack(self, mono) -> int:
         ci, inner = mono
         return self._flags[ci] | self.components[ci].pack(inner) << self._offsets[ci]
+
+    def _code_index(self, d: int) -> dict:
+        """Each component's table with its flag and offset, and positions
+        after the blocks of the components before it."""
+        index = self._codes.get(d)
+        if index is None:
+            index, start = {}, 0
+            for comp, flag, offset in zip(self.components, self._flags, self._offsets):
+                table = comp._code_index(d)
+                index.update((flag | code << offset, start + i) for code, i in table.items())
+                start += len(table)
+            self._codes[d] = index
+        return index
 
     def _term(self, mono) -> tuple:
         """A term of component ci adds no flag, and clashes with the flags
@@ -540,6 +577,13 @@ class _Morphism:
                 row[j] = row.get(j, 0) + sign * c
         return rows
 
+    def rank_in_degree(self, d: int) -> int:
+        """Rank of the degree-d map: the rank of its images, each a row
+        keyed by target codes.  The target's code table is still read, so
+        a degree whose exponents overflow their slots is refused."""
+        self.target._code_index(d)
+        return linalg.rank(self._images(d), self.target.p)
+
     def _matrix(self, d: int) -> list:
         """The dense view of ``add_rows``."""
         mat = [[0] * len(self.source.basis(d)) for _ in self.target.basis(d)]
@@ -634,7 +678,7 @@ class AlgebraMorphism(_Morphism):
         return self._matrix(d)
 
     def is_surjective_in_degree(self, d: int) -> bool:
-        return linalg.rank(self.add_rows(d).values(), self.source.p) == len(self.target.basis(d))
+        return self.rank_in_degree(d) == len(self.target.basis(d))
 
 
 class ProductMorphism(_Morphism):

@@ -43,6 +43,9 @@ from spinelab.spine import (
 
 CONFIG_ERROR = 2
 MISMATCH = 1
+# the first degree of the corollary table: the one after the virtual
+# cohomological dimension 2n - 3 = 5 of Out(F_4)
+COROLLARY_START = 6
 
 # What a bad input or an exhausted resource raises; each one exits 2.
 INPUT_ERRORS = (
@@ -263,13 +266,20 @@ def corollary12(bound):
     """Total assembled dims per degree, with the closed-form series."""
     from spinelab.assembly import corollary_dims
 
+    if bound < COROLLARY_START:
+        click.echo(
+            f"no rows up to degree {bound}: the table starts at degree {COROLLARY_START}, "
+            "above the virtual cohomological dimension 5 of Out(F_4)",
+            err=True,
+        )
+        return
     cx = quotient_complex(3, 4)
     out = corollary_dims(cx, bound)
     click.echo(
         report.dims_markdown(
             "Assembled equivariant cohomology",
             {k: out[k] for k in ("rose", "theta11", "k33", "total")},
-            6,
+            COROLLARY_START,
             bound,
         ),
         nl=False,

@@ -134,7 +134,9 @@ class HalfEdgeGraph:
     def from_json(cls, data: dict) -> "HalfEdgeGraph":
         """The graph of a JSON document, checked: a vertex count, darts
         paired by a fixed-point-free involution and pointing at vertices,
-        and a ``half_edges`` field that counts them; ValueError if not."""
+        every vertex the target of a dart, and a ``half_edges`` field that
+        counts them; ValueError if not.  So the vertex count is at most
+        the dart count, and no size is read off a huge count."""
         vertex_count = json_int(data, "vertices")
         sigma, target = json_ints(data, "sigma"), json_ints(data, "target")
         if vertex_count < 0:
@@ -152,6 +154,8 @@ class HalfEdgeGraph:
         for v in target:
             if not 0 <= v < vertex_count:
                 raise ValueError("target vertex out of range")
+        if len(set(target)) != vertex_count:
+            raise ValueError("every vertex must be the target of a dart")
         if m != json_int(data, "half_edges"):
             raise ValueError("half_edges field inconsistent with sigma length")
         return cls(vertex_count, sigma, target)

@@ -1,49 +1,45 @@
 """Exact linear algebra over the prime field F_p.
 
-Every rank comes from one elimination, ``echelon``.  It keeps the
-reduced row echelon form of the rows seen so far: a new row is reduced
-by the pivot rows whose columns it meets, its least column becomes its
-pivot, and that column is cleared from the earlier pivot rows.  The
-matrices here are mostly zeros, so rows are sparse dicts
-``{column: value}``; a dense row list is read as one.  The reduced form
-is unique, so pivots and ranks do not depend on the row order.
+Every rank comes from one elimination, ``echelon``.  It keeps a row
+echelon form of the rows seen so far, one pivot row per pivot column: a
+new row is reduced by the pivot row of its least column until that
+column has no pivot, then scaled to lead with 1 and kept as the pivot
+row of that column.  Earlier pivot rows are never touched, so there is
+no back-substitution.  The matrices here are mostly zeros, so rows are
+sparse dicts ``{column: value}``; a dense row list is read as one.  The
+pivot columns are the least columns of the vectors of the row space, so
+pivots and ranks do not depend on the row order.
 """
 
 from __future__ import annotations
 
 
 def echelon(rows, p) -> dict:
-    """Reduced row echelon form of the rows: ``{pivot column: row}``.
+    """A row echelon form of the rows: ``{pivot column: row}``.
 
-    Each row holds its entries off its pivot, whose own entry is 1, and
-    is zero in every other pivot column.
+    Each row holds 1 at its pivot column and nonzero entries only in
+    larger columns, reduced mod p.
     """
     pivots: dict = {}
     for row in rows:
         entries = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {c: v % p for c, v in entries if v % p}
-        for c in [c for c in row if c in pivots]:
-            _add_multiple(row, -row.pop(c), pivots[c], p)
-        if not row:
-            continue
-        c = min(row)
-        inv = pow(row.pop(c), p - 2, p)
-        row = {k: v * inv % p for k, v in row.items()}
-        for other in pivots.values():
-            if c in other:
-                _add_multiple(other, -other.pop(c), row, p)
-        pivots[c] = row
+        row = {c: x for c, v in entries if (x := v % p)}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            # the pivot leads with 1, so its own column cancels to zero
+            f = row[c]
+            for k, v in pivot.items():
+                x = (row.get(k, 0) - f * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
     return pivots
-
-
-def _add_multiple(row: dict, f: int, other: dict, p) -> None:
-    """row += f * other mod p, keeping only nonzero entries."""
-    for k, v in other.items():
-        x = (row.get(k, 0) + f * v) % p
-        if x:
-            row[k] = x
-        else:
-            del row[k]
 
 
 def rank(rows, p) -> int:

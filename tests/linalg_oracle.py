@@ -1,10 +1,13 @@
-"""Dense Gauss-Jordan elimination over F_p, kept as a test oracle.
+"""Gauss-Jordan elimination over F_p, dense and sparse, kept as test oracles.
 
-The library eliminates sparse rows in ``spinelab.linalg.echelon``.  This
-is the dense column-by-column loop it replaced, with the rank read off it
-the same way, plus what the library does not form: kernel bases, which
-the equalizer tests read, dense products and pair kernels.  Tests
-compare the two.
+The library eliminates sparse rows in ``spinelab.linalg.echelon`` to a
+row echelon form, with no back-substitution.  Here are the two reduced
+forms it replaced: the dense column-by-column loop, with the rank read
+off it the same way, and ``sparse_rref``, the sparse reduced form the
+library kept before, which is unique and so compares the spans of two
+row sets.  Also here is what the library does not form: kernel bases,
+which the equalizer tests read, dense products and pair kernels.  Tests
+compare the library with these.
 """
 
 from __future__ import annotations
@@ -33,6 +36,40 @@ def rref(matrix, p):
         if r == rows:
             break
     return mat, pivots
+
+
+def sparse_rref(rows, p) -> dict:
+    """Reduced row echelon form of sparse or dense rows: ``{pivot column:
+    row}``.  Each row holds its entries off its pivot, whose own entry is
+    1, and is zero in every other pivot column.  A new row is reduced by
+    the pivot rows whose columns it meets, its least column becomes its
+    pivot, and that column is cleared from the earlier pivot rows."""
+    pivots: dict = {}
+    for row in rows:
+        entries = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: v % p for c, v in entries if v % p}
+        for c in [c for c in row if c in pivots]:
+            _add_multiple(row, -row.pop(c), pivots[c], p)
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row.pop(c), p - 2, p)
+        row = {k: v * inv % p for k, v in row.items()}
+        for other in pivots.values():
+            if c in other:
+                _add_multiple(other, -other.pop(c), row, p)
+        pivots[c] = row
+    return pivots
+
+
+def _add_multiple(row: dict, f: int, other: dict, p) -> None:
+    """row += f * other mod p, keeping only nonzero entries."""
+    for k, v in other.items():
+        x = (row.get(k, 0) + f * v) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
 
 
 def rank(matrix, p) -> int:

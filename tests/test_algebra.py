@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import linalg_oracle as oracle
 from spinelab.algebra import (
     POLY_SLOT_BITS,
+    _codes,
     _kernel_rows,
     _parents,
     AlgebraMorphism,
@@ -540,16 +541,9 @@ def test_the_parent_table_is_read_only_in_degrees_with_monomials():
     assert _parents.cache_info().currsize == 559
 
 
-@settings(max_examples=60)
-@given(
-    p=st.sampled_from([3, 5]),
-    source_shapes=_shape_lists,
-    target_shapes=st.lists(_shape_lists, min_size=1, max_size=2),
-    data=st.data(),
-)
-def test_matrix_in_degree_matches_full_products_property(p, source_shapes, target_shapes, data):
-    """Against the full products, into one algebra or into a product of
-    two, as the free-module check's subring map goes."""
+def _draw_morphism(p, source_shapes, target_shapes, data):
+    """A morphism with random images out of one algebra into one algebra,
+    or into a product of two."""
     source = _algebra(p, source_shapes, "s")
     parts = [_algebra(p, shapes, f"t{k}_") for k, shapes in enumerate(target_shapes)]
     target = parts[0] if len(parts) == 1 else ProductAlgebra(parts)
@@ -560,9 +554,78 @@ def test_matrix_in_degree_matches_full_products_property(p, source_shapes, targe
             st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis))
         )
         images[g.name] = Element(target, dict(zip(basis, coeffs)))
-    morphism = AlgebraMorphism(source, target, images)
+    return AlgebraMorphism(source, target, images)
+
+
+_morphism_args = dict(
+    p=st.sampled_from([3, 5]),
+    source_shapes=_shape_lists,
+    target_shapes=st.lists(_shape_lists, min_size=1, max_size=2),
+    data=st.data(),
+)
+
+
+@settings(max_examples=60)
+@given(**_morphism_args)
+def test_matrix_in_degree_matches_full_products_property(p, source_shapes, target_shapes, data):
+    """Against the full products, into one algebra or into a product of
+    two, as the free-module check's subring map goes."""
+    morphism = _draw_morphism(p, source_shapes, target_shapes, data)
     for d in list(range(17)) + [16, 3, 12, 0]:
         assert morphism.matrix_in_degree(d) == oracle_matrix(morphism, d), d
+
+
+@settings(max_examples=60)
+@given(**_morphism_args)
+def test_rank_in_degree_is_the_oracle_rank_of_the_matrix(p, source_shapes, target_shapes, data):
+    """The rank of the images, ranked as they are, against the dense rank
+    of the matrix in every degree, into one algebra or into a product."""
+    morphism = _draw_morphism(p, source_shapes, target_shapes, data)
+    for d in range(17):
+        assert morphism.rank_in_degree(d) == oracle.rank(morphism._matrix(d), p), d
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "swap", "witness", "f1 p=3", "f1 p=5"])
+def test_rank_in_degree_of_the_shipped_maps(name):
+    morphism = _oracle_morphisms()[name]
+    p = morphism.target.p
+    for d in range(41):
+        assert morphism.rank_in_degree(d) == oracle.rank(morphism._matrix(d), p), d
+
+
+def _packed_positions(alg, d):
+    return {alg.pack(m): i for i, m in enumerate(alg.basis(d))}
+
+
+def test_code_tables_are_the_packed_bases_of_the_fixtures():
+    """On every fixture signature and every tensor product of two of them
+    (a product of algebras too), the table is ``{pack(m): i}`` and is
+    shared by every algebra with the signature."""
+    algebras = list(load_algebras().values())
+    pairs = [tensor(3, a, b, suffixes=["_a", "_b"]) for a in algebras for b in algebras]
+    for alg in algebras + pairs:
+        twin = GradedAlgebra(alg.p, [(f"{g.name}_twin", g.degree, g.kind) for g in alg.generators])
+        for d in range(61 if alg in pairs else 121):
+            assert alg._code_index(d) == _packed_positions(alg, d), (alg, d)
+            assert twin._code_index(d) is alg._code_index(d)
+    product = ProductAlgebra(algebras[:3])
+    for d in range(41):
+        assert product._code_index(d) == _packed_positions(product, d), d
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from([3, 5]),
+    shapes=_shape_lists,
+    parts=st.lists(_shape_lists, min_size=1, max_size=3),
+)
+def test_code_tables_are_the_packed_bases_property(p, shapes, parts):
+    alg = _algebra(p, shapes, "a")
+    product = ProductAlgebra([_algebra(p, s, f"c{k}_") for k, s in enumerate(parts)])
+    for d in range(25):
+        assert alg._code_index(d) == _packed_positions(alg, d), d
+        assert _codes(alg._signature, d) is alg._code_index(d)
+        assert product._code_index(d) == _packed_positions(product, d), d
 
 
 def test_pack_refuses_an_exponent_that_overflows_its_slot():
@@ -574,11 +637,18 @@ def test_pack_refuses_an_exponent_that_overflows_its_slot():
             alg.pack(mono)
     with pytest.raises(ValueError, match="does not fit its slot"):
         ProductAlgebra([alg, alg]).pack((1, (top + 1, 0)))
-    # a morphism refuses the first degree whose target exponents overflow
+    # a morphism refuses the first degree whose target exponents overflow,
+    # as a matrix and as a rank
     ident = identity_morphism(GradedAlgebra(3, [("c2", 2, "poly")]))
     assert ident.matrix_in_degree(2 * top) == [[1]]
+    assert ident.rank_in_degree(2 * top) == 1
     with pytest.raises(ValueError, match="does not fit its slot"):
         ident.matrix_in_degree(2 * top + 2)
+    with pytest.raises(ValueError, match="does not fit its slot"):
+        ident.rank_in_degree(2 * top + 2)
+    product = ProductAlgebra([alg, alg])
+    with pytest.raises(ValueError, match="does not fit its slot"):
+        product._code_index(2 * top + 2)
 
 
 @settings(max_examples=60)

@@ -274,6 +274,39 @@ def test_corollary_eliminations_at_bound_120(rank4_complex, monkeypatch):
     assert (len(sizes), sum(sizes)) == (127, 100)
 
 
+def test_cohomology_pass_counts_at_bound_120(rank4_complex, monkeypatch):
+    """A warm pass of the six criteria that read the algebras, at bound
+    120, eliminates 1,555 times on 9,715 rows.  No row changes a pivot row
+    kept before it: the pivot rows of every prefix of an elimination's
+    rows are pivot rows of the whole.  The code tables are shared per
+    signature, so the pass packs only its morphisms' generator images and
+    units: 113 monomials."""
+    from spinelab import verification
+
+    def one_pass():
+        for name in ("series", "algebra_structure", "wreath", "metacyclic", "recursion", "corollary"):
+            args = (rank4_complex, 120) if name == "corollary" else (120,)
+            assert getattr(verification, f"criterion_{name}")(*args).passed, name
+
+    one_pass()
+    calls, packs = [], []
+    real, pack = linalg.echelon, GradedAlgebra.pack
+    monkeypatch.setattr(
+        linalg, "echelon", lambda rows, p: calls.append((list(rows), p)) or real(calls[-1][0], p)
+    )
+    monkeypatch.setattr(
+        GradedAlgebra, "pack", lambda self, mono: packs.append(mono) or pack(self, mono)
+    )
+    one_pass()
+    assert (len(calls), sum(len(rows) for rows, _ in calls)) == (1555, 9715)
+    changed = 0
+    for rows, p in calls:
+        whole = real(rows, p).items()
+        changed += sum(not real(rows[:k], p).items() <= whole for k in range(len(rows)))
+    assert changed == 0
+    assert len(packs) == 113
+
+
 def test_rose_component_cohomology(rank4_complex, sigma3_dims):
     comp = rank4_complex.component_containing("R4")
     assert component_cohomology(rank4_complex, comp, BOUND).dims == sigma3_dims

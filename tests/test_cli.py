@@ -68,6 +68,17 @@ def test_verify_tables_bad_face_index_is_config_error(runner, corpus_path, tmp_p
     assert result.output.startswith("error: malformed corpus")
 
 
+def test_verify_tables_huge_vertex_count_is_config_error(runner, corpus_path, tmp_path):
+    data = json.loads(corpus_path.read_text())
+    data["graphs"][0]["graph"]["vertices"] = 2**70
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(data))
+    assert_input_error(
+        runner.invoke(main, ["spine", "verify-tables", str(bad)]),
+        "malformed corpus: ValueError: every vertex must be the target of a dart",
+    )
+
+
 def test_verify_tables_missing_file_is_config_error(runner, tmp_path):
     result = runner.invoke(main, ["spine", "verify-tables", str(tmp_path / "no.json")])
     assert result.exit_code == 2
@@ -427,6 +438,30 @@ def test_equiv_input_with_negative_vertex_count_is_config_error(runner, tmp_path
     assert_input_error(
         runner.invoke(main, ["equiv", command, "--input", _write_json(tmp_path, data)]),
         "vertex count must be >= 0",
+    )
+
+
+@pytest.mark.parametrize("command", ["expand", "nielsen"])
+@pytest.mark.parametrize("vertices", [2**70, 10**6, 2])
+def test_equiv_input_with_a_vertex_no_dart_reaches_is_config_error(runner, tmp_path, command, vertices):
+    """A vertex count above the darts' targets, however large, is refused
+    where the graph comes in, before any size is read off it."""
+    g, action = catalog.rose_rotation(3, 3)
+    data = {**ZpGraph(g, action, 3).to_json(), "vertices": vertices}
+    assert_input_error(
+        runner.invoke(main, ["equiv", command, "--input", _write_json(tmp_path, data)]),
+        "every vertex must be the target of a dart",
+    )
+
+
+@pytest.mark.parametrize("bound", ["0", "5"])
+def test_corollary_below_its_first_degree_says_so(runner, bound):
+    result = runner.invoke(main, ["coh", "corollary12", "--max-degree", bound])
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"no rows up to degree {bound}: the table starts at degree 6, "
+        "above the virtual cohomological dimension 5 of Out(F_4)\n"
     )
 
 

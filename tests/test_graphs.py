@@ -142,6 +142,15 @@ def test_negative_vertex_count_is_rejected():
         HalfEdgeGraph.from_json({"vertices": -1, "half_edges": 0, "sigma": [], "target": []})
 
 
+def test_a_vertex_no_dart_reaches_is_rejected():
+    """Every vertex of an admissible graph carries darts; the one-vertex
+    graph with no darts is no input of any command."""
+    with pytest.raises(ValueError, match="every vertex must be the target of a dart"):
+        HalfEdgeGraph.from_json({"vertices": 1, "half_edges": 0, "sigma": [], "target": []})
+    empty = {"vertices": 0, "half_edges": 0, "sigma": [], "target": []}
+    assert HalfEdgeGraph.from_json(empty) == HalfEdgeGraph(0, (), ())
+
+
 @pytest.mark.parametrize(
     "vertices, ends, core",
     [

@@ -147,6 +147,8 @@ def rose_rotation_json():
         ({"action_hperm": [2, 1, 0, 3, 4, 5, 6, 7]}, "action is not an automorphism of the graph"),
         ({"p": 5}, "action has order 3, expected 5"),
         ({"action_hperm": [7, 6, 5, 4, 3, 2, 1, 0]}, "action has order 2, expected 3"),
+        ({"vertices": 2**70}, "every vertex must be the target of a dart"),
+        ({"vertices": 2}, "every vertex must be the target of a dart"),
     ],
 )
 def test_from_json_rejects_each_fault(change, message):

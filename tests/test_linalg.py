@@ -1,4 +1,4 @@
-"""The sparse elimination against the dense Gauss-Jordan oracle."""
+"""The sparse row echelon elimination against the Gauss-Jordan oracles."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -54,25 +54,43 @@ def test_sparse_kernel_matches_dense_gauss_jordan(case):
     reduced = linalg.echelon(mat, p)
     want, pivots = oracle.rref(mat, p)
     assert sorted(reduced) == pivots
-    # the oracle lists the pivot rows in pivot order, then zero rows
+    for c, row in reduced.items():
+        # each pivot row leads with 1 at its key, and all its other keys are larger
+        assert row[c] == 1 and all(k > c and 0 < v < p for k, v in row.items() if k != c)
+    # the pivot rows span the input's row space: the reduced forms agree
+    assert oracle.sparse_rref(reduced.values(), p) == oracle.sparse_rref(mat, p)
+    # the sparse oracle is the dense one: pivot rows in pivot order, then zero rows
     got = [[0] * cols for _ in mat]
-    for r, c in enumerate(pivots):
+    for r, (c, row) in enumerate(sorted(oracle.sparse_rref(mat, p).items())):
         got[r][c] = 1
-        for k, v in reduced[c].items():
+        for k, v in row.items():
             got[r][k] = v
     assert got == want
     assert linalg.rank(mat, p) == oracle.rank(mat, p)
 
 
 @settings(max_examples=100)
+@given(matrices())
+def test_earlier_pivot_rows_are_never_touched(case):
+    """No back-substitution: the pivot rows of every prefix of the rows
+    are pivot rows of the whole, unchanged."""
+    p, _, mat = case
+    whole = linalg.echelon(mat, p).items()
+    for k in range(len(mat)):
+        assert linalg.echelon(mat[:k], p).items() <= whole, k
+
+
+@settings(max_examples=100)
 @given(matrices(), st.randoms(use_true_random=False))
 def test_echelon_does_not_depend_on_row_order(case, rng):
+    """The pivot columns and the span do not depend on the row order; the
+    pivot rows may."""
     p, _, mat = case
     want = linalg.echelon(mat, p)
     rng.shuffle(mat)
-    assert linalg.echelon(mat, p) == want
-    for c, row in want.items():
-        assert c not in row and all(k > c and k not in want for k in row)
+    got = linalg.echelon(mat, p)
+    assert set(got) == set(want)
+    assert oracle.sparse_rref(got.values(), p) == oracle.sparse_rref(want.values(), p)
 
 
 @settings(max_examples=100)
