@@ -18,7 +18,6 @@ from spinelab.equivariant import (
     classify_reduced,
     enumerate_zp_graphs,
     equivariant_expansions,
-    is_reduced,
     nielsen_closure,
     nielsen_moves,
 )
@@ -32,7 +31,6 @@ from spinelab.graphs import (
 )
 from spinelab.series import GradedDims, PowerSeriesRat, series_equal
 from spinelab.spine import (
-    enumerate_admissible,
     match_names,
     quotient_complex,
     singular_graphs,
@@ -62,14 +60,12 @@ __all__ = [
     "cohomology_of_metacyclic",
     "collapse",
     "dimensions",
-    "enumerate_admissible",
     "enumerate_forests",
     "enumerate_zp_graphs",
     "equalizer",
     "equivariant_expansions",
     "invariants",
     "is_admissible",
-    "is_reduced",
     "match_names",
     "nielsen_closure",
     "nielsen_moves",

@@ -498,16 +498,6 @@ class Element:
             raise ValueError("element is zero or inhomogeneous")
         return degrees.pop()
 
-    def vector(self, d: int) -> list:
-        index = self.parent._basis_index(d)
-        vec = [0] * len(index)
-        for m, c in self.coeffs.items():
-            i = index.get(m)
-            if i is None:
-                raise ValueError("element has terms outside the requested degree")
-            vec[i] = c
-        return vec
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

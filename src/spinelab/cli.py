@@ -5,8 +5,9 @@ or an exhausted resource, with one `error:` line on stderr.  Exit 2
 covers a --p that is not an odd prime, a rank below 2, `spine cells` off
 rank 4 or at a negative dimension, a negative or non-integer degree
 bound, a bad graph, algebra or corpus file, a missing fixture, and the
-enumeration caps and budgets.  SPINELAB_MAX_DEGREE sets the default
-degree bound; an explicit --max-degree wins over it.
+equivariant census's edge budget and Nielsen step cap.
+SPINELAB_MAX_DEGREE sets the default degree bound; an explicit
+--max-degree wins over it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from spinelab.linalg import check_odd_prime
 from spinelab.series import CLOSED_FORMS
 from spinelab.spine import (
     CorpusError,
-    ResourceCapExceeded,
     cell_rows,
     corpus_tables,
     expected_tables,
@@ -55,7 +55,6 @@ INPUT_ERRORS = (
     FixtureError,
     CorpusError,
     BudgetExceeded,
-    ResourceCapExceeded,
 )
 
 

@@ -187,15 +187,6 @@ def invariant_forests(zg: ZpGraph) -> list:
     return _acyclic_unions(zg.graph, orbits)[1:]
 
 
-def is_reduced(zg: ZpGraph) -> bool:
-    """No nonempty invariant forest.
-
-    Any invariant forest contains a whole edge orbit and subsets of
-    forests are forests, so it is enough that no single orbit is acyclic.
-    """
-    return _reduced_for_group(zg.graph, zg.group())
-
-
 def equivariant_collapse(zg: ZpGraph, forest: Iterable) -> ZpGraph:
     """Collapse an invariant forest and transport the action."""
     forest = frozenset(forest)

@@ -4,21 +4,20 @@ Vertices of the complex built here are isomorphism classes of admissible
 graphs of a fixed rank whose symmetry group contains an element of prime
 order p.  They are the underlying graphs of the order-p census, the
 blow-up closure of the reduced classes (``equivariant``), so no class
-without such an element is built; ``enumerate_admissible`` is the full
-census of the rank, built independently from the rose.  A k-cell is an
-orbit of a strictly nested chain of nonempty forests on a top graph,
-kept when the subgroup preserving every forest of the chain setwise
-still contains an element of order p.  Faces drop one forest from the
-chain, or re-root the chain at the smallest collapse; each is one lookup
-in a table that keys every translate of a cell's chain to the cell, and
-a cell's vertices are read off its re-rooted face.  Chains are acted on
-through bundles, the sets of parallel edges, by the vertex group alone;
-no dart-level automorphism is ever listed.
+without such an element is built, and the full census of the rank is
+not built at all.  A k-cell is an orbit of a strictly nested chain of
+nonempty forests on a top graph, kept when the subgroup preserving every
+forest of the chain setwise still contains an element of order p.
+Faces drop one forest from the chain, or re-root the chain at the
+smallest collapse; each is one lookup in a table that keys every
+translate of a cell's chain to the cell, and a cell's vertices are read
+off its re-rooted face.  Chains are acted on through bundles, the sets
+of parallel edges, by the vertex group alone; no dart-level automorphism
+is ever listed.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from math import prod
@@ -33,122 +32,20 @@ from spinelab.graphs import (
     collapse,
     collapse_with_maps,
     enumerate_forests,
-    two_edge_connected,
 )
 from spinelab.symmetry import (
     _dart_freedom,
-    _orbit_minima,
     _vertex_group,
     automorphism_order,
     bundle_names,
     bundle_perms,
     canonical_form,
-    matrix_form,
     sylow_p_order,
 )
 
 
-class ResourceCapExceeded(RuntimeError):
-    """Enumeration hit the configured cap; the message reports progress."""
-
-
 class NameAmbiguityError(RuntimeError):
     """A census class could not be matched to a unique catalog name."""
-
-
-# ---------------------------------------------------------------------------
-# admissible census
-
-
-def _blow_ups(rows, vertices):
-    """Multiplicity matrices of the one-edge blow-ups at ``vertices`` of a
-    canonical form.
-
-    ``rows`` are the form's (loops, lower-triangle) rows.  A blow-up splits
-    the darts at one vertex v into sides A and B of at least two darts
-    each and joins A to B by a new edge; v keeps side A and side B goes to
-    a new last vertex.  Parallel edges and loops are interchangeable, so a
-    split is fixed by how many of the edges to each neighbour stay on A
-    and how many loops stay on A, stay on B or cross from A to B.
-
-    The split B|A gives the same graph as A|B with v and the new vertex
-    exchanged, so of each such pair only the split whose (edges kept per
-    neighbour, loops staying on A) is the smaller is made; a split that
-    is its own swap is made once.
-    """
-    size = len(rows)
-    mult = [[0] * (size + 1) for _ in range(size + 1)]
-    for v, row in enumerate(rows):
-        mult[v][v] = row[0]
-        for u, m in enumerate(row[1:]):
-            mult[v][u] = mult[u][v] = m
-    for v in vertices:
-        loops = mult[v][v]
-        neighbours = [u for u in range(size) if u != v and mult[v][u]]
-        for kept in itertools.product(*(range(mult[v][u] + 1) for u in neighbours)):
-            moved = tuple(mult[v][u] - k for u, k in zip(neighbours, kept))
-            if kept > moved:
-                continue  # its side swap is made instead
-            on_a, on_b = sum(kept), sum(moved)
-            for stay_a in range(loops + 1):
-                # keep (kept, stay_a) <= (moved, stay_b)
-                for stay_b in range(stay_a if kept == moved else 0, loops - stay_a + 1):
-                    cross = loops - stay_a - stay_b
-                    if on_a + 2 * stay_a + cross < 2 or on_b + 2 * stay_b + cross < 2:
-                        continue
-                    child = [row[:] for row in mult]
-                    child[v][v], child[size][size] = stay_a, stay_b
-                    child[v][size] = child[size][v] = cross + 1
-                    for u, k, m in zip(neighbours, kept, moved):
-                        child[v][u] = child[u][v] = k
-                        child[size][u] = child[u][size] = m
-                    yield child
-
-
-def enumerate_admissible(n: int, class_cap: int = 100_000) -> list:
-    """All isomorphism classes of admissible graphs of rank n.
-
-    Classes are built one edge stratum at a time from the rose, the only
-    one-vertex class, by blowing up the classes of the stratum below
-    (``_blow_ups``).  This is complete: contracting a non-loop edge of an
-    admissible graph keeps it connected, bridgeless and of the same rank,
-    and the merged vertex has valency at least 4, so every class with e
-    edges and two or more vertices is a blow-up of a class with e - 1
-    edges.  One vertex per orbit of the class's automorphisms is blown
-    up, which loses no class: an automorphism carries each split at v to
-    a split at its image.  Of a split and its side swap only one is made,
-    which loses none either: the two graphs differ by exchanging v and
-    the new vertex.  A blow-up keeps valencies >= 3 and
-    connectivity by construction, so one low-link pass on the
-    multiplicity matrix screens it, and it is deduplicated by canonical
-    form without building a graph.  The returned representatives are
-    canonical graphs sorted by (edges, vertices, form), each carrying the
-    form its search found, so no class is searched again.
-    """
-    if n < 2:
-        raise ValueError("rank must be >= 2")
-    found = []
-    edges, candidates = n, [[[n]]]  # the rose: one vertex with n loops
-    while True:
-        seen = set()
-        for mult in candidates:
-            if two_edge_connected(mult):
-                seen.add(matrix_form(mult))
-                if len(found) + len(seen) > class_cap:
-                    raise ResourceCapExceeded(
-                        f"more than {class_cap} classes at rank {n}; "
-                        f"stopped inside the {edges}-edge stratum"
-                    )
-        if not seen:
-            return found
-        stratum = [form.graph() for form in sorted(seen)]
-        found += stratum
-        edges += 1
-        candidates = (
-            child
-            for form in map(canonical_form, stratum)
-            for child in _blow_ups(form.rows, _orbit_minima(len(form.rows), form.generators))
-        )
 
 
 @dataclass(frozen=True)
@@ -173,10 +70,10 @@ def singular_graphs(p: int, n: int) -> list:
     census's distinct underlying graphs, read off by canonical form: the
     census is sorted by those forms, so none is searched again, and no
     class without an order-p symmetry is searched at all.  Each class is
-    its form's representative, in ``enumerate_admissible``'s order (edges,
-    then form), with its group order (``automorphism_order``), checked
-    against p, and its vertex group, under which its cells are scanned;
-    no dart-level element is listed.
+    its form's representative, in order (edges, then form), with its
+    group order (``automorphism_order``), checked against p, and its
+    vertex group, under which its cells are scanned; no dart-level
+    element is listed.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")

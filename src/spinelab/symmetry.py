@@ -476,14 +476,6 @@ def _dart_freedom(g: HalfEdgeGraph) -> int:
     return free
 
 
-def _orbit_minima(n: int, generators) -> list:
-    """The least vertex of each orbit of the group that the vertex
-    permutations ``generators`` generate on range(n), in increasing order."""
-    label = {v: v for v in range(n)}
-    _merge_orbits(label, generators)
-    return [v for v in range(n) if label[v] == v]
-
-
 def bundle_names(g: HalfEdgeGraph) -> tuple:
     """Each edge's bundle, named by the least edge joining the same ends."""
     least: dict = {}

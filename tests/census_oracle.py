@@ -1,16 +1,20 @@
-"""The labelled-matrix census generator, kept as a test oracle.
+"""The admissible census of a rank, which the library does not build.
 
-The library builds the admissible census by vertex blow-ups from the
-rose.  This generator is independent of it: it sweeps every labelled
-multiplicity matrix with valencies >= 3 in every feasible stratum, so
-tests comparing the two check the census for completeness against a
-search that does not rely on the contraction argument.
+The library builds only the classes with an order-p symmetry, from the
+equivariant blow-up closure.  The full census lives here, twice:
 
-``every_vertex_census`` blows up every vertex of every class, not one
-per automorphism orbit, and makes every split at a vertex and its side
-swap both, with ``_blow_ups`` below: the library's blow-ups before either
-pruning.  Comparing it with the library checks the two prunings, and
-nothing else.
+``every_vertex_census`` is the tests' census.  It builds one edge
+stratum at a time from the rose, blowing up every vertex of every class
+of the stratum below with every split at a vertex and its side swap
+both (``_blow_ups``), and deduplicates by canonical form.  This is
+complete: contracting a non-loop edge of an admissible graph keeps it
+connected, bridgeless and of the same rank, so every class with two or
+more vertices is a blow-up of a class with one edge fewer.
+
+``_candidates`` is the labelled-matrix generator: it sweeps every
+labelled multiplicity matrix with valencies >= 3 in every feasible
+stratum.  It does not rely on the contraction argument, and the tests
+check ``every_vertex_census`` against it.
 
 ``singular_by_filter`` keeps the classes of a full census whose group
 order p divides.  The library builds the order-p classes from the
@@ -28,7 +32,7 @@ from spinelab.symmetry import _vertex_group, automorphism_order, matrix_form
 
 
 def singular_by_filter(p: int, census: list) -> list:
-    """The classes of ``census`` (``enumerate_admissible(n)``) with a
+    """The classes of ``census`` (``every_vertex_census(n)``) with a
     symmetry of order p, as GraphClass, in census order."""
     out = []
     for g in census:
@@ -76,7 +80,8 @@ def _blow_ups(rows, vertices):
 
 
 def every_vertex_census(n: int) -> list:
-    """The rank-n census, each class blown up at each of its vertices."""
+    """The rank-n census as canonical graphs in order (edges, then form),
+    each class blown up at each of its vertices."""
     found = []
     candidates = [[[n]]]
     while True:

@@ -46,10 +46,20 @@ def oracle_apply_monomial(morphism, mono):
     return out
 
 
+def vector(x, d):
+    """The coordinates of a degree-d element on the degree-d basis; a term
+    of another degree is a KeyError."""
+    index = x.parent._basis_index(d)
+    vec = [0] * len(index)
+    for m, c in x.coeffs.items():
+        vec[index[m]] = c
+    return vec
+
+
 def oracle_matrix(morphism, d):
     tgt = morphism.target.basis(d)
     src = morphism.source.basis(d)
-    cols = [oracle_apply_monomial(morphism, mono).vector(d) for mono in src]
+    cols = [vector(oracle_apply_monomial(morphism, mono), d) for mono in src]
     return [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
 
 
@@ -176,8 +186,6 @@ def test_identity_morphism_and_inhomogeneous_error(setup):
         ident.apply(x)
     with pytest.raises(ValueError):
         x.degree()
-    with pytest.raises(ValueError):
-        x.vector(4)
 
 
 def test_matrix_in_degree_is_multiplicative(setup):
@@ -187,8 +195,8 @@ def test_matrix_in_degree_is_multiplicative(setup):
         alpha.source.generator_element("x4")
     ) * alpha.apply(alpha.source.generator_element("u3"))
     mat = alpha.matrix_in_degree(7)
-    col = x.vector(7)
-    image = alpha.apply(x).vector(7)
+    col = vector(x, 7)
+    image = vector(alpha.apply(x), 7)
     got = [sum(mat[r][c] * col[c] for c in range(len(col))) % 3 for r in range(len(mat))]
     assert got == image
 

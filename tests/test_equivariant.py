@@ -19,13 +19,11 @@ from spinelab.equivariant import (
     equivariant_collapse,
     equivariant_expansions,
     invariant_forests,
-    is_reduced,
     nielsen_closure,
     nielsen_moves,
     reduce_zp,
 )
 from spinelab.graphs import enumerate_forests, is_forest, rank
-from spinelab.spine import enumerate_admissible
 from spinelab.symmetry import (
     GraphAutomorphism,
     apply_to_graph,
@@ -37,7 +35,7 @@ from spinelab.symmetry import (
     power,
 )
 
-from census_oracle import singular_by_filter
+from census_oracle import every_vertex_census, singular_by_filter
 from dart_oracle import automorphism_group, dart_isomorphisms, elements_of_order
 from zp_census_oracle import (
     realize_quotient_data,
@@ -99,10 +97,10 @@ def test_action_order_is_validated():
 
 
 def test_is_reduced_examples():
-    assert is_reduced(ZpGraph(*catalog.rose_rotation(5, 8), 5))
-    assert is_reduced(ZpGraph(*catalog.theta_rotation(5, 2, 2), 5))
-    assert not is_reduced(wedge(5, "left"))
-    assert is_reduced(wedge(5, "diag"))
+    assert not invariant_forests(ZpGraph(*catalog.rose_rotation(5, 8), 5))
+    assert not invariant_forests(ZpGraph(*catalog.theta_rotation(5, 2, 2), 5))
+    assert invariant_forests(wedge(5, "left"))
+    assert not invariant_forests(wedge(5, "diag"))
 
 
 def test_is_reduced_cross_checked_with_forest_filter():
@@ -115,7 +113,7 @@ def test_is_reduced_cross_checked_with_forest_filter():
             if f and frozenset(ep[e] for e in f) == f
         ]
         assert sorted(map(sorted, brute)) == sorted(map(sorted, invariant_forests(zg)))
-        assert is_reduced(zg) == (not brute)
+        assert equivariant._reduced_for_group(zg.graph, zg.group()) == (not brute)
 
 
 def recursive_invariant_forests(zg: ZpGraph) -> list:
@@ -177,9 +175,9 @@ def census_zp_classes(classes, p):
 
 
 def test_classify_reduced_3_matches_census_oracle():
-    rank4_classes = singular_by_filter(3, enumerate_admissible(4))
+    rank4_classes = singular_by_filter(3, every_vertex_census(4))
     keys = [zg.key for zg in classify_reduced(3)]
-    assert keys == [zg.key for zg in census_zp_classes(rank4_classes, 3) if is_reduced(zg)]
+    assert keys == [zg.key for zg in census_zp_classes(rank4_classes, 3) if not invariant_forests(zg)]
     assert len(keys) == 6
 
 
@@ -190,7 +188,7 @@ def test_closure_is_the_order_p_subgroup_census(p, n, count):
     in the same order: the census order ends with the key, so it depends
     only on the classes, not on the order in which they were found."""
     keys = [zg.key for zg in enumerate_zp_graphs(p, n, 3 * n - 3)]
-    want = census_zp_classes(singular_by_filter(p, enumerate_admissible(n)), p)
+    want = census_zp_classes(singular_by_filter(p, every_vertex_census(n)), p)
     assert keys == [zg.key for zg in want]
     assert len(keys) == count
 

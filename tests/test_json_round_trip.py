@@ -26,9 +26,11 @@ from spinelab.equivariant import (
     nielsen_moves,
 )
 from spinelab.graphs import HalfEdgeGraph, collapse, enumerate_forests
-from spinelab.spine import enumerate_admissible, singular_graphs
+from spinelab.spine import singular_graphs
 from spinelab.symmetry import apply_to_graph, compose
 from spinelab.verification import PROPERTY_SEED, _dart_relabelling
+
+from census_oracle import every_vertex_census
 
 CASES = [(3, 4), (5, 4), (3, 5), (7, 6)]
 
@@ -95,7 +97,7 @@ def test_nielsen_closures_and_moves_round_trip(q):
 
 
 def test_rank4_collapses_round_trip():
-    classes = enumerate_admissible(4)
+    classes = every_vertex_census(4)
     quotients = [collapse(g, f) for g in classes for f in enumerate_forests(g)]
     assert assert_round_trips(classes) == 43
     assert assert_round_trips(quotients) == 2807
@@ -105,7 +107,7 @@ def test_dart_relabellings_round_trip():
     """The seeded dart-level relabellings of the property suite."""
     rng = random.Random(PROPERTY_SEED)
     moved = [
-        apply_to_graph(g, _dart_relabelling(g, rng)) for g in enumerate_admissible(4) for _ in range(100)
+        apply_to_graph(g, _dart_relabelling(g, rng)) for g in every_vertex_census(4) for _ in range(100)
     ]
     assert assert_round_trips(moved) == 4300
 

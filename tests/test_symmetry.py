@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinelab import catalog, equivariant, symmetry
 from spinelab.graphs import HalfEdgeGraph, build_graph, collapse, enumerate_forests
-from spinelab.spine import GraphClass, _orbit, enumerate_admissible, singular_graphs
+from spinelab.spine import GraphClass, _orbit, singular_graphs
 from spinelab.symmetry import (
     _dart_freedom,
     _vertex_group,
@@ -29,7 +29,7 @@ from spinelab.symmetry import (
 from spinelab.verification import _dart_relabelling, forest_orbit_check, relabelling_check
 
 import search_oracle
-from census_oracle import _candidates
+from census_oracle import _candidates, every_vertex_census
 from dart_oracle import (
     _vertex_fixing_maps,
     are_isomorphic,
@@ -70,7 +70,7 @@ def test_every_vertex_relabelling_has_the_class_form(n, classes, matrices):
     is searched to the class's form, and their number times the order of
     the vertex group from the class's own search is the factorial of its
     vertex count."""
-    graphs = enumerate_admissible(n)
+    graphs = every_vertex_census(n)
     checks = [relabelling_check(g) for g in graphs]
     assert [ok for ok, _ in checks] == [True] * classes
     assert sum(distinct for _, distinct in checks) == matrices
@@ -133,7 +133,7 @@ def test_vertex_groups_match_backtracking_oracle():
     # every admissible class of ranks 2 to 5
     rng = random.Random(16)
     graphs = [
-        random_relabeling(g, rng) for n in (2, 3, 4, 5) for g in enumerate_admissible(n) for _ in range(5)
+        random_relabeling(g, rng) for n in (2, 3, 4, 5) for g in every_vertex_census(n) for _ in range(5)
     ]
     assert len(graphs) == 1935
     for g in graphs:
@@ -145,14 +145,14 @@ def test_vertex_group_order_from_the_stabilizer_chain():
     # group closed from them, on every admissible class of ranks 2 to 5
     # and a seeded relabelling of each, searched afresh
     rng = random.Random(24)
-    classes = [g for n in (2, 3, 4, 5) for g in enumerate_admissible(n)]
+    classes = [g for n in (2, 3, 4, 5) for g in every_vertex_census(n)]
     assert len(classes) == 387
     for g in classes + [random_relabeling(g, rng) for g in classes]:
         assert vertex_group_order(canonical_form(g)) == len(_vertex_group(g))
 
 
 def test_dart_freedom_counts_the_vertex_fixing_maps():
-    classes = [g for n in (2, 3, 4) for g in enumerate_admissible(n)]
+    classes = [g for n in (2, 3, 4) for g in every_vertex_census(n)]
     assert len(classes) == 53
     for g in classes:
         assert _dart_freedom(g) == len(_vertex_fixing_maps(g))
@@ -173,7 +173,7 @@ def test_apply_to_graph_matches_the_inverse_construction():
     # on each rank-4 class and on a copy whose darts are shuffled, so
     # that the darts of one edge are not adjacent
     rng = random.Random(23)
-    for g in enumerate_admissible(4):
+    for g in every_vertex_census(4):
         darts = list(range(g.half_edge_count))
         rng.shuffle(darts)
         shuffled = apply_oracle(g, GraphAutomorphism(tuple(range(g.vertex_count)), tuple(darts)))
@@ -410,7 +410,7 @@ def test_pruned_search_matches_oracle_on_census_candidates():
 
 def test_pruned_search_matches_oracle_on_relabelings():
     rng = random.Random(11)
-    classes = enumerate_admissible(4)
+    classes = every_vertex_census(4)
     assert len(classes) == 43
     for g in classes:
         form = canonical_form(g)
@@ -483,7 +483,7 @@ def _agrees_with_search_oracle(matrix, keys) -> bool:
 
 
 def test_search_matches_oracle_on_every_rank4_relabelling(monkeypatch):
-    graphs = enumerate_admissible(4)
+    graphs = every_vertex_census(4)
     searches = _recorded_searches(
         monkeypatch, symmetry, lambda: [relabelling_check(g) for g in graphs]
     )
