@@ -15,7 +15,13 @@ those images, and equalizers and invariants are one computation: in each
 degree, the source's dimension less the rank of the rows of f - g over
 a list of pairs (f, g), with the pairs (g, id) over a group's generators
 for its invariants; no kernel basis is built.  The identity's rows are
-written directly, one entry per source monomial.
+written directly, one entry per source monomial.  A single-term map
+sends every monomial to one term or to zero: alpha, beta, the swaps,
+the metacyclic scaling, f1 and the restrictions all do.  Its rank
+counts the target codes its images hit, and for one pair of such maps
+each column of f - g has at most two entries, so the rank of f - g is
+one gain-graph pass over the images (``linalg.gain_graph_rank``) and
+nothing is eliminated.
 
 Images are built from the previous degrees, on packed codes.  The code
 of a monomial is an int with one fixed-width exponent slot per
@@ -530,8 +536,9 @@ def tensor(p: int, *algebras: GradedAlgebra, suffixes: Optional[list] = None) ->
 class _Morphism:
     """Linear algebra shared by the morphism classes.
 
-    Subclasses set ``source`` and ``target`` and define ``_images(d)``,
-    the packed images ``{code: coefficient}`` of ``source.basis(d)``, by
+    Subclasses set ``source``, ``target`` and ``single_term``, true when
+    every image has at most one term, and define ``_images(d)``, the
+    packed images ``{code: coefficient}`` of ``source.basis(d)``, by
     position.
     """
 
@@ -569,10 +576,15 @@ class _Morphism:
 
     def rank_in_degree(self, d: int) -> int:
         """Rank of the degree-d map: the rank of its images, each a row
-        keyed by target codes.  The target's code table is still read, so
-        a degree whose exponents overflow their slots is refused."""
+        keyed by target codes.  Rows of one entry each have one pivot per
+        distinct code, so a single-term map counts the codes its images
+        hit.  The target's code table is still read, so a degree whose
+        exponents overflow their slots is refused."""
         self.target._code_index(d)
-        return linalg.rank(self._images(d), self.target.p)
+        images = self._images(d)
+        if self.single_term:
+            return len({m for image in images for m in image})
+        return linalg.rank(images, self.target.p)
 
     def _matrix(self, d: int) -> list:
         """The dense view of ``add_rows``."""
@@ -585,7 +597,15 @@ class _Morphism:
 
 def _times(image: dict, terms: tuple, p: int) -> dict:
     """The packed product image * t, summed over the packed terms t of an
-    element, reduced mod p."""
+    element, reduced mod p.  One term times one term is one term, nonzero
+    mod p unless it clashes, and is written directly."""
+    if len(image) == 1 and len(terms) == 1:
+        ((m1, c1),) = image.items()
+        ((addend, c2, clash, flip),) = terms
+        if m1 & clash:
+            return {}
+        c = c1 * c2 % p
+        return {m1 + addend: p - c if (m1 & flip).bit_count() % 2 else c}
     out: dict = {}
     get = out.get
     for m1, c1 in image.items():
@@ -619,6 +639,7 @@ class AlgebraMorphism(_Morphism):
         self.images = dict(images)
         self._generator_terms = tuple(target._terms(self.images[g.name]) for g in source.generators)
         self._unit = {target.pack(m): c for m, c in target.unit_monomials()}
+        self.single_term = len(self._unit) == 1 and all(len(t) <= 1 for t in self._generator_terms)
         self._degrees = tuple(g.degree for g in source.generators)
         # degree -> packed images of source.basis(degree), by position, for
         # the degrees from _last - _span on, the ones that building degree
@@ -681,6 +702,7 @@ class ProductMorphism(_Morphism):
         self.component = component
         self.inner = inner
         self.target = inner.target
+        self.single_term = inner.single_term
 
     def _images(self, d: int) -> list:
         """The inner images on the chosen component's block of
@@ -728,18 +750,32 @@ def _kernel_rows(source, pairs: list, d: int) -> dict:
     return rows
 
 
+def _pair_rank(f, g, d: int) -> int:
+    """Rank of f - g in degree d for single-term f and g, g None for the
+    identity: one gain-graph pass over their images.  An image code
+    outside the target's degree d is refused."""
+    index = f.target._code_index(d)
+    left = f._images(d)
+    # the code table lists the codes in basis order
+    right = [{m: 1} for m in index] if g is None else g._images(d)
+    if not index.keys() >= set().union(*left, *right):
+        raise ValueError("morphism does not preserve degree")
+    return linalg.gain_graph_rank(left, right, f.target.p)
+
+
 def _common_kernel(source, pairs: list, bound: int) -> GradedDims:
     """Degree-wise dimension of the common kernel of f - g over the
     morphism pairs (f, g) out of ``source``: the source's dimension less
-    the rank of the rows of every pair."""
+    the rank of the rows of every pair.  Each column of a single pair of
+    single-term maps has at most two entries, so its rank is a gain-graph
+    rank and nothing is eliminated."""
     _check_pairs(source, pairs)
-    return GradedDims(
-        bound,
-        tuple(
-            len(source.basis(d)) - linalg.rank(_kernel_rows(source, pairs, d).values(), source.p)
-            for d in range(bound + 1)
-        ),
-    )
+    degrees = range(bound + 1)
+    if len(pairs) == 1 and all(m is None or m.single_term for m in pairs[0]):
+        ranks = (_pair_rank(*pairs[0], d) for d in degrees)
+    else:
+        ranks = (linalg.rank(_kernel_rows(source, pairs, d).values(), source.p) for d in degrees)
+    return GradedDims(bound, tuple(len(source.basis(d)) - r for d, r in zip(degrees, ranks)))
 
 
 def equalizer(f, g, bound: int) -> GradedDims:

@@ -24,6 +24,7 @@ closure against a census it did not build.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from spinelab.graphs import two_edge_connected
@@ -81,13 +82,19 @@ def _blow_ups(rows, vertices):
 
 def every_vertex_census(n: int) -> list:
     """The rank-n census as canonical graphs in order (edges, then form),
-    each class blown up at each of its vertices."""
+    each class blown up at each of its vertices.  Each rank is built once;
+    each call returns a new list of its graphs."""
+    return list(_census(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _census(n: int) -> tuple:
     found = []
     candidates = [[[n]]]
     while True:
         seen = {matrix_form(mult) for mult in candidates if two_edge_connected(mult)}
         if not seen:
-            return found
+            return tuple(found)
         stratum = [form.graph() for form in sorted(seen)]
         found += stratum
         candidates = (

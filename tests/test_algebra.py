@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
+from spinelab import linalg
 from spinelab.algebra import (
     POLY_SLOT_BITS,
     _codes,
+    _common_kernel,
     _kernel_rows,
     _parents,
     AlgebraMorphism,
@@ -370,8 +372,20 @@ def test_common_kernel_keeps_its_two_refusals():
     shifted = AlgebraMorphism(alg, alg, dict(ident.images))
     c4 = alg._terms(alg.generator_element("c4"))
     shifted._generator_terms = (c4, c4)
-    with pytest.raises(ValueError, match="does not preserve degree"):
-        equalizer(shifted, ident, 4)
+    # one pair of single-term maps is ranked as a gain graph, two pairs by
+    # elimination; both refuse
+    for run in (
+        lambda: equalizer(shifted, ident, 4),
+        lambda: invariants(alg, [shifted], 4),
+        lambda: invariants(alg, [shifted, ident], 4),
+    ):
+        with pytest.raises(ValueError, match="does not preserve degree"):
+            run()
+    line = GradedAlgebra(3, [("c2", 2, "poly")])
+    top = 2 * ((1 << POLY_SLOT_BITS) - 1)
+    for action in ([identity_morphism(line)], [identity_morphism(line)] * 2):
+        with pytest.raises(ValueError, match="does not fit its slot"):
+            invariants(line, action, top + 2)
 
 
 def test_a_degree_without_kernel_rows_is_the_whole_source_degree():
@@ -687,6 +701,65 @@ def test_product_equalizer_matches_the_oracle_pair_kernel(p, shapes, data):
         cols_a, cols_b = len(a_source.basis(d)), len(b_source.basis(d))
         want = oracle.pair_kernel_dim(oracle_matrix(a, d), oracle_matrix(b, d), cols_a, cols_b, p)
         assert eq[d] == want, d
+
+
+def _single_term_morphism(source, target, data):
+    """A morphism sending each generator to zero or to one monomial with a
+    coefficient nonzero mod p."""
+    images = {}
+    for g in source.generators:
+        basis = target.basis(g.degree)
+        k = data.draw(st.integers(-1, len(basis) - 1))
+        c = data.draw(st.integers(1, target.p - 1))
+        images[g.name] = Element(target, {basis[k]: c} if k >= 0 else {})
+    morphism = AlgebraMorphism(source, target, images)
+    assert morphism.single_term
+    return morphism
+
+
+def _eliminated_kernel(source, pairs, bound):
+    """The common kernel's dimensions by elimination, the general path."""
+    return tuple(
+        len(source.basis(d)) - linalg.rank(_kernel_rows(source, pairs, d).values(), source.p)
+        for d in range(bound + 1)
+    )
+
+
+# generators of a few shared degrees, so that images collide and cycles form
+_few_degrees = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from([2, 4]), st.just("poly")),
+        st.tuples(st.sampled_from([1, 3]), st.just("ext")),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=80)
+@given(p=st.sampled_from([3, 5, 7]), shapes=st.lists(_few_degrees, min_size=3, max_size=3), data=st.data())
+def test_the_gain_graph_kernel_matches_elimination(p, shapes, data):
+    """On single pairs of single-term maps: endomorphisms against the
+    identity (None and as a morphism) and against each other, and maps out
+    of a product factoring through its two projections; and their ranks
+    count the codes they hit."""
+    alg, a_source, b_source = (_algebra(p, s, prefix) for s, prefix in zip(shapes, "tab"))
+    f, g = _single_term_morphism(alg, alg, data), _single_term_morphism(alg, alg, data)
+    a, b = _single_term_morphism(a_source, alg, data), _single_term_morphism(b_source, alg, data)
+    product = ProductAlgebra([a_source, b_source])
+    fa, gb = ProductMorphism(product, 0, a), ProductMorphism(product, 1, b)
+    cases = [
+        (alg, [(f, None)]),
+        (alg, [(f, identity_morphism(alg))]),
+        (alg, [(f, g)]),
+        (alg, [(f, f)]),
+        (product, [(fa, gb)]),
+        (product, [(fa, ProductMorphism(product, 0, a))]),
+    ]
+    for source, pairs in cases:
+        assert _common_kernel(source, pairs, 12).dims == _eliminated_kernel(source, pairs, 12)
+    for morphism in (f, a, fa):
+        for d in range(13):
+            assert morphism.rank_in_degree(d) == oracle.rank(morphism._matrix(d), p), d
 
 
 def test_basis_matches_recursive_enumeration():

@@ -276,11 +276,12 @@ def test_corollary_eliminations_at_bound_120(rank4_complex, monkeypatch):
 
 def test_cohomology_pass_counts_at_bound_120(rank4_complex, monkeypatch):
     """A warm pass of the six criteria that read the algebras, at bound
-    120, eliminates 1,555 times on 9,715 rows.  No row changes a pivot row
-    kept before it: the pivot rows of every prefix of an elimination's
-    rows are pivot rows of the whole.  The code tables are shared per
-    signature, so the pass packs only its morphisms' generator images and
-    units: 113 monomials."""
+    120, eliminates 369 times on 2,832 rows, and ranks the single pairs of
+    single-term maps by 944 gain-graph passes over 10,731 columns.  No
+    row changes a pivot row kept before it: the pivot rows of every prefix
+    of an elimination's rows are pivot rows of the whole.  The code tables
+    are shared per signature, so the pass packs only its morphisms'
+    generator images and units: 113 monomials."""
     from spinelab import verification
 
     def one_pass():
@@ -289,16 +290,20 @@ def test_cohomology_pass_counts_at_bound_120(rank4_complex, monkeypatch):
             assert getattr(verification, f"criterion_{name}")(*args).passed, name
 
     one_pass()
-    calls, packs = [], []
-    real, pack = linalg.echelon, GradedAlgebra.pack
+    calls, columns, packs = [], [], []
+    real, gain, pack = linalg.echelon, linalg.gain_graph_rank, GradedAlgebra.pack
     monkeypatch.setattr(
         linalg, "echelon", lambda rows, p: calls.append((list(rows), p)) or real(calls[-1][0], p)
+    )
+    monkeypatch.setattr(
+        linalg, "gain_graph_rank", lambda left, right, p: columns.append(len(left)) or gain(left, right, p)
     )
     monkeypatch.setattr(
         GradedAlgebra, "pack", lambda self, mono: packs.append(mono) or pack(self, mono)
     )
     one_pass()
-    assert (len(calls), sum(len(rows) for rows, _ in calls)) == (1555, 9715)
+    assert (len(calls), sum(len(rows) for rows, _ in calls)) == (369, 2832)
+    assert (len(columns), sum(columns)) == (944, 10731)
     changed = 0
     for rows, p in calls:
         whole = real(rows, p).items()

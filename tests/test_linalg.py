@@ -104,3 +104,38 @@ def test_echelon_reads_columns_by_their_order_not_their_positions(case):
         for c, row in linalg.echelon(mat, p).items()
     }
     assert linalg.echelon(rows, p) == want
+
+
+@st.composite
+def two_entry_columns(draw):
+    """(p, left, right): aligned one-entry-or-empty vectors over at most
+    five indices, so that indices repeat, left and right often share one
+    (and cancel or not), and edges close cycles whose ratio may not be 1;
+    values range outside [0, p) but are nonzero mod p."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    value = st.integers(1, p - 1).flatmap(lambda v: st.sampled_from([v, v - p, v + p]))
+    entry = st.one_of(st.just({}), st.builds(lambda u, v: {u: v}, st.integers(0, 4), value))
+    pairs = draw(st.lists(st.tuples(entry, entry), max_size=9))
+    return p, [x for x, _ in pairs], [y for _, y in pairs]
+
+
+@settings(max_examples=400)
+@given(two_entry_columns())
+@example((3, [{0: 2}], [{0: 2}]))  # one index, cancelling
+@example((5, [{0: 2}], [{0: 1}]))  # one index, not cancelling: a half-edge
+@example((3, [{0: 1}, {}], [{}, {1: 2}]))  # half-edges on either side
+@example((5, [{1: 1}, {2: 1}, {0: 1}], [{0: 2}, {1: 3}, {2: 6}]))  # a cycle of ratio 1
+@example((5, [{1: 1}, {2: 1}, {0: 1}], [{0: 2}, {1: 3}, {2: 1}]))  # a cycle of ratio 3
+@example((3, [{1: 1}, {0: 1}], [{0: 1}, {1: 1}]))  # a swap: a two-cycle of ratio 1
+@example((3, [{1: 2}, {0: 2}], [{0: 1}, {1: 1}]))  # a signed swap: ratio 4 = 1 mod 3
+@example((5, [{1: 2}, {0: 2}], [{0: 1}, {1: 1}]))  # ratio 4 mod 5
+@example((7, [{1: 1}, {3: 1}, {3: 2}], [{0: 1}, {2: 1}, {1: 1}]))  # two trees joined
+def test_gain_graph_rank_is_the_rank_of_the_differences(case):
+    p, left, right = case
+    rows = []
+    for x, y in zip(left, right):
+        row = dict(x)
+        for k, v in y.items():
+            row[k] = row.get(k, 0) - v
+        rows.append(row)
+    assert linalg.gain_graph_rank(left, right, p) == linalg.rank(rows, p)
