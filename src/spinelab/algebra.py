@@ -717,6 +717,13 @@ class ProductMorphism(_Morphism):
         return self._matrix(d)
 
 
+def product_pair(f: AlgebraMorphism, g: AlgebraMorphism) -> tuple:
+    """(A x B, f on the first factor, g on the second) for f: A -> C and
+    g: B -> C, whose equalizer is the pairs (a, b) with f(a) = g(b)."""
+    source = ProductAlgebra([f.source, g.source])
+    return source, ProductMorphism(source, 0, f), ProductMorphism(source, 1, g)
+
+
 def dimensions(alg, bound: int) -> GradedDims:
     """Number of admissible monomials per degree."""
     return GradedDims(bound, tuple(len(alg.basis(d)) for d in range(bound + 1)))

@@ -7,21 +7,19 @@ share a fixed graded model with identity faces, while the two big vertex
 groups and the special edge joining them carry explicit algebras, and the
 edge's two faces the restriction morphisms alpha and beta.
 
-Every component is read off one page, that of a face-closed cell list
-(Brown's equivariant spectral sequence, *Cohomology of Groups*, VII.7).
-A component without the special edge is its own page.  The component
-holding the special edge is first checked to retract onto it: everything
-outside the open edge is an acyclic identity region.  Its answer is then
-the page of the segment, two vertices and the edge, which is the
-amalgam's Mayer-Vietoris sequence: H^0 = ker [alpha, -beta], given that
-H^1 = coker [alpha, -beta] vanishes, which the page checks.
+Each component without the special edge is read off one page, that of
+its face-closed cell list (Brown's equivariant spectral sequence,
+*Cohomology of Groups*, VII.7).  Its faces are all identities, so each
+differential is the cellular coboundary tensored with the identity of
+each degree: the page keeps it once, as the cells' ``signed_faces`` rows,
+and ranks it once per dims class rather than once per degree.
 
-A differential whose faces are all identities is the cellular
-coboundary tensored with the identity of each degree, so the page keeps
-it once, as the cells' ``signed_faces`` rows, and ranks it once per dims
-class rather than once per degree.  Only a differential with a special
-face is written out degree by degree, as sparse rows ``{column: value}``
-holding the morphisms' ``add_rows`` entries at block offsets.
+The component holding the special edge is first checked to retract onto
+it: everything outside the open edge is an acyclic identity region.  Its
+answer is then that of the segment, two vertices and the edge, which is
+the amalgam's Mayer-Vietoris sequence: H^0 = ker [alpha, -beta], the
+alpha/beta equalizer, given that H^1 = coker [alpha, -beta] vanishes,
+which the segment checks.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from spinelab.algebra import (
     equalizer,
     invariants,
     parse_element,
+    product_pair,
     swap_action,
     tensor,
 )
@@ -60,17 +59,13 @@ class ConcentrationError(RuntimeError):
 class CoefficientRule:
     """Assignment of graded dims to cells and maps to faces.
 
-    ``cell_dims[i]`` is the dims vector of cell i; ``face_morphism(cell,
-    k)`` returns None for an identity face or the restriction morphism of
-    a special face.
+    ``cell_dims[i]`` is the dims vector of cell i; a face is an identity
+    unless ``special_faces`` holds its restriction morphism.
     """
 
     bound: int
     cell_dims: dict
     special_faces: dict  # (cell index, omission position) -> AlgebraMorphism
-
-    def face_morphism(self, cell_index: int, position: int):
-        return self.special_faces.get((cell_index, position))
 
 
 def sylow_rule(cx: QuotientComplex, bound: int) -> CoefficientRule:
@@ -104,8 +99,8 @@ def sylow_rule(cx: QuotientComplex, bound: int) -> CoefficientRule:
 
     edge_cfg = cfg["critical_edge"]
     vertex_algebra = {name: algebras[key] for name, key in edge_cfg["vertex_algebras"].items()}
-    keys = edge_cfg["face_morphisms"]  # vertex name -> morphism fixture
-    face_morphism = dict(zip(keys, load_morphisms(list(keys.values()), algebras)))
+    keys = edge_cfg["restrictions"]  # vertex name -> morphism fixture
+    restriction = dict(zip(keys, load_morphisms(list(keys.values()), algebras)))
     edge_dims = dimensions(algebras[edge_cfg["edge_algebra"]], bound).dims
     endpoints = set(edge_cfg["endpoints"])
     special = {}
@@ -117,7 +112,7 @@ def sylow_rule(cx: QuotientComplex, bound: int) -> CoefficientRule:
         for position, name in ((0, names[1]), (1, names[0])):
             # omitting vertex 0 leaves the top endpoint, omitting 1
             # leaves the collapsed one
-            special[(cell.index, position)] = face_morphism[name]
+            special[(cell.index, position)] = restriction[name]
             cell_dims[cell.faces[position]] = dimensions(vertex_algebra[name], bound).dims
     return CoefficientRule(bound, cell_dims, special)
 
@@ -131,34 +126,26 @@ def constant_rule(cx: QuotientComplex, bound: int, model: GradedAlgebra) -> Coef
 class E1Page:
     """Cochain complex of graded vector spaces over the cell structure.
 
-    The differential out of column s is kept in one of two forms.  If
-    every face of every (s+1)-cell is an identity face, ``incidences[s]``
-    holds each (s+1)-cell's ``signed_faces`` row, the same in every
-    degree.  Otherwise ``differentials[(s, q)]`` holds, for each degree
-    q, the sparse rows of C^s(q) -> C^{s+1}(q): one per basis vector of
-    the (s+1)-cochains, over the s-cells' blocks of columns in cell
-    order, with entries reduced mod p and zeros dropped.
+    Every face is an identity face, so the differential out of column s
+    is the cellular coboundary tensored with the identity of each degree:
+    ``incidences[s]`` holds each (s+1)-cell's ``signed_faces`` row, the
+    same in every degree.
     """
 
     p: int
     bound: int
     cells_by_dim: dict  # s -> ordered cell indices
     dims: dict  # cell index -> dims vector
-    incidences: dict  # s -> {(s+1)-cell: {s-cell: sign}}, identity faces only
-    differentials: dict  # (s, q) -> sparse rows, where column s has a special face
+    incidences: dict  # s -> {(s+1)-cell: {s-cell: sign}}
 
 
 def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
     """Assemble the page of a face-closed list of cell indices.
 
     The coboundary into a cell of dimension s+1 is the alternating sum of
-    its face maps; identity faces require equal dims on both sides in
-    every degree.  Each cell's dims, and each (s+1)-cell's faces, signs
-    and face morphisms, are read from the rule once.  A differential
-    with identity faces only is stored as its cells' ``signed_faces``
-    rows; one with a special face is written out in every degree q, an
-    identity face writing its diagonal directly and a face morphism its
-    ``add_rows``, degree by degree in ascending order.
+    its faces, each an identity that requires equal dims on both sides in
+    every degree; it is stored once, as the cells' ``signed_faces`` rows.
+    A cell with a special face is refused: its restriction is no identity.
     """
     chosen = set(cells)
     for ci in chosen:
@@ -166,41 +153,26 @@ def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
             raise CoefficientRuleError("cell list is not closed under faces")
         if ci not in rule.cell_dims:
             raise CoefficientRuleError(f"cell {ci} is not covered by the rule")
+    special = sorted(chosen.intersection(ci for ci, _ in rule.special_faces))
+    if special:
+        raise CoefficientRuleError(f"cell {special[0]} has a special face; a page has identity faces only")
     cells_by_dim: dict = {}
     for ci in sorted(chosen):
         cells_by_dim.setdefault(cx.cells[ci].dim, []).append(ci)
     dims = {ci: rule.cell_dims[ci] for ci in chosen}
 
-    p, bound = cx.p, rule.bound
-    incidences, differentials = {}, {}
+    incidences = {}
     for s in sorted(cells_by_dim):
-        if s + 1 not in cells_by_dim:
-            continue
-        # (cell, [(sign, face, face morphism or None for the identity)])
-        cofaces = [
-            (ci, [((-1) ** k, f, rule.face_morphism(ci, k)) for k, f in enumerate(cx.cells[ci].faces)])
-            for ci in cells_by_dim[s + 1]
-        ]
-        _check_identity_dims(cofaces, dims, bound)
-        if all(morphism is None for _, faces in cofaces for _, _, morphism in faces):
+        if s + 1 in cells_by_dim:
+            _check_identity_dims(cx, cells_by_dim[s + 1], dims, rule.bound)
             incidences[s] = {ci: signed_faces(cx.cells[ci]) for ci in cells_by_dim[s + 1]}
-            continue
-        for q in range(bound + 1):
-            differentials[(s, q)] = _degree_rows(cofaces, cells_by_dim[s], dims, q, p)
-    return E1Page(p, bound, cells_by_dim, dims, incidences, differentials)
+    return E1Page(cx.p, rule.bound, cells_by_dim, dims, incidences)
 
 
-def _check_identity_dims(cofaces, dims, bound) -> None:
-    """Raise at the first degree, then (s+1)-cell and face in page order,
-    where an identity face joins cells of different dims."""
-    unequal = [
-        (ci, face)
-        for ci, faces in cofaces
-        for _, face, morphism in faces
-        if morphism is None and dims[face] != dims[ci]
-    ]
-    if not unequal:
-        return
+def _check_identity_dims(cx, cells, dims, bound) -> None:
+    """Raise at the first degree, then cell of ``cells`` and face in page
+    order, where a face joins cells of different dims."""
+    unequal = [(ci, face) for ci in cells for face in cx.cells[ci].faces if dims[face] != dims[ci]]
     for q in range(bound + 1):
         for ci, face in unequal:
             if dims[face][q] != dims[ci][q]:
@@ -210,77 +182,23 @@ def _check_identity_dims(cofaces, dims, bound) -> None:
                 )
 
 
-def _degree_rows(cofaces, face_cells, dims, q, p) -> list:
-    """The differential in degree q as sparse rows over the face cells'
-    blocks of columns: a block of rows per (s+1)-cell, an identity face
-    adding its sign on the block's diagonal, a face morphism its signed
-    ``add_rows`` entries."""
-    first_column, acc = {}, 0
-    for face in face_cells:
-        first_column[face] = acc
-        acc += dims[face][q]
-    rows = []
-    for ci, faces in cofaces:
-        block = [{} for _ in range(dims[ci][q])]
-        for sign, face, morphism in faces:
-            offset = first_column[face]
-            if morphism is None:
-                for k, row in enumerate(block, offset):
-                    row[k] = row.get(k, 0) + sign
-                continue
-            for (_, i), entries in morphism.add_rows(q).items():
-                row = block[i]
-                for c, v in entries.items():
-                    row[offset + c] = row.get(offset + c, 0) + sign * v
-        rows += block
-    return [{c: v % p for c, v in row.items() if v % p} for row in rows]
-
-
-def _rows_in_degree(page: E1Page, s: int, q: int) -> list:
-    """The differential out of column s in degree q as sparse rows, an
-    incidence expanded into its identity blocks."""
-    if s not in page.incidences:
-        return page.differentials[(s, q)]
-    cofaces = [
-        (ci, [(sign, face, None) for face, sign in row.items()])
-        for ci, row in page.incidences[s].items()
-    ]
-    return _degree_rows(cofaces, page.cells_by_dim[s], page.dims, q, page.p)
-
-
-def _composes_to_zero(second, first, p) -> bool:
-    """Whether each row of ``second`` times the rows of ``first`` it
-    indexes vanishes mod p."""
-    for row in second:
-        composite: dict = {}
-        for k, v in row.items():
-            for c, w in first[k].items():
-                composite[c] = (composite.get(c, 0) + v * w) % p
-        if any(composite.values()):
-            return False
-    return True
-
-
 def check_d_squared(page: E1Page) -> bool:
-    """Whether each composite of two consecutive differentials vanishes.
+    """Whether d^2 = 0: each composite of two consecutive coboundaries vanishes.
 
     Two incidences are composed once, cell by cell: the composite in
     degree q is theirs tensored with the identity, so it matters on the
-    (s+2)-cells whose dims are not all zero.  A pair with a special side
-    is composed in every degree, row by row, the identity side expanded
-    into its rows in that degree.
+    (s+2)-cells whose dims are not all zero.
     """
-    for s in page.cells_by_dim:
-        if s + 2 not in page.cells_by_dim:
-            continue
-        if s in page.incidences and s + 1 in page.incidences:
-            second = [row for ci, row in page.incidences[s + 1].items() if any(page.dims[ci])]
-            if not _composes_to_zero(second, page.incidences[s], page.p):
-                return False
-            continue
-        for q in range(page.bound + 1):
-            second, first = _rows_in_degree(page, s + 1, q), _rows_in_degree(page, s, q)
-            if not _composes_to_zero(second, first, page.p):
+    p = page.p
+    for s, first in page.incidences.items():
+        for ci, row in page.incidences.get(s + 1, {}).items():
+            if not any(page.dims[ci]):
+                continue
+            composite: dict = {}
+            for k, v in row.items():
+                for c, w in first[k].items():
+                    composite[c] = (composite.get(c, 0) + v * w) % p
+            if any(composite.values()):
                 return False
     return True
 
@@ -292,10 +210,9 @@ def page_ranks(page: E1Page) -> dict:
     into one block per dims vector D of its (s+1)-cells, and in degree q
     the block is that part of the coboundary tensored with the identity
     of rank D[q].  Each block's incidence rows are ranked once and the
-    rank weighted by D[q]; a differential with a special face is ranked
-    in each degree.
+    rank weighted by D[q].
     """
-    ranks = {key: linalg.rank(rows, page.p) for key, rows in page.differentials.items()}
+    ranks = {}
     for s, incidence in page.incidences.items():
         blocks: dict = {}
         for ci, row in incidence.items():
@@ -321,8 +238,8 @@ def page_cohomology(page: E1Page) -> dict:
 def equivariant_cohomology_from_page(page: E1Page) -> GradedDims:
     """Total dims when the page collapses onto the zeroth column.
 
-    Anything surviving in a higher column would feed later differentials,
-    so the computation refuses to continue in that case.
+    Anything surviving in a higher column would feed the maps of later
+    pages, so the computation refuses to continue in that case.
     """
     coh = page_cohomology(page)
     for (s, q), d in coh.items():
@@ -342,19 +259,34 @@ def component_cohomology(
 
     A component without the special edge, the 1-cell with special faces
     in the rule, is its own page.  The component holding it is first
-    checked to retract onto it; its answer is then the page of the edge
-    and its two vertices, which refuses unless coker [alpha, -beta]
-    vanishes.  ``rule`` defaults to ``sylow_rule(cx, bound)``.
+    checked to retract onto it; its answer is then the segment's, the
+    equalizer of the edge's two face morphisms, which refuses unless
+    coker [alpha, -beta] vanishes.  ``rule`` defaults to
+    ``sylow_rule(cx, bound)``.
     """
     if rule is None:
         rule = sylow_rule(cx, bound)
     edge = min((ci for ci, _ in rule.special_faces if cx.component_of[ci] == component), default=None)
     if edge is None:
         cells = [c.index for c in cx.cells if cx.component_of[c.index] == component]
-    else:
-        _check_retraction(cx, cx.cells[edge])
-        cells = [edge, *cx.cells[edge].faces]
-    return equivariant_cohomology_from_page(build_e1(cx, rule, cells))
+        return equivariant_cohomology_from_page(build_e1(cx, rule, cells))
+    _check_retraction(cx, cx.cells[edge])
+    return _segment_cohomology(rule, edge)
+
+
+def _segment_cohomology(rule: CoefficientRule, edge: int) -> GradedDims:
+    """The page of the special edge and its two vertices, whose one
+    differential sends (a, b) to alpha(a) - beta(b): column 0 is the
+    equalizer of the face morphisms on the product A x B of their sources,
+    and column 1, the cokernel, must vanish, so dim E_q = dim (A x B)_q
+    less the equalizer in every degree q."""
+    source, f, g = product_pair(rule.special_faces[(edge, 0)], rule.special_faces[(edge, 1)])
+    kernel = equalizer(f, g, rule.bound)
+    edge_dims = rule.cell_dims[edge]
+    for q in range(rule.bound + 1):
+        if edge_dims[q] != len(source.basis(q)) - kernel[q]:
+            raise ConcentrationError(f"page survives at column 1, degree {q}")
+    return kernel
 
 
 def _check_retraction(cx: QuotientComplex, edge):

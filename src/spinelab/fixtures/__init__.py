@@ -66,7 +66,8 @@ def load_thm_input(p: int):
 def thm_input(data: dict):
     """Pluggable recursion input: (algebra, restriction images as strings).
 
-    A document of another shape raises ValueError.
+    The images are keyed by exactly the generator names.  A document of
+    another shape raises ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
@@ -74,4 +75,11 @@ def thm_input(data: dict):
     images = data["restriction_images"]
     if not isinstance(images, dict) or not all(isinstance(v, str) for v in images.values()):
         raise ValueError("'restriction_images' must be an object of strings")
+    names = [g.name for g in algebra.generators]
+    for name in names:
+        if name not in images:
+            raise ValueError(f"'restriction_images' has no image of generator {name!r}")
+    for key in images:
+        if key not in names:
+            raise ValueError(f"'restriction_images' key {key!r} names no generator")
     return algebra, images

@@ -17,13 +17,12 @@ from spinelab.algebra import (
     AlgebraMorphism,
     Element,
     GradedAlgebra,
-    ProductAlgebra,
-    ProductMorphism,
     cohomology_of_metacyclic,
     dimensions,
     equalizer,
     invariants,
     parse_element,
+    product_pair,
     swap_action,
     verify_free_module,
 )
@@ -97,10 +96,7 @@ class RunConfig:
 
 def _alpha_beta():
     alpha, beta = load_morphisms(["alpha", "beta"])
-    source = ProductAlgebra([alpha.source, beta.source])
-    f = ProductMorphism(source, 0, alpha)
-    g = ProductMorphism(source, 1, beta)
-    return alpha, beta, source, f, g
+    return (alpha, beta, *product_pair(alpha, beta))
 
 
 def _alpha_beta_equalizer(bound):

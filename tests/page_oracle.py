@@ -4,9 +4,11 @@ Every differential, identity faces included, is a list of sparse rows
 ``{column: value}`` in every degree q, identity faces writing their
 diagonal into each (s+1)-cell's block of rows and face morphisms their
 ``add_rows`` entries at block offsets; each is ranked, and each
-composite of two is checked, degree by degree.  The tests compare
-``spinelab.assembly``, which keeps an identity-only differential as one
-incidence, against this.
+composite of two is checked, degree by degree.  It is the only page
+with face maps: ``spinelab.assembly`` builds pages of identity faces
+only, each differential kept as one incidence, and reads the special
+edge's segment as the equalizer of its two face morphisms.  The tests
+compare both against this.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def build_e1(cx, rule, cells) -> Page:
         if s + 1 not in cells_by_dim:
             continue
         cofaces = [
-            (ci, [((-1) ** k, f, rule.face_morphism(ci, k)) for k, f in enumerate(cx.cells[ci].faces)])
+            (ci, [((-1) ** k, f, rule.special_faces.get((ci, k))) for k, f in enumerate(cx.cells[ci].faces)])
             for ci in cells_by_dim[s + 1]
         ]
         for q in range(bound + 1):

@@ -128,7 +128,9 @@ def test_each_suite_classifies_once_per_prime(monkeypatch, p, primes):
 
 def test_each_p3_suite_builds_one_alpha_beta_equalizer(monkeypatch):
     """The series and free-module criteria read one kernel of the
-    alpha/beta pair, which ``run_all`` builds once for both."""
+    alpha/beta pair, which ``run_all`` builds once for both.  The
+    corollary's K33 segment builds the only other, from the coefficient
+    rule's own alpha and beta."""
     from spinelab import algebra
 
     source = verification._alpha_beta()[2]
@@ -138,7 +140,7 @@ def test_each_p3_suite_builds_one_alpha_beta_equalizer(monkeypatch):
         algebra, "_common_kernel", lambda src, pairs, bound: sources.append(src) or real(src, pairs, bound)
     )
     assert all(result.passed for result in run_all(RunConfig()))
-    assert sources.count(source) == 1
+    assert sources.count(source) == 2
 
 
 def test_each_function_reads_a_fixture_file_once(monkeypatch, rank4_complex):

@@ -117,13 +117,16 @@ def test_identity_face_dim_mismatch_is_an_error(rank4_complex):
 
 
 def test_identity_face_dim_mismatch_beside_a_special_face(rank4_complex):
-    """The whole complex under the shipped rule: the edges at the big
-    vertices join unequal dims, in the differential that holds the
-    special faces, and the error names what the per-degree page names."""
+    """The whole complex under the shipped rule: the per-degree page
+    finds the edges at the big vertices joining unequal dims, and the
+    page refuses the special edge before it reads any face as an
+    identity."""
     rule = sylow_rule(rank4_complex, BOUND)
-    with pytest.raises(CoefficientRuleError) as want:
+    edge = special_edge(rank4_complex, rule)
+    with pytest.raises(CoefficientRuleError, match="identity face of cell .* has mismatched dims"):
         page_oracle.build_e1(rank4_complex, rule, all_cells(rank4_complex))
-    with pytest.raises(CoefficientRuleError, match=re.escape(str(want.value))):
+    message = f"cell {edge.index} has a special face; a page has identity faces only"
+    with pytest.raises(CoefficientRuleError, match=re.escape(message)):
         build_e1(rank4_complex, rule, all_cells(rank4_complex))
 
 
@@ -141,34 +144,10 @@ def test_cell_list_must_be_closed_under_faces(rank4_complex):
         build_e1(rank4_complex, rule, [edge.index, edge.faces[0]])
 
 
-@pytest.mark.parametrize("bound", [10, 40])
-def test_full_page_reads_each_face_once(rank4_complex, monkeypatch, bound):
-    """The page asks the rule for each face of each cell of dimension >= 1
-    once, whatever the degree bound."""
-    calls = []
-    real = CoefficientRule.face_morphism
-    monkeypatch.setattr(
-        CoefficientRule, "face_morphism", lambda rule, ci, k: calls.append((ci, k)) or real(rule, ci, k)
-    )
-    rule = constant_rule(rank4_complex, bound, load_algebra("sigma3"))
-    build_e1(rank4_complex, rule, all_cells(rank4_complex))
-    pairs = [(c.index, k) for c in rank4_complex.cells if c.dim >= 1 for k in range(len(c.faces))]
-    assert len(pairs) == 99
-    assert sorted(calls) == pairs
-
-
 def sylow_page(anchor, bound):
     """The page ``component_cohomology`` reads for the component holding
-    ``anchor``: the component, or the special edge's segment."""
-
-    def make(cx):
-        rule = sylow_rule(cx, bound)
-        if anchor != "K33":
-            return rule, component_cells(cx, anchor)
-        edge = special_edge(cx, rule)
-        return rule, [edge.index, *edge.faces]
-
-    return make
+    ``anchor``."""
+    return lambda cx: (sylow_rule(cx, bound), component_cells(cx, anchor))
 
 
 def two_dims_classes(cx):
@@ -181,39 +160,13 @@ def two_dims_classes(cx):
     return CoefficientRule(40, cell_dims, {}), all_cells(cx)
 
 
-def scaled_morphism(alg, factor):
-    return AlgebraMorphism(
-        alg, alg, {g.name: factor * alg.generator_element(g.name) for g in alg.generators}
-    )
-
-
-def mixed_page(factor):
-    """sigma3 everywhere, with one face of an edge that bounds a 2-cell
-    made special: the generators times ``factor``.  The differential out
-    of the vertices is then written per degree, the one out of the edges
-    stays an incidence."""
-
-    def make(cx):
-        sigma3 = load_algebra("sigma3")
-        rule = constant_rule(cx, BOUND, sigma3)
-        edge = cx.cells[cx.cells_of_dim(2)[0].faces[0]]
-        rule.special_faces[(edge.index, 0)] = scaled_morphism(sigma3, factor)
-        return rule, all_cells(cx)
-
-    return make
-
-
 PAGES = {
     "rose-24": sylow_page("R4", 24),
     "rose-120": sylow_page("R4", 120),
     "theta11-24": sylow_page("Theta2^{1,1}", 24),
     "theta11-120": sylow_page("Theta2^{1,1}", 120),
-    "k33-segment-24": sylow_page("K33", 24),
-    "k33-segment-120": sylow_page("K33", 120),
     "constant-40": lambda cx: (constant_rule(cx, 40, load_algebra("sigma3")), all_cells(cx)),
     "two-dims-classes-40": two_dims_classes,
-    "mixed-identity-24": mixed_page(1),
-    "mixed-doubled-24": mixed_page(2),
 }
 
 
@@ -230,20 +183,23 @@ def test_page_matches_the_per_degree_oracle(rank4_complex, name):
 
 
 def test_page_forms_of_the_oracle_pages(rank4_complex):
-    """Each page case holds the form it is there for: identity-only pages
-    keep no per-degree rows, the two-class page has two dims classes
-    wherever the K33 component has cells, and the mixed pages write one column per degree, with
-    d^2 = 0 failing only under the doubled face."""
-    pages = {name: build_e1(rank4_complex, *make(rank4_complex)) for name, make in PAGES.items()}
-    for name in ("rose-120", "theta11-120", "constant-40", "two-dims-classes-40"):
-        assert pages[name].differentials == {}, name
-    assert set(pages["k33-segment-120"].differentials) == {(0, q) for q in range(121)}
-    two = pages["two-dims-classes-40"]
+    """The two-class page case has two dims classes wherever the K33
+    component has cells."""
+    two = build_e1(rank4_complex, *two_dims_classes(rank4_complex))
     assert [len({two.dims[ci] for ci in two.incidences[s]}) for s in (0, 1, 2)] == [2, 2, 1]
-    for name in ("mixed-identity-24", "mixed-doubled-24"):
-        assert set(pages[name].incidences) == {1, 2}, name
-    assert check_d_squared(pages["mixed-identity-24"])
-    assert not check_d_squared(pages["mixed-doubled-24"])
+
+
+@pytest.mark.parametrize("bound", [24, 120])
+def test_k33_segment_matches_the_per_degree_oracle(rank4_complex, bound):
+    """The K33 component, the alpha/beta equalizer, against the segment's
+    page written out degree by degree with its face maps: column 0 is the
+    component's cohomology and column 1 is zero."""
+    rule = sylow_rule(rank4_complex, bound)
+    edge = special_edge(rank4_complex, rule)
+    want = page_oracle.page_cohomology(page_oracle.build_e1(rank4_complex, rule, [edge.index, *edge.faces]))
+    got = component_cohomology(rank4_complex, rank4_complex.component_containing("K33"), bound, rule)
+    assert got.dims == tuple(want[(0, q)] for q in range(bound + 1))
+    assert not any(want[(1, q)] for q in range(bound + 1))
 
 
 def test_rose_page_ranks_do_not_depend_on_the_bound(rank4_complex, monkeypatch):
@@ -263,21 +219,21 @@ def test_rose_page_ranks_do_not_depend_on_the_bound(rank4_complex, monkeypatch):
 
 
 def test_corollary_eliminations_at_bound_120(rank4_complex, monkeypatch):
-    """One corollary at bound 120 eliminates 127 times on 100 rows: the
-    segment's differential in each of 121 degrees (61 rows), the rose's
-    three incidences (26 rows) and three boundary maps of the retraction
-    check's two pieces (13 rows)."""
+    """One corollary at bound 120 eliminates 6 times on 39 rows: the
+    rose's three incidences (26 rows) and three boundary maps of the
+    retraction check's two pieces (13 rows).  The K33 segment is an
+    equalizer, ranked by gain-graph passes."""
     sizes = []
     real = linalg.echelon
     monkeypatch.setattr(linalg, "echelon", lambda rows, p: sizes.append(len(rows)) or real(rows, p))
     corollary_dims(rank4_complex, 120)
-    assert (len(sizes), sum(sizes)) == (127, 100)
+    assert (len(sizes), sum(sizes)) == (6, 39)
 
 
 def test_cohomology_pass_counts_at_bound_120(rank4_complex, monkeypatch):
     """A warm pass of the six criteria that read the algebras, at bound
-    120, eliminates 369 times on 2,832 rows, and ranks the single pairs of
-    single-term maps by 944 gain-graph passes over 10,731 columns.  No
+    120, eliminates 248 times on 2,771 rows, and ranks the single pairs of
+    single-term maps by 1,065 gain-graph passes over 12,593 columns.  No
     row changes a pivot row kept before it: the pivot rows of every prefix
     of an elimination's rows are pivot rows of the whole.  The code tables
     are shared per signature, so the pass packs only its morphisms'
@@ -302,8 +258,8 @@ def test_cohomology_pass_counts_at_bound_120(rank4_complex, monkeypatch):
         GradedAlgebra, "pack", lambda self, mono: packs.append(mono) or pack(self, mono)
     )
     one_pass()
-    assert (len(calls), sum(len(rows) for rows, _ in calls)) == (369, 2832)
-    assert (len(columns), sum(columns)) == (944, 10731)
+    assert (len(calls), sum(len(rows) for rows, _ in calls)) == (248, 2771)
+    assert (len(columns), sum(columns)) == (1065, 12593)
     changed = 0
     for rows, p in calls:
         whole = real(rows, p).items()
@@ -330,7 +286,7 @@ def test_k33_component_is_the_equalizer(rank4_complex):
 
 
 def test_k33_component_builds_each_image_once(rank4_complex, monkeypatch):
-    """The segment page reads each degree of alpha and beta once, in
+    """The segment's equalizer reads each degree of alpha and beta once, in
     ascending order, so each source monomial of positive degree of alpha and beta
     has its image built by one kernel product."""
     from spinelab import algebra
@@ -370,14 +326,16 @@ def special_edge(cx, rule):
 def test_segment_page_requires_a_vanishing_cokernel(rank4_complex):
     """With both face maps zero on every generator, the edge algebra above
     degree 0 is the cokernel of [alpha, -beta], and it survives at column
-    one of the segment page."""
+    one of the segment page, first in the lowest positive degree of the
+    edge algebra."""
     rule = sylow_rule(rank4_complex, BOUND)
-    edge = special_edge(rank4_complex, rule)
     for key, morphism in rule.special_faces.items():
         rule.special_faces[key] = zero_morphism(morphism.source, morphism.target)
-    page = build_e1(rank4_complex, rule, [edge.index, *edge.faces])
-    with pytest.raises(ConcentrationError, match="column 1"):
-        equivariant_cohomology_from_page(page)
+    edge_dims = rule.cell_dims[special_edge(rank4_complex, rule).index]
+    first = next(q for q in range(1, BOUND + 1) if edge_dims[q])
+    component = rank4_complex.component_containing("K33")
+    with pytest.raises(ConcentrationError, match=f"page survives at column 1, degree {first}$"):
+        component_cohomology(rank4_complex, component, BOUND, rule)
 
 
 def test_k33_component_refuses_a_big_stabilizer_off_the_edge(rank4_complex):

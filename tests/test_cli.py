@@ -356,6 +356,12 @@ def _missing_image(data):
     return "u3"
 
 
+def _extra_image(data):
+    # a key that names no generator, which nothing would read
+    data["restriction_images"]["zz"] = "u3"
+    return "'zz' names no generator"
+
+
 def _odd_polynomial(data):
     data["algebra"]["generators"].append({"name": "w5", "degree": 5, "kind": "poly"})
     data["restriction_images"]["w5"] = "0"
@@ -379,7 +385,7 @@ def _other_prime(data):
 
 
 @pytest.mark.parametrize(
-    "spoil", [_missing_image, _odd_polynomial, _string_degree, _image_list, _other_prime]
+    "spoil", [_missing_image, _extra_image, _odd_polynomial, _string_degree, _image_list, _other_prime]
 )
 def test_thm14_bad_aut_input_is_config_error(runner, tmp_path, spoil):
     data = _thm_input()
