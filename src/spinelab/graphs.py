@@ -304,7 +304,7 @@ def _acyclic_unions(g: HalfEdgeGraph, parts: list) -> list:
                 a, b = merged[u], merged[v]
                 if a == b:
                     break
-                merged = tuple(a if x == b else x for x in merged)
+                merged = tuple([a if x == b else x for x in merged])
             else:
                 stack.append((union + parts[i], i + 1, merged))
     found.sort(key=lambda f: (len(f), sorted(f)))

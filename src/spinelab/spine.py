@@ -95,11 +95,15 @@ def match_names(classes: list) -> list:
     Each class is looked up by canonical form among the catalog
     constructions; a class with no catalog form, two constructions with
     one form or one name given to two classes is a hard error rather than
-    a guess.
+    a guess.  A construction whose multiplicity matrix is a class's own
+    takes that class's form, from a table local to the call, since the
+    search gives equal matrices equal forms; only the others are searched.
     """
+    by_matrix = {cls.graph.multiplicity: canonical_form(cls.graph) for cls in classes}
     table = {}
     for name, make in catalog.RANK4_SINGULAR.items():
-        form = canonical_form(make())
+        g = make()
+        form = by_matrix.get(g.multiplicity) or canonical_form(g)
         if form in table:
             raise NameAmbiguityError(f"catalog constructions {table[form]} and {name} share a form")
         table[form] = name
@@ -273,7 +277,9 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     to F_0/F_k > ... > F_(k-1)/F_k on G/F_k, whose vertices are G/F_0,
     ..., G/F_k.  Many cells share a top class and a smallest forest, so
     each such collapse is identified with its census class once, in a
-    table that lives for this call.
+    table that lives for this call; and many such collapses share a
+    multiplicity matrix, so each matrix is searched once, in a second
+    table local to the call.
     """
     if classes is None:
         classes = singular_graphs(p, n)
@@ -289,13 +295,16 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     cells: list = []
     lookup: dict = {}  # (class index, chain key) -> cell index
     collapses: dict = {}  # (class index, forest) -> (class index, edge map)
+    searched: dict = {}  # multiplicity matrix of a collapse -> its form
     for dim in range(top_level + 1):
         for gi, levels in enumerate(per_class):
             for chain, order, _, translates in levels.get(dim, {}).values():
                 faces = [lookup[(gi, _chain_key(chain[:k] + chain[k + 1 :]))] for k in range(dim)]
                 if dim:
                     faces.append(
-                        _rerooted_face(classes, forms, form_index, lookup, collapses, gi, chain)
+                        _rerooted_face(
+                            classes, forms, form_index, lookup, collapses, searched, gi, chain
+                        )
                     )
                 vertices = (cells[faces[-1]].vertices if dim else ()) + (gi,)
                 index = len(cells)
@@ -311,7 +320,7 @@ def quotient_complex(p: int, n: int, classes: Optional[list] = None) -> Quotient
     return QuotientComplex(p, n, list(classes), cells, component_of, len(pieces))
 
 
-def _rerooted_face(classes, forms, form_index, lookup, collapses, gi: int, chain) -> int:
+def _rerooted_face(classes, forms, form_index, lookup, collapses, searched, gi: int, chain) -> int:
     """Face omitting the top vertex: collapse by the smallest forest.
 
     The collapsed graph is identified with its census representative by
@@ -319,14 +328,20 @@ def _rerooted_face(classes, forms, form_index, lookup, collapses, gi: int, chain
     give is composed with the collapse into a map from the top graph's
     edges to the representative's bundles, each named by its least edge.
     That depends only on the top class and the smallest forest, so it is
-    made once per key of ``collapses`` and stored there.  The remaining
-    forests are carried along the map and looked up.
+    made once per key of ``collapses`` and stored there.  The form is
+    searched once per multiplicity matrix and kept in ``searched``, a
+    table local to the ``quotient_complex`` call: equal matrices have
+    equal rows, labellings and generators.  The remaining forests are
+    carried along the map and looked up.
     """
     key = (gi, chain[-1])
     if key not in collapses:
         top = classes[gi].graph
         res = collapse_with_maps(top, chain[-1])
-        form = canonical_form(res.graph)
+        mult = res.graph.multiplicity
+        form = searched.get(mult)
+        if form is None:
+            form = searched[mult] = canonical_form(res.graph)
         target = form_index[form]
         vmap = dict(zip(form.labelling, forms[target].labelling))
         along = [vmap[w] for w in res.vertex_map]

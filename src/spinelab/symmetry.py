@@ -10,7 +10,7 @@ Two graphs are isomorphic exactly when their multiplicity data (loop
 counts plus off-diagonal edge multiplicities) agree up to a vertex
 relabeling, so canonical forms are computed on that data by refinement
 plus ordered backtracking, pruned by the automorphisms that equal leaves
-reveal; the minimum, and so every form's bytes, is the full search's.
+reveal; the minimum, and so every form's rows, is the full search's.
 A cell of one vertex is placed in its parent's call, a forced step with
 no node of its own, and each node reads its candidates' rows off the
 matrix with one ``itemgetter`` of its prefix.  Each graph is searched
@@ -30,16 +30,19 @@ loops, so its order is a product (``automorphism_order``), and it acts
 on forests through their bundles, each named by its least edge
 (``bundle_names``, ``bundle_perms``).
 
-Two graphs are isomorphic exactly when their forms are equal.  A vertex
-map between them is read off their canonical labellings, the vertex
-orders that carry each graph onto its form (``spine`` maps the vertices
-of its re-rooted faces so); no dart-level isomorphism is built.
+Two graphs are isomorphic exactly when their forms are equal, that is
+when their rows are; a form's bytes, which order forms, are encoded
+from the rows only when read.  A vertex map between them is read off
+their canonical labellings, the vertex orders that carry each graph
+onto its form (``spine`` maps the vertices of its re-rooted faces so);
+no dart-level isomorphism is built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial, lcm
 from operator import itemgetter
 
@@ -155,20 +158,24 @@ def edge_permutation(g: HalfEdgeGraph, a: GraphAutomorphism) -> tuple:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Complete isomorphism invariant; equal bytes iff isomorphic graphs.
+    """Complete isomorphism invariant; equal rows iff isomorphic graphs.
 
-    ``rows`` is the minimal (loops, lower-triangle) matrix that ``data``
-    encodes, kept so that ``graph`` needs no second search;
-    ``labelling[i]`` is the vertex of the graph at canonical position i;
-    and ``generators`` are vertex automorphisms of the graph, as image
-    tuples, that generate its vertex group.  None of the three takes part
-    in comparison or hashing.
+    ``rows`` is the minimal (loops, lower-triangle) matrix, which is what
+    forms compare and hash by, and what ``graph`` realizes with no second
+    search; ``labelling[i]`` is the vertex of the graph at canonical
+    position i; and ``generators`` are vertex automorphisms of the graph,
+    as image tuples, that generate its vertex group.  Neither of the last
+    two takes part in comparison or hashing.  ``data``, the rows as JSON
+    bytes, is built on first read: forms order by it.
     """
 
-    data: bytes
-    rows: tuple = field(compare=False, repr=False)
+    rows: tuple
     labelling: tuple = field(compare=False, repr=False)
     generators: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def data(self) -> bytes:
+        return json.dumps([len(self.rows), [list(r) for r in self.rows]]).encode()
 
     def __lt__(self, other):
         return self.data < other.data
@@ -187,7 +194,7 @@ class CanonicalForm:
         generators = tuple(tuple(position[a[v]] for v in self.labelling) for a in self.generators)
         # seeds the cached property, as if the search had run on g
         vars(g)["canonical_form"] = CanonicalForm(
-            self.data, self.rows, tuple(range(len(self.rows))), generators
+            self.rows, tuple(range(len(self.rows))), generators
         )
         return g
 
@@ -384,11 +391,9 @@ def matrix_form(mult) -> CanonicalForm:
     """The canonical form of the graph whose symmetric multiplicity matrix
     is ``mult`` (the diagonal counts loops), without building the graph;
     a vertex's valence is its row sum plus its diagonal entry."""
-    rows, labelling, generators = _min_matrix_data(
-        mult, [(sum(row) + row[v], row[v]) for v, row in enumerate(mult)]
+    return CanonicalForm(
+        *_min_matrix_data(mult, [(sum(row) + row[v], row[v]) for v, row in enumerate(mult)])
     )
-    payload = json.dumps([len(mult), [list(r) for r in rows]]).encode()
-    return CanonicalForm(payload, rows, labelling, generators)
 
 
 def realize_multiplicity(loops: list, lower: list) -> HalfEdgeGraph:

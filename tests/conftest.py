@@ -18,3 +18,19 @@ def rank4_classes():
 @pytest.fixture(scope="session")
 def rank4_complex(rank4_classes):
     return quotient_complex(3, 4, rank4_classes)
+
+
+@pytest.fixture
+def form_encodes(monkeypatch):
+    """A list that gains one entry each time a canonical form's bytes are
+    encoded, for the rest of the test."""
+    import json
+    from types import SimpleNamespace
+
+    from spinelab import symmetry
+
+    encodes = []
+    monkeypatch.setattr(
+        symmetry, "json", SimpleNamespace(dumps=lambda *a: encodes.append(a) or json.dumps(*a))
+    )
+    return encodes

@@ -89,7 +89,9 @@ def test_13_property_suites(rank4_complex):
     _report(13, criterion_properties(rank4_complex, BOUND))
 
 
-def test_property_suite_searches_each_relabelled_matrix_once(monkeypatch, rank4_complex):
+def test_property_suite_searches_each_relabelled_matrix_once(
+    monkeypatch, rank4_complex, form_encodes
+):
     searched = []
     real = verification.matrix_form
     monkeypatch.setattr(verification, "matrix_form", lambda m: searched.append(m) or real(m))
@@ -101,6 +103,8 @@ def test_property_suite_searches_each_relabelled_matrix_once(monkeypatch, rank4_
     }
     assert sorted(searched) == sorted(want)
     assert len(searched) == 245
+    # each relabelled form is compared with its class's, by rows alone
+    assert form_encodes == []
 
 
 def test_property_suite_checks_every_dart_relabelling(monkeypatch, rank4_complex):

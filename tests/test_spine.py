@@ -10,7 +10,14 @@ import pytest
 from spinelab import catalog, spine
 from spinelab.fixtures import load_expected_tables
 from spinelab.report import corpus_document
-from spinelab.graphs import HalfEdgeGraph, enumerate_forests, is_admissible, rank, two_edge_connected
+from spinelab.graphs import (
+    HalfEdgeGraph,
+    build_graph,
+    enumerate_forests,
+    is_admissible,
+    rank,
+    two_edge_connected,
+)
 from spinelab.spine import (
     NameAmbiguityError,
     cell_rows,
@@ -269,6 +276,66 @@ def test_match_names_examples(rank4_classes):
 def test_match_names_flags_unknown():
     with pytest.raises(NameAmbiguityError):
         match_names(singular_graphs(5, 2) + singular_graphs(3, 2))
+
+
+def _counted_searches(monkeypatch) -> list:
+    from spinelab import symmetry
+
+    searches = []
+    inner = symmetry._min_matrix_data
+    monkeypatch.setattr(symmetry, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+    return searches
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_match_names_refuses_a_second_construction_of_a_class(rank4_classes, monkeypatch, relabel):
+    # a copy in the class representative's own labelling takes the class's
+    # form from the call's table of class matrices; a relabelled copy is
+    # searched; either way the catalog then names one class twice
+    g = next(c.graph for c in rank4_classes if c.name == "Theta3*R1")
+    n = g.vertex_count
+    ends = [g.edge_endpoints(e) for e in range(g.edge_count)]
+    if relabel:
+        ends = [(n - 1 - u, n - 1 - v) for u, v in ends]
+    copy = build_graph(n, ends)
+    assert (copy.multiplicity == g.multiplicity) != relabel
+    monkeypatch.setattr(catalog, "RANK4_SINGULAR", {**catalog.RANK4_SINGULAR, "copy": lambda: copy})
+    searches = _counted_searches(monkeypatch)
+    with pytest.raises(NameAmbiguityError, match=r"Theta3\*R1 and copy share a form"):
+        match_names(rank4_classes)
+    assert len(searches) == 8 + relabel
+
+
+def test_match_names_refuses_a_class_given_twice(rank4_classes):
+    with pytest.raises(NameAmbiguityError, match="received the same name"):
+        match_names(rank4_classes + rank4_classes[:1])
+
+
+def test_names_and_faces_search_each_matrix_once_per_call(monkeypatch):
+    classes = singular_graphs(3, 4)
+    searches = _counted_searches(monkeypatch)
+    named = match_names(classes)
+    # the classes carry their forms, and 9 of the 17 catalog constructions
+    # have a class representative's own matrix, so 8 are searched
+    assert len(searches) == 8
+    quotient_complex(3, 4, named)
+    # the 24 collapses by a top class's smallest forest have 11 matrices
+    assert len(searches) == 8 + 11
+    assert len({matrix for matrix, _ in searches[8:]}) == 11
+
+
+def test_complex_encodes_only_the_bytes_of_sorted_forms(monkeypatch, form_encodes):
+    # forms compare by their rows; only the order-3 census, sorted by the
+    # bytes of its graphs' forms, reads them, once per graph
+    from spinelab import equivariant
+
+    sorted_graphs = []
+    inner = equivariant._census_order
+    monkeypatch.setattr(
+        equivariant, "_census_order", lambda zg: sorted_graphs.append(zg.graph) or inner(zg)
+    )
+    quotient_complex(3, 4)
+    assert len({id(g) for g in sorted_graphs}) == len(form_encodes) == 19
 
 
 def test_cell_counts(rank4_complex):

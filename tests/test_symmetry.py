@@ -321,6 +321,28 @@ def test_canonical_form_equality_is_isomorphism(pair, data):
 
 @settings(max_examples=200)
 @given(multigraph_pairs(), st.data())
+def test_form_equality_hashing_and_order_read_the_bytes(pair, data):
+    # forms compare and hash by their rows and encode their bytes only when
+    # read, so equality, hashing and order must still mean the bytes'
+    g1, g2 = pair
+    relabeled = apply_to_graph(g1, _relabeling(data, g1))
+    forms = [canonical_form(g) for g in (g1, g2, relabeled)]
+    for f in forms:
+        for g in forms:
+            assert (f == g) == (f.data == g.data)
+            assert f != g or hash(f) == hash(g)
+            assert (f < g) == (f.data < g.data)
+
+
+def test_form_bytes_of_catalog_graphs():
+    assert canonical_form(catalog.rose(4)).data == b"[1, [[4]]]"
+    assert canonical_form(catalog.complete_bipartite(3, 3)).data == (
+        b"[6, [[0], [0, 0], [0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 1, 0], [0, 1, 1, 1, 0, 0]]]"
+    )
+
+
+@settings(max_examples=200)
+@given(multigraph_pairs(), st.data())
 def test_isomorphism_agrees_with_search_oracle(pair, data):
     g1, g2 = pair
     relabeled = apply_to_graph(g1, _relabeling(data, g1))
