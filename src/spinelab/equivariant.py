@@ -122,7 +122,7 @@ class ZpGraph:
 # the equivariant key
 
 
-def _equivariant_key(zg: ZpGraph, forest: frozenset) -> tuple:
+def _equivariant_key(zg: ZpGraph, forest: frozenset, searched: dict | None = None) -> tuple:
     """Complete invariant of (zg, forest) up to equivariant isomorphism.
 
     An action of odd order swaps no two vertices and flips no loop, and a
@@ -137,7 +137,9 @@ def _equivariant_key(zg: ZpGraph, forest: frozenset) -> tuple:
     subtracted so that a pi-neighbour of a placed vertex has the least row:
     the canonical search's first choice in a free orbit fixes the rest of
     it.  The key is the least canonical matrix over the generators a^k,
-    all of which give one matrix when no vertex moves.
+    all of which give one matrix when no vertex moves.  Each search is
+    looked up in and added to ``searched``, a table of least rows by
+    (matrix, keys) that a caller may share across its keys.
     """
     g, a = zg.graph, zg.action
     n, radix = g.vertex_count, g.edge_count + 1
@@ -149,14 +151,18 @@ def _equivariant_key(zg: ZpGraph, forest: frozenset) -> tuple:
         base[u][v] += step
         if u != v:
             base[v][u] += step
+    searched = {} if searched is None else searched
     pi, forms = list(range(n)), []
     for _ in range(zg.p - 1 if zg.free_vertex_orbit_count() else 1):
         pi = [a.vperm[x] for x in pi]
-        matrix = [
-            [4 * base[v][u] - 2 * (pi[v] == u) - (pi[u] == v) for u in range(n)]
+        matrix = tuple(
+            tuple(4 * base[v][u] - 2 * (pi[v] == u) - (pi[u] == v) for u in range(n))
             for v in range(n)
-        ]
-        forms.append(_min_matrix_data(matrix, [(g.valences[v], matrix[v][v]) for v in range(n)])[0])
+        )
+        keys = tuple((g.valences[v], matrix[v][v]) for v in range(n))
+        if (matrix, keys) not in searched:
+            searched[matrix, keys] = _min_matrix_data(matrix, keys)[0]
+        forms.append(searched[matrix, keys])
     return zg.p, zg.trivial, g.edge_count, min(forms)
 
 
@@ -383,14 +389,19 @@ def enumerate_zp_graphs(p: int, n: int, max_edges: int) -> list:
         raise BudgetExceeded(f"edge budget {max_edges} exceeds 3*rank-3 = {3 * n - 3}")
     classes = _reduced_classes(p, n, max_edges)
     seen = {zg.key for zg in classes}
+    # candidates built apart can share a key matrix, so the census
+    # searches each (matrix, keys) pair once, in this table
+    searched: dict = {}
     for zg in classes:  # the list grows as it is read
         # only each blow-up's graph class is kept, so each candidate is
         # keyed once, without its forest; the first candidate of a class
         # is also the first of its forest class, so the representatives
-        # are those that `equivariant_expansions` would give
+        # are those that `equivariant_expansions` would give.  A candidate
+        # is new, and its key is cached where ``ZpGraph.key`` caches it.
         for blown_up, _ in _blow_up_candidates(zg, max_edges):
-            if blown_up.key not in seen:
-                seen.add(blown_up.key)
+            key = vars(blown_up)["key"] = _equivariant_key(blown_up, frozenset(), searched)
+            if key not in seen:
+                seen.add(key)
                 classes.append(blown_up)
     return dedup_equivariant(classes)
 

@@ -18,6 +18,7 @@ from spinelab.algebra import (
     ProductAlgebra,
     ProductMorphism,
     cohomology_of_metacyclic,
+    compose_morphisms,
     dimensions,
     equalizer,
     invariants,
@@ -29,7 +30,7 @@ from spinelab.algebra import (
 from spinelab.assembly import _recursion_maps
 from spinelab.fixtures import load_algebra, load_algebras, load_morphisms, load_thm_input
 from spinelab.series import PowerSeriesRat, geometric, one_plus
-from spinelab.verification import _structure_elements
+from spinelab.verification import _structure_elements, _wreath_maps
 
 
 def identity_morphism(alg):
@@ -465,19 +466,13 @@ def test_tensor_names():
 def _oracle_morphisms():
     algebras = load_algebras()
     big = algebras["double_sigma3"]
-    c4 = parse_element(big, "c41 + c42")
-    c8 = parse_element(big, "(c41 - c42)^2")
-    d3 = parse_element(big, "d31 + d32")
-    d7 = parse_element(big, "(c41 - c42)*(d31 - d32)")
     synth = GradedAlgebra(5, [("u7", 7, "ext"), ("c8", 8, "poly"), ("e15", 15, "ext")])
     alpha, beta = load_morphisms(["alpha", "beta"], algebras)
     return {
         "alpha": alpha,
         "beta": beta,
         "swap": swap_action(big, [("c41", "c42"), ("d31", "d32")]),
-        "witness": AlgebraMorphism(
-            algebras["wreath"], big, {"c4": c4, "c8": c8, "d3": d3, "d7": d7}
-        ),
+        "witness": _wreath_maps(big, algebras["wreath"])[0],
         "f1 p=3": _recursion_maps(3, *load_thm_input(3))[2],
         "f1 p=5": _recursion_maps(5, synth, {"u7": "u7", "c8": "c8", "e15": "0"})[2],
     }
@@ -494,6 +489,45 @@ def test_matrix_in_degree_matches_full_products(name):
     fresh = _oracle_morphisms()[name]
     for d in (120, 3, 60):
         assert fresh.matrix_in_degree(d) == oracle_matrix(fresh, d), d
+
+
+def wreath_witness_ranks(bound):
+    """(ranks by elimination, eigen-coordinate ranks, wreath dimensions,
+    phi W) through the bound.  The first are the ranks of the wreath
+    witness W's sums by ``linalg.rank``, the route the wreath criterion
+    took before it ranked phi W, whose images are single terms."""
+    algebras = load_algebras()
+    big, wreath = algebras["double_sigma3"], algebras["wreath"]
+    witness, phi = _wreath_maps(big, wreath)
+    eigen = compose_morphisms(phi, witness)
+    degrees = range(bound + 1)
+    return (
+        [linalg.rank(witness._images(d), big.p) for d in degrees],
+        [eigen.rank_in_degree(d) for d in degrees],
+        [len(wreath.basis(d)) for d in degrees],
+        eigen,
+    )
+
+
+def test_wreath_witness_ranks_in_eigen_coordinates_as_by_elimination():
+    eliminated, counted, dims, eigen = wreath_witness_ranks(120)
+    assert eliminated == counted == dims
+    assert eigen.single_term
+    want = {"c4": "2*c41", "c8": "c42^2", "d3": "2*d31", "d7": "c42*d32"}
+    assert eigen.images == {n: parse_element(eigen.target, t) for n, t in want.items()}
+
+
+@pytest.mark.parametrize("name, singular", [("c42", "c41 + c42"), ("d32", "0")])
+def test_wreath_criterion_refuses_a_singular_substitution(monkeypatch, name, singular):
+    """c42 -> c41 + c42 kills c8's image, in degree 8.  d32 -> 0 first
+    kills an image in degree 10, d3 d7's, so through degree 9 only the
+    check of phi on the generators refuses it."""
+    from spinelab import verification
+
+    monkeypatch.setitem(verification.SWAP_EIGEN, name, singular)
+    result = verification.criterion_wreath(9)
+    assert not result.passed
+    assert result.detail == "dims_ok=True fixed=True independent=False"
 
 
 def test_a_second_ascending_pass_keeps_only_the_reachable_images():

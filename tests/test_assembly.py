@@ -232,12 +232,18 @@ def test_corollary_eliminations_at_bound_120(rank4_complex, monkeypatch):
 
 def test_cohomology_pass_counts_at_bound_120(rank4_complex, monkeypatch):
     """A warm pass of the six criteria that read the algebras, at bound
-    120, eliminates 248 times on 2,771 rows, and ranks the single pairs of
+    120, eliminates 127 times on 1,840 rows, and ranks the single pairs of
     single-term maps by 1,065 gain-graph passes over 12,593 columns.  No
     row changes a pivot row kept before it: the pivot rows of every prefix
     of an elimination's rows are pivot rows of the whole.  The code tables
     are shared per signature, so the pass packs only its morphisms'
-    generator images and units: 113 monomials."""
+    generator images and units: 132 monomials.
+
+    The wreath criterion ranks its witness in the swap's eigen-coordinates,
+    where the witness is single-term, so it eliminates nothing.  Ranking
+    the witness's sums took 121 eliminations of 931 rows, one per degree,
+    and the pass made 248 of 2,771; the eigen-coordinate map and its
+    composites pack 19 more monomials than the 113 packed before."""
     from spinelab import verification
 
     def one_pass():
@@ -258,14 +264,17 @@ def test_cohomology_pass_counts_at_bound_120(rank4_complex, monkeypatch):
         GradedAlgebra, "pack", lambda self, mono: packs.append(mono) or pack(self, mono)
     )
     one_pass()
-    assert (len(calls), sum(len(rows) for rows, _ in calls)) == (248, 2771)
+    assert (len(calls), sum(len(rows) for rows, _ in calls)) == (127, 1840)
     assert (len(columns), sum(columns)) == (1065, 12593)
     changed = 0
     for rows, p in calls:
         whole = real(rows, p).items()
         changed += sum(not real(rows[:k], p).items() <= whole for k in range(len(rows)))
     assert changed == 0
-    assert len(packs) == 113
+    assert len(packs) == 132
+    calls.clear()
+    assert verification.criterion_wreath(120).passed
+    assert not calls
 
 
 def test_rose_component_cohomology(rank4_complex, sigma3_dims):

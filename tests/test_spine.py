@@ -228,7 +228,8 @@ def test_singular_graphs_need_an_odd_prime(p, n):
 def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypatch):
     # each class's vertex automorphisms come from the canonical search that
     # found it, so nothing is searched beyond the order-3 census, which
-    # searches through its own module's import of the search: count both
+    # searches through its own module's import of the search: count both,
+    # 38 key searches and 19 forms
     from spinelab import equivariant, symmetry
 
     searches = []
@@ -241,7 +242,7 @@ def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypa
     monkeypatch.setattr(symmetry, "_min_matrix_data", counted)
     monkeypatch.setattr(equivariant, "_min_matrix_data", counted)
     classes = singular_graphs(3, 4)
-    assert len(searches) == 75
+    assert len(searches) == 57
     monkeypatch.undo()
     assert len(classes) == 17
     for cls in classes:
@@ -249,6 +250,23 @@ def test_singular_graphs_enumerates_vertex_automorphisms_once_per_class(monkeypa
         fresh = HalfEdgeGraph(g.vertex_count, g.sigma, g.target)  # searched anew
         assert sorted(cls.vertex_group) == sorted(_vertex_group(fresh))
         assert cls.aut_order == automorphism_order(fresh)
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 6), (4, 38)])
+def test_census_searches_each_key_matrix_once(monkeypatch, n, pairs):
+    """Blow-up candidates built apart can share a key matrix: at (3, 4)
+    the census's keys read 56 (matrix, keys) pairs, 38 of them distinct,
+    and 8 with 6 distinct at (3, 3).  Each census searches a pair once,
+    from a table of its own, so a second census searches them again."""
+    from spinelab import equivariant
+
+    searches = []
+    inner = equivariant._min_matrix_data
+    monkeypatch.setattr(equivariant, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+    singular_graphs(3, n)
+    assert len(searches) == len(set(searches)) == pairs
+    singular_graphs(3, n)
+    assert len(searches) == 2 * pairs
 
 
 def test_classes_keep_vertex_groups_not_dart_groups():
