@@ -38,10 +38,11 @@ position j of the monomial with that exponent lowered by one, so image k
 of degree d is image j of degree d - deg_i times generator i's image:
 one product per basis monomial, with the factors in the same
 left-to-right order as the full product, reduced mod p once.  Callers
-ask for degrees in ascending order, so a morphism keeps only the image
-lists of the degrees at most one maximal generator degree below the last
-degree asked for, the ones the next degree can reach; a degree asked for
-out of order first builds the degrees it misses below it, in ascending
+ask for degrees in ascending order, so a morphism builds them in one
+ascending pass and keeps only the image lists of the highest degree
+built and of the degrees it was built from, down to one maximal
+generator degree below it; a degree asked for below those clears them
+and builds again from degree 0, in ascending
 order.  The sparse rows of a degree are keyed by the position of each
 image code in the target's basis; that table holds the code of every
 basis monomial, so a degree whose exponents overflow their slots is
@@ -642,47 +643,40 @@ class AlgebraMorphism(_Morphism):
         self.single_term = len(self._unit) == 1 and all(len(t) <= 1 for t in self._generator_terms)
         self._degrees = tuple(g.degree for g in source.generators)
         # degree -> packed images of source.basis(degree), by position, for
-        # the degrees from _last - _span on, the ones that building degree
-        # _last can reach
+        # the highest degree built and the _span degrees below it, which it
+        # was built from
         self._window: dict = {}
         self._span = max(self._degrees, default=0)
-        self._last = 0
 
     def _images(self, d: int) -> list:
-        """Packed images of ``source.basis(d)``, by position.  The degrees
-        missing from the window below d are found downwards along the
-        parent table and built upwards, each from its parents' degrees.
-        Degree 0 and the degrees with no monomials have no parents, and
-        are not looked up in the parent table."""
+        """Packed images of ``source.basis(d)``, by position.  Each degree
+        above the window up to d is built in turn from the degrees below
+        it in the window, which then drops the degree ``_span + 1`` below
+        it; a degree below the window clears it first, so the build starts
+        again from degree 0.  Degree 0 and the degrees with no monomials
+        have no parents, and are not looked up in the parent table."""
         window = self._window
-        if d != self._last:
-            self._last = d
-            for k in [k for k in window if k < d - self._span]:
-                del window[k]
         images = window.get(d)
         if images is not None:
             return images
+        top = max(window, default=-1)
+        if d < top:
+            window.clear()
+            top = -1
         source, degrees = self.source, self._degrees
-        missing, todo = {d}, [d]
-        while todo:
-            k = todo.pop()
-            if not k or not source.basis(k):
-                continue
-            for lower in {k - degrees[i] for i in set(_parents(source._signature, k)[0])}:
-                if lower not in window and lower not in missing:
-                    missing.add(lower)
-                    todo.append(lower)
         terms, p = self._generator_terms, self.target.p
-        for k in sorted(missing):
+        for k in range(top + 1, d + 1):
             if not k:
-                window[k] = [self._unit]
+                images = [self._unit]
             elif not source.basis(k):
-                window[k] = []
+                images = []
             else:
                 lower = [window.get(k - degree) for degree in degrees]
                 lasts, positions = _parents(source._signature, k)
-                window[k] = [_times(lower[i][j], terms[i], p) for i, j in zip(lasts, positions)]
-        return window[d]
+                images = [_times(lower[i][j], terms[i], p) for i, j in zip(lasts, positions)]
+            window[k] = images
+            window.pop(k - self._span - 1, None)
+        return images
 
     def matrix_in_degree(self, d: int) -> list:
         """Rows indexed by target basis, columns by source basis."""

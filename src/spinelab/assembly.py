@@ -367,13 +367,11 @@ def theorem_pipeline(
     inv = invariants(MM, [swap], bound)
     eq_dims = equalizer(compose_morphisms(swap, f1), f1, bound)
 
-    M_dims = dimensions(M, bound)
-    aut_dims = dimensions(aut_input, bound)
-    kernel = [aut_dims[d] - M_dims[d] for d in range(bound + 1)]
-    tensor_kernel = []
-    for d in range(bound + 1):
-        tensor_kernel.append(sum(M_dims[i] * kernel[d - i] for i in range(d + 1)))
-    kernel_dims = GradedDims(bound, tuple(tensor_kernel))
+    # the restriction is onto in every degree, so M (x) ker restriction
+    # has the dims of M (x) input less those of M (x) M
+    kernel_dims = GradedDims(
+        bound, tuple(len(f1.source.basis(d)) - len(MM.basis(d)) for d in range(bound + 1))
+    )
 
     holds = all(
         eq_dims[d] == inv[d] + kernel_dims[d] for d in range(bound + 1)

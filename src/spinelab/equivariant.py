@@ -87,7 +87,7 @@ class ZpGraph:
         """Complete invariant of the class: two ZpGraphs have equal keys
         exactly when some dart-level isomorphism carries the action of one
         to a generator of the other's group; computed once per object."""
-        return _equivariant_key(self, frozenset())
+        return _equivariant_key(self, frozenset(), {})
 
     def free_vertex_orbit_count(self) -> int:
         return sum(1 for v in range(self.graph.vertex_count) if self.action.vperm[v] != v) // self.p
@@ -122,7 +122,7 @@ class ZpGraph:
 # the equivariant key
 
 
-def _equivariant_key(zg: ZpGraph, forest: frozenset, searched: dict | None = None) -> tuple:
+def _equivariant_key(zg: ZpGraph, forest: frozenset, searched: dict) -> tuple:
     """Complete invariant of (zg, forest) up to equivariant isomorphism.
 
     An action of odd order swaps no two vertices and flips no loop, and a
@@ -151,7 +151,6 @@ def _equivariant_key(zg: ZpGraph, forest: frozenset, searched: dict | None = Non
         base[u][v] += step
         if u != v:
             base[v][u] += step
-    searched = {} if searched is None else searched
     pi, forms = list(range(n)), []
     for _ in range(zg.p - 1 if zg.free_vertex_orbit_count() else 1):
         pi = [a.vperm[x] for x in pi]
@@ -631,8 +630,10 @@ def _grow(zg: ZpGraph, anchors: list, moved: dict) -> tuple:
 
 
 def _dedup_expansion_pairs(pairs: list) -> list:
-    """One pair per class, in order of first appearance."""
+    """One pair per class, in order of first appearance; the keys share
+    one table of searches."""
     kept: dict = {}
+    searched: dict = {}
     for zg, forest in pairs:
-        kept.setdefault(_equivariant_key(zg, forest), (zg, forest))
+        kept.setdefault(_equivariant_key(zg, forest, searched), (zg, forest))
     return list(kept.values())

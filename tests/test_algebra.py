@@ -1,5 +1,7 @@
 """Graded algebras, morphisms, equalizers and invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -532,13 +534,37 @@ def test_wreath_criterion_refuses_a_singular_substitution(monkeypatch, name, sin
 
 def test_a_second_ascending_pass_keeps_only_the_reachable_images():
     # a caller may read every degree and then read them again from
-    # degree 0; the window holds the degrees reachable from the last one
-    # asked for, plus at most those left at the top of the first pass
+    # degree 0, which clears the window; it holds the highest degree
+    # built and the _span degrees below it
     alpha = _oracle_morphisms()["alpha"]
     for _ in range(2):
         for d in range(121):
             alpha.add_rows(d)
-            assert len(alpha._window) <= 2 * (alpha._span + 1), d
+            assert len(alpha._window) <= alpha._span + 1, d
+
+
+def test_the_window_holds_the_degrees_the_highest_was_built_from():
+    # degree 60 is built from degrees 60 - _span to 59; asking for any of
+    # them, or for 60, again builds nothing
+    alpha = _oracle_morphisms()["alpha"]
+    held = {d: alpha._images(d) for d in range(61)}
+    for d in range(60 - alpha._span, 61):
+        assert alpha._images(d) is held[d], d
+
+
+def test_images_in_random_order_match_full_products():
+    """Degrees asked for in a seeded random order, each above or below
+    the window, against the full products; the window never holds more
+    than _span + 1 degrees."""
+    alpha, beta = load_morphisms(["alpha", "beta"], load_algebras())
+    product = ProductMorphism(ProductAlgebra([alpha.source, beta.source]), 1, beta)
+    walks = [(m, oracle_matrix, m) for m in _oracle_morphisms().values()]
+    walks.append((product, oracle_product_matrix, beta))
+    rng = random.Random(37)
+    for morphism, full, inner in walks:
+        for d in rng.choices(range(121), k=40):
+            assert morphism.matrix_in_degree(d) == full(morphism, d), d
+            assert len(inner._window) <= inner._span + 1, d
 
 
 _gen_shapes = st.one_of(

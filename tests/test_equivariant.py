@@ -560,7 +560,7 @@ def test_pair_key_matches_oracle_on_raw_blow_ups(oracle_cases, monkeypatch):
     compared = 0
     for pairs in raw:
         keyed = [
-            ((canonical_form(zg.graph), len(forest)), _equivariant_key(zg, forest), zg, forest)
+            ((canonical_form(zg.graph), len(forest)), _equivariant_key(zg, forest, {}), zg, forest)
             for zg, forest in pairs
         ]
         for i, (bucket, key, zg, forest) in enumerate(keyed):
@@ -579,7 +579,10 @@ def test_pair_key_matches_oracle_on_invariant_forests(collapse_sources):
     for zg, forest in collapse_sources:
         by_class.setdefault(zg.key, []).append((zg, forest))
     pairs = [(x, y) for group in by_class.values() for i, x in enumerate(group) for y in group[:i]]
-    agree = [(_equivariant_key(*x) == _equivariant_key(*y)) == pairs_equivalent(*x, *y) for x, y in pairs]
+    agree = [
+        (_equivariant_key(*x, {}) == _equivariant_key(*y, {})) == pairs_equivalent(*x, *y)
+        for x, y in pairs
+    ]
     assert all(agree) and len(agree) > 100
 
 
@@ -601,7 +604,7 @@ def test_key_ignores_labels_and_generator(
     hperm = data.draw(st.permutations(range(zg.graph.half_edge_count)))
     relabeled = _relabel(zg, vperm, hperm)
     moved = frozenset(relabeled.graph.dart_edge[hperm[zg.graph.edges[e][0]]] for e in forest)
-    assert _equivariant_key(relabeled, moved) == _equivariant_key(zg, forest)
+    assert _equivariant_key(relabeled, moved, {}) == _equivariant_key(zg, forest, {})
 
 
 def _closure_oracle(zg):

@@ -269,6 +269,22 @@ def test_census_searches_each_key_matrix_once(monkeypatch, n, pairs):
     assert len(searches) == 2 * pairs
 
 
+@pytest.mark.parametrize("q, pairs", [(3, 6), (5, 12), (7, 18)])
+def test_expansions_search_each_key_matrix_once(monkeypatch, q, pairs):
+    """The keys of one ``equivariant_expansions`` call share a table, so
+    the expansions criterion at q searches each (matrix, keys) pair once:
+    6, 12 and 18 at q = 3, 5 and 7, where a table per key read 10, 28
+    and 54."""
+    from spinelab import equivariant
+    from spinelab.verification import criterion_expansions
+
+    searches = []
+    inner = equivariant._min_matrix_data
+    monkeypatch.setattr(equivariant, "_min_matrix_data", lambda *a: searches.append(a) or inner(*a))
+    assert criterion_expansions((q,)).passed
+    assert len(searches) == len(set(searches)) == pairs
+
+
 def test_classes_keep_vertex_groups_not_dart_groups():
     # the 17 classes at (3, 4) keep 125 vertex automorphisms; their dart
     # groups, which the complex never lists, have 1,188 elements
