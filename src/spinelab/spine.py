@@ -8,6 +8,13 @@ without such an element is built, and the full census of the rank is
 not built at all.  A k-cell is an orbit of a strictly nested chain of
 nonempty forests on a top graph, kept when the subgroup preserving every
 forest of the chain setwise still contains an element of order p.
+A forest F's isotropy order is |Stab_V(F)| * freedom / prod m_b: its
+vertex stabilizer's order times the automorphisms fixing every vertex,
+over the multiplicities of its bundles.  So p divides it only if a
+vertex automorphism of order p fixes F (Cauchy), making F a union of
+its bundle orbits, or if the bundles' p-adic valuations sum to less
+than the freedom's.  The one-forest chains are listed directly from
+these two cases, and no other one-forest chain is scanned.
 Faces drop one forest from the chain, or re-root the chain at the
 smallest collapse; each is one lookup in a table that keys every
 translate of a cell's chain to the cell, and a cell's vertices are read
@@ -20,20 +27,23 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from math import prod
+from math import lcm, prod
 from typing import Optional
 
 from spinelab import catalog, linalg
 from spinelab.equivariant import enumerate_zp_graphs
 from spinelab.graphs import (
     HalfEdgeGraph,
+    _acyclic_unions,
     _root,
     _union,
     collapse,
     collapse_with_maps,
     enumerate_forests,
+    is_forest,
 )
 from spinelab.symmetry import (
+    _cycles,
     _dart_freedom,
     _vertex_group,
     automorphism_order,
@@ -182,13 +192,21 @@ def _cells_for_class(p: int, cls: GraphClass):
     ``_dart_freedom`` divided by m_b for each such bundle b of
     multiplicity m_b.
 
-    Chains are grown by appending strictly smaller nonempty forests; the
-    stabilizer of an extension sits inside the stabilizer of its prefix,
-    so only singular representatives need extending.  A representative is
-    key-minimal in its orbit and keys compare forest by forest, so the
-    minimal translate of ``chain + (sub,)`` fixes ``chain``: it comes from
-    the chain's stabilizer (the whole group for the empty chain) acting
-    on ``sub`` alone.  Candidates are visited in key order, so the first
+    So a forest F has isotropy order |Stab_V(F)| * freedom / prod m_b,
+    and p divides it only if p divides |Stab_V(F)|, when an element of
+    order p fixes F (Cauchy) and F is an acyclic union of that element's
+    bundle orbits, or if the p-adic valuations of F's m_b sum to less
+    than the freedom's.  ``_singular_forests`` lists the forests of these
+    two cases, a union of whole orbits, and the one-forest chains are
+    scanned from it alone: every other forest lies in an orbit that the
+    scan would drop.  Longer chains are grown by appending strictly
+    smaller nonempty forests; the stabilizer of an extension sits inside
+    the stabilizer of its prefix, so only singular representatives need
+    extending.  A representative is key-minimal in its orbit and keys
+    compare forest by forest, so the minimal translate of
+    ``chain + (sub,)`` fixes ``chain``: it comes from the chain's
+    stabilizer (the whole group for the empty chain) acting on ``sub``
+    alone.  Candidates are visited in key order, so the first
     of each orbit is its representative, and one scan of the stabilizer
     gives both the orbit, marked as seen, and the extension's stabilizer.
 
@@ -222,7 +240,7 @@ def _cells_for_class(p: int, cls: GraphClass):
             if chain:
                 subs = _proper_nonempty_subsets(chain[-1])
             else:
-                subs = enumerate_forests(graph, set(names))
+                subs = _singular_forests(p, graph, names, group, freedom)
             seen = set()
             for sub in sorted((f for f in subs if f), key=sorted):
                 if sub in seen:
@@ -244,6 +262,41 @@ def _cells_for_class(p: int, cls: GraphClass):
         frontier = nxt
         level += 1
     return out
+
+
+def _singular_forests(p: int, graph: HalfEdgeGraph, names: tuple, group, freedom: int) -> set:
+    """The bundle forests that p can make singular, as a set: the acyclic
+    unions of the bundle orbits of an element of order p of ``group``,
+    and, where p divides ``freedom``, the forests whose bundles leave a
+    factor p in it (see ``_cells_for_class``).
+
+    An element fixes what its cyclic subgroup fixes, so one generator of
+    each cyclic subgroup of order p is taken.  Every such subgroup is
+    covered, so a translate of a listed forest, fixed by a conjugate
+    element, is listed too; automorphisms keep multiplicities.  So the
+    set is a union of whole orbits of ``group``.
+    """
+    bundles = sorted(set(names))
+    sizes = Counter(names)
+    found: set = set()
+    covered: set = set()
+    for vperm, bperm in group:
+        if vperm in covered or lcm(*map(len, _cycles(vperm, range(len(vperm))))) != p:
+            continue
+        # the powers of vperm: no other generator of its subgroup is taken
+        power = vperm
+        while power not in covered:
+            covered.add(power)
+            power = tuple(map(vperm.__getitem__, power))
+        orbits = [tuple(o) for o in _cycles(bperm, bundles)]
+        found.update(_acyclic_unions(graph, [o for o in orbits if is_forest(graph, o)]))
+    if freedom % p == 0:
+        found.update(
+            f
+            for f in enumerate_forests(graph, bundles)
+            if freedom // prod(sizes[b] for b in f) % p == 0
+        )
+    return found
 
 
 def _orbit(stab, sub) -> tuple:

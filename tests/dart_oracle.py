@@ -19,17 +19,27 @@ isomorphism.  ``isomorphism`` lifts the vertex map of two canonical
 labellings to darts, matching loops and parallel edges in edge order,
 and ``automorphism_group`` lifts each vertex permutation the same way.
 The graph helpers beside them have no caller left in the library.
+
+``every_forest_cells_for_class`` is the library's bundle-level scan as it
+was before it listed only the forests an order-p element can fix: every
+nonempty bundle forest of the top graph is visited, in key order, and
+its orbit scanned under the whole vertex group.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from math import prod
 from typing import Iterator, Optional
 
 from spinelab.graphs import HalfEdgeGraph, collapse_with_maps, enumerate_forests
 from spinelab.spine import QuotientCell
 from spinelab.symmetry import (
     GraphAutomorphism,
+    _dart_freedom,
+    bundle_names,
+    bundle_perms,
     canonical_form,
     edge_permutation,
     perm_order,
@@ -320,6 +330,60 @@ def oracle_cells_for_class(p: int, graph: HalfEdgeGraph):
                 classify(chain + (sub,), nxt)
         frontier = nxt
         level += 1
+    return out
+
+
+def every_forest_cells_for_class(p: int, cls):
+    """``spine._cells_for_class`` by scanning every forest: each nonempty
+    bundle forest of the top graph, and each proper nonempty subset of a
+    singular chain's smallest forest, in key order, its orbit and
+    stabilizer read off one pass over the chain's stabilizer and kept
+    when p divides its isotropy order.  Same return value."""
+    if cls.aut_order % p:
+        return {0: {}}
+    graph = cls.graph
+    names = bundle_names(graph)
+    sizes = Counter(names)
+    freedom = _dart_freedom(graph)
+    group = tuple(zip(cls.vertex_group, bundle_perms(graph, cls.vertex_group, names)))
+    frontier = {(): ((), cls.aut_order, group, {(): tuple(range(graph.edge_count))})}
+    out: dict = {}
+    while frontier:
+        out[len(out)] = {
+            key: (chain, order, tuple(a for a, _ in stab), frozenset(translates))
+            for key, (chain, order, stab, translates) in sorted(frontier.items())
+        }
+        nxt: dict = {}
+        for chain, _, stab, translates in frontier.values():
+            if chain:
+                items = sorted(chain[-1])
+                subs = [
+                    frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+                    for mask in range(1, (1 << len(items)) - 1)
+                ]
+            else:
+                subs = [f for f in enumerate_forests(graph, set(names)) if f]
+            seen: set = set()
+            for sub in sorted(subs, key=sorted):
+                if sub in seen:
+                    continue
+                orbit, fixing = {}, []
+                for pair in stab:
+                    moved = frozenset(pair[1][e] for e in sub)
+                    orbit.setdefault(moved, pair[1])
+                    if moved == sub:
+                        fixing.append(pair)
+                seen.update(orbit)
+                top = chain[0] if chain else sub
+                order = len(fixing) * freedom // prod(sizes[b] for b in top)
+                if order % p == 0:
+                    extended = {
+                        key + (tuple(sorted(g[e] for e in m)),): tuple(g[e] for e in h)
+                        for key, g in translates.items()
+                        for m, h in orbit.items()
+                    }
+                    nxt[chain_key(chain + (sub,))] = (chain + (sub,), order, fixing, extended)
+        frontier = nxt
     return out
 
 

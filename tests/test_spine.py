@@ -42,6 +42,7 @@ from census_oracle import _candidates, every_vertex_census, singular_by_filter
 from dart_oracle import (
     automorphism_group,
     chain_key,
+    every_forest_cells_for_class,
     oracle_cells_for_class,
     oracle_quotient_complex,
     total_loops,
@@ -139,7 +140,17 @@ def test_census_meets_the_smillie_vogtmann_sum(n, total):
     assert sum(terms) == total
 
 
-CHI_OUT = {2: Fraction(-1, 24), 3: Fraction(-1, 48), 4: Fraction(-161, 5760)}
+# chi(Out F_n): the Smillie-Vogtmann census sums above through n = 5,
+# the rank-6 census sum, and at n = 7 the value of the generating series
+# (ROADMAP item 2); chi_out(n) replaces these values when that lands
+CHI_OUT = {
+    2: Fraction(-1, 24),
+    3: Fraction(-1, 48),
+    4: Fraction(-161, 5760),
+    5: Fraction(-367, 5760),
+    6: Fraction(-120257, 580608),
+    7: Fraction(-39793, 45360),
+}
 
 
 def _p_adic_valuation(k, p):
@@ -153,6 +164,10 @@ def _p_adic_valuation(k, p):
         (3, 3, Fraction(-1, 12), Fraction(-1, 16)),
         (3, 4, Fraction(-1961, 5760), Fraction(-5, 16)),
         (5, 4, Fraction(1, 240), Fraction(37, 1152)),
+        (5, 5, Fraction(11, 11520), Fraction(149, 2304)),
+        (7, 6, Fraction(1, 10080), Fraction(85939, 414720)),
+        (7, 7, Fraction(1, 71680), Fraction(145531, 165888)),
+        (5, 7, Fraction(3457, 1935360), Fraction(145825, 165888)),
     ],
 )
 def test_quotient_complex_meets_browns_congruence(p, n, total, difference, rank4_complex):
@@ -533,15 +548,51 @@ def test_cells_match_whole_group_oracle(p, n):
     assert got.cells == oracle_quotient_complex(p, got.classes)
 
 
-@pytest.mark.parametrize("p, n, scanned", [(3, 4, 1889), (5, 4, 2), (3, 3, 135)])
+@pytest.mark.parametrize("p, n, scanned", [(3, 4, 337), (5, 4, 0), (3, 3, 38)])
 def test_cells_scan_vertex_stabilizers(p, n, scanned, monkeypatch):
-    # the stabilizer elements scanned, one scan per orbit: the dart-level
-    # scan of the same orbits read 4,284 at (3, 4) and 240 at (5, 4)
+    # the stabilizer elements scanned, one scan per orbit.  Only forests
+    # that p can make singular are scanned, so none at (5, 4), where the
+    # one forest of the five-fold theta graph has isotropy order 48.
+    # Scanning every forest read 1,889 at (3, 4), 135 at (3, 3) and 2 at
+    # (5, 4); the dart-level scan of its orbits read 4,284 at (3, 4) and
+    # 240 at (5, 4)
     seen = []
     inner = spine._orbit
     monkeypatch.setattr(spine, "_orbit", lambda *a: seen.append(len(a[0])) or inner(*a))
     quotient_complex(p, n)
     assert sum(seen) == scanned
+
+
+@pytest.mark.parametrize(
+    "p, n", [(3, 2), (3, 3), (3, 4), (5, 4), (3, 5), (5, 5), (5, 6), (7, 6), (7, 7), (5, 7)]
+)
+def test_cells_match_the_every_forest_scan(p, n):
+    # the forests an order-p element fixes, and those the dart freedom
+    # makes singular, against every forest: the same cells, level by
+    # level, in the same key order, so each orbit keeps its representative
+    for cls in singular_graphs(p, n):
+        mine, theirs = spine._cells_for_class(p, cls), every_forest_cells_for_class(p, cls)
+        assert [list(level.items()) for level in mine.values()] == [
+            list(level.items()) for level in theirs.values()
+        ]
+
+
+@pytest.mark.parametrize("p, n, listed", [(3, 4, 85), (7, 8, 108)])
+def test_cells_list_only_singular_forest_candidates(p, n, listed, monkeypatch):
+    # forests produced by the listers, the empty ones included: every
+    # forest of every class was 817 at (3, 4) and about 5.4 million at
+    # (7, 8), where four trivalent classes held over a million each
+    counts = []
+    for name in ("_acyclic_unions", "enumerate_forests"):
+
+        def counted(*a, inner=getattr(spine, name)):
+            out = inner(*a)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(spine, name, counted)
+    quotient_complex(p, n)
+    assert sum(counts) == listed
 
 
 def test_two_forest_cells_are_whole_group_minimal():
