@@ -7,12 +7,16 @@ share a fixed graded model with identity faces, while the two big vertex
 groups and the special edge joining them carry explicit algebras, and the
 edge's two faces the restriction morphisms alpha and beta.
 
-Each component without the special edge is read off one page, that of
-its face-closed cell list (Brown's equivariant spectral sequence,
-*Cohomology of Groups*, VII.7).  Its faces are all identities, so each
-differential is the cellular coboundary tensored with the identity of
-each degree: the page keeps it once, as the cells' ``signed_faces`` rows,
-and ranks it once per dims class rather than once per degree.
+Each component without the special edge is read off its reduced
+homology (Brown's equivariant spectral sequence, *Cohomology of Groups*,
+VII.7).  Its faces are all identities, and an identity face joins cells
+of equal dims, so the component, connected through its faces, carries
+one dims vector D on every cell.  Its page is then the cellular cochain
+complex tensored with D: dim E1^{s,q} = dim H^s(component; F_p) * D[q].
+Over a field dim H^s = dim H_s, which is 1 at s = 0 for a connected set
+and the reduced H~_s above it.  So the page collapses onto column 0
+exactly when ``spine.reduced_homology`` vanishes in every positive
+dimension, and the answer is D.
 
 The component holding the special edge is first checked to retract onto
 it: everything outside the open edge is an acyclic identity region.  Its
@@ -27,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+# linalg is read as an attribute of this module by the benchmark harness's
+# tracer tests (perfbench/tests/test_tracer.py)
 from spinelab import catalog, linalg
 from spinelab.algebra import (
     AlgebraMorphism,
@@ -43,7 +49,7 @@ from spinelab.algebra import (
 )
 from spinelab.fixtures import load_algebras, load_coefficient_rule, load_morphisms
 from spinelab.series import GradedDims
-from spinelab.spine import QuotientComplex, _components, reduced_homology, signed_faces
+from spinelab.spine import QuotientComplex, _components, reduced_homology
 from spinelab.symmetry import sylow_p_order
 
 
@@ -117,60 +123,8 @@ def sylow_rule(cx: QuotientComplex, bound: int) -> CoefficientRule:
     return CoefficientRule(bound, cell_dims, special)
 
 
-def constant_rule(cx: QuotientComplex, bound: int, model: GradedAlgebra) -> CoefficientRule:
-    dims = dimensions(model, bound).dims
-    return CoefficientRule(bound, {c.index: dims for c in cx.cells}, {})
-
-
-@dataclass
-class E1Page:
-    """Cochain complex of graded vector spaces over the cell structure.
-
-    Every face is an identity face, so the differential out of column s
-    is the cellular coboundary tensored with the identity of each degree:
-    ``incidences[s]`` holds each (s+1)-cell's ``signed_faces`` row, the
-    same in every degree.
-    """
-
-    p: int
-    bound: int
-    cells_by_dim: dict  # s -> ordered cell indices
-    dims: dict  # cell index -> dims vector
-    incidences: dict  # s -> {(s+1)-cell: {s-cell: sign}}
-
-
-def build_e1(cx: QuotientComplex, rule: CoefficientRule, cells) -> E1Page:
-    """Assemble the page of a face-closed list of cell indices.
-
-    The coboundary into a cell of dimension s+1 is the alternating sum of
-    its faces, each an identity that requires equal dims on both sides in
-    every degree; it is stored once, as the cells' ``signed_faces`` rows.
-    A cell with a special face is refused: its restriction is no identity.
-    """
-    chosen = set(cells)
-    for ci in chosen:
-        if not chosen.issuperset(cx.cells[ci].faces):
-            raise CoefficientRuleError("cell list is not closed under faces")
-        if ci not in rule.cell_dims:
-            raise CoefficientRuleError(f"cell {ci} is not covered by the rule")
-    special = sorted(chosen.intersection(ci for ci, _ in rule.special_faces))
-    if special:
-        raise CoefficientRuleError(f"cell {special[0]} has a special face; a page has identity faces only")
-    cells_by_dim: dict = {}
-    for ci in sorted(chosen):
-        cells_by_dim.setdefault(cx.cells[ci].dim, []).append(ci)
-    dims = {ci: rule.cell_dims[ci] for ci in chosen}
-
-    incidences = {}
-    for s in sorted(cells_by_dim):
-        if s + 1 in cells_by_dim:
-            _check_identity_dims(cx, cells_by_dim[s + 1], dims, rule.bound)
-            incidences[s] = {ci: signed_faces(cx.cells[ci]) for ci in cells_by_dim[s + 1]}
-    return E1Page(cx.p, rule.bound, cells_by_dim, dims, incidences)
-
-
 def _check_identity_dims(cx, cells, dims, bound) -> None:
-    """Raise at the first degree, then cell of ``cells`` and face in page
+    """Raise at the first degree, then cell of ``cells`` and face in
     order, where a face joins cells of different dims."""
     unequal = [(ci, face) for ci in cells for face in cx.cells[ci].faces if dims[face] != dims[ci]]
     for q in range(bound + 1):
@@ -180,72 +134,6 @@ def _check_identity_dims(cx, cells, dims, bound) -> None:
                     f"identity face of cell {ci} has mismatched dims "
                     f"({dims[face][q]} vs {dims[ci][q]}) in degree {q}"
                 )
-
-
-def check_d_squared(page: E1Page) -> bool:
-    """Whether d^2 = 0: each composite of two consecutive coboundaries vanishes.
-
-    Two incidences are composed once, cell by cell: the composite in
-    degree q is theirs tensored with the identity, so it matters on the
-    (s+2)-cells whose dims are not all zero.
-    """
-    p = page.p
-    for s, first in page.incidences.items():
-        for ci, row in page.incidences.get(s + 1, {}).items():
-            if not any(page.dims[ci]):
-                continue
-            composite: dict = {}
-            for k, v in row.items():
-                for c, w in first[k].items():
-                    composite[c] = (composite.get(c, 0) + v * w) % p
-            if any(composite.values()):
-                return False
-    return True
-
-
-def page_ranks(page: E1Page) -> dict:
-    """Rank of each differential, ``{(s, q): rank}``.
-
-    An identity face joins cells of equal dims, so an incidence splits
-    into one block per dims vector D of its (s+1)-cells, and in degree q
-    the block is that part of the coboundary tensored with the identity
-    of rank D[q].  Each block's incidence rows are ranked once and the
-    rank weighted by D[q].
-    """
-    ranks = {}
-    for s, incidence in page.incidences.items():
-        blocks: dict = {}
-        for ci, row in incidence.items():
-            blocks.setdefault(tuple(page.dims[ci]), []).append(row)
-        weighted = [(d, linalg.rank(rows, page.p)) for d, rows in blocks.items()]
-        for q in range(page.bound + 1):
-            ranks[(s, q)] = sum(d[q] * r for d, r in weighted)
-    return ranks
-
-
-def page_cohomology(page: E1Page) -> dict:
-    """dims of H^s per degree q, from the s-direction complexes and the
-    ranks of ``page_ranks``."""
-    ranks = page_ranks(page)
-    out = {}
-    for q in range(page.bound + 1):
-        for s in range(max(page.cells_by_dim) + 1):
-            size = sum(page.dims[ci][q] for ci in page.cells_by_dim.get(s, ()))
-            out[(s, q)] = size - ranks.get((s, q), 0) - ranks.get((s - 1, q), 0)
-    return out
-
-
-def equivariant_cohomology_from_page(page: E1Page) -> GradedDims:
-    """Total dims when the page collapses onto the zeroth column.
-
-    Anything surviving in a higher column would feed the maps of later
-    pages, so the computation refuses to continue in that case.
-    """
-    coh = page_cohomology(page)
-    for (s, q), d in coh.items():
-        if s > 0 and d:
-            raise ConcentrationError(f"page survives at column {s}, degree {q}")
-    return GradedDims(page.bound, tuple(coh[(0, q)] for q in range(page.bound + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +146,45 @@ def component_cohomology(
     """Equivariant cohomology dims of one component of the quotient.
 
     A component without the special edge, the 1-cell with special faces
-    in the rule, is its own page.  The component holding it is first
-    checked to retract onto it; its answer is then the segment's, the
-    equalizer of the edge's two face morphisms, which refuses unless
-    coker [alpha, -beta] vanishes.  ``rule`` defaults to
-    ``sylow_rule(cx, bound)``.
+    in the rule, has identity faces only, so it carries one dims vector
+    D and its page is its cochain complex tensored with D.  That page
+    collapses onto column 0, whose dims are D, exactly when the
+    component's reduced homology vanishes in every positive dimension;
+    otherwise the first surviving entry, in the least such dimension s
+    and the least degree q with D[q] nonzero, is refused.  The component
+    holding the special edge is first checked to retract onto it; its
+    answer is then the segment's, the equalizer of the edge's two face
+    morphisms, which refuses unless coker [alpha, -beta] vanishes.
+    ``rule`` defaults to ``sylow_rule(cx, bound)``.
     """
     if rule is None:
         rule = sylow_rule(cx, bound)
     edge = min((ci for ci, _ in rule.special_faces if cx.component_of[ci] == component), default=None)
     if edge is None:
-        cells = [c.index for c in cx.cells if cx.component_of[c.index] == component]
-        return equivariant_cohomology_from_page(build_e1(cx, rule, cells))
+        return _identity_cohomology(cx, rule, [c for c in cx.cells if cx.component_of[c.index] == component])
     _check_retraction(cx, cx.cells[edge])
     return _segment_cohomology(rule, edge)
+
+
+def _identity_cohomology(cx: QuotientComplex, rule: CoefficientRule, cells: list) -> GradedDims:
+    """The dims of a component of identity faces, ``cells`` in complex
+    order: its one dims vector, once its faces are checked dimension by
+    dimension to join equal dims and its reduced homology to vanish above
+    dimension 0."""
+    by_dim: dict = {}
+    for cell in cells:
+        if cell.index not in rule.cell_dims:
+            raise CoefficientRuleError(f"cell {cell.index} is not covered by the rule")
+        by_dim.setdefault(cell.dim, []).append(cell.index)
+    for s in range(1, len(by_dim)):
+        _check_identity_dims(cx, by_dim[s], rule.cell_dims, rule.bound)
+    dims = rule.cell_dims[cells[0].index]
+    homology = reduced_homology(cx, [c.index for c in cells])
+    s = next((s for s in range(1, len(homology)) if homology[s]), None)
+    q = next((q for q in range(rule.bound + 1) if dims[q]), None)
+    if s is not None and q is not None:
+        raise ConcentrationError(f"page survives at column {s}, degree {q}")
+    return GradedDims(rule.bound, tuple(dims))
 
 
 def _segment_cohomology(rule: CoefficientRule, edge: int) -> GradedDims:

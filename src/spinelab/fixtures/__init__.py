@@ -27,13 +27,6 @@ def load_algebras() -> dict:
     return {name: GradedAlgebra.from_json(cfg) for name, cfg in data.items()}
 
 
-def load_algebra(name: str) -> GradedAlgebra:
-    algebras = load_algebras()
-    if name not in algebras:
-        raise FixtureError(f"no algebra fixture named {name}")
-    return algebras[name]
-
-
 def load_morphisms(names, algebras: dict | None = None) -> list:
     """The named morphism fixtures, in order, from one read of the file;
     ``algebras`` defaults to one ``load_algebras()``."""

@@ -245,7 +245,7 @@ def _cells_for_class(p: int, cls: GraphClass):
             for sub in sorted((f for f in subs if f), key=sorted):
                 if sub in seen:
                     continue
-                orbit, fixing = _orbit(stab, sub)
+                orbit, fixing = _forest_orbit(stab, sub)
                 seen.update(orbit)
                 top = chain[0] if chain else sub
                 order = len(fixing) * freedom // prod(sizes[b] for b in top)
@@ -299,7 +299,7 @@ def _singular_forests(p: int, graph: HalfEdgeGraph, names: tuple, group, freedom
     return found
 
 
-def _orbit(stab, sub) -> tuple:
+def _forest_orbit(stab, sub) -> tuple:
     """The orbit of a bundle set under ``stab``, (vertex permutation,
     bundle permutation) pairs, as a dict from each image to a bundle
     permutation giving it, and the pairs that fix the set."""
@@ -437,14 +437,27 @@ def signed_faces(cell: QuotientCell) -> dict:
     return row
 
 
+def check_d_squared(complex_: QuotientComplex) -> bool:
+    """Whether the boundary squares to zero over F_p: each cell's
+    ``signed_faces`` row, composed with its faces' rows, vanishes."""
+    for cell in complex_.cells:
+        composite: dict = {}
+        for face, sign in signed_faces(cell).items():
+            for c, w in signed_faces(complex_.cells[face]).items():
+                composite[c] = composite.get(c, 0) + sign * w
+        if any(v % complex_.p for v in composite.values()):
+            return False
+    return True
+
+
 def reduced_homology(complex_: QuotientComplex, cell_ids) -> list:
     """Reduced homology dimensions of a face-closed set of cells.
 
     The cells form a CW complex whose boundary maps are the alternating
     sums of face cells, augmented by sending every vertex to 1, so the
     reduced homology is plain linear algebra over F_p, one row of
-    ``signed_faces`` per cell; the isotropy page of ``assembly`` ranks the
-    same rows.  Index d of the result is the dimension of reduced H_d.
+    ``signed_faces`` per cell.  Index d of the result is the dimension of
+    reduced H_d; ``assembly`` reads a component of identity faces off it.
     """
     by_dim: dict = {}
     for i in sorted(cell_ids):

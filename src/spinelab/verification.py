@@ -27,13 +27,7 @@ from spinelab.algebra import (
     swap_action,
     verify_free_module,
 )
-from spinelab.assembly import (
-    build_e1,
-    check_d_squared,
-    constant_rule,
-    corollary_dims,
-    theorem_pipeline,
-)
+from spinelab.assembly import corollary_dims, theorem_pipeline
 from spinelab.equivariant import (
     ZpGraph,
     classify_reduced,
@@ -41,17 +35,12 @@ from spinelab.equivariant import (
     nielsen_closure,
     nielsen_moves_for_group,
 )
-from spinelab.fixtures import (
-    load_algebra,
-    load_algebras,
-    load_expected_tables,
-    load_morphisms,
-    load_thm_input,
-)
+from spinelab.fixtures import load_algebras, load_expected_tables, load_morphisms, load_thm_input
 from spinelab.graphs import collapse, enumerate_forests, rank
 from spinelab.series import closed_form, series_equal
 from spinelab.spine import (
-    _orbit,
+    _forest_orbit,
+    check_d_squared,
     expected_tables,
     graph_rows,
     quotient_complex,
@@ -402,14 +391,14 @@ def forest_orbit_check(cls, forest_count: int) -> bool:
     ok, counted = True, 0
     for sub in enumerate_forests(g, set(names)):
         if sub and sub not in seen:
-            orbit, fixing = _orbit(group, sub)
+            orbit, fixing = _forest_orbit(group, sub)
             seen.update(orbit)
             ok &= len(orbit) * len(fixing) == len(group)
             counted += len(orbit) * prod(sizes[b] for b in sub)
     return ok and counted == forest_count
 
 
-def criterion_properties(cx, bound) -> CriterionResult:
+def criterion_properties(cx) -> CriterionResult:
     """Four property suites over the classes of the complex.
 
     rank: collapsing any forest keeps the rank.  canonical: the canonical
@@ -419,8 +408,8 @@ def criterion_properties(cx, bound) -> CriterionResult:
     edges and edge ends, each have the class's matrix permuted by their
     own vertex map.  A graph's form is the search of its matrix, so every
     such relabelling has the class's form without a search of its own.
-    orbit-stabilizer: ``forest_orbit_check``.  d2: the E1 differential
-    squares to zero.
+    orbit-stabilizer: ``forest_orbit_check``.  d2: the cells' boundary
+    squares to zero (``check_d_squared``).
     """
     rng = random.Random(PROPERTY_SEED)
     rank_ok = canon_ok = orbit_ok = True
@@ -437,8 +426,7 @@ def criterion_properties(cx, bound) -> CriterionResult:
 
         orbit_ok &= forest_orbit_check(cls, len(forests) - 1)
 
-    page = build_e1(cx, constant_rule(cx, bound, load_algebra("sigma3")), range(len(cx.cells)))
-    d2_ok = check_d_squared(page)
+    d2_ok = check_d_squared(cx)
     ok = rank_ok and canon_ok and orbit_ok and d2_ok
     return CriterionResult(
         "property-suites",
@@ -480,5 +468,5 @@ def run_all(config: RunConfig) -> list:
         criterion_expansions(),
         criterion_metacyclic(bound),
         criterion_recursion(bound),
-        criterion_properties(cx, bound),
+        criterion_properties(cx),
     ]

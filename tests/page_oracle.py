@@ -4,11 +4,11 @@ Every differential, identity faces included, is a list of sparse rows
 ``{column: value}`` in every degree q, identity faces writing their
 diagonal into each (s+1)-cell's block of rows and face morphisms their
 ``add_rows`` entries at block offsets; each is ranked, and each
-composite of two is checked, degree by degree.  It is the only page
-with face maps: ``spinelab.assembly`` builds pages of identity faces
-only, each differential kept as one incidence, and reads the special
-edge's segment as the equalizer of its two face morphisms.  The tests
-compare both against this.
+composite of two is checked, degree by degree.  It is the only page in
+the project: ``spinelab.assembly`` reads a component of identity faces
+off its reduced homology, tensored with the component's one dims
+vector, and the special edge's segment as the equalizer of its two face
+morphisms.  The tests compare both against this page's columns.
 """
 
 from __future__ import annotations

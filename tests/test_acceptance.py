@@ -86,7 +86,7 @@ def test_12_recursion_pipeline():
 
 
 def test_13_property_suites(rank4_complex):
-    _report(13, criterion_properties(rank4_complex, BOUND))
+    _report(13, criterion_properties(rank4_complex))
 
 
 def test_property_suite_searches_each_relabelled_matrix_once(
@@ -95,7 +95,7 @@ def test_property_suite_searches_each_relabelled_matrix_once(
     searched = []
     real = verification.matrix_form
     monkeypatch.setattr(verification, "matrix_form", lambda m: searched.append(m) or real(m))
-    assert criterion_properties(rank4_complex, BOUND).passed
+    assert criterion_properties(rank4_complex).passed
     want = {
         tuple(tuple(mult[u][v] for v in order) for u in order)
         for mult in (cls.graph.multiplicity for cls in rank4_complex.classes)
@@ -110,7 +110,7 @@ def test_property_suite_searches_each_relabelled_matrix_once(
 def test_property_suite_checks_every_dart_relabelling(monkeypatch, rank4_complex):
     moves = []
     monkeypatch.setattr(verification, "apply_to_graph", lambda g, a: moves.append(a) or g)
-    result = criterion_properties(rank4_complex, BOUND)
+    result = criterion_properties(rank4_complex)
     assert len(moves) == 100 * len(rank4_complex.classes) == 1700
     assert "canonical=False" in result.detail
 
@@ -150,7 +150,9 @@ def test_each_p3_suite_builds_one_alpha_beta_equalizer(monkeypatch):
 def test_each_function_reads_a_fixture_file_once(monkeypatch, rank4_complex):
     """``sylow_rule``, ``_alpha_beta`` and ``criterion_wreath`` read each
     fixture file they need once, so one ``run_all`` reads algebras.json
-    four times and morphisms.json twice."""
+    three times and morphisms.json twice.  The property suite checks
+    d^2 = 0 on the cells' boundary, with no coefficients, so it reads no
+    algebra."""
     from spinelab import fixtures
     from spinelab.assembly import sylow_rule
 
@@ -167,7 +169,7 @@ def test_each_function_reads_a_fixture_file_once(monkeypatch, rank4_complex):
         assert set(reads.values()) == {1}, reads
     reads.clear()
     assert all(result.passed for result in run_all(RunConfig()))
-    assert (reads["algebras.json"], reads["morphisms.json"]) == (4, 2)
+    assert (reads["algebras.json"], reads["morphisms.json"]) == (3, 2)
 
 
 def test_run_all_leaves_no_spinelab_function_for_the_collector():

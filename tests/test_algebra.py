@@ -30,7 +30,7 @@ from spinelab.algebra import (
     verify_free_module,
 )
 from spinelab.assembly import _recursion_maps
-from spinelab.fixtures import load_algebra, load_algebras, load_morphisms, load_thm_input
+from spinelab.fixtures import load_algebras, load_morphisms, load_thm_input
 from spinelab.series import PowerSeriesRat, geometric, one_plus
 from spinelab.verification import _structure_elements, _wreath_maps
 
@@ -131,9 +131,9 @@ def test_generator_validation():
 
 
 def test_dimensions_examples():
-    sigma3 = load_algebra("sigma3")
+    sigma3 = load_algebras()["sigma3"]
     assert dimensions(sigma3, 8).dims == (1, 0, 0, 1, 1, 0, 0, 1, 1)
-    wreath = load_algebra("wreath")
+    wreath = load_algebras()["wreath"]
     # degree 10 admits only the product of the two exterior generators
     assert dimensions(wreath, 10)[10] == 1
     ground = GradedAlgebra(3, [])
@@ -151,7 +151,7 @@ def poincare_series(alg) -> PowerSeriesRat:
 
 def test_dimensions_match_poincare_series():
     for name in ("sigma3", "wreath", "stab_k33", "double_sigma3"):
-        alg = load_algebra(name)
+        alg = load_algebras()[name]
         assert dimensions(alg, 30).dims == poincare_series(alg).coefficients(30)
 
 
@@ -261,14 +261,14 @@ def test_equalizer_rejects_mismatched_sources(setup):
 
 
 def test_invariants_trivial_group():
-    big = load_algebra("double_sigma3")
+    big = load_algebras()["double_sigma3"]
     inv = invariants(big, [], 12)
     assert inv.dims == dimensions(big, 12).dims
 
 
 def test_invariants_wreath(setup):
-    big = load_algebra("double_sigma3")
-    wreath = load_algebra("wreath")
+    big = load_algebras()["double_sigma3"]
+    wreath = load_algebras()["wreath"]
     swap = swap_action(big, [("c41", "c42"), ("d31", "d32")])
     inv = invariants(big, [swap], 24)
     assert inv.dims == dimensions(wreath, 24).dims
@@ -278,7 +278,7 @@ def test_invariants_wreath(setup):
 def test_invariant_projector_is_idempotent():
     from spinelab import linalg
 
-    big = load_algebra("double_sigma3")
+    big = load_algebras()["double_sigma3"]
     swap = swap_action(big, [("c41", "c42"), ("d31", "d32")])
     p = 3
     for d in (4, 7, 8, 11):
@@ -428,7 +428,7 @@ def test_metacyclic_rejects_bad_m():
 
 def test_free_module_trivial_case():
     # subring = the whole ambient algebra, module generated by 1
-    sigma3 = load_algebra("sigma3")
+    sigma3 = load_algebras()["sigma3"]
     ident = identity_morphism(sigma3)
     eq = equalizer(ident, ident, 12)
     gens = [sigma3.generator_element("a4"), sigma3.generator_element("b3")]
@@ -448,7 +448,7 @@ def test_check_relations(setup):
 
 
 def test_parse_element_grammar():
-    sigma3 = load_algebra("sigma3")
+    sigma3 = load_algebras()["sigma3"]
     assert parse_element(sigma3, "2*a4^2 + a4*b3") == 2 * parse_element(
         sigma3, "a4"
     ) ** 2 + parse_element(sigma3, "a4") * parse_element(sigma3, "b3")
@@ -458,7 +458,7 @@ def test_parse_element_grammar():
 
 
 def test_tensor_names():
-    sigma3 = load_algebra("sigma3")
+    sigma3 = load_algebras()["sigma3"]
     square = tensor(3, sigma3, sigma3, suffixes=["_1", "_2"])
     names = [g.name for g in square.generators]
     assert names == ["a4_1", "b3_1", "a4_2", "b3_2"]

@@ -1,4 +1,4 @@
-"""Page assembly, component cohomology and the recursion pipeline."""
+"""Component cohomology, the cells' d^2 and the recursion pipeline."""
 
 import re
 from dataclasses import replace
@@ -7,7 +7,7 @@ import pytest
 
 import linalg_oracle as oracle
 import page_oracle
-from spinelab import linalg
+from spinelab import linalg, spine
 from spinelab.algebra import (
     AlgebraMorphism,
     Element,
@@ -21,19 +21,14 @@ from spinelab.assembly import (
     CoefficientRule,
     CoefficientRuleError,
     ConcentrationError,
-    build_e1,
-    check_d_squared,
     component_cohomology,
-    constant_rule,
     corollary_dims,
-    equivariant_cohomology_from_page,
-    page_cohomology,
-    page_ranks,
     sylow_rule,
     theorem_pipeline,
 )
-from spinelab.fixtures import load_algebra, load_morphisms, load_thm_input
+from spinelab.fixtures import load_algebras, load_morphisms, load_thm_input
 from spinelab.series import PowerSeriesRat
+from spinelab.spine import check_d_squared, quotient_complex, signed_faces
 from spinelab.verification import _alpha_beta
 
 BOUND = 24
@@ -43,7 +38,7 @@ SYNTHETIC = GradedAlgebra(5, [("u7", 7, "ext"), ("c8", 8, "poly"), ("e15", 15, "
 
 @pytest.fixture(scope="module")
 def sigma3_dims():
-    return dimensions(load_algebra("sigma3"), BOUND).dims
+    return dimensions(load_algebras()["sigma3"], BOUND).dims
 
 
 def component_cells(cx, anchor):
@@ -55,106 +50,102 @@ def all_cells(cx):
     return range(len(cx.cells))
 
 
+def constant_rule(cx, bound, name):
+    """The dims of the algebra ``name`` on every cell, every face an identity."""
+    dims = dimensions(load_algebras()[name], bound).dims
+    return CoefficientRule(bound, {c.index: dims for c in cx.cells}, {})
+
+
 def test_rose_page_shape(rank4_complex):
-    rule = sylow_rule(rank4_complex, BOUND)
-    page = build_e1(rank4_complex, rule, component_cells(rank4_complex, "R4"))
-    assert {s: len(v) for s, v in page.cells_by_dim.items()} == {0: 7, 1: 13, 2: 10, 3: 3}
+    cells = [rank4_complex.cells[ci] for ci in component_cells(rank4_complex, "R4")]
+    assert [sum(c.dim == s for c in cells) for s in range(4)] == [7, 13, 10, 3]
 
 
 def test_single_point_component(rank4_complex, sigma3_dims):
-    rule = sylow_rule(rank4_complex, BOUND)
-    page = build_e1(rank4_complex, rule, component_cells(rank4_complex, "Theta2^{1,1}"))
-    assert {s: len(v) for s, v in page.cells_by_dim.items()} == {0: 1}
-    assert equivariant_cohomology_from_page(page).dims == sigma3_dims
+    assert len(component_cells(rank4_complex, "Theta2^{1,1}")) == 1
+    component = rank4_complex.component_containing("Theta2^{1,1}")
+    assert component_cohomology(rank4_complex, component, BOUND).dims == sigma3_dims
 
 
 def test_d_squared_zero_full_complex(rank4_complex):
-    rule = constant_rule(rank4_complex, BOUND, load_algebra("sigma3"))
-    page = build_e1(rank4_complex, rule, all_cells(rank4_complex))
-    assert check_d_squared(page)
+    """The cells' boundary squares to zero, as does the constant page's
+    differential written out degree by degree."""
+    rule = constant_rule(rank4_complex, BOUND, "sigma3")
+    assert check_d_squared(rank4_complex)
+    assert page_oracle.check_d_squared(page_oracle.build_e1(rank4_complex, rule, all_cells(rank4_complex)))
 
 
-def flip_a_face_sign(page):
-    d0, d1 = page.incidences[0], page.incidences[1]
-    # negating d1[r][c] adds -2 d1[r][c] d0[c] to row r of d1 d0, which is
-    # nonzero when both are
-    p = page.p
-    r, c = next(
-        (r, c) for r, row in d1.items() for c, v in row.items() if v % p and any(w % p for w in d0[c].values())
+def test_check_d_squared_catches_a_flipped_face_sign(rank4_complex, monkeypatch):
+    cx = rank4_complex
+    p = cx.p
+    # negating the entry of face f in the row of cell r adds -2 v d(f) to
+    # d d(r), which is nonzero when v and d(f) are
+    r, f = next(
+        (cell.index, f)
+        for cell in cx.cells
+        for f, v in signed_faces(cell).items()
+        if v % p and any(w % p for w in signed_faces(cx.cells[f]).values())
     )
-    d1[r][c] = -d1[r][c]
+    real = spine.signed_faces
 
+    def flipped(cell):
+        row = real(cell)
+        if cell.index == r:
+            row[f] = -row[f]
+        return row
 
-def test_check_d_squared_catches_a_flipped_face_sign(rank4_complex):
-    rule = constant_rule(rank4_complex, 0, load_algebra("sigma3"))
-    page = build_e1(rank4_complex, rule, all_cells(rank4_complex))
-    assert check_d_squared(page)
-    flip_a_face_sign(page)
-    assert not check_d_squared(page)
-
-
-def test_d_squared_counts_only_cells_with_coefficients(rank4_complex):
-    """A flipped sign among cells whose dims are zero in every degree
-    leaves every degree's composite zero."""
-    rule = constant_rule(rank4_complex, 0, load_algebra("sigma3"))
-    rule.cell_dims = {ci: (0,) for ci in rule.cell_dims}
-    page = build_e1(rank4_complex, rule, all_cells(rank4_complex))
-    flip_a_face_sign(page)
-    assert check_d_squared(page)
+    monkeypatch.setattr(spine, "signed_faces", flipped)
+    assert not check_d_squared(cx)
 
 
 def test_identity_face_dim_mismatch_is_an_error(rank4_complex):
-    # wreath coefficients everywhere but on one edge, whose identity faces
-    # then join spaces of different dimensions, first in degree 7
-    rule = constant_rule(rank4_complex, BOUND, load_algebra("wreath"))
-    first_edge = rank4_complex.cells_of_dim(1)[0]
-    rule.cell_dims[first_edge.index] = dimensions(load_algebra("sigma3"), BOUND).dims
-    message = "identity face of cell 17 has mismatched dims (2 vs 1) in degree 7"
+    # wreath coefficients everywhere but on one edge of the rose, whose
+    # identity faces then join spaces of different dimensions, first in
+    # degree 7
+    rule = constant_rule(rank4_complex, BOUND, "wreath")
+    cells = component_cells(rank4_complex, "R4")
+    first_edge = next(ci for ci in cells if rank4_complex.cells[ci].dim == 1)
+    rule.cell_dims[first_edge] = dimensions(load_algebras()["sigma3"], BOUND).dims
+    message = f"identity face of cell {first_edge} has mismatched dims (2 vs 1) in degree 7"
     with pytest.raises(CoefficientRuleError, match=re.escape(message)):
-        page_oracle.build_e1(rank4_complex, rule, all_cells(rank4_complex))
+        page_oracle.build_e1(rank4_complex, rule, cells)
     with pytest.raises(CoefficientRuleError, match=re.escape(message)):
-        build_e1(rank4_complex, rule, all_cells(rank4_complex))
-
-
-def test_identity_face_dim_mismatch_beside_a_special_face(rank4_complex):
-    """The whole complex under the shipped rule: the per-degree page
-    finds the edges at the big vertices joining unequal dims, and the
-    page refuses the special edge before it reads any face as an
-    identity."""
-    rule = sylow_rule(rank4_complex, BOUND)
-    edge = special_edge(rank4_complex, rule)
-    with pytest.raises(CoefficientRuleError, match="identity face of cell .* has mismatched dims"):
-        page_oracle.build_e1(rank4_complex, rule, all_cells(rank4_complex))
-    message = f"cell {edge.index} has a special face; a page has identity faces only"
-    with pytest.raises(CoefficientRuleError, match=re.escape(message)):
-        build_e1(rank4_complex, rule, all_cells(rank4_complex))
+        component_cohomology(rank4_complex, rank4_complex.component_containing("R4"), BOUND, rule)
 
 
 def test_uncovered_cell_is_an_error(rank4_complex):
-    rule = constant_rule(rank4_complex, BOUND, load_algebra("sigma3"))
-    del rule.cell_dims[rank4_complex.cells[0].index]
-    with pytest.raises(CoefficientRuleError):
-        build_e1(rank4_complex, rule, all_cells(rank4_complex))
+    rule = constant_rule(rank4_complex, BOUND, "sigma3")
+    cell = rank4_complex.cells[0]
+    del rule.cell_dims[cell.index]
+    with pytest.raises(CoefficientRuleError, match=f"cell {cell.index} is not covered by the rule"):
+        component_cohomology(rank4_complex, rank4_complex.component_of[cell.index], BOUND, rule)
 
 
-def test_cell_list_must_be_closed_under_faces(rank4_complex):
-    rule = constant_rule(rank4_complex, BOUND, load_algebra("sigma3"))
-    edge = rank4_complex.cells_of_dim(1)[0]
-    with pytest.raises(CoefficientRuleError, match="closed under faces"):
-        build_e1(rank4_complex, rule, [edge.index, edge.faces[0]])
+def test_a_component_with_positive_homology_is_refused():
+    """The rank-5 complex at p = 3 is connected with reduced homology
+    [0, 2, 0, 0, 0, 0], so under constant sigma3 coefficients its page
+    survives at column 1, first in degree 0, as the page written out
+    degree by degree shows."""
+    cx = quotient_complex(3, 5)
+    rule = constant_rule(cx, 4, "sigma3")
+    assert cx.component_count == 1
+    with pytest.raises(ConcentrationError, match="page survives at column 1, degree 0$"):
+        component_cohomology(cx, 0, 4, rule)
+    want = page_oracle.page_cohomology(page_oracle.build_e1(cx, rule, all_cells(cx)))
+    assert next(key for key, d in want.items() if key[0] > 0 and d) == (1, 0)
 
 
 def sylow_page(anchor, bound):
-    """The page ``component_cohomology`` reads for the component holding
-    ``anchor``."""
+    """The shipped rule and the component holding ``anchor``."""
     return lambda cx: (sylow_rule(cx, bound), component_cells(cx, anchor))
 
 
 def two_dims_classes(cx):
     """Identity faces only, sigma3 on the rose and theta11 components and
     the wreath dims on the K33 component."""
-    sigma3 = dimensions(load_algebra("sigma3"), 40).dims
-    wreath = dimensions(load_algebra("wreath"), 40).dims
+    algebras = load_algebras()
+    sigma3 = dimensions(algebras["sigma3"], 40).dims
+    wreath = dimensions(algebras["wreath"], 40).dims
     k33 = cx.component_containing("K33")
     cell_dims = {c.index: wreath if cx.component_of[c.index] == k33 else sigma3 for c in cx.cells}
     return CoefficientRule(40, cell_dims, {}), all_cells(cx)
@@ -165,28 +156,29 @@ PAGES = {
     "rose-120": sylow_page("R4", 120),
     "theta11-24": sylow_page("Theta2^{1,1}", 24),
     "theta11-120": sylow_page("Theta2^{1,1}", 120),
-    "constant-40": lambda cx: (constant_rule(cx, 40, load_algebra("sigma3")), all_cells(cx)),
+    "constant-40": lambda cx: (constant_rule(cx, 40, "sigma3"), all_cells(cx)),
     "two-dims-classes-40": two_dims_classes,
 }
 
 
 @pytest.mark.parametrize("name", PAGES)
 def test_page_matches_the_per_degree_oracle(rank4_complex, name):
-    """The rank in every (s, q), the cohomology and d^2 = 0 against the
-    page written out degree by degree."""
+    """The components of identity faces among the cells, summed, against
+    their page written out degree by degree: column 0 is the sum, and
+    every higher column is zero."""
     rule, cells = PAGES[name](rank4_complex)
-    page = build_e1(rank4_complex, rule, cells)
-    want = page_oracle.build_e1(rank4_complex, rule, cells)
-    assert page_ranks(page) == page_oracle.page_ranks(want)
-    assert page_cohomology(page) == page_oracle.page_cohomology(want)
-    assert check_d_squared(page) == page_oracle.check_d_squared(want)
+    want = page_oracle.page_cohomology(page_oracle.build_e1(rank4_complex, rule, cells))
+    components = sorted({rank4_complex.component_of[ci] for ci in cells})
+    dims = [component_cohomology(rank4_complex, c, rule.bound, rule).dims for c in components]
+    assert tuple(map(sum, zip(*dims))) == tuple(want[(0, q)] for q in range(rule.bound + 1))
+    assert not any(d for (s, _), d in want.items() if s > 0)
 
 
 def test_page_forms_of_the_oracle_pages(rank4_complex):
     """The two-class page case has two dims classes wherever the K33
     component has cells."""
-    two = build_e1(rank4_complex, *two_dims_classes(rank4_complex))
-    assert [len({two.dims[ci] for ci in two.incidences[s]}) for s in (0, 1, 2)] == [2, 2, 1]
+    two = page_oracle.build_e1(rank4_complex, *two_dims_classes(rank4_complex))
+    assert [len({two.dims[ci] for ci in two.cells_by_dim[s]}) for s in (0, 1, 2, 3)] == [2, 2, 2, 1]
 
 
 @pytest.mark.parametrize("bound", [24, 120])
@@ -203,19 +195,17 @@ def test_k33_segment_matches_the_per_degree_oracle(rank4_complex, bound):
 
 
 def test_rose_page_ranks_do_not_depend_on_the_bound(rank4_complex, monkeypatch):
-    """Each of the rose's three incidences has one dims class and is
-    ranked once, at any degree bound."""
+    """The rose's reduced homology ranks its three boundary maps, 26
+    ``signed_faces`` rows, once each, at any degree bound."""
     calls = []
     real = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows, p: calls.append(p) or real(rows, p))
-    counts = []
+    monkeypatch.setattr(linalg, "rank", lambda rows, p: calls.append(len(rows)) or real(rows, p))
+    component = rank4_complex.component_containing("R4")
     for bound in (24, 120):
-        page = build_e1(rank4_complex, sylow_rule(rank4_complex, bound), component_cells(rank4_complex, "R4"))
-        assert sum(len(rows) for rows in page.incidences.values()) == 26
-        before = len(calls)
-        page_cohomology(page)
-        counts.append(len(calls) - before)
-    assert counts == [3, 3]
+        rule = sylow_rule(rank4_complex, bound)
+        calls.clear()
+        component_cohomology(rank4_complex, component, bound, rule)
+        assert (len(calls), sum(calls)) == (3, 26)
 
 
 def test_corollary_eliminations_at_bound_120(rank4_complex, monkeypatch):
@@ -304,7 +294,7 @@ def test_k33_component_builds_each_image_once(rank4_complex, monkeypatch):
     real = algebra._times
     monkeypatch.setattr(algebra, "_times", lambda *args: products.append(args) or real(*args))
     component_cohomology(rank4_complex, rank4_complex.component_containing("K33"), BOUND)
-    sources = [load_algebra(name) for name in ("stab_k33", "stab_wedge")]
+    sources = [load_algebras()[name] for name in ("stab_k33", "stab_wedge")]
     monomials = sum(len(alg.basis(d)) for alg in sources for d in range(1, BOUND + 1))
     assert len(products) == monomials
 

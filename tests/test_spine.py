@@ -557,8 +557,8 @@ def test_cells_scan_vertex_stabilizers(p, n, scanned, monkeypatch):
     # (5, 4); the dart-level scan of its orbits read 4,284 at (3, 4) and
     # 240 at (5, 4)
     seen = []
-    inner = spine._orbit
-    monkeypatch.setattr(spine, "_orbit", lambda *a: seen.append(len(a[0])) or inner(*a))
+    inner = spine._forest_orbit
+    monkeypatch.setattr(spine, "_forest_orbit", lambda *a: seen.append(len(a[0])) or inner(*a))
     quotient_complex(p, n)
     assert sum(seen) == scanned
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinelab import catalog, equivariant, symmetry
 from spinelab.graphs import HalfEdgeGraph, build_graph, collapse, enumerate_forests
-from spinelab.spine import GraphClass, _orbit, singular_graphs
+from spinelab.spine import GraphClass, _forest_orbit, singular_graphs
 from spinelab.symmetry import (
     _dart_freedom,
     _vertex_group,
@@ -235,7 +235,7 @@ def test_orbit_single_edges_of_theta2():
     # the three edges are one bundle, named 0, fixed by the vertex swap
     theta = catalog.multi_edge(3)
     assert bundle_names(theta) == (0, 0, 0)
-    orbit, fixing = _orbit(bundle_group(theta), frozenset([0]))
+    orbit, fixing = _forest_orbit(bundle_group(theta), frozenset([0]))
     assert list(orbit) == [frozenset([0])] and len(fixing) == 2
 
 
@@ -245,7 +245,7 @@ def test_orbit_stars_of_k33():
     for v in range(6):
         star = frozenset(e for e in range(9) if v in k33.edge_endpoints(e))
         stars.append(star)
-    orbit, fixing = _orbit(bundle_group(k33), stars[0])
+    orbit, fixing = _forest_orbit(bundle_group(k33), stars[0])
     assert set(orbit) == set(stars) and len(fixing) == 72 // 6
 
 
@@ -263,7 +263,7 @@ def test_trivial_group_orbits():
     group = bundle_group(g, [tuple(range(g.vertex_count))])
     forests = [f for f in enumerate_forests(g, set(bundle_names(g))) if f]
     for f in forests:
-        orbit, fixing = _orbit(group, f)
+        orbit, fixing = _forest_orbit(group, f)
         assert list(orbit) == [f] and len(fixing) == 1
 
 
